@@ -66,6 +66,13 @@
 #                                     table, and FAILS if the new PR's
 #                                     effective pruned row regresses past
 #                                     tolerance vs the previous PR's file
+#   7b. e2e-bench answers           — each benchmark workload (herd-sim,
+#                                     scaled-sim, log-judge) for one second
+#                                     at seed 1; fails unless the last line
+#                                     reports `"correct": true`, i.e. every
+#                                     generated diy test, scaled family and
+#                                     hardware log matches the owned
+#                                     reference
 #   8. cargo doc   --no-deps        — rustdoc, warnings denied
 #   9. cargo fmt   --check          — formatting (rustfmt.toml at root)
 set -euo pipefail
@@ -97,6 +104,15 @@ run cargo test -p herd-bench --release --features alloc-count --test alloc_smoke
 run cargo bench -p herd-bench --bench perf_pipeline -- \
     --quick --gate --pr "$PR" --json "$PWD/BENCH_pr${PR}.json"
 run cargo bench -p herd-bench --bench perf_pipeline -- --compare --gate
+for workload in herd-sim scaled-sim log-judge; do
+    echo "==> e2e-bench --workload $workload --seed 1 --seconds 1"
+    last=$(cargo run --release --offline -q --manifest-path e2e-bench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 | tail -n 1)
+    if [[ "$last" != *'"correct": true'* ]]; then
+        echo "e2e-bench $workload: answers differ from the reference: $last" >&2
+        exit 1
+    fi
+done
 run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 run cargo fmt --check
 

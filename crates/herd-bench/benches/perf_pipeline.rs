@@ -72,7 +72,7 @@ use herd_core::model::{check, Architecture, ArenaArchRels, PropagationCheck, Ver
 use herd_core::relation::Relation;
 use herd_core::sched::{Budget, CancelToken, PlanOpts, WorkPlan};
 use herd_core::uniproc::{EventShape, LocGraphs};
-use herd_litmus::candidates::{stream_arch_verdicts, EnumOptions, RegFinal};
+use herd_litmus::candidates::{stream_verdicts, EnumOptions, RegFinal};
 use herd_litmus::corpus::{self, Dev, Op, TestBuilder};
 use herd_litmus::decide::{decide_outcome, Outcome, QueryStats};
 use herd_litmus::isa::Isa;
@@ -684,7 +684,7 @@ struct QueryRow {
     name: String,
     arch: String,
     allowed: bool,
-    /// Full scan over `stream_arch_verdicts` (generation-time pruning
+    /// Full scan over `stream_verdicts` (generation-time pruning
     /// included) looking for an allowed candidate matching the outcome.
     enum_ns: u128,
     /// `decide_outcome` through the consistency backend.
@@ -753,8 +753,8 @@ fn bench_query(
     let opts = EnumOptions::default();
     let (enum_ns, enum_reachable) = best_of(reps, || {
         let mut hit = false;
-        stream_arch_verdicts(test, &opts, arch, &mut |vc| {
-            if !hit && vc.verdict.allowed() {
+        stream_verdicts(test, &opts, &[arch], .., &mut |vc| {
+            if !hit && vc.verdicts[0].allowed() {
                 hit = probe.regs.iter().all(|(k, v)| vc.final_regs.get(k) == Some(v))
                     && probe.mem.iter().all(|(l, v)| vc.final_mem.get(l) == Some(v));
             }

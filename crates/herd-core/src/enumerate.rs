@@ -130,14 +130,14 @@ impl Skeleton {
         shard: usize,
         nshards: usize,
     ) -> CandidateIter {
-        let (parts, core) = self.parts_core();
+        let (space, core) = self.space_core();
         let opts = StreamOpts {
             uniproc: true,
             llh: arch.tolerates_load_load_hazards(),
             thin_air: arch.thin_air_base(&core),
             shard: Some((shard, nshards)),
         };
-        CandidateIter::new(self, parts, core, opts)
+        CandidateIter::new(self, space, core, opts)
     }
 
     /// Streams with explicit [`StreamOpts`].
@@ -146,24 +146,40 @@ impl Skeleton {
     ///
     /// Panics on a universe mismatch or an out-of-range shard index.
     pub fn stream_with(&self, opts: StreamOpts) -> CandidateIter {
-        let (parts, core) = self.parts_core();
-        CandidateIter::new(self, parts, core, opts)
+        let (space, core) = self.space_core();
+        CandidateIter::new(self, space, core, opts)
     }
 
-    fn parts_core(&self) -> (SkeletonParts, Arc<ExecCore>) {
+    fn space_core(&self) -> (ChoiceSpace, Arc<ExecCore>) {
         let n = self.events.len();
         assert_eq!(self.po.universe(), n, "po universe mismatch");
-        let parts = SkeletonParts::new(self);
+        let events: Vec<Event> = self
+            .events
+            .iter()
+            .enumerate()
+            .map(|(id, e)| Event {
+                id,
+                thread: e.thread,
+                po_index: e.po_index,
+                dir: e.dir,
+                loc: e.loc,
+                val: e.val,
+            })
+            .collect();
         let core = Arc::new(
-            ExecCore::new(
-                &parts.base_events,
-                self.po.clone(),
-                self.deps.clone(),
-                self.fences.clone(),
-            )
-            .expect("skeleton relations are well-formed"),
+            ExecCore::new(&events, self.po.clone(), self.deps.clone(), self.fences.clone())
+                .expect("skeleton relations are well-formed"),
         );
-        (parts, core)
+        (ChoiceSpace::new(events), core)
+    }
+
+    /// The arena engine over this skeleton's choice space, judging `models`.
+    pub(crate) fn engine<'m, A: Architecture + ?Sized>(
+        &self,
+        models: &'m [&'m A],
+    ) -> ArenaEngine<'m, A> {
+        let (space, core) = self.space_core();
+        ArenaEngine::new(space, core, models)
     }
 
     /// The arena-backed checked stream: enumerates with every pruning
@@ -210,10 +226,11 @@ impl Skeleton {
         nshards: usize,
         sink: &mut dyn FnMut(&ExecFrame<'_>, &RelArena, Verdict),
     ) -> CheckedStats {
-        let ctx = EngineCtx::new(self, arch);
-        let mut st = EngineState::new(&ctx, arch, arena);
-        let (start, end) = shard_range(RfDriver::rf_total(&ctx.parts), shard, nshards);
-        run_arena_range(&ctx, arch, arena, &mut st, start, end, None, &Budget::unlimited(), sink)
+        let models = [arch];
+        let engine = self.engine(&models);
+        let mut w = engine.skeleton_worker(arena);
+        let range = shard_range(engine.rf_total(), shard, nshards);
+        engine.run_skeleton(arena, &mut w, range, None, &Budget::unlimited(), sink)
     }
 
     /// [`Skeleton::check_stream_arena`] under a [`Budget`]: a deadline,
@@ -233,10 +250,11 @@ impl Skeleton {
         budget: &Budget,
         sink: &mut dyn FnMut(&ExecFrame<'_>, &RelArena, Verdict),
     ) -> CheckedStats {
-        let ctx = EngineCtx::new(self, arch);
-        let mut st = EngineState::new(&ctx, arch, arena);
-        let end = RfDriver::rf_total(&ctx.parts);
-        run_arena_range(&ctx, arch, arena, &mut st, 0, end, None, budget, sink)
+        let models = [arch];
+        let engine = self.engine(&models);
+        let mut w = engine.skeleton_worker(arena);
+        let range = (0, engine.rf_total());
+        engine.run_skeleton(arena, &mut w, range, None, budget, sink)
     }
 
     /// Completes an interrupted [`Skeleton::check_stream_arena_budgeted`]
@@ -256,9 +274,10 @@ impl Skeleton {
         resume: ResumePoint,
         sink: &mut dyn FnMut(&ExecFrame<'_>, &RelArena, Verdict),
     ) -> CheckedStats {
-        let ctx = EngineCtx::new(self, arch);
-        let mut st = EngineState::new(&ctx, arch, arena);
-        let end = RfDriver::rf_total(&ctx.parts);
+        let models = [arch];
+        let engine = self.engine(&models);
+        let mut w = engine.skeleton_worker(arena);
+        let end = engine.rf_total();
         let unlimited = Budget::unlimited();
         let mut stats = CheckedStats::default();
         let tail_start = if resume.co_next > 0 {
@@ -266,13 +285,10 @@ impl Skeleton {
             // clamps to the menu count, and a non-zero start means the
             // configuration's generation-time prunes stay with the
             // interrupted run that already claimed them.
-            stats.absorb(&run_arena_range(
-                &ctx,
-                arch,
+            stats.absorb(&engine.run_skeleton(
                 arena,
-                &mut st,
-                resume.rf_pos,
-                resume.rf_pos + 1,
+                &mut w,
+                (resume.rf_pos, resume.rf_pos + 1),
                 Some((resume.co_next, u128::MAX)),
                 &unlimited,
                 sink,
@@ -282,8 +298,13 @@ impl Skeleton {
             resume.rf_pos
         };
         if tail_start < end {
-            stats.absorb(&run_arena_range(
-                &ctx, arch, arena, &mut st, tail_start, end, None, &unlimited, sink,
+            stats.absorb(&engine.run_skeleton(
+                arena,
+                &mut w,
+                (tail_start, end),
+                None,
+                &unlimited,
+                sink,
             ));
         }
         stats
@@ -311,8 +332,7 @@ impl Skeleton {
     /// Panics on a universe mismatch (a front-end bug).
     pub fn candidates_eager(&self) -> Vec<Execution> {
         let n = self.events.len();
-        assert_eq!(self.po.universe(), n, "po universe mismatch");
-        let parts = SkeletonParts::new(self);
+        let (parts, _) = self.space_core();
 
         // Materialise every coherence permutation per location up front.
         let co_choices: Vec<Vec<Vec<usize>>> = parts
@@ -338,7 +358,7 @@ impl Skeleton {
         let mut rf_pick = vec![0usize; parts.reads.len()];
         let mut co_pick = vec![0usize; parts.locs.len()];
         loop {
-            let mut events = parts.base_events.clone();
+            let mut events = parts.events.clone();
             let mut rf = Relation::empty(n);
             for (k, &r) in parts.reads.iter().enumerate() {
                 let w = parts.rf_choices[k][rf_pick[k]];
@@ -428,38 +448,37 @@ pub struct StreamOpts {
     pub shard: Option<(usize, usize)>,
 }
 
-/// Skeleton-derived tables shared by the eager and streaming paths (and,
-/// crate-internally, by the [`crate::sched`] planner).
-pub(crate) struct SkeletonParts {
-    pub(crate) base_events: Vec<Event>,
-    pub(crate) reads: Vec<usize>,
-    pub(crate) rf_choices: Vec<Vec<usize>>,
-    pub(crate) locs: Vec<Loc>,
+/// The rf×co choice space of one control-flow semantics — a skeleton, or
+/// one combination of litmus thread paths: the events (initial writes
+/// included, as thread-less writes), each read's menu of same-location
+/// source writes, and the locations whose coherence orders are
+/// enumerated. Shared by the eager, streaming and arena paths, the
+/// [`crate::sched`] planner and the litmus front end.
+#[derive(Clone, Debug)]
+pub struct ChoiceSpace {
+    /// The events; index = event id. Read values are placeholders until a
+    /// [`Concretise`] step fills them.
+    pub events: Vec<Event>,
+    /// Read event ids, in event order: the rf odometer's digits, least
+    /// significant first.
+    pub reads: Vec<usize>,
+    /// Per read: its same-location thread writes in event order, then the
+    /// initial write.
+    pub rf_choices: Vec<Vec<usize>>,
+    /// Locations with thread writes, in `Loc` order.
+    pub locs: Vec<Loc>,
     /// Initial write of each `locs` entry, if any.
-    pub(crate) loc_init: Vec<Option<usize>>,
+    pub loc_init: Vec<Option<usize>>,
     /// Non-initial writes of each `locs` entry, in event order.
-    pub(crate) loc_writes: Vec<Vec<usize>>,
+    pub loc_writes: Vec<Vec<usize>>,
 }
 
-impl SkeletonParts {
-    pub(crate) fn new(sk: &Skeleton) -> Self {
-        let base_events: Vec<Event> = sk
-            .events
-            .iter()
-            .enumerate()
-            .map(|(id, e)| Event {
-                id,
-                thread: e.thread,
-                po_index: e.po_index,
-                dir: e.dir,
-                loc: e.loc,
-                val: e.val,
-            })
-            .collect();
-
+impl ChoiceSpace {
+    /// Derives the choice space of `events` (ids must equal indices).
+    pub fn new(events: Vec<Event>) -> Self {
         let mut writes_by_loc: BTreeMap<Loc, Vec<usize>> = BTreeMap::new();
         let mut init_by_loc: BTreeMap<Loc, usize> = BTreeMap::new();
-        for e in &base_events {
+        for e in &events {
             if e.dir == Dir::W {
                 if e.thread.is_none() {
                     init_by_loc.insert(e.loc, e.id);
@@ -469,12 +488,11 @@ impl SkeletonParts {
             }
         }
 
-        let reads: Vec<usize> =
-            base_events.iter().filter(|e| e.dir == Dir::R).map(|e| e.id).collect();
+        let reads: Vec<usize> = events.iter().filter(|e| e.dir == Dir::R).map(|e| e.id).collect();
         let rf_choices: Vec<Vec<usize>> = reads
             .iter()
             .map(|&r| {
-                let loc = base_events[r].loc;
+                let loc = events[r].loc;
                 let mut ws: Vec<usize> = writes_by_loc.get(&loc).cloned().unwrap_or_default();
                 if let Some(&init) = init_by_loc.get(&loc) {
                     ws.push(init);
@@ -488,23 +506,41 @@ impl SkeletonParts {
             locs.iter().map(|l| init_by_loc.get(l).copied()).collect();
         let loc_writes: Vec<Vec<usize>> = locs.iter().map(|l| writes_by_loc[l].clone()).collect();
 
-        SkeletonParts { base_events, reads, rf_choices, locs, loc_init, loc_writes }
+        ChoiceSpace { events, reads, rf_choices, locs, loc_init, loc_writes }
+    }
+
+    /// Number of rf configurations (saturating): the linear index space
+    /// the arena engine's ranges address.
+    pub fn rf_total(&self) -> u128 {
+        self.rf_choices.iter().map(|c| c.len() as u128).fold(1u128, u128::saturating_mul)
+    }
+
+    /// Coherence orders per rf configuration, `Π |loc_writes[l]|!`
+    /// (saturating).
+    pub fn co_total(&self) -> u128 {
+        self.loc_writes
+            .iter()
+            .map(|ws| factorial_saturating(ws.len()))
+            .fold(1u128, u128::saturating_mul)
     }
 }
 
 /// Statistics of one arena-backed checked stream
-/// ([`Skeleton::check_stream_arena`]): `emitted + pruned + remaining`
-/// equals [`Skeleton::candidate_count`] (summed over shards) — with
+/// ([`Skeleton::check_stream_arena`], [`ArenaEngine::run`]):
+/// `emitted + pruned + remaining` equals the range's candidate count —
+/// [`Skeleton::candidate_count`] for a whole skeleton (summed over
+/// shards), and in general the sum over rf configurations of their
+/// [`Concretise`] multiplicity times their coherence orders — with
 /// `remaining == 0` on an uninterrupted run, exactly as for
-/// [`CandidateIter`] — and `allowed` counts the candidates the
-/// architecture's four axioms accept.
+/// [`CandidateIter`]. `allowed` counts the candidates the first judged
+/// model's four axioms accept.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CheckedStats {
     /// Candidates materialised as frames and checked.
     pub emitted: u128,
     /// Candidates pruned at generation time (uniproc + thin air).
     pub pruned: u128,
-    /// Checked candidates all four axioms allow.
+    /// Checked candidates all four axioms of the first model allow.
     pub allowed: u128,
     /// Candidates neither checked nor pruned because a [`Budget`] stopped
     /// the run first; zero on a completed run. Recovered in O(odometer
@@ -552,213 +588,394 @@ pub struct ResumePoint {
     pub co_next: u128,
 }
 
-/// Skeleton-invariant context of the arena-backed checked stream, built
-/// once per enumeration and shared (read-only) by every worker and every
-/// [`crate::sched::WorkUnit`].
-pub(crate) struct EngineCtx {
-    pub(crate) parts: SkeletonParts,
-    pub(crate) core: Arc<ExecCore>,
-    pub(crate) graphs: LocGraphs,
-    pub(crate) thin_air: Option<Relation>,
+/// The value step of the arena engine: turns one rf configuration into
+/// its value concretisations — the candidate executions sharing that
+/// `(rf, co)` witness. A [`Skeleton`] copies each source write's value
+/// into its read, so every configuration has exactly one; a litmus
+/// control-flow combination solves its data-flow equations, so a
+/// configuration has none (a contradicted path constraint), one, or
+/// several (a self-justifying value cycle).
+///
+/// That count is the configuration's *multiplicity*. The engine weights
+/// every candidate it emits, prunes or leaves unreached by it, so
+/// `emitted + pruned + remaining` stays exact whatever the value side
+/// does.
+pub trait Concretise {
+    /// Concretises the rf configuration in which read `r` reads from
+    /// `rf_src[r]` (entries of non-read events are meaningless) and
+    /// returns its multiplicity.
+    fn concretise(&mut self, space: &ChoiceSpace, rf_src: &[usize]) -> usize;
+
+    /// The events of concretisation `k` of the last concretised
+    /// configuration (`k` below the multiplicity it returned).
+    fn events(&self, k: usize) -> &[Event];
+
+    /// `Some(m)` when every configuration has multiplicity `m`: the
+    /// engine then weighs pruned or unreached rf ranges in O(1) instead of
+    /// concretising each of their configurations.
+    fn uniform(&self) -> Option<u128> {
+        None
+    }
 }
 
-impl EngineCtx {
-    pub(crate) fn new<A: Architecture + ?Sized>(sk: &Skeleton, arch: &A) -> Self {
-        let (parts, core) = sk.parts_core();
-        let shape: Vec<EventShape> = parts
-            .base_events
+/// A skeleton's value step: each read takes its source write's value.
+pub(crate) struct CopyValues(Vec<Event>);
+
+impl Concretise for CopyValues {
+    fn concretise(&mut self, space: &ChoiceSpace, rf_src: &[usize]) -> usize {
+        for &r in &space.reads {
+            self.0[r].val = self.0[rf_src[r]].val;
+        }
+        1
+    }
+
+    fn events(&self, _: usize) -> &[Event] {
+        &self.0
+    }
+
+    fn uniform(&self) -> Option<u128> {
+        Some(1)
+    }
+}
+
+/// The arena verdict engine over one [`ChoiceSpace`] — herd's
+/// generate-and-prune walk of the rf×co candidate space (paper, Sec 8.3),
+/// behind every checked stream of the workspace: skeletons here and in
+/// [`crate::sched`], litmus simulation, verification, campaigns and model
+/// comparison in the front-end crates.
+///
+/// It seeks the rf odometer to any linear range in O(digits), skips
+/// NO-THIN-AIR-doomed rf subtrees incrementally, filters each
+/// configuration's coherence orders through pooled uniproc menus, and
+/// judges every surviving `(rf, co)` witness against a slice of models on
+/// one set of arena-derived relations. Built once per space and shared
+/// read-only by every worker and every [`crate::sched::WorkUnit`];
+/// per-worker mutable state lives in an [`EngineWorker`].
+pub struct ArenaEngine<'m, A: ?Sized> {
+    space: ChoiceSpace,
+    core: Arc<ExecCore>,
+    models: &'m [&'m A],
+    graphs: LocGraphs,
+    thin_air: Option<Relation>,
+    co_total: u128,
+}
+
+/// One judged candidate of [`ArenaEngine::run`]: the frame of one value
+/// concretisation, each model's verdict (indexed like the engine's model
+/// slice), and the value step that produced the frame's events, for
+/// observables a caller keeps per concretisation.
+pub struct Judged<'a, V> {
+    /// The candidate, with the events of concretisation `conc`.
+    pub frame: ExecFrame<'a>,
+    /// The four-axiom verdict of every judged model.
+    pub verdicts: &'a [Verdict],
+    /// The engine's value step, holding the current configuration.
+    pub values: &'a V,
+    /// Which concretisation of the current configuration this is.
+    pub conc: usize,
+}
+
+/// Per-worker mutable state of an [`ArenaEngine`]: the arena-slot
+/// addresses, the per-model checkers, the reusable menu/odometer buffers
+/// and the value step. One worker (and one [`RelArena`]) per thread; many
+/// ranges run through it in turn, so unit granularity costs no allocator
+/// traffic.
+pub struct EngineWorker<V> {
+    rels: ExecRels,
+    checkers: Vec<ArenaChecker>,
+    menus: CoMenus,
+    co_pick: Vec<usize>,
+    rf_src: Vec<usize>,
+    verdicts: Vec<Verdict>,
+    values: V,
+}
+
+impl<'m, A: Architecture + ?Sized> ArenaEngine<'m, A> {
+    /// The engine judging `models` over `space`, whose po/deps/fences are
+    /// `core`. Pruning is the strongest sound for every model: the uniproc
+    /// masks tolerate load-load hazards as soon as one model does (the
+    /// weakened graph prunes less, and whatever it prunes violates every
+    /// model's SC PER LOCATION), and NO THIN AIR prunes only for a single
+    /// model vouching for a static base ([`Architecture::thin_air_base`]),
+    /// since the base is per model.
+    pub fn new(space: ChoiceSpace, core: Arc<ExecCore>, models: &'m [&'m A]) -> Self {
+        let shape: Vec<EventShape> = space
+            .events
             .iter()
             .map(|e| EventShape { dir: e.dir, loc: e.loc, init: e.thread.is_none() })
             .collect();
-        let graphs = LocGraphs::new(&shape, &sk.po, arch.tolerates_load_load_hazards());
-        let thin_air = arch.thin_air_base(&core);
-        EngineCtx { parts, core, graphs, thin_air }
-    }
-}
-
-/// Per-worker mutable state of the engine: the arena-slot addresses, the
-/// checker, and the reusable menu/odometer buffers. One `EngineState` (and
-/// one [`RelArena`]) per worker thread; many units run through it in turn,
-/// so unit granularity costs no allocator traffic.
-pub(crate) struct EngineState {
-    rels: ExecRels,
-    checker: ArenaChecker,
-    menus: CoMenus,
-    co_pick: Vec<usize>,
-    events: Vec<Event>,
-    rf_src: Vec<usize>,
-}
-
-impl EngineState {
-    pub(crate) fn new<A: Architecture + ?Sized>(
-        ctx: &EngineCtx,
-        arch: &A,
-        arena: &mut RelArena,
-    ) -> Self {
-        let n = ctx.parts.base_events.len();
-        arena.reset(n);
-        EngineState {
-            rels: ExecRels::alloc(arena),
-            checker: ArenaChecker::new(arch, &ctx.core),
-            menus: CoMenus::new(&ctx.parts.loc_writes),
-            co_pick: vec![0usize; ctx.parts.locs.len()],
-            events: ctx.parts.base_events.clone(),
-            rf_src: vec![0usize; n],
-        }
-    }
-}
-
-/// Runs the arena-backed checked stream over one work unit: the linear
-/// rf-configuration range `[rf_start, rf_end)`, optionally restricted to
-/// the coherence-menu odometer sub-range `co_range` of a *single* rf
-/// configuration (then `rf_end == rf_start + 1`).
-///
-/// Accounting contract: a co-sub-range unit emits exactly its share of the
-/// menu combinations, and only the unit whose sub-range starts at menu
-/// index 0 claims the configuration's generation-time prunes (uniproc menu
-/// filtering and thin-air/rf dooms), so per-unit `emitted + pruned` summed
-/// over any partition produced by [`crate::sched::WorkPlan`] equals
-/// [`Skeleton::candidate_count`].
-///
-/// Budget contract: when `budget` trips — deadline, candidate bound, or
-/// cancellation — the run stops at the next check point (an rf-scope
-/// boundary, or every candidate inside the coherence loop) and the
-/// returned stats carry the exact `remaining` count of the unit's
-/// unclassified candidates plus the [`ResumePoint`] of the cut, so
-/// `emitted + pruned + remaining` still equals the unit's share of the
-/// space. `remaining` comes from the driver position in O(odometer
-/// digits), never from counting.
-#[allow(clippy::too_many_arguments)] // engine-internal; one call site family
-pub(crate) fn run_arena_range<A: Architecture + ?Sized>(
-    ctx: &EngineCtx,
-    arch: &A,
-    arena: &mut RelArena,
-    st: &mut EngineState,
-    rf_start: u128,
-    rf_end: u128,
-    co_range: Option<(u128, u128)>,
-    budget: &Budget,
-    sink: &mut dyn FnMut(&ExecFrame<'_>, &RelArena, Verdict),
-) -> CheckedStats {
-    let parts = &ctx.parts;
-    let mut driver = RfDriver::new_range(parts, ctx.thin_air.as_ref(), rf_start, rf_end);
-    let accounts_prunes = co_range.is_none_or(|(s, _)| s == 0);
-    let mut stats = CheckedStats::default();
-
-    'scopes: while !driver.done {
-        if !driver.sync_thinair(parts) {
-            break; // range exhausted
-        }
-        // Unit-boundary budget check for plain rf ranges: everything from
-        // the current configuration on is untouched, so `remaining` is a
-        // whole-subtree product and the resume point is a clean scope.
-        if co_range.is_none() {
-            if let Some(reason) = budget.check(stats.emitted) {
-                stats.stopped = Some(reason);
-                stats.remaining = (driver.end - driver.pos).saturating_mul(driver.co_total);
-                stats.resume = Some(ResumePoint { rf_pos: driver.pos, co_next: 0 });
-                break 'scopes;
-            }
-        }
-        // One rf scope: fill rf, concretise read values, filter the
-        // coherence menus, derive the rf-invariant relations once.
-        arena.clear(st.rels.rf);
-        for (k, &r) in parts.reads.iter().enumerate() {
-            let w = parts.rf_choices[k][driver.rf_pick[k]];
-            arena.add(st.rels.rf, w, r);
-            st.rf_src[r] = w;
-            st.events[r].val = st.events[w].val;
-        }
-        faultpoint::hit(FaultPoint::CoMenuBuild, faultpoint::config_key(driver.pos));
-        ctx.graphs.co_menus_into(&parts.locs, &st.rf_src, &mut st.menus);
-        let rf_ok = ctx.graphs.rf_only_consistent_pooled(&parts.locs, &st.rf_src, &mut st.menus);
-        let kept = st.menus.kept();
-        if !rf_ok || kept == 0 {
-            driver.prune_rf_subtree();
-            driver.advance_one();
-            continue;
-        }
-        // The coherence scope: one menu combination per candidate, over
-        // the whole menu odometer or the unit's sub-range of it.
-        let (co_s, co_e) = match co_range {
-            None => (0, kept),
-            Some((s, e)) => (s.min(kept), e.min(kept)),
+        let llh = models.iter().any(|m| m.tolerates_load_load_hazards());
+        let graphs = LocGraphs::new(&shape, core.po(), llh);
+        let thin_air = match models {
+            [m] => m.thin_air_base(&core),
+            _ => None,
         };
-        // Unit-boundary budget check for co-sub-range units, *before* the
-        // menu prunes are claimed: an interrupted unit classifies its
-        // whole share — emitted slice and (if it owns them) menu prunes —
-        // as remaining, so a resumed run can re-account them exactly.
-        if co_range.is_some() {
-            if let Some(reason) = budget.check(stats.emitted) {
-                stats.stopped = Some(reason);
-                stats.remaining = (co_e - co_s).saturating_add(if accounts_prunes {
-                    driver.co_total - kept
-                } else {
-                    0
-                });
-                stats.resume = Some(ResumePoint { rf_pos: driver.pos, co_next: co_s });
-                break 'scopes;
-            }
-        }
-        driver.add_pruned(driver.co_total - kept);
-        faultpoint::hit(FaultPoint::ArenaCheckpoint, faultpoint::config_key(driver.pos));
-        st.rels.derive_rf(&ctx.core, arena);
+        let co_total = space.co_total();
+        ArenaEngine { space, core, models, graphs, thin_air, co_total }
+    }
 
-        if co_s < co_e {
-            // Seek the menu odometer to `co_s` (mixed radix, digit 0
-            // least significant — the same layout `CoMenus::bump` walks).
-            let mut rem = co_s;
-            for (li, d) in st.co_pick.iter_mut().enumerate() {
-                let r = st.menus.radix(li) as u128;
-                *d = (rem % r) as usize;
-                rem /= r;
+    /// The walked choice space.
+    pub fn space(&self) -> &ChoiceSpace {
+        &self.space
+    }
+
+    /// Number of rf configurations: the index space of
+    /// [`ArenaEngine::run`]'s ranges.
+    pub fn rf_total(&self) -> u128 {
+        self.space.rf_total()
+    }
+
+    /// Locations too wide for a uniproc graph
+    /// ([`LocGraphs::oversized`]): their coherence orders stream unpruned.
+    pub fn unpruned_locations(&self) -> usize {
+        self.graphs.oversized().len()
+    }
+
+    /// A fresh worker with value step `values`; resets `arena` to the
+    /// space's universe and allocates the worker's slots in it.
+    pub fn worker<V: Concretise>(&self, arena: &mut RelArena, values: V) -> EngineWorker<V> {
+        let n = self.space.events.len();
+        arena.reset(n);
+        EngineWorker {
+            rels: ExecRels::alloc(arena),
+            checkers: self.models.iter().map(|m| ArenaChecker::new(*m, &self.core)).collect(),
+            menus: CoMenus::new(&self.space.loc_writes),
+            co_pick: vec![0usize; self.space.locs.len()],
+            rf_src: vec![0usize; n],
+            verdicts: Vec::with_capacity(self.models.len()),
+            values,
+        }
+    }
+
+    pub(crate) fn skeleton_worker(&self, arena: &mut RelArena) -> EngineWorker<CopyValues> {
+        self.worker(arena, CopyValues(self.space.events.clone()))
+    }
+
+    /// [`ArenaEngine::run`] for a skeleton's single model.
+    pub(crate) fn run_skeleton(
+        &self,
+        arena: &mut RelArena,
+        w: &mut EngineWorker<CopyValues>,
+        rf: (u128, u128),
+        co_range: Option<(u128, u128)>,
+        budget: &Budget,
+        sink: &mut dyn FnMut(&ExecFrame<'_>, &RelArena, Verdict),
+    ) -> CheckedStats {
+        self.run(arena, w, rf, co_range, budget, &mut |j, a| sink(&j.frame, a, j.verdicts[0]))
+    }
+
+    /// Runs the engine over one work unit: the linear rf-configuration
+    /// range `rf = [start, end)`, optionally restricted to the
+    /// coherence-menu odometer sub-range `co_range` of a *single* rf
+    /// configuration (then `end == start + 1`). `sink` sees every
+    /// concretisation of every surviving `(rf, co)` witness; the models'
+    /// verdicts are computed once per witness.
+    ///
+    /// Accounting contract: a co-sub-range unit emits exactly its share of
+    /// the menu combinations, and only the unit whose sub-range starts at
+    /// menu index 0 claims the configuration's generation-time prunes
+    /// (uniproc menu filtering and thin-air/rf dooms), so per-unit
+    /// `emitted + pruned` summed over any partition produced by
+    /// [`crate::sched::WorkPlan`] equals the space's candidate count. Every
+    /// count is weighted by the configuration's [`Concretise`]
+    /// multiplicity.
+    ///
+    /// Budget contract: when `budget` trips — deadline, candidate bound, or
+    /// cancellation — the run stops at the next check point (an rf-scope
+    /// boundary, or between coherence choices; the concretisations of one
+    /// choice are emitted together) and the returned stats carry the exact
+    /// `remaining` count of the unit's unclassified candidates plus the
+    /// [`ResumePoint`] of the cut, so `emitted + pruned + remaining` still
+    /// equals the unit's share of the space. For a uniform value step
+    /// `remaining` comes from the driver position in O(odometer digits),
+    /// never from counting.
+    pub fn run<V: Concretise>(
+        &self,
+        arena: &mut RelArena,
+        w: &mut EngineWorker<V>,
+        (rf_start, rf_end): (u128, u128),
+        co_range: Option<(u128, u128)>,
+        budget: &Budget,
+        sink: &mut dyn FnMut(&Judged<'_, V>, &RelArena),
+    ) -> CheckedStats {
+        let space = &self.space;
+        let co_total = self.co_total;
+        // The candidates of rf configurations `[s, e)`.
+        let weigh = |values: &mut V, s: u128, e: u128| {
+            range_weight(space, values, s, e).saturating_mul(co_total)
+        };
+        let mut driver =
+            RfDriver::new_range(space, self.thin_air.as_ref(), rf_start, rf_end, &mut |s, e| {
+                weigh(&mut w.values, s, e)
+            });
+        let accounts_prunes = co_range.is_none_or(|(s, _)| s == 0);
+        let mut stats = CheckedStats::default();
+
+        'scopes: while !driver.done {
+            if !driver.sync_thinair(space, &mut |s, e| weigh(&mut w.values, s, e)) {
+                break; // range exhausted
             }
-            let mut visited = co_s;
-            loop {
-                arena.clear(st.rels.co);
-                for (li, &init) in parts.loc_init.iter().enumerate() {
-                    build_co_arena(arena, st.rels.co, init, st.menus.order(li, st.co_pick[li]));
-                }
-                st.rels.derive_co(&ctx.core, arena);
-                let fx = ExecFrame { core: &ctx.core, events: &st.events, rels: &st.rels };
-                faultpoint::hit(
-                    FaultPoint::CandidateCheck,
-                    faultpoint::candidate_key(driver.pos, visited),
-                );
-                let verdict = st.checker.check(arch, &fx, arena);
-                stats.emitted += 1;
-                if verdict.allowed() {
-                    stats.allowed += 1;
-                }
-                sink(&fx, arena, verdict);
-                visited += 1;
-                if visited >= co_e || !st.menus.bump(&mut st.co_pick) {
-                    break;
-                }
-                // Mid-odometer budget check: the cheap compare-and-load
-                // every candidate, the clock only every 1024 emits (the
-                // `~2^k` cadence that keeps overhead under the perf gate).
-                let hit = if stats.emitted & 1023 == 0 {
-                    budget.check(stats.emitted)
-                } else {
-                    budget.check_fast(stats.emitted)
-                };
-                if let Some(reason) = hit {
+            // Unit-boundary budget check for plain rf ranges: everything from
+            // the current configuration on is untouched, so `remaining` is a
+            // whole-range weight and the resume point is a clean scope.
+            if co_range.is_none() {
+                if let Some(reason) = budget.check(stats.emitted) {
                     stats.stopped = Some(reason);
-                    stats.remaining = (co_e - visited).saturating_add(
-                        (driver.end - driver.pos - 1).saturating_mul(driver.co_total),
-                    );
-                    stats.resume = Some(ResumePoint { rf_pos: driver.pos, co_next: visited });
+                    stats.remaining = weigh(&mut w.values, driver.pos, driver.end);
+                    stats.resume = Some(ResumePoint { rf_pos: driver.pos, co_next: 0 });
                     break 'scopes;
                 }
             }
+            // One rf scope: fill rf, concretise read values, filter the
+            // coherence menus, derive the rf-invariant relations once.
+            arena.clear(w.rels.rf);
+            for (k, &r) in space.reads.iter().enumerate() {
+                let src = space.rf_choices[k][driver.rf_pick[k]];
+                arena.add(w.rels.rf, src, r);
+                w.rf_src[r] = src;
+            }
+            let concs = w.values.concretise(space, &w.rf_src);
+            let mult = concs as u128;
+            if concs == 0 {
+                driver.advance_one();
+                continue; // no candidate to emit, prune or count
+            }
+            faultpoint::hit(FaultPoint::CoMenuBuild, faultpoint::config_key(driver.pos));
+            self.graphs.co_menus_into(&space.locs, &w.rf_src, &mut w.menus);
+            let rf_ok = self.graphs.rf_only_consistent_pooled(&space.locs, &w.rf_src, &mut w.menus);
+            let kept = w.menus.kept();
+            if !rf_ok || kept == 0 {
+                driver.add_pruned(mult.saturating_mul(co_total));
+                driver.advance_one();
+                continue;
+            }
+            // The coherence scope: one menu combination per witness, over
+            // the whole menu odometer or the unit's sub-range of it.
+            let (co_s, co_e) = match co_range {
+                None => (0, kept),
+                Some((s, e)) => (s.min(kept), e.min(kept)),
+            };
+            // Unit-boundary budget check for co-sub-range units, *before* the
+            // menu prunes are claimed: an interrupted unit classifies its
+            // whole share — emitted slice and (if it owns them) menu prunes —
+            // as remaining, so a resumed run can re-account them exactly.
+            if co_range.is_some() {
+                if let Some(reason) = budget.check(stats.emitted) {
+                    stats.stopped = Some(reason);
+                    let share = (co_e - co_s).saturating_add(if accounts_prunes {
+                        co_total - kept
+                    } else {
+                        0
+                    });
+                    stats.remaining = share.saturating_mul(mult);
+                    stats.resume = Some(ResumePoint { rf_pos: driver.pos, co_next: co_s });
+                    break 'scopes;
+                }
+            }
+            driver.add_pruned((co_total - kept).saturating_mul(mult));
+            faultpoint::hit(FaultPoint::ArenaCheckpoint, faultpoint::config_key(driver.pos));
+            w.rels.derive_rf(&self.core, arena);
+
+            if co_s < co_e {
+                // Seek the menu odometer to `co_s` (mixed radix, digit 0
+                // least significant — the same layout `CoMenus::bump` walks).
+                let mut rem = co_s;
+                for (li, d) in w.co_pick.iter_mut().enumerate() {
+                    let r = w.menus.radix(li) as u128;
+                    *d = (rem % r) as usize;
+                    rem /= r;
+                }
+                let mut visited = co_s;
+                loop {
+                    arena.clear(w.rels.co);
+                    for (li, &init) in space.loc_init.iter().enumerate() {
+                        build_co_arena(arena, w.rels.co, init, w.menus.order(li, w.co_pick[li]));
+                    }
+                    w.rels.derive_co(&self.core, arena);
+                    faultpoint::hit(
+                        FaultPoint::CandidateCheck,
+                        faultpoint::candidate_key(driver.pos, visited),
+                    );
+                    // Verdicts depend on (rf, co) alone, never on the values:
+                    // each model's axioms run once per witness and every
+                    // concretisation reuses them.
+                    let fx =
+                        ExecFrame { core: &self.core, events: w.values.events(0), rels: &w.rels };
+                    w.verdicts.clear();
+                    for (ck, m) in w.checkers.iter().zip(self.models) {
+                        w.verdicts.push(ck.check(*m, &fx, arena));
+                    }
+                    for conc in 0..concs {
+                        let frame = ExecFrame {
+                            core: &self.core,
+                            events: w.values.events(conc),
+                            rels: &w.rels,
+                        };
+                        sink(
+                            &Judged { frame, verdicts: &w.verdicts, values: &w.values, conc },
+                            arena,
+                        );
+                    }
+                    stats.emitted += mult;
+                    if w.verdicts[0].allowed() {
+                        stats.allowed += mult;
+                    }
+                    visited += 1;
+                    if visited >= co_e || !w.menus.bump(&mut w.co_pick) {
+                        break;
+                    }
+                    // Mid-odometer budget check: the cheap compare-and-load
+                    // every witness, the clock only every 1024 emits (the
+                    // `~2^k` cadence that keeps overhead under the perf gate).
+                    let hit = if stats.emitted & 1023 == 0 {
+                        budget.check(stats.emitted)
+                    } else {
+                        budget.check_fast(stats.emitted)
+                    };
+                    if let Some(reason) = hit {
+                        stats.stopped = Some(reason);
+                        stats.remaining = ((co_e - visited).saturating_mul(mult))
+                            .saturating_add(weigh(&mut w.values, driver.pos + 1, driver.end));
+                        stats.resume = Some(ResumePoint { rf_pos: driver.pos, co_next: visited });
+                        break 'scopes;
+                    }
+                }
+            }
+            driver.advance_one();
         }
-        driver.advance_one();
+        if accounts_prunes {
+            stats.pruned = driver.pruned;
+        }
+        stats
     }
-    if accounts_prunes {
-        stats.pruned = driver.pruned;
+}
+
+/// The summed multiplicity of the rf configurations `[start, end)`: O(1)
+/// for a uniform value step, otherwise one concretisation per
+/// configuration — only ranges the engine prunes or leaves unreached are
+/// weighed, and each of their configurations would have been concretised
+/// anyway had it been walked.
+fn range_weight<V: Concretise>(
+    space: &ChoiceSpace,
+    values: &mut V,
+    start: u128,
+    end: u128,
+) -> u128 {
+    if let Some(m) = values.uniform() {
+        return (end - start).saturating_mul(m);
     }
-    stats
+    let mut rf_src = vec![0usize; space.events.len()];
+    let mut total = 0u128;
+    for pos in start..end {
+        let mut rem = pos;
+        for (k, &r) in space.reads.iter().enumerate() {
+            let radix = space.rf_choices[k].len() as u128;
+            rf_src[r] = space.rf_choices[k][(rem % radix) as usize];
+            rem /= radix;
+        }
+        total = total.saturating_add(values.concretise(space, &rf_src) as u128);
+    }
+    total
 }
 
 /// Arena twin of [`build_co`]: adds one location's coherence edges to an
@@ -807,11 +1024,11 @@ enum CoState {
 }
 
 /// The rf-odometer state machine shared by [`CandidateIter`] (the owned,
-/// `Execution`-materialising stream), the arena-backed checked stream
-/// ([`Skeleton::check_stream_arena`]) and the [`crate::sched`] work
-/// scheduler: linear-index range ownership (seek/resume in O(digits)),
-/// mixed-radix digit decoding, thin-air subtree skipping and the pruned
-/// accounting.
+/// `Execution`-materialising stream) and the [`ArenaEngine`]:
+/// linear-index range ownership (seek/resume in O(digits)), mixed-radix
+/// digit decoding, thin-air subtree skipping and the pruned accounting.
+/// Skipped subtrees are weighed by the caller's `weigh(start, end)` — the
+/// candidate count of rf configurations `[start, end)`.
 pub(crate) struct RfDriver {
     thinair: Option<ThinAirTracker>,
     pub(crate) rf_pick: Vec<usize>,
@@ -824,51 +1041,30 @@ pub(crate) struct RfDriver {
     /// covers `[pos, end)` of the rf odometer.
     pos: u128,
     end: u128,
-    /// Total coherence combinations of one rf configuration (saturating).
-    pub(crate) co_total: u128,
     pub(crate) done: bool,
     pub(crate) pruned: u128,
 }
 
 impl RfDriver {
-    /// Total number of rf configurations of a skeleton (saturating) — the
-    /// linear index space [`RfDriver::new_range`] addresses.
-    pub(crate) fn rf_total(parts: &SkeletonParts) -> u128 {
-        parts.rf_choices.iter().map(|c| c.len() as u128).fold(1u128, u128::saturating_mul)
-    }
-
-    pub(crate) fn new(
-        parts: &SkeletonParts,
-        thin_air: Option<&Relation>,
-        shard: (usize, usize),
-    ) -> Self {
-        let (pos, end) = shard_range(Self::rf_total(parts), shard.0, shard.1);
-        Self::new_range(parts, thin_air, pos, end)
-    }
-
     /// A driver seeked to cover exactly the linear rf-configuration range
     /// `[start, end)`: the odometer digits are decoded from `start` in
     /// O(digits), so a [`crate::sched::WorkUnit`] can resume mid-odometer
     /// without replaying the prefix.
     pub(crate) fn new_range(
-        parts: &SkeletonParts,
+        space: &ChoiceSpace,
         thin_air: Option<&Relation>,
         start: u128,
         end: u128,
+        weigh: &mut dyn FnMut(u128, u128) -> u128,
     ) -> Self {
         let thinair = thin_air.map(ThinAirTracker::new);
-        let rf_radices: Vec<usize> = parts.rf_choices.iter().map(Vec::len).collect();
+        let rf_radices: Vec<usize> = space.rf_choices.iter().map(Vec::len).collect();
         let mut rf_weights = Vec::with_capacity(rf_radices.len());
         let mut rf_total: u128 = 1;
         for &r in &rf_radices {
             rf_weights.push(rf_total);
             rf_total = rf_total.saturating_mul(r as u128);
         }
-        let co_total = parts
-            .loc_writes
-            .iter()
-            .map(|ws| factorial_saturating(ws.len()))
-            .fold(1u128, u128::saturating_mul);
 
         let pos = start.min(rf_total);
         let end = end.min(rf_total);
@@ -880,15 +1076,14 @@ impl RfDriver {
             rf_weights,
             pos,
             end,
-            co_total,
             done: pos >= end,
             pruned: 0,
         };
         if !d.done {
             d.decode_pos();
-            // A cyclic static base forbids every candidate of the shard.
+            // A cyclic static base forbids every candidate of the range.
             if d.thinair.as_ref().is_some_and(ThinAirTracker::is_base_cyclic) {
-                d.pruned = (d.end - d.pos).saturating_mul(d.co_total);
+                d.pruned = weigh(d.pos, d.end);
                 d.pos = d.end;
                 d.done = true;
             }
@@ -903,7 +1098,7 @@ impl RfDriver {
         }
     }
 
-    /// Moves to the next rf configuration (sets `done` past the shard).
+    /// Moves to the next rf configuration (sets `done` past the range).
     fn advance_one(&mut self) {
         self.pos += 1;
         if self.pos >= self.end {
@@ -914,12 +1109,7 @@ impl RfDriver {
         debug_assert!(more, "pos < end implies the odometer has not wrapped");
     }
 
-    /// Accounts a whole rf configuration's coherence subtree as pruned.
-    fn prune_rf_subtree(&mut self) {
-        self.pruned = self.pruned.saturating_add(self.co_total);
-    }
-
-    /// Accounts `k` candidates as pruned (menu filtering).
+    /// Accounts `k` candidates as pruned.
     fn add_pruned(&mut self, k: u128) {
         self.pruned = self.pruned.saturating_add(k);
     }
@@ -927,10 +1117,10 @@ impl RfDriver {
     /// The external read-from edge read-digit `d` contributes to `hb`
     /// under the current pick, if any (`rfi ⊄ hb`; initial writes are
     /// external but can never sit on a cycle, so including them is fine).
-    fn rfe_edge(&self, parts: &SkeletonParts, d: usize) -> Option<(usize, usize)> {
-        let r = parts.reads[d];
-        let w = parts.rf_choices[d][self.rf_pick[d]];
-        let ev = &parts.base_events;
+    fn rfe_edge(&self, space: &ChoiceSpace, d: usize) -> Option<(usize, usize)> {
+        let r = space.reads[d];
+        let w = space.rf_choices[d][self.rf_pick[d]];
+        let ev = &space.events;
         match (ev[w].thread, ev[r].thread) {
             (Some(a), Some(b)) if a == b => None,
             _ => Some((w, r)),
@@ -941,16 +1131,20 @@ impl RfDriver {
     /// skipping doomed subtrees: reads are layered from the most
     /// significant odometer digit down, so when the edge of digit `d`
     /// closes a cycle, every configuration sharing digits `d..` — a whole
-    /// subtree of `rf_weights[d]` configurations × `co_total` coherence
-    /// orders — is pruned in O(1) and the odometer jumps past it.
+    /// subtree of `rf_weights[d]` configurations — is pruned at its
+    /// `weigh` and the odometer jumps past it.
     ///
     /// Returns `true` when `pos` names a thin-air-clean configuration;
-    /// `false` when the shard is exhausted (`done` is set).
-    fn sync_thinair(&mut self, parts: &SkeletonParts) -> bool {
+    /// `false` when the range is exhausted (`done` is set).
+    fn sync_thinair(
+        &mut self,
+        space: &ChoiceSpace,
+        weigh: &mut dyn FnMut(u128, u128) -> u128,
+    ) -> bool {
         if self.thinair.is_none() {
             return true;
         }
-        let nreads = parts.reads.len();
+        let nreads = space.reads.len();
         'retarget: loop {
             // Levels are stacked top digit first: level `l` holds the pick
             // of digit `nreads - 1 - l`. Keep the prefix that still
@@ -965,7 +1159,7 @@ impl RfDriver {
             self.thinair.as_mut().expect("checked above").truncate(keep);
             for level in keep..nreads {
                 let d = nreads - 1 - level;
-                let edge = self.rfe_edge(parts, d);
+                let edge = self.rfe_edge(space, d);
                 let pick = self.rf_pick[d];
                 if self.thinair.as_mut().expect("checked above").try_push(pick, edge) {
                     continue;
@@ -973,8 +1167,7 @@ impl RfDriver {
                 // Cycle: skip to the next digit-d subtree boundary.
                 let width = self.rf_weights[d];
                 let next = ((self.pos / width) + 1).saturating_mul(width).min(self.end);
-                self.pruned =
-                    self.pruned.saturating_add((next - self.pos).saturating_mul(self.co_total));
+                self.add_pruned(weigh(self.pos, next));
                 self.pos = next;
                 if self.pos >= self.end {
                     self.done = true;
@@ -1001,9 +1194,11 @@ impl RfDriver {
 /// [`emitted`]: CandidateIter::emitted
 pub struct CandidateIter {
     core: Arc<ExecCore>,
-    parts: SkeletonParts,
+    parts: ChoiceSpace,
     graphs: Option<LocGraphs>,
     driver: RfDriver,
+    /// Coherence orders of one rf configuration (saturating).
+    co_total: u128,
 
     /// Read-from source per global event id (entries only valid for reads).
     rf_src: Vec<usize>,
@@ -1015,11 +1210,11 @@ pub struct CandidateIter {
 }
 
 impl CandidateIter {
-    fn new(sk: &Skeleton, parts: SkeletonParts, core: Arc<ExecCore>, opts: StreamOpts) -> Self {
+    fn new(sk: &Skeleton, parts: ChoiceSpace, core: Arc<ExecCore>, opts: StreamOpts) -> Self {
         let n = sk.events.len();
         let graphs = if opts.uniproc {
             let shape: Vec<EventShape> = parts
-                .base_events
+                .events
                 .iter()
                 .map(|e| EventShape { dir: e.dir, loc: e.loc, init: e.thread.is_none() })
                 .collect();
@@ -1027,12 +1222,19 @@ impl CandidateIter {
         } else {
             None
         };
-        let driver = RfDriver::new(&parts, opts.thin_air.as_ref(), opts.shard.unwrap_or((0, 1)));
+        let co_total = parts.co_total();
+        let (shard, nshards) = opts.shard.unwrap_or((0, 1));
+        let (start, end) = shard_range(parts.rf_total(), shard, nshards);
+        let driver =
+            RfDriver::new_range(&parts, opts.thin_air.as_ref(), start, end, &mut |s, e| {
+                (e - s).saturating_mul(co_total)
+            });
         CandidateIter {
             core,
             parts,
             graphs,
             driver,
+            co_total,
             rf_src: vec![0usize; n],
             cur_rf: Relation::empty(n),
             co: CoState::Lazy(Vec::new()),
@@ -1057,7 +1259,7 @@ impl CandidateIter {
     /// is pruned (some location has no uniproc-consistent order), after
     /// accounting its `co_total` candidates as pruned.
     fn setup_rf_config(&mut self) -> bool {
-        let n = self.parts.base_events.len();
+        let n = self.parts.events.len();
         self.cur_rf = Relation::empty(n);
         for (k, &r) in self.parts.reads.iter().enumerate() {
             let w = self.parts.rf_choices[k][self.driver.rf_pick[k]];
@@ -1076,10 +1278,10 @@ impl CandidateIter {
                 let rf_ok = graphs.rf_only_consistent(&self.parts.locs, &self.rf_src);
                 let kept = menus.iter().map(|m| m.len() as u128).fold(1u128, u128::saturating_mul);
                 if !rf_ok || kept == 0 {
-                    self.driver.prune_rf_subtree();
+                    self.driver.add_pruned(self.co_total);
                     return false;
                 }
-                self.driver.add_pruned(self.driver.co_total - kept);
+                self.driver.add_pruned(self.co_total - kept);
                 let radices: Vec<usize> = menus.iter().map(Vec::len).collect();
                 self.co = CoState::Menu { pick: vec![0; menus.len()], menus, radices };
                 true
@@ -1089,8 +1291,8 @@ impl CandidateIter {
 
     /// Materialises the current candidate.
     fn emit(&self) -> Execution {
-        let n = self.parts.base_events.len();
-        let mut events = self.parts.base_events.clone();
+        let n = self.parts.events.len();
+        let mut events = self.parts.events.clone();
         for (k, &r) in self.parts.reads.iter().enumerate() {
             let w = self.parts.rf_choices[k][self.driver.rf_pick[k]];
             events[r].val = events[w].val;
@@ -1138,7 +1340,9 @@ impl Iterator for CandidateIter {
             }
             if self.fresh_rf {
                 self.fresh_rf = false;
-                if !self.driver.sync_thinair(&self.parts) {
+                let co_total = self.co_total;
+                let weigh = &mut |s: u128, e: u128| (e - s).saturating_mul(co_total);
+                if !self.driver.sync_thinair(&self.parts, weigh) {
                     continue; // shard exhausted (done set)
                 }
                 if !self.setup_rf_config() {
@@ -1209,7 +1413,7 @@ impl HeapPerm {
 
 /// The contiguous range of shard `shard` of `nshards` over a space of
 /// `total` linear indices — the one place the static shard arithmetic
-/// lives, shared by [`RfDriver::new`] and the checked-stream shard entry
+/// lives, shared by [`CandidateIter`] and the checked-stream shard entry
 /// points so partitions can never drift apart.
 ///
 /// # Panics

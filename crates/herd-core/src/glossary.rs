@@ -48,7 +48,7 @@
 //! |---|---|---|---|
 //! | uniproc pruning | SC PER LOCATION | per location, once its rf sources and coherence order are fixed; whole rf×co subtrees die pre-materialisation | [`crate::uniproc::LocGraphs`] |
 //! | thin-air pruning | NO THIN AIR | per *read*, as the rf odometer picks sources: `hb = ppo ∪ fences ∪ rfe` never mentions `co`, so a static `ppo ∪ fences` base ([`crate::model::Architecture::thin_air_base`]) plus the partial rfe edges refutes entire rf subtrees before any coherence permutation | [`crate::thinair::ThinAirTracker`] |
-//! | rf-odometer sharding | — | the rf configuration index range splits into contiguous shards, one iterator per thread, per-shard `emitted`/`pruned` merging exactly to `candidate_count()` | [`crate::enumerate::StreamOpts::shard`] |
+//! | rf-odometer ranges | — | the rf configuration index range splits into contiguous ranges, one per work unit, per-range `emitted`/`pruned` merging exactly to the candidate count — each configuration weighted by its value-concretisation multiplicity | [`crate::enumerate::ArenaEngine::run`] |
 //!
 //! Both pruning axes are *sound per architecture*: the llh hook
 //! ([`crate::model::Architecture::tolerates_load_load_hazards`]) weakens
@@ -59,8 +59,11 @@
 //! *fence suffix* in it means the A-cumulativity pairs `rfe; fences`
 //! (Fig 18) fall out of the tracker's closure compositionally — the
 //! `rfe` prefix is the pushed edge, the suffix is already closed. Entry
-//! points: [`crate::enumerate::Skeleton::stream_pruned_for`] and the
-//! litmus driver's `stream_arch`/`stream_shard`/`simulate_sharded`.
+//! points: the one arena engine ([`crate::enumerate::ArenaEngine`],
+//! behind every checked skeleton stream and the litmus driver's
+//! `stream_verdicts`/`simulate_with`/`simulate_sharded`), plus the owned
+//! reference streams [`crate::enumerate::Skeleton::stream_pruned_for`]
+//! and the litmus `stream_arch`.
 //!
 //! # Arena scopes — incremental candidates without allocation (Sec 8.3)
 //!

@@ -37,12 +37,10 @@
 //!   runs on this executor instead of hand-rolled scoped-thread loops.
 
 use crate::arena::RelArena;
-use crate::enumerate::{run_arena_range, CheckedStats, EngineCtx, EngineState, RfDriver, Skeleton};
+use crate::enumerate::{ArenaEngine, CheckedStats, Skeleton};
 use crate::exec::ExecFrame;
 use crate::faultpoint::{self, FaultPoint};
 use crate::model::{Architecture, Verdict};
-use crate::thinair::ThinAirTracker;
-use crate::uniproc::CoMenus;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -101,11 +99,12 @@ impl fmt::Display for StopReason {
 /// of the Sec 8.3 experimental methodology (bounded experiments on flaky
 /// machines) threaded through the whole engine.
 ///
-/// Budgets are checked on unit boundaries and inside `run_arena_range`:
-/// the candidate bound and the cancel flag on every candidate (a compare
-/// and a relaxed load), the deadline only on rf-configuration boundaries
-/// and every 1024 emitted candidates (`Instant::now` is the expensive
-/// one). A tripped budget stops enumeration mid-odometer with *exact*
+/// Budgets are checked on unit boundaries and inside [`ArenaEngine::run`]:
+/// the candidate bound and the cancel flag on every coherence choice (a
+/// compare and a relaxed load; every candidate of a skeleton, whose
+/// configurations have one value concretisation each), the deadline only
+/// on rf-configuration boundaries and every 1024 emitted candidates
+/// (`Instant::now` is the expensive one). A tripped budget stops enumeration mid-odometer with *exact*
 /// accounting: `emitted + pruned + remaining` still equals the range's
 /// candidate count, and [`CheckedStats::resume`] names the cut point.
 #[derive(Clone, Debug, Default)]
@@ -133,8 +132,11 @@ impl Budget {
         self.with_deadline(Instant::now() + timeout)
     }
 
-    /// Stop (with [`StopReason::CandidateBudget`]) after emitting at most
-    /// `max` candidates.
+    /// Stop (with [`StopReason::CandidateBudget`]) once `max` candidates
+    /// have been emitted. The check falls between coherence choices, whose
+    /// value concretisations are emitted together, so a run overshoots
+    /// `max` by less than one choice's multiplicity (never, for a
+    /// skeleton).
     pub fn with_max_candidates(mut self, max: u128) -> Self {
         self.max_candidates = Some(max);
         self
@@ -257,12 +259,9 @@ impl WorkPlan {
         arch: &A,
         opts: &PlanOpts,
     ) -> WorkPlan {
-        Self::plan(&EngineCtx::new(sk, arch), opts)
-    }
-
-    pub(crate) fn plan(ctx: &EngineCtx, opts: &PlanOpts) -> WorkPlan {
-        let parts = &ctx.parts;
-        let rf_total = RfDriver::rf_total(parts);
+        let models = [arch];
+        let engine = sk.engine(&models);
+        let rf_total = engine.rf_total();
         let target = (opts.workers.max(1) as u128)
             .saturating_mul(opts.units_per_worker.max(1) as u128)
             .max(1);
@@ -274,47 +273,31 @@ impl WorkPlan {
         if !opts.co_split || rf_total >= target {
             units = rf_range_units(rf_total, target);
         } else {
-            // Co-heavy: few rf configurations, so evaluating each one's
-            // surviving coherence menu at plan time is cheap (it is the
-            // same per-rf-scope work the engine does once anyway).
-            let cfgs = rf_total as usize;
-            let n = parts.base_events.len();
-            let radices: Vec<usize> = parts.rf_choices.iter().map(Vec::len).collect();
-            let mut tracker = ctx.thin_air.as_ref().map(|base| ThinAirTracker::new(base));
-            let mut menus = CoMenus::new(&parts.loc_writes);
-            let mut rf_src = vec![0usize; n];
-
+            // Co-heavy: few rf configurations, so probing each one's
+            // surviving coherence menu at plan time is cheap. The probe is
+            // the engine's own rf scope over an empty coherence range: it
+            // claims the configuration's generation-time prunes and emits
+            // nothing, so plan and execution can never disagree.
+            let co_total = engine.space().co_total();
+            let mut arena = RelArena::new(0);
+            let mut w = engine.skeleton_worker(&mut arena);
+            let unlimited = Budget::unlimited();
             // Surviving coherence combinations per configuration (0 when
             // the whole configuration is doomed at generation time).
-            let mut kept = vec![0u128; cfgs];
-            for (i, k) in kept.iter_mut().enumerate() {
-                let mut rem = i;
-                let mut doomed = false;
-                let mut edges = Vec::new();
-                for (d, &radix) in radices.iter().enumerate() {
-                    let pick = rem % radix;
-                    rem /= radix;
-                    let r = parts.reads[d];
-                    let w = parts.rf_choices[d][pick];
-                    rf_src[r] = w;
-                    let external = match (parts.base_events[w].thread, parts.base_events[r].thread)
-                    {
-                        (Some(a), Some(b)) => a != b,
-                        _ => true,
-                    };
-                    if external {
-                        edges.push((w, r));
-                    }
-                }
-                if let Some(t) = tracker.as_mut() {
-                    doomed |= !t.check_rf(edges.iter().copied());
-                }
-                doomed |= !ctx.graphs.rf_only_consistent_pooled(&parts.locs, &rf_src, &mut menus);
-                if !doomed {
-                    ctx.graphs.co_menus_into(&parts.locs, &rf_src, &mut menus);
-                    *k = menus.kept();
-                }
-            }
+            let kept: Vec<u128> = (0..rf_total)
+                .map(|i| {
+                    let range = (i, i + 1);
+                    let probe = engine.run_skeleton(
+                        &mut arena,
+                        &mut w,
+                        range,
+                        Some((0, 0)),
+                        &unlimited,
+                        &mut |_, _, _| {},
+                    );
+                    co_total - probe.pruned
+                })
+                .collect();
 
             let total_work: u128 = kept.iter().map(|&k| k.max(1)).fold(0u128, u128::saturating_add);
             let chunk = total_work.div_ceil(target).max(1);
@@ -625,25 +608,21 @@ impl<S> SchedOutcome<S> {
 }
 
 /// The exact candidate space of one unit, measured without emitting
-/// anything: a zero-candidate budget stops `run_arena_range` at its first
-/// boundary, which classifies the unit's whole range as pruned-or-
+/// anything: a zero-candidate budget stops [`ArenaEngine::run`] at its
+/// first boundary, which classifies the unit's whole range as pruned-or-
 /// remaining in O(one rf scope). Used to restore exact accounting for
 /// poisoned units, whose own counters died with the panic.
 fn unit_space<A: Architecture + Sync + ?Sized>(
-    ctx: &EngineCtx,
-    arch: &A,
+    engine: &ArenaEngine<'_, A>,
     unit: &WorkUnit,
 ) -> CheckedStats {
     let mut arena = RelArena::new(0);
-    let mut st = EngineState::new(ctx, arch, &mut arena);
+    let mut w = engine.skeleton_worker(&mut arena);
     let nothing = Budget::unlimited().with_max_candidates(0);
-    let mut stats = run_arena_range(
-        ctx,
-        arch,
+    let mut stats = engine.run_skeleton(
         &mut arena,
-        &mut st,
-        unit.rf_start,
-        unit.rf_end,
+        &mut w,
+        (unit.rf_start, unit.rf_end),
         unit.co,
         &nothing,
         &mut |_, _, _| {},
@@ -699,34 +678,25 @@ impl Skeleton {
         A: Architecture + Sync + ?Sized,
         S: FnMut(&ExecFrame<'_>, &RelArena, Verdict) + Send,
     {
-        let ctx = EngineCtx::new(self, arch);
+        let models = [arch];
+        let engine = self.engine(&models);
         let (states, results) = execute_units(
             plan.units.len(),
             workers,
             |w| {
                 let mut arena = RelArena::new(0);
-                let st = EngineState::new(&ctx, arch, &mut arena);
+                let st = engine.skeleton_worker(&mut arena);
                 (arena, st, make_sink(w))
             },
             // A panic can tear the arena/engine state mid-mutation;
             // rebuild those two, but never the sink — the worker's
             // completed units' verdicts live there.
             |(arena, st, _)| {
-                *st = EngineState::new(&ctx, arch, arena);
+                *st = engine.skeleton_worker(arena);
             },
             |(arena, st, sink), u| {
                 let unit = &plan.units[u];
-                run_arena_range(
-                    &ctx,
-                    arch,
-                    arena,
-                    st,
-                    unit.rf_start,
-                    unit.rf_end,
-                    unit.co,
-                    budget,
-                    sink,
-                )
+                engine.run_skeleton(arena, st, (unit.rf_start, unit.rf_end), unit.co, budget, sink)
             },
         );
         let mut unit_stats = Vec::with_capacity(results.len());
@@ -736,7 +706,7 @@ impl Skeleton {
                 UnitResult::Done(s) => unit_stats.push(s),
                 UnitResult::Poisoned { payload } => {
                     poisoned.push(PoisonedUnit { unit: u, payload });
-                    unit_stats.push(unit_space(&ctx, arch, &plan.units[u]));
+                    unit_stats.push(unit_space(&engine, &plan.units[u]));
                 }
             }
         }

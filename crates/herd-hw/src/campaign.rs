@@ -15,7 +15,7 @@
 //! billions of simulated runs costs microseconds.
 //!
 //! Candidate judging streams through the arena engine
-//! ([`herd_litmus::candidates::stream_multi_verdicts`]): each candidate's
+//! ([`herd_litmus::candidates::stream_verdicts`]): each candidate's
 //! silicon / SC / clean (resp. reference / silicon) verdicts are computed
 //! from one shared set of arena relations in a single enumeration pass,
 //! instead of the three materialising `check` calls per candidate the
@@ -35,36 +35,17 @@ use crate::silicon::{Machine, Rarity};
 use herd_core::arch::Sc;
 use herd_core::model::Architecture;
 use herd_core::sched::{self, UnitResult};
-use herd_litmus::candidates::{self, Candidate, CandidateError, EnumOptions, RegFinal};
-use herd_litmus::isa::Reg;
+use herd_litmus::candidates::{self, Candidate, CandidateError, EnumOptions};
+use herd_litmus::decide::render_state_row;
 use herd_litmus::program::LitmusTest;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Renders a candidate's complete final state canonically.
+/// Renders a candidate's complete final state canonically
+/// ([`render_state_row`]).
 pub fn render_full_state(c: &Candidate) -> String {
-    render_full_state_parts(&c.final_regs, &c.final_mem)
-}
-
-/// [`render_full_state`] over bare observables — what the arena verdict
-/// stream hands out (no owned [`Candidate`] exists on that path).
-pub fn render_full_state_parts(
-    final_regs: &BTreeMap<(u16, Reg), RegFinal>,
-    final_mem: &BTreeMap<String, i64>,
-) -> String {
-    let mut parts: Vec<String> = Vec::new();
-    for ((tid, reg), v) in final_regs {
-        let v = match v {
-            RegFinal::Int(i) => i.to_string(),
-            RegFinal::Addr(l) => l.clone(),
-        };
-        parts.push(format!("{tid}:{reg}={v}"));
-    }
-    for (loc, v) in final_mem {
-        parts.push(format!("{loc}={v}"));
-    }
-    parts.join("; ")
+    render_state_row(&c.final_regs, &c.final_mem)
 }
 
 /// The outcome of running one test many times on one machine.
@@ -94,7 +75,7 @@ pub fn run_test(
     // producing candidate.
     let mut weights: BTreeMap<String, f64> = BTreeMap::new();
     let archs: [&dyn Architecture; 3] = [machine.silicon.as_ref(), &Sc, machine.clean.as_ref()];
-    candidates::stream_multi_verdicts(test, &EnumOptions::default(), &archs, &mut |mc| {
+    candidates::stream_verdicts(test, &EnumOptions::default(), &archs, .., &mut |mc| {
         if !mc.verdicts[0].allowed() {
             return;
         }
@@ -105,7 +86,7 @@ pub fn run_test(
         } else {
             Rarity::BugOnly
         };
-        let state = render_full_state_parts(mc.final_regs, mc.final_mem);
+        let state = render_state_row(mc.final_regs, mc.final_mem);
         let w = weights.entry(state).or_insert(0.0);
         *w = w.max(rarity.weight());
     })?;
@@ -333,8 +314,8 @@ fn campaign_test(
     // the silicon-allowed candidates producing it.
     let mut state_labels: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
     let archs: [&dyn Architecture; 2] = [reference, machine.silicon.as_ref()];
-    candidates::stream_multi_verdicts(test, &EnumOptions::default(), &archs, &mut |mc| {
-        let state = render_full_state_parts(mc.final_regs, mc.final_mem);
+    candidates::stream_verdicts(test, &EnumOptions::default(), &archs, .., &mut |mc| {
+        let state = render_state_row(mc.final_regs, mc.final_mem);
         let verdict = mc.verdicts[0];
         if verdict.allowed() {
             model_allowed.insert(state);
@@ -593,8 +574,8 @@ mod tests {
             let mut s_allowed = BTreeSet::new();
             let mut s_labels: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
             let archs: [&dyn Architecture; 2] = [&reference, machine.silicon.as_ref()];
-            candidates::stream_multi_verdicts(&test, &EnumOptions::default(), &archs, &mut |mc| {
-                let state = render_full_state_parts(mc.final_regs, mc.final_mem);
+            candidates::stream_verdicts(&test, &EnumOptions::default(), &archs, .., &mut |mc| {
+                let state = render_state_row(mc.final_regs, mc.final_mem);
                 if mc.verdicts[0].allowed() {
                     s_allowed.insert(state);
                 } else if mc.verdicts[1].allowed() {

@@ -165,8 +165,9 @@ pub fn compare(model: &Log, hardware: &Log) -> Comparison {
 /// models past it ([`Tractability::Conditional`], Power/ARM with their
 /// ppo envelopes) are judged through the consistency backend — one
 /// witness query per distinct final state instead of a full (rf, co)
-/// enumeration; only [`Tractability::Frontier`] models keep the
-/// enumerate-and-check path. All produce the same states.
+/// enumeration; only [`Tractability::Frontier`] models stream every
+/// candidate through the arena verdict engine. All produce the same
+/// states.
 ///
 /// [`Tractability::Conditional`]: herd_core::model::Tractability::Conditional
 /// [`Tractability::Frontier`]: herd_core::model::Tractability::Frontier
@@ -174,33 +175,28 @@ pub fn model_log(
     tests: &[herd_litmus::program::LitmusTest],
     model: &dyn herd_core::model::Architecture,
 ) -> Log {
-    use crate::campaign::{render_full_state, render_full_state_parts};
     use herd_core::model::Tractability;
-    use herd_litmus::candidates::{enumerate, EnumOptions};
+    use herd_litmus::candidates::{stream_verdicts, EnumOptions};
+    use herd_litmus::decide::render_state_row;
+    let opts = EnumOptions::default();
     let mut log = Log::default();
     for t in tests {
-        let states: BTreeMap<String, u64> = if model.tractability() != Tractability::Frontier {
-            let mut stats = herd_litmus::decide::QueryStats::default();
-            let mut states = BTreeMap::new();
-            herd_litmus::decide::allowed_full_outcomes(
-                t,
-                model,
-                &EnumOptions::default(),
-                &mut stats,
-                &mut |regs, mem| {
-                    states.insert(render_full_state_parts(regs, mem), 0);
-                },
-            )
-            .expect("corpus tests enumerate");
-            states
-        } else {
-            enumerate(t, &EnumOptions::default())
-                .expect("corpus tests enumerate")
-                .iter()
-                .filter(|c| herd_core::model::check(model, &c.exec).allowed())
-                .map(|c| (render_full_state(c), 0))
-                .collect()
+        let mut states: BTreeMap<String, u64> = BTreeMap::new();
+        let mut keep = |regs: &_, mem: &_| {
+            states.insert(render_state_row(regs, mem), 0);
         };
+        if model.tractability() != Tractability::Frontier {
+            let mut stats = herd_litmus::decide::QueryStats::default();
+            herd_litmus::decide::allowed_full_outcomes(t, model, &opts, &mut stats, &mut keep)
+                .expect("corpus tests enumerate");
+        } else {
+            stream_verdicts(t, &opts, &[model], .., &mut |mc| {
+                if mc.verdicts[0].allowed() {
+                    keep(mc.final_regs, mc.final_mem);
+                }
+            })
+            .expect("corpus tests enumerate");
+        }
         log.insert(&t.name, states);
     }
     log

@@ -9,28 +9,37 @@
 //! symbols are enumerated over the test's value domain) and each consistent
 //! assignment concretises into one [`herd_core::Execution`].
 //!
-//! Enumeration is *streaming*: [`stream`] pushes candidates into a sink as
-//! the odometer advances (coherence orders come from in-place
-//! Heap's-algorithm generators, and every candidate of one control-flow
-//! combination shares a single `Arc`'d [`ExecCore`]), and with
-//! [`Prune::Uniproc`] whole rf×co subtrees are skipped before an execution
-//! is materialised whenever a location's communication graph is already
-//! cyclic — herd's generate-and-prune strategy (paper, Sec 8.3).
+//! Judging runs on herd-core's one arena engine
+//! ([`herd_core::enumerate::ArenaEngine`]): [`stream_verdicts`] hands it
+//! each control-flow combination's choice space, shared core and value
+//! step (the equation solve, whose solution count is the configuration's
+//! multiplicity), and the engine prunes, walks and judges — no owned
+//! `Execution` is ever built. [`stream`], [`stream_arch`] and
+//! [`enumerate`] keep the owned path: candidates are materialised one at a
+//! time (every candidate of one combination shares a single `Arc`'d
+//! [`ExecCore`]), and with [`Prune::Uniproc`] whole rf×co subtrees are
+//! skipped whenever a location's communication graph is already cyclic —
+//! herd's generate-and-prune strategy (paper, Sec 8.3). The owned path is
+//! the reference the differential suites hold the engine to.
 
 use crate::expr::{self, Assignment, Equation, RVal, SymExpr, SymId};
 use crate::isa::Reg;
 use crate::program::{InitVal, LitmusTest};
 use crate::sem::{self, SemError, ThreadPath};
 use herd_core::arena::RelArena;
-use herd_core::enumerate::{build_co, build_co_arena, HeapPerm};
+use herd_core::enumerate::{
+    build_co, ArenaEngine, CheckedStats, ChoiceSpace, Concretise, HeapPerm,
+};
 use herd_core::event::{Dir, Event, Fence, Loc, ThreadId, Val};
-use herd_core::exec::{Deps, ExecCore, ExecFrame, ExecRels, Execution};
-use herd_core::model::{Architecture, ArenaChecker, Verdict};
+use herd_core::exec::{Deps, ExecCore, Execution};
+use herd_core::model::{Architecture, Verdict};
 use herd_core::relation::Relation;
+use herd_core::sched::Budget;
 use herd_core::thinair::ThinAirTracker;
 use herd_core::uniproc::{EventShape, LocGraphs};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::{Bound, ControlFlow, RangeBounds};
 use std::sync::Arc;
 
 /// The final value of a register, for condition checking.
@@ -213,78 +222,22 @@ impl EnumStats {
 /// [`Architecture::thin_air_base`]); `None` disables thin-air pruning.
 type ThinAirHook<'a> = &'a dyn Fn(&ExecCore) -> Option<Relation>;
 
-/// One judged candidate of the arena-backed verdict stream: the axiom
-/// verdict plus the observables the final condition consumes — no owned
-/// [`Execution`] is ever materialised.
-#[derive(Debug)]
-pub struct VerdictCandidate<'a> {
-    /// The four-axiom verdict of the architecture under simulation.
-    pub verdict: Verdict,
-    /// Final register values, per `(thread, register)`.
-    pub final_regs: &'a BTreeMap<(u16, Reg), RegFinal>,
-    /// Final memory values by location name (the `co`-maximal writes).
-    pub final_mem: &'a BTreeMap<String, i64>,
-}
-
-/// One candidate of the multi-model arena verdict stream: the verdicts of
-/// *every* model under comparison, computed from one shared set of arena
-/// relations in a single pass — what the `herd-hw` campaign (silicon /
-/// clean / SC in one sweep) and `herd-machine` comparisons consume instead
-/// of three materialising `check` calls per candidate.
+/// One judged candidate of the arena verdict stream: the verdicts of
+/// every model in the judged slice, computed from one shared set of arena
+/// relations, plus the observables the final condition consumes — no
+/// owned [`Execution`] is ever materialised. The `herd-hw` campaigns
+/// (silicon / clean / SC in one sweep) and `herd-machine` comparisons
+/// judge several models per candidate this way; simulation and
+/// verification judge one.
 #[derive(Debug)]
 pub struct MultiVerdictCandidate<'a> {
-    /// Per-model verdicts, indexed like the `archs` slice passed to
-    /// [`stream_multi_verdicts`].
+    /// Per-model verdicts, indexed like the `models` slice passed to
+    /// [`stream_verdicts`].
     pub verdicts: &'a [Verdict],
     /// Final register values, per `(thread, register)`.
     pub final_regs: &'a BTreeMap<(u16, Reg), RegFinal>,
     /// Final memory values by location name (the `co`-maximal writes).
     pub final_mem: &'a BTreeMap<String, i64>,
-}
-
-/// What the enumeration inner loop emits: owned [`Candidate`]s (the
-/// compatibility path), arena-checked [`VerdictCandidate`]s (the
-/// zero-materialisation simulation path), or [`MultiVerdictCandidate`]s
-/// (several models judged per candidate in one pass).
-enum Emit<'a, 's> {
-    Cands(&'a mut (dyn FnMut(Candidate) + 's)),
-    Verdicts {
-        arch: &'a dyn Architecture,
-        sink: &'a mut (dyn FnMut(&VerdictCandidate<'_>) + 's),
-    },
-    Multi {
-        archs: &'a [&'a dyn Architecture],
-        sink: &'a mut (dyn FnMut(&MultiVerdictCandidate<'_>) + 's),
-    },
-}
-
-/// Which rf configurations one enumeration call owns: a round-robin
-/// residue class (the PR 3 sharding, kept for its public entry points) or
-/// a contiguous range of the global configuration index — the
-/// [`herd_core::sched::WorkUnit`] granularity the work-stealing drivers
-/// hand out.
-#[derive(Clone, Copy, Debug)]
-enum CfgOwner {
-    RoundRobin { shard: u64, nshards: u64 },
-    Range { start: u128, end: u128 },
-}
-
-impl CfgOwner {
-    fn owns(&self, idx: u64) -> bool {
-        match *self {
-            CfgOwner::RoundRobin { shard, nshards } => idx % nshards == shard,
-            CfgOwner::Range { start, end } => start <= idx as u128 && (idx as u128) < end,
-        }
-    }
-
-    /// Is every configuration at or past `idx` unowned? Lets range owners
-    /// stop enumerating the moment their range is behind them.
-    fn exhausted(&self, idx: u64) -> bool {
-        match *self {
-            CfgOwner::RoundRobin { .. } => false,
-            CfgOwner::Range { end, .. } => idx as u128 >= end,
-        }
-    }
 }
 
 /// Streams the candidate executions of `test` into `sink`.
@@ -304,11 +257,8 @@ pub fn stream(
     prune: Prune,
     sink: &mut dyn FnMut(Candidate),
 ) -> Result<EnumStats, CandidateError> {
-    stream_impl(test, opts, prune, None, EVERYTHING, &mut Emit::Cands(sink))
+    stream_impl(test, opts, prune, None, sink)
 }
-
-/// The ownership covering the whole configuration space.
-const EVERYTHING: CfgOwner = CfgOwner::RoundRobin { shard: 0, nshards: 1 };
 
 /// Streams with every pruning axis that is sound for `arch`: the
 /// architecture's uniproc mode ([`Prune::for_arch`]) plus generation-time
@@ -325,161 +275,60 @@ pub fn stream_arch<A: Architecture + ?Sized>(
     arch: &A,
     sink: &mut dyn FnMut(Candidate),
 ) -> Result<EnumStats, CandidateError> {
-    stream_shard(test, opts, arch, 0, 1, sink)
-}
-
-/// One shard of [`stream_arch`]: processes only the rf configurations
-/// whose global index is `shard` modulo `nshards` (round-robin, so heavy
-/// regions of the odometer spread evenly), letting callers fan a *single*
-/// test's rf×co space out across threads. Per-shard [`EnumStats`] sum to
-/// exactly the unsharded totals.
-///
-/// # Panics
-///
-/// Panics when `shard >= nshards`.
-///
-/// # Errors
-///
-/// Fails if thread semantics rejects the program or the per-shard
-/// emitted-candidate bound is exceeded.
-pub fn stream_shard<A: Architecture + ?Sized>(
-    test: &LitmusTest,
-    opts: &EnumOptions,
-    arch: &A,
-    shard: usize,
-    nshards: usize,
-    sink: &mut dyn FnMut(Candidate),
-) -> Result<EnumStats, CandidateError> {
-    assert!(nshards > 0 && shard < nshards, "shard index out of range");
     let hook = |core: &ExecCore| arch.thin_air_base(core);
-    stream_impl(
-        test,
-        opts,
-        Prune::for_arch(arch),
-        Some(&hook),
-        CfgOwner::RoundRobin { shard: shard as u64, nshards: nshards as u64 },
-        &mut Emit::Cands(sink),
-    )
+    stream_impl(test, opts, Prune::for_arch(arch), Some(&hook), sink)
 }
 
-/// The arena-backed verdict stream: enumerates with every pruning axis
-/// sound for `arch` *and* judges each candidate against the four axioms
-/// in place, without materialising an owned [`Execution`] — the driver
-/// behind [`crate::simulate::simulate_with`]. The caller-owned worker
-/// state (one [`RelArena`] per thread) lives inside; per-candidate heap
-/// traffic is limited to the final-state observables.
+/// The arena verdict stream: judges every candidate of the rf
+/// configurations in `rf_range` — indices into the test-wide space of
+/// [`count_rf_configs`], `..` for all of them — against every model of
+/// `models` in place, on herd-core's [`ArenaEngine`].
+///
+/// Pruning is the strongest mode sound for every model (see
+/// [`ArenaEngine::new`]): uniproc masks, weakened for load-load hazards
+/// as soon as one model tolerates them, plus NO THIN AIR when a single
+/// model vouches for a static base. The verdicts of the surviving
+/// candidates are exactly [`herd_core::model::check`]'s, and the stats
+/// match [`stream_arch`]'s for a single model. Per-range stats over any
+/// exact partition of the space sum to the whole-test totals.
 ///
 /// # Errors
 ///
 /// Fails if thread semantics rejects the program or the emitted-candidate
 /// bound is exceeded.
-pub fn stream_arch_verdicts<A: Architecture + ?Sized>(
+pub fn stream_verdicts<A: Architecture + ?Sized>(
     test: &LitmusTest,
     opts: &EnumOptions,
-    arch: &A,
-    sink: &mut dyn FnMut(&VerdictCandidate<'_>),
-) -> Result<EnumStats, CandidateError> {
-    stream_shard_verdicts(test, opts, arch, 0, 1, sink)
-}
-
-/// One shard of [`stream_arch_verdicts`] (round-robin rf-configuration
-/// ownership, like [`stream_shard`]); each worker thread owns its own
-/// arena, so shards never contend on allocation.
-///
-/// # Panics
-///
-/// Panics when `shard >= nshards`.
-///
-/// # Errors
-///
-/// Fails if thread semantics rejects the program or the per-shard
-/// emitted-candidate bound is exceeded.
-pub fn stream_shard_verdicts<A: Architecture + ?Sized>(
-    test: &LitmusTest,
-    opts: &EnumOptions,
-    arch: &A,
-    shard: usize,
-    nshards: usize,
-    sink: &mut dyn FnMut(&VerdictCandidate<'_>),
-) -> Result<EnumStats, CandidateError> {
-    assert!(nshards > 0 && shard < nshards, "shard index out of range");
-    stream_verdicts_owned(
-        test,
-        opts,
-        arch,
-        CfgOwner::RoundRobin { shard: shard as u64, nshards: nshards as u64 },
-        sink,
-    )
-}
-
-/// The arena-backed verdict stream over one contiguous range
-/// `[start, end)` of the global rf-configuration index — the
-/// [`herd_core::sched::WorkUnit`] granularity. Per-unit [`EnumStats`] over
-/// any exact partition of `[0, count_rf_configs)` sum to the unsharded
-/// totals, so the work-stealing `simulate_sharded` keeps the same exact
-/// accounting as the sequential driver.
-///
-/// # Errors
-///
-/// Fails if thread semantics rejects the program or the per-unit
-/// emitted-candidate bound is exceeded.
-pub fn stream_range_verdicts<A: Architecture + ?Sized>(
-    test: &LitmusTest,
-    opts: &EnumOptions,
-    arch: &A,
-    start: u128,
-    end: u128,
-    sink: &mut dyn FnMut(&VerdictCandidate<'_>),
-) -> Result<EnumStats, CandidateError> {
-    stream_verdicts_owned(test, opts, arch, CfgOwner::Range { start, end }, sink)
-}
-
-fn stream_verdicts_owned<A: Architecture + ?Sized>(
-    test: &LitmusTest,
-    opts: &EnumOptions,
-    arch: &A,
-    owner: CfgOwner,
-    sink: &mut dyn FnMut(&VerdictCandidate<'_>),
-) -> Result<EnumStats, CandidateError> {
-    let hook = |core: &ExecCore| arch.thin_air_base(core);
-    // `&A` is itself an `Architecture` (the reference blanket impl), and
-    // it is `Sized`, so `&&A` coerces to the trait object the mode holds.
-    let arch_ref = &arch;
-    let mut mode = Emit::Verdicts { arch: arch_ref, sink };
-    stream_impl(test, opts, Prune::for_arch(arch), Some(&hook), owner, &mut mode)
-}
-
-/// Judges every candidate against *several* models in one enumeration
-/// pass: the witness and derived relations are computed once per
-/// candidate and each model's four axioms are evaluated on those shared
-/// arena slots — replacing the N materialising `check` calls per
-/// candidate the owned consumers (`herd-hw` campaigns, `herd-machine`
-/// comparisons) used to pay.
-///
-/// Pruning is the strongest mode sound for **all** models: load-load
-/// hazards are tolerated in the uniproc masks as soon as *any* model
-/// tolerates them (the weakened graph prunes less, and everything it does
-/// prune violates every model's SC PER LOCATION axiom), and thin-air
-/// pruning is off (its static base is per-model). The verdicts of the
-/// surviving candidates are exactly [`herd_core::model::check`]'s.
-///
-/// # Errors
-///
-/// Fails if thread semantics rejects the program or the emitted-candidate
-/// bound is exceeded.
-pub fn stream_multi_verdicts(
-    test: &LitmusTest,
-    opts: &EnumOptions,
-    archs: &[&dyn Architecture],
+    models: &[&A],
+    rf_range: impl RangeBounds<u128>,
     sink: &mut dyn FnMut(&MultiVerdictCandidate<'_>),
 ) -> Result<EnumStats, CandidateError> {
-    let prune = if archs.iter().any(|a| a.tolerates_load_load_hazards()) {
-        Prune::UniprocLlh
-    } else {
-        Prune::Uniproc
+    let start = match rf_range.start_bound() {
+        Bound::Included(&s) => s,
+        Bound::Excluded(&s) => s.saturating_add(1),
+        Bound::Unbounded => 0,
     };
-    let mut mode = Emit::Multi { archs, sink };
-    stream_impl(test, opts, prune, None, EVERYTHING, &mut mode)
+    let end = match rf_range.end_bound() {
+        Bound::Included(&e) => e.saturating_add(1),
+        Bound::Excluded(&e) => e,
+        Bound::Unbounded => u128::MAX,
+    };
+    let space = TestSpace::new(test, opts)?;
+    let bound = opts.max_candidates;
+    let (stats, unpruned_locations) =
+        space.judge(models, (start, end), bound as u128 + 1, &mut RelArena::new(0), sink);
+    if stats.stopped.is_some() {
+        return Err(CandidateError::TooManyCandidates {
+            bound,
+            emitted: stats.emitted,
+            pruned: stats.pruned,
+        });
+    }
+    Ok(EnumStats {
+        emitted: usize::try_from(stats.emitted).unwrap_or(usize::MAX),
+        pruned: stats.pruned,
+        unpruned_locations,
+    })
 }
 
 /// Runs every thread symbolically and returns the per-thread control-flow
@@ -509,149 +358,180 @@ pub(crate) fn thread_paths(
     Ok(paths)
 }
 
+/// Calls `f` on every combination of thread paths, in odometer order
+/// (thread 0's path least significant), until it breaks.
+pub(crate) fn for_each_combo<B>(
+    paths: &[Vec<ThreadPath>],
+    mut f: impl FnMut(&[&ThreadPath]) -> ControlFlow<B>,
+) -> Option<B> {
+    let radices: Vec<usize> = paths.iter().map(Vec::len).collect();
+    let mut pick = vec![0usize; paths.len()];
+    loop {
+        let combo: Vec<&ThreadPath> = pick.iter().zip(paths).map(|(&i, ps)| &ps[i]).collect();
+        if let ControlFlow::Break(b) = f(&combo) {
+            return Some(b);
+        }
+        if !bump(&mut pick, &radices) {
+            return None;
+        }
+    }
+}
+
+/// The rf configurations of one combination of thread paths, from the
+/// paths alone: per read, its location's thread writes plus the initial
+/// write (saturating).
+fn combo_rf_configs(combo: &[&ThreadPath]) -> u128 {
+    let mut writes_by_loc: BTreeMap<Loc, u128> = BTreeMap::new();
+    for a in combo.iter().flat_map(|p| &p.accesses).filter(|a| a.dir == Dir::W) {
+        *writes_by_loc.entry(a.loc).or_insert(0) += 1;
+    }
+    combo
+        .iter()
+        .flat_map(|p| &p.accesses)
+        .filter(|a| a.dir == Dir::R)
+        .map(|a| writes_by_loc.get(&a.loc).copied().unwrap_or(0) + 1)
+        .fold(1u128, u128::saturating_mul)
+}
+
+/// One test's control-flow space: thread semantics run once, then shared
+/// by every rf range the verdict stream walks — by every work unit of a
+/// sharded simulation too. The test-wide rf-configuration index
+/// concatenates the combinations' rf odometers in combination order.
+pub(crate) struct TestSpace<'t> {
+    pub(crate) test: &'t LitmusTest,
+    locs: LocTable,
+    paths: Vec<Vec<ThreadPath>>,
+    domain: Vec<i64>,
+}
+
+impl<'t> TestSpace<'t> {
+    /// Runs the thread semantics of `test`.
+    pub(crate) fn new(test: &'t LitmusTest, opts: &EnumOptions) -> Result<Self, CandidateError> {
+        let locs = LocTable::for_test(test);
+        let paths = thread_paths(test, opts, &locs.as_map())?;
+        Ok(TestSpace { test, locs, paths, domain: value_domain(test) })
+    }
+
+    /// The number of rf configurations across all combinations
+    /// (saturating).
+    pub(crate) fn rf_total(&self) -> u128 {
+        let mut total = 0u128;
+        for_each_combo(&self.paths, |combo| {
+            total = total.saturating_add(combo_rf_configs(combo));
+            ControlFlow::<()>::Continue(())
+        });
+        total
+    }
+
+    /// Judges `models` on the rf configurations `[start, end)` of the
+    /// test-wide index, one [`ArenaEngine`] per overlapping combination.
+    /// The whole range stops after `max_emitted` candidates; the stats
+    /// then still classify the entire range (`emitted + pruned +
+    /// remaining` is its candidate count). Returns the merged stats and
+    /// the worst [`ArenaEngine::unpruned_locations`].
+    pub(crate) fn judge<A: Architecture + ?Sized>(
+        &self,
+        models: &[&A],
+        (start, end): (u128, u128),
+        max_emitted: u128,
+        arena: &mut RelArena,
+        sink: &mut dyn FnMut(&MultiVerdictCandidate<'_>),
+    ) -> (CheckedStats, usize) {
+        let mut stats = CheckedStats::default();
+        let mut unpruned = 0;
+        let mut off = 0u128;
+        for_each_combo(&self.paths, |combo| {
+            if off >= end {
+                return ControlFlow::Break(());
+            }
+            if off < start {
+                let n = combo_rf_configs(combo);
+                if off.saturating_add(n) <= start {
+                    off = off.saturating_add(n);
+                    return ControlFlow::Continue(());
+                }
+            }
+            let ComboParts { space, core, flow } = combo_parts(self.test, &self.locs, combo);
+            let engine = ArenaEngine::new(space, core, models);
+            let n = engine.rf_total();
+            let local = (start.saturating_sub(off).min(n), end.saturating_sub(off).min(n));
+            let values = ComboValues::new(self, combo, &engine.space().events, &flow);
+            let mut w = engine.worker(arena, values);
+            // The bound spans the whole range: a combination reached after
+            // it tripped classifies its share without emitting anything.
+            let budget =
+                Budget::unlimited().with_max_candidates(max_emitted.saturating_sub(stats.emitted));
+            let part = engine.run(arena, &mut w, local, None, &budget, &mut |j, a| {
+                let final_mem: BTreeMap<String, i64> = j
+                    .frame
+                    .final_memory(a)
+                    .into_iter()
+                    .map(|(l, v)| (self.locs.name(l).to_owned(), v.0))
+                    .collect();
+                sink(&MultiVerdictCandidate {
+                    verdicts: j.verdicts,
+                    final_regs: &j.values.concs[j.conc].1,
+                    final_mem: &final_mem,
+                });
+            });
+            stats.absorb(&part);
+            unpruned = unpruned.max(engine.unpruned_locations());
+            off = off.saturating_add(n);
+            ControlFlow::Continue(())
+        });
+        stats.resume = None; // per-combination cut points, not a test-wide one
+        (stats, unpruned)
+    }
+}
+
 /// The total number of rf configurations the streaming enumerators walk
-/// for `test` — the linear index space [`stream_range_verdicts`] ranges
-/// over, summed across control-flow combinations. This is the cheap
-/// planning pass of the work-stealing `simulate_sharded`: thread
-/// semantics runs, but no equation solving and no candidate work.
+/// for `test` — the linear index space [`stream_verdicts`] ranges over,
+/// summed across control-flow combinations. This is the cheap planning
+/// pass of the work-stealing `simulate_sharded`: thread semantics runs,
+/// but no equation solving and no candidate work.
 ///
 /// # Errors
 ///
 /// Fails if thread semantics rejects the program.
 pub fn count_rf_configs(test: &LitmusTest, opts: &EnumOptions) -> Result<u128, CandidateError> {
-    let locs = LocTable::for_test(test);
-    let loc_map = locs.as_map();
-    let paths = thread_paths(test, opts, &loc_map)?;
-    let mut total = 0u128;
-    let mut pick = vec![0usize; paths.len()];
-    let radices: Vec<usize> = paths.iter().map(Vec::len).collect();
-    loop {
-        let combo: Vec<&ThreadPath> = pick.iter().zip(&paths).map(|(&i, ps)| &ps[i]).collect();
-        let mut writes_by_loc: BTreeMap<Loc, u128> = BTreeMap::new();
-        for path in &combo {
-            for a in &path.accesses {
-                if a.dir == Dir::W {
-                    *writes_by_loc.entry(a.loc).or_insert(0) += 1;
-                }
-            }
-        }
-        let mut cfgs = 1u128;
-        for path in &combo {
-            for a in &path.accesses {
-                if a.dir == Dir::R {
-                    // Same-location thread writes plus the initial write.
-                    let ws = writes_by_loc.get(&a.loc).copied().unwrap_or(0) + 1;
-                    cfgs = cfgs.saturating_mul(ws);
-                }
-            }
-        }
-        total = total.saturating_add(cfgs);
-        if !bump(&mut pick, &radices) {
-            break;
-        }
-    }
-    Ok(total)
+    Ok(TestSpace::new(test, opts)?.rf_total())
 }
 
 /// The exact size of the candidate space of `test` — what
 /// `emitted + pruned` of an uninterrupted pruning stream totals — without
 /// checking or materialising anything: per rf configuration, the number
 /// of consistent value concretisations times the coherence-order count.
-/// This is the litmus-level `remaining` oracle: an interrupted run's
-/// unclassified work is `count_candidates - emitted - pruned`, exact.
+/// This is the litmus-level oracle of the engine's weighted accounting:
+/// an interrupted run's `emitted + pruned + remaining` must equal it.
 ///
 /// Costs one equation solve per rf configuration (no coherence loop, no
-/// axiom checks) — the cheap planning-pass class, like
-/// [`count_rf_configs`].
+/// axiom checks).
 ///
 /// # Errors
 ///
 /// Fails if thread semantics rejects the program.
 pub fn count_candidates(test: &LitmusTest, opts: &EnumOptions) -> Result<u128, CandidateError> {
-    count_candidates_owned(test, opts, EVERYTHING)
-}
-
-/// [`count_candidates`] restricted to the contiguous rf-configuration
-/// range `[start, end)` — the [`herd_core::sched::WorkUnit`] granularity,
-/// with the same global indexing as [`stream_range_verdicts`]. Summed over
-/// an exact partition of `[0, count_rf_configs)` this reproduces the
-/// whole-test count, so a lost unit's exact share of the space is
-/// recoverable without re-running it.
-///
-/// # Errors
-///
-/// Fails if thread semantics rejects the program.
-pub fn count_candidates_range(
-    test: &LitmusTest,
-    opts: &EnumOptions,
-    start: u128,
-    end: u128,
-) -> Result<u128, CandidateError> {
-    count_candidates_owned(test, opts, CfgOwner::Range { start, end })
-}
-
-fn count_candidates_owned(
-    test: &LitmusTest,
-    opts: &EnumOptions,
-    owner: CfgOwner,
-) -> Result<u128, CandidateError> {
-    let locs = LocTable::for_test(test);
-    let loc_map = locs.as_map();
-    let thread_paths = thread_paths(test, opts, &loc_map)?;
-    let domain = value_domain(test);
+    let ts = TestSpace::new(test, opts)?;
     let mut total = 0u128;
-    // The same global configuration counter every streaming owner walks,
-    // so range ownership partitions the space identically here.
-    let mut cfg_idx = 0u64;
-    let mut pick = vec![0usize; thread_paths.len()];
-    'combos: loop {
-        let combo: Vec<&ThreadPath> =
-            pick.iter().zip(&thread_paths).map(|(&i, ps)| &ps[i]).collect();
-        let parts = combo_parts(test, &locs, &combo);
-        let symbols: Vec<SymId> = parts.reads.iter().map(|&r| SymId(r)).collect();
-        let mut rf_pick = vec![0usize; parts.reads.len()];
-        let rf_radices: Vec<usize> = parts.rf_choices.iter().map(Vec::len).collect();
+    for_each_combo(&ts.paths, |combo| {
+        let parts = combo_parts(test, &ts.locs, combo);
+        let space = &parts.space;
+        let mut values = ComboValues::new(&ts, combo, &space.events, &parts.flow);
+        let mut rf_src = vec![0usize; space.events.len()];
+        let radices: Vec<usize> = space.rf_choices.iter().map(Vec::len).collect();
+        let mut pick = vec![0usize; radices.len()];
         loop {
-            let mine = {
-                let idx = cfg_idx;
-                cfg_idx += 1;
-                owner.owns(idx)
-            };
-            if mine {
-                let mut equations = parts.base_equations.clone();
-                for (k, &r) in parts.reads.iter().enumerate() {
-                    let w = parts.rf_choices[k][rf_pick[k]];
-                    equations.push(Equation::ReadsValue {
-                        sym: SymId(r),
-                        expr: parts.write_value[w].clone().expect("write has a value expression"),
-                    });
-                }
-                // A concretisation counts iff every thread event's value
-                // resolves — the same keep test `assemble` applies.
-                let concs = expr::solve(&symbols, &equations, &domain)
-                    .into_iter()
-                    .filter(|asg| {
-                        parts.events.iter().filter(|e| e.thread.is_some()).all(|e| match e.dir {
-                            Dir::R => asg.get(SymId(e.id)).is_some(),
-                            Dir::W => parts.write_value[e.id]
-                                .as_ref()
-                                .is_some_and(|x| x.eval(asg).is_some()),
-                        })
-                    })
-                    .count() as u128;
-                total = total.saturating_add(concs.saturating_mul(parts.co_total));
+            for (k, &r) in space.reads.iter().enumerate() {
+                rf_src[r] = space.rf_choices[k][pick[k]];
             }
-            if owner.exhausted(cfg_idx) {
-                break 'combos;
-            }
-            if !bump(&mut rf_pick, &rf_radices) {
+            let concs = values.concretise(space, &rf_src) as u128;
+            total = total.saturating_add(concs.saturating_mul(space.co_total()));
+            if !bump(&mut pick, &radices) {
                 break;
             }
         }
-        if !bump(&mut pick, &thread_paths.iter().map(Vec::len).collect::<Vec<_>>()) {
-            break;
-        }
-    }
+        ControlFlow::<()>::Continue(())
+    });
     Ok(total)
 }
 
@@ -660,54 +540,20 @@ fn stream_impl(
     opts: &EnumOptions,
     prune: Prune,
     thin_air: Option<ThinAirHook<'_>>,
-    owner: CfgOwner,
-    mode: &mut Emit<'_, '_>,
+    sink: &mut dyn FnMut(Candidate),
 ) -> Result<EnumStats, CandidateError> {
-    let locs = LocTable::for_test(test);
-    let loc_map = locs.as_map();
-    let thread_paths = thread_paths(test, opts, &loc_map)?;
-
-    // Value domain for free (thin-air) symbols: every constant the test can
-    // produce.
-    let domain = value_domain(test);
-
+    let ts = TestSpace::new(test, opts)?;
     let mut stats = EnumStats::default();
-    // One relation arena per worker call, retuned per control-flow
-    // combination and kept across them — the bump pool converges to the
-    // largest combination's working set and then never allocates.
-    let mut arena = RelArena::new(0);
-    // Global rf-configuration counter, advanced identically by every
-    // owner so that round-robin and range ownership both partition the
-    // space exactly.
-    let mut cfg_idx = 0u64;
-    let mut pick = vec![0usize; thread_paths.len()];
-    loop {
-        let combo: Vec<&ThreadPath> =
-            pick.iter().zip(&thread_paths).map(|(&i, ps)| &ps[i]).collect();
-        assemble(AssembleCtx {
-            test,
-            locs: &locs,
-            combo: &combo,
-            domain: &domain,
-            opts,
-            prune,
-            thin_air,
-            owner,
-            cfg_idx: &mut cfg_idx,
-            arena: &mut arena,
-            mode,
-            stats: &mut stats,
-        })?;
-        // A range owner whose range is behind the global counter owns
-        // nothing further: stop instead of walking the rest of the space.
-        if owner.exhausted(cfg_idx) {
-            break;
+    let failed = for_each_combo(&ts.paths, |combo| {
+        match assemble(&ts, combo, opts, prune, thin_air, &mut stats, sink) {
+            Ok(()) => ControlFlow::Continue(()),
+            Err(e) => ControlFlow::Break(e),
         }
-        if !bump(&mut pick, &thread_paths.iter().map(Vec::len).collect::<Vec<_>>()) {
-            break;
-        }
+    });
+    match failed {
+        Some(e) => Err(e),
+        None => Ok(stats),
     }
-    Ok(stats)
 }
 
 /// Enumerates all candidate executions of `test` into a vector.
@@ -749,35 +595,57 @@ pub(crate) fn value_domain(test: &LitmusTest) -> Vec<i64> {
     d
 }
 
-/// The skeleton-invariant parts of one control-flow combination: event
-/// layout, shared core, symbolic write values, path constraints, and the
-/// rf/co choice spaces. Shared by the enumeration odometer ([`assemble`])
-/// and the single-outcome decision backend ([`crate::decide`]).
+/// The skeleton-invariant parts of one control-flow combination: its
+/// choice space, shared core and data flow. Shared by the verdict stream,
+/// the owned reference odometer ([`assemble`]) and the single-outcome
+/// decision backend ([`crate::decide`]).
 pub(crate) struct ComboParts {
-    /// Events, init writes first (the init write of `loc` has id `loc.0`).
-    pub events: Vec<Event>,
+    /// Events (init writes first: the init write of `loc` has id
+    /// `loc.0`), reads with their rf menus, and coherence locations.
+    pub space: ChoiceSpace,
+    /// The shared po/deps/fences core.
+    pub core: Arc<ExecCore>,
+    /// Symbolic write values and path constraints.
+    pub flow: DataFlow,
+}
+
+/// The symbolic data flow of one control-flow combination.
+pub(crate) struct DataFlow {
     /// Global id of local read index `i` of thread `t`: `read_gid[t][i]`.
     pub read_gid: Vec<Vec<usize>>,
     /// Value expression of each write event, by event id.
     pub write_value: Vec<Option<SymExpr>>,
     /// Path constraints, renamed to global symbols.
     pub base_equations: Vec<Equation>,
-    /// The shared po/deps/fences core.
-    pub core: Arc<ExecCore>,
-    /// Read event ids.
-    pub reads: Vec<usize>,
-    /// Per-read menu of rf sources: same-location thread writes + init.
-    pub rf_choices: Vec<Vec<usize>>,
-    /// Locations with thread writes, in `Loc` order.
-    pub co_locs: Vec<Loc>,
-    /// Thread writes per `co_locs` entry.
-    pub co_writes: Vec<Vec<usize>>,
-    /// Initial write per `co_locs` entry.
-    pub co_inits: Vec<Option<usize>>,
-    /// `Π |co_writes[l]|!` — coherence orders per rf configuration.
-    /// Saturating `u128`: scaled families put this past `usize` (21! on a
-    /// single location already overflows 64 bits).
-    pub co_total: u128,
+}
+
+impl DataFlow {
+    /// The equations of one rf configuration, given as `(write, read)`
+    /// pairs: the path constraints plus *read = source write's value*.
+    pub(crate) fn equations(&self, rf: impl IntoIterator<Item = (usize, usize)>) -> Vec<Equation> {
+        let mut equations = self.base_equations.clone();
+        for (w, r) in rf {
+            equations.push(Equation::ReadsValue {
+                sym: SymId(r),
+                expr: self.write_value[w].clone().expect("write has a value expression"),
+            });
+        }
+        equations
+    }
+
+    /// `events` concretised under one assignment; `None` when some thread
+    /// event's value does not resolve (such an assignment is no candidate).
+    pub(crate) fn concretise(&self, events: &[Event], asg: &Assignment) -> Option<Vec<Event>> {
+        let mut evs = events.to_vec();
+        for e in evs.iter_mut().filter(|e| e.thread.is_some()) {
+            let v = match e.dir {
+                Dir::R => asg.get(SymId(e.id)),
+                Dir::W => self.write_value[e.id].as_ref().and_then(|x| x.eval(asg)),
+            };
+            e.val = Val(v?);
+        }
+        Some(evs)
+    }
 }
 
 /// Lays out the events of one combination of thread paths (init writes
@@ -900,99 +768,87 @@ pub(crate) fn combo_parts(test: &LitmusTest, locs: &LocTable, combo: &[&ThreadPa
         ExecCore::new(&events, po, deps, fences).expect("assembled relations are well-formed"),
     );
 
-    // Same-location writes, for rf choices and co permutations.
-    let mut writes_by_loc: BTreeMap<Loc, Vec<usize>> = BTreeMap::new();
-    for e in &events {
-        if e.dir == Dir::W && e.thread.is_some() {
-            writes_by_loc.entry(e.loc).or_default().push(e.id);
-        }
-    }
-    let reads: Vec<usize> = events.iter().filter(|e| e.dir == Dir::R).map(|e| e.id).collect();
-    let rf_choices: Vec<Vec<usize>> = reads
-        .iter()
-        .map(|&r| {
-            let loc = events[r].loc;
-            let mut ws = writes_by_loc.get(&loc).cloned().unwrap_or_default();
-            ws.push(loc.0 as usize); // the init write of `loc` has id loc.0
-            ws
-        })
-        .collect();
-    let co_locs: Vec<Loc> = writes_by_loc.keys().copied().collect();
-    let co_writes: Vec<Vec<usize>> = writes_by_loc.values().cloned().collect();
-    let co_inits: Vec<Option<usize>> = co_locs.iter().map(|l| Some(l.0 as usize)).collect();
-    let co_total: u128 =
-        co_writes.iter().map(|ws| factorial(ws.len())).fold(1u128, u128::saturating_mul);
-
     ComboParts {
-        events,
-        read_gid: layout.read_gid,
-        write_value,
-        base_equations,
+        space: ChoiceSpace::new(events),
         core,
-        reads,
-        rf_choices,
-        co_locs,
-        co_writes,
-        co_inits,
-        co_total,
+        flow: DataFlow { read_gid: layout.read_gid, write_value, base_equations },
     }
 }
 
-/// Everything [`assemble`] needs for one combination of thread paths.
-struct AssembleCtx<'a, 'h, 'e, 's> {
-    test: &'a LitmusTest,
-    locs: &'a LocTable,
+/// The value step of one control-flow combination: per rf configuration,
+/// solve the read equations over the test's value domain and keep every
+/// assignment under which each thread event's value resolves, with its
+/// final register file.
+struct ComboValues<'a> {
+    ts: &'a TestSpace<'a>,
     combo: &'a [&'a ThreadPath],
-    domain: &'a [i64],
-    opts: &'a EnumOptions,
-    prune: Prune,
-    thin_air: Option<ThinAirHook<'h>>,
-    /// Which rf configurations this call owns.
-    owner: CfgOwner,
-    /// Global rf-configuration counter shared across combinations.
-    cfg_idx: &'a mut u64,
-    /// The worker's relation arena (verdict mode only touches it).
-    arena: &'a mut RelArena,
-    mode: &'a mut Emit<'e, 's>,
-    stats: &'a mut EnumStats,
+    events: &'a [Event],
+    flow: &'a DataFlow,
+    symbols: Vec<SymId>,
+    /// The current configuration's concretisations.
+    concs: Vec<Concretisation>,
 }
 
-/// Assembles all candidates for one combination of thread paths, pushing
-/// them into the sink as the data-flow odometer advances.
-fn assemble(ctx: AssembleCtx<'_, '_, '_, '_>) -> Result<(), CandidateError> {
-    let AssembleCtx {
-        test,
-        locs,
-        combo,
-        domain,
-        opts,
-        prune,
-        thin_air,
-        owner,
-        cfg_idx,
-        arena,
-        mode,
-        stats,
-    } = ctx;
-    let ComboParts {
-        events,
-        read_gid,
-        write_value,
-        base_equations,
-        core,
-        reads,
-        rf_choices,
-        co_locs,
-        co_writes,
-        co_inits,
-        co_total,
-    } = combo_parts(test, locs, combo);
-    let n = events.len();
+/// One value concretisation: the events and the final register file.
+type Concretisation = (Vec<Event>, BTreeMap<(u16, Reg), RegFinal>);
+
+impl<'a> ComboValues<'a> {
+    fn new(
+        ts: &'a TestSpace<'a>,
+        combo: &'a [&'a ThreadPath],
+        events: &'a [Event],
+        flow: &'a DataFlow,
+    ) -> Self {
+        let symbols = events.iter().filter(|e| e.dir == Dir::R).map(|e| SymId(e.id)).collect();
+        ComboValues { ts, combo, events, flow, symbols, concs: Vec::new() }
+    }
+}
+
+impl Concretise for ComboValues<'_> {
+    fn concretise(&mut self, space: &ChoiceSpace, rf_src: &[usize]) -> usize {
+        let equations = self.flow.equations(space.reads.iter().map(|&r| (rf_src[r], r)));
+        self.concs.clear();
+        for asg in expr::solve(&self.symbols, &equations, &self.ts.domain) {
+            if let Some(evs) = self.flow.concretise(self.events, &asg) {
+                let regs = final_registers(
+                    self.ts.test,
+                    &self.ts.locs,
+                    self.combo,
+                    &asg,
+                    &self.flow.read_gid,
+                );
+                self.concs.push((evs, regs));
+            }
+        }
+        self.concs.len()
+    }
+
+    fn events(&self, k: usize) -> &[Event] {
+        &self.concs[k].0
+    }
+}
+
+/// The owned reference odometer: assembles all candidates of one
+/// combination of thread paths, pushing them into the sink as the
+/// data-flow odometer advances.
+fn assemble(
+    ts: &TestSpace<'_>,
+    combo: &[&ThreadPath],
+    opts: &EnumOptions,
+    prune: Prune,
+    thin_air: Option<ThinAirHook<'_>>,
+    stats: &mut EnumStats,
+    sink: &mut dyn FnMut(Candidate),
+) -> Result<(), CandidateError> {
+    let ComboParts { space, core, flow } = combo_parts(ts.test, &ts.locs, combo);
+    let n = space.events.len();
+    let co_total = space.co_total();
 
     let graphs = match prune {
         Prune::None => None,
         Prune::Uniproc | Prune::UniprocLlh => {
-            let shape: Vec<EventShape> = events
+            let shape: Vec<EventShape> = space
+                .events
                 .iter()
                 .map(|e| EventShape { dir: e.dir, loc: e.loc, init: e.thread.is_none() })
                 .collect();
@@ -1007,267 +863,101 @@ fn assemble(ctx: AssembleCtx<'_, '_, '_, '_>) -> Result<(), CandidateError> {
     // for this combination's core (width-generic: any universe size).
     let mut thinair: Option<ThinAirTracker> =
         thin_air.and_then(|hook| hook(&core)).map(|base| ThinAirTracker::new(&base));
-
-    // Verdict modes: retune the worker arena to this combination's
-    // universe and set up the per-candidate relation slots plus each
-    // model's static checker inputs, once per combination.
-    let vstate = match &*mode {
-        Emit::Verdicts { arch, .. } => {
-            arena.reset(n);
-            let rels = ExecRels::alloc(arena);
-            Some((vec![ArenaChecker::new(*arch, &core)], rels))
-        }
-        Emit::Multi { archs, .. } => {
-            arena.reset(n);
-            let rels = ExecRels::alloc(arena);
-            Some((archs.iter().map(|a| ArenaChecker::new(a, &core)).collect::<Vec<_>>(), rels))
-        }
-        Emit::Cands(_) => None,
-    };
-    let mut verdicts: Vec<Verdict> = Vec::new();
-
-    let symbols: Vec<SymId> = reads.iter().map(|&r| SymId(r)).collect();
+    let mut values = ComboValues::new(ts, combo, &space.events, &flow);
 
     let mut rf_src = vec![0usize; n];
-    let mut rf_pick = vec![0usize; reads.len()];
-    let rf_radices: Vec<usize> = rf_choices.iter().map(Vec::len).collect();
+    let mut rf_pick = vec![0usize; space.reads.len()];
+    let rf_radices: Vec<usize> = space.rf_choices.iter().map(Vec::len).collect();
     loop {
-        // Ownership: every caller advances the global counter identically
-        // and works only the configurations it owns, so round-robin
-        // shards and contiguous ranges both partition the space exactly.
-        let mine = {
-            let idx = *cfg_idx;
-            *cfg_idx += 1;
-            owner.owns(idx)
-        };
-        if !mine {
-            if owner.exhausted(*cfg_idx) {
-                break; // a range owner is done the moment it is passed
-            }
-            if !bump(&mut rf_pick, &rf_radices) {
-                break;
-            }
-            continue;
-        }
-
-        // Equations for this rf choice.
-        let mut equations = base_equations.clone();
         let mut rf = Relation::empty(n);
-        for (k, &r) in reads.iter().enumerate() {
-            let w = rf_choices[k][rf_pick[k]];
+        for (k, &r) in space.reads.iter().enumerate() {
+            let w = space.rf_choices[k][rf_pick[k]];
             rf.add(w, r);
             rf_src[r] = w;
-            equations.push(Equation::ReadsValue {
-                sym: SymId(r),
-                expr: write_value[w].clone().expect("write has a value expression"),
+        }
+        'config: {
+            let concs = values.concretise(&space, &rf_src) as u128;
+            if concs == 0 {
+                break 'config;
+            }
+            // NO THIN AIR: if the static base plus this configuration's
+            // external rf edges is already cyclic, every candidate of the
+            // configuration is forbidden by the axiom whatever its
+            // coherence orders — count them pruned and skip all co work
+            // (Sec 8.3).
+            let thin_air_doomed = thinair.as_mut().is_some_and(|t| {
+                !t.check_rf(space.reads.iter().map(|&r| (rf_src[r], r)).filter(|&(w, r)| {
+                    match (space.events[w].thread, space.events[r].thread) {
+                        (Some(a), Some(b)) => a != b,
+                        _ => true,
+                    }
+                }))
             });
-        }
-
-        // Concretised event values per consistent assignment.
-        let mut concs: Vec<(Vec<Event>, BTreeMap<(u16, Reg), RegFinal>)> = Vec::new();
-        for asg in expr::solve(&symbols, &equations, domain) {
-            let mut evs = events.clone();
-            let mut ok = true;
-            for e in &mut evs {
-                if e.thread.is_none() {
-                    continue;
+            if thin_air_doomed {
+                stats.pruned += concs.saturating_mul(co_total);
+                break 'config;
+            }
+            // With pruning: filter each location's coherence orders once
+            // per rf configuration and check the locations without a co
+            // digit — an empty menu or a failed rf-only location kills the
+            // whole rf subtree before any execution is built (shared
+            // helpers in herd_core::uniproc, same logic as
+            // Skeleton::stream_pruned).
+            let menus: Option<Vec<Vec<Vec<usize>>>> =
+                graphs.as_ref().map(|g| g.co_menus(&space.locs, &space.loc_writes, &rf_src));
+            let rf_only_ok =
+                graphs.as_ref().is_none_or(|g| g.rf_only_consistent(&space.locs, &rf_src));
+            let co_valid: u128 = match &menus {
+                Some(menus) if rf_only_ok => {
+                    menus.iter().map(|m| m.len() as u128).fold(1u128, u128::saturating_mul)
                 }
-                let v = match e.dir {
-                    Dir::R => asg.get(SymId(e.id)),
-                    Dir::W => write_value[e.id].as_ref().and_then(|x| x.eval(&asg)),
-                };
-                match v {
-                    Some(v) => e.val = Val(v),
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
+                Some(_) => 0,
+                None => co_total,
+            };
+            stats.pruned += concs.saturating_mul(co_total.saturating_sub(co_valid));
+            if co_valid == 0 {
+                break 'config;
             }
-            if ok {
-                concs.push((evs, final_registers(test, locs, combo, &asg, &read_gid)));
-            }
-        }
 
-        if concs.is_empty() {
-            if !bump(&mut rf_pick, &rf_radices) {
-                break;
-            }
-            continue;
-        }
-
-        // NO THIN AIR: if the static base plus this configuration's
-        // external rf edges is already cyclic, every candidate of the
-        // configuration is forbidden by the axiom whatever its coherence
-        // orders — count them pruned and skip all co work (Sec 8.3).
-        let thin_air_doomed = thinair.as_mut().is_some_and(|t| {
-            !t.check_rf(reads.iter().enumerate().filter_map(|(k, &r)| {
-                let w = rf_choices[k][rf_pick[k]];
-                let external = match (events[w].thread, events[r].thread) {
-                    (Some(a), Some(b)) => a != b,
-                    _ => true,
-                };
-                external.then_some((w, r))
-            }))
-        });
-        if thin_air_doomed {
-            stats.pruned += (concs.len() as u128).saturating_mul(co_total);
-            if !bump(&mut rf_pick, &rf_radices) {
-                break;
-            }
-            continue;
-        }
-
-        // With pruning: filter each location's coherence orders once per
-        // rf configuration and check the locations without a co digit —
-        // an empty menu or a failed rf-only location kills the whole rf
-        // subtree before any execution is built (shared helpers in
-        // herd_core::uniproc, same logic as Skeleton::stream_pruned).
-        let menus: Option<Vec<Vec<Vec<usize>>>> =
-            graphs.as_ref().map(|g| g.co_menus(&co_locs, &co_writes, &rf_src));
-        let rf_only_ok = graphs.as_ref().is_none_or(|g| g.rf_only_consistent(&co_locs, &rf_src));
-        let co_valid: u128 = match &menus {
-            Some(menus) if rf_only_ok => {
-                menus.iter().map(|m| m.len() as u128).fold(1u128, u128::saturating_mul)
-            }
-            Some(_) => 0,
-            None => co_total,
-        };
-        stats.pruned += (concs.len() as u128).saturating_mul(co_total.saturating_sub(co_valid));
-        if co_valid == 0 {
-            if !bump(&mut rf_pick, &rf_radices) {
-                break;
-            }
-            continue;
-        }
-
-        // Verdict mode: fill the arena rf slot and refresh the
-        // rf-invariant derived relations once for the whole rf scope.
-        if let Some((_, rels)) = &vstate {
-            arena.clear(rels.rf);
-            for (k, &r) in reads.iter().enumerate() {
-                arena.add(rels.rf, rf_choices[k][rf_pick[k]], r);
-            }
-            rels.derive_rf(&core, arena);
-        }
-
-        let menu_radices: Vec<usize> =
-            menus.as_ref().map(|m| m.iter().map(Vec::len).collect()).unwrap_or_default();
-        match &mut *mode {
-            Emit::Cands(sink) => {
-                for (evs, final_regs) in &concs {
-                    // Coherence odometer: in-place Heap's generators
-                    // without pruning, the filtered menus with it.
-                    let mut heaps: Vec<HeapPerm> = match &menus {
-                        None => co_writes.iter().map(|ws| HeapPerm::new(ws.clone())).collect(),
-                        Some(_) => Vec::new(),
-                    };
-                    let mut menu_pick = vec![0usize; co_locs.len()];
-                    loop {
-                        let mut co = Relation::empty(n);
-                        for (li, &init) in co_inits.iter().enumerate() {
-                            let order: &[usize] = match &menus {
-                                None => heaps[li].current(),
-                                Some(menus) => &menus[li][menu_pick[li]],
-                            };
-                            build_co(&mut co, init, order);
-                        }
-                        let exec =
-                            Execution::with_core(evs.clone(), Arc::clone(&core), rf.clone(), co)
-                                .expect("assembled candidates are well-formed");
-                        let final_mem = exec
-                            .final_memory()
-                            .into_iter()
-                            .map(|(l, v)| (locs.name(l).to_owned(), v.0))
-                            .collect();
-                        sink(Candidate {
-                            exec,
-                            final_regs: final_regs.clone(),
-                            final_mem,
-                            loc_names: locs.names().to_vec(),
-                        });
-                        stats.emitted += 1;
-                        if stats.emitted > opts.max_candidates {
-                            return Err(CandidateError::TooManyCandidates {
-                                bound: opts.max_candidates,
-                                emitted: stats.emitted as u128,
-                                pruned: stats.pruned,
-                            });
-                        }
-                        let more = match &menus {
-                            None => heaps.iter_mut().any(|h| h.advance()),
-                            Some(_) => bump(&mut menu_pick, &menu_radices),
-                        };
-                        if !more {
-                            break;
-                        }
-                    }
-                }
-            }
-            judged @ (Emit::Verdicts { .. } | Emit::Multi { .. }) => {
-                // Coherence-major order: verdicts depend only on
-                // (rf, co), never on the value concretisation, so each
-                // model's four axioms run once per coherence choice and
-                // every assignment of the configuration reuses those
-                // verdicts — only the observables differ per
-                // concretisation.
-                let (checkers, rels) = vstate.as_ref().expect("verdict state set up");
+            let menu_radices: Vec<usize> =
+                menus.as_ref().map(|m| m.iter().map(Vec::len).collect()).unwrap_or_default();
+            for (evs, final_regs) in &values.concs {
+                // Coherence odometer: in-place Heap's generators without
+                // pruning, the filtered menus with it.
                 let mut heaps: Vec<HeapPerm> = match &menus {
-                    None => co_writes.iter().map(|ws| HeapPerm::new(ws.clone())).collect(),
+                    None => space.loc_writes.iter().map(|ws| HeapPerm::new(ws.clone())).collect(),
                     Some(_) => Vec::new(),
                 };
-                let mut menu_pick = vec![0usize; co_locs.len()];
+                let mut menu_pick = vec![0usize; space.locs.len()];
                 loop {
-                    arena.clear(rels.co);
-                    for (li, &init) in co_inits.iter().enumerate() {
+                    let mut co = Relation::empty(n);
+                    for (li, &init) in space.loc_init.iter().enumerate() {
                         let order: &[usize] = match &menus {
                             None => heaps[li].current(),
                             Some(menus) => &menus[li][menu_pick[li]],
                         };
-                        build_co_arena(arena, rels.co, init, order);
+                        build_co(&mut co, init, order);
                     }
-                    rels.derive_co(&core, arena);
-                    let fx = ExecFrame { core: &core, events: &concs[0].0, rels };
-                    verdicts.clear();
-                    match &*judged {
-                        Emit::Verdicts { arch, .. } => {
-                            verdicts.push(checkers[0].check(*arch, &fx, arena));
-                        }
-                        Emit::Multi { archs, .. } => {
-                            for (ck, a) in checkers.iter().zip(archs.iter()) {
-                                verdicts.push(ck.check(a, &fx, arena));
-                            }
-                        }
-                        Emit::Cands(_) => unreachable!("outer match excludes Cands"),
-                    }
-                    for (evs, final_regs) in &concs {
-                        let fx = ExecFrame { core: &core, events: evs, rels };
-                        let final_mem: BTreeMap<String, i64> = fx
-                            .final_memory(arena)
-                            .into_iter()
-                            .map(|(l, v)| (locs.name(l).to_owned(), v.0))
-                            .collect();
-                        match &mut *judged {
-                            Emit::Verdicts { sink, .. } => sink(&VerdictCandidate {
-                                verdict: verdicts[0],
-                                final_regs,
-                                final_mem: &final_mem,
-                            }),
-                            Emit::Multi { sink, .. } => sink(&MultiVerdictCandidate {
-                                verdicts: &verdicts,
-                                final_regs,
-                                final_mem: &final_mem,
-                            }),
-                            Emit::Cands(_) => unreachable!("outer match excludes Cands"),
-                        }
-                        stats.emitted += 1;
-                        if stats.emitted > opts.max_candidates {
-                            return Err(CandidateError::TooManyCandidates {
-                                bound: opts.max_candidates,
-                                emitted: stats.emitted as u128,
-                                pruned: stats.pruned,
-                            });
-                        }
+                    let exec = Execution::with_core(evs.clone(), Arc::clone(&core), rf.clone(), co)
+                        .expect("assembled candidates are well-formed");
+                    let final_mem = exec
+                        .final_memory()
+                        .into_iter()
+                        .map(|(l, v)| (ts.locs.name(l).to_owned(), v.0))
+                        .collect();
+                    sink(Candidate {
+                        exec,
+                        final_regs: final_regs.clone(),
+                        final_mem,
+                        loc_names: ts.locs.names().to_vec(),
+                    });
+                    stats.emitted += 1;
+                    if stats.emitted > opts.max_candidates {
+                        return Err(CandidateError::TooManyCandidates {
+                            bound: opts.max_candidates,
+                            emitted: stats.emitted as u128,
+                            pruned: stats.pruned,
+                        });
                     }
                     let more = match &menus {
                         None => heaps.iter_mut().any(|h| h.advance()),
@@ -1279,16 +969,11 @@ fn assemble(ctx: AssembleCtx<'_, '_, '_, '_>) -> Result<(), CandidateError> {
                 }
             }
         }
-
         if !bump(&mut rf_pick, &rf_radices) {
             break;
         }
     }
     Ok(())
-}
-
-fn factorial(k: usize) -> u128 {
-    (1..=k as u128).fold(1u128, u128::saturating_mul)
 }
 
 pub(crate) fn final_registers(
@@ -1414,66 +1099,123 @@ mod tests {
         assert!(llh.emitted > stats.emitted, "llh tolerates hazards strict pruning drops");
     }
 
-    #[test]
-    fn shards_partition_the_arch_stream_exactly() {
-        use herd_core::arch::Power;
-        let test = crate::corpus::co_rr(Isa::Power);
-        let opts = EnumOptions::default();
-        let power = Power::new();
-        let mut whole = Vec::new();
-        let whole_stats = stream_arch(&test, &opts, &power, &mut |c| {
-            whole.push(format!("{:?}|{:?}", c.exec.rf(), c.exec.co()));
-        })
-        .unwrap();
-        whole.sort();
-        for nshards in [2usize, 3] {
-            let mut merged = Vec::new();
-            let mut stats = EnumStats::default();
-            for s in 0..nshards {
-                let shard_stats = stream_shard(&test, &opts, &power, s, nshards, &mut |c| {
-                    merged.push(format!("{:?}|{:?}", c.exec.rf(), c.exec.co()));
-                })
-                .unwrap();
-                stats.emitted += shard_stats.emitted;
-                stats.pruned += shard_stats.pruned;
-            }
-            merged.sort();
-            assert_eq!(merged, whole, "{nshards} shards emit exactly the stream");
-            assert_eq!(stats.emitted, whole_stats.emitted);
-            assert_eq!(stats.pruned, whole_stats.pruned, "pruned counters merge exactly");
-        }
+    /// `lb+datas-true`: each thread stores the value it loads, so the
+    /// configuration where both reads read the other thread's write is a
+    /// self-justifying cycle with two concretisations (0 and 1).
+    fn lb_datas_true() -> LitmusTest {
+        crate::parse::parse(
+            "PPC lb+datas-true
+{
+0:r2=x; 0:r4=y;
+1:r2=y; 1:r4=x;
+}
+ P0           | P1           ;
+ lwz r1,0(r2) | lwz r1,0(r2) ;
+ stw r1,0(r4) | stw r1,0(r4) ;
+exists (0:r1=1 /\\ 1:r1=1)",
+        )
+        .unwrap()
+    }
+
+    /// mp+dmb+ctrl with a real branch around the second load: two
+    /// control-flow paths, 6 rf configurations, of which only the 3 whose
+    /// first read agrees with the branch taken have a concretisation.
+    fn mp_dmb_ctrl_branch() -> LitmusTest {
+        crate::parse::parse(
+            "ARM mp+dmb+ctrl-branch
+{
+0:r2=x; 0:r4=y;
+1:r2=y; 1:r4=x;
+}
+ P0           | P1           ;
+ mov r1,#1    | ldr r1,[r2]  ;
+ str r1,[r2]  | cmp r1,#1    ;
+ dmb          | bne L0       ;
+ str r1,[r4]  | ldr r5,[r4]  ;
+              | L0:          ;
+exists (1:r1=1 /\\ 1:r5=0)",
+        )
+        .unwrap()
     }
 
     #[test]
     fn range_units_partition_the_verdict_stream_exactly() {
-        use herd_core::arch::Power;
-        let test = crate::corpus::iriw(Isa::Power, Dev::Po, Dev::Po);
+        use herd_core::arch::{Arm, ArmVariant, Power};
         let opts = EnumOptions::default();
-        let power = Power::new();
-        let total = count_rf_configs(&test, &opts).unwrap();
-        assert!(total > 4, "iriw has a real rf space");
-        let mut whole_states = Vec::new();
-        let whole = stream_arch_verdicts(&test, &opts, &power, &mut |vc| {
-            whole_states.push(format!("{:?}|{:?}", vc.verdict, vc.final_mem));
-        })
-        .unwrap();
-        whole_states.sort();
-        for units in [1u128, 3, 5, total, total + 7] {
-            let ranges = herd_core::sched::rf_ranges(total, units);
-            let mut merged = EnumStats::default();
-            let mut states = Vec::new();
-            for (s, e) in ranges {
-                let part = stream_range_verdicts(&test, &opts, &power, s, e, &mut |vc| {
-                    states.push(format!("{:?}|{:?}", vc.verdict, vc.final_mem));
-                })
-                .unwrap();
-                merged.emitted += part.emitted;
-                merged.pruned += part.pruned;
+        let (power, arm) = (Power::new(), Arm::new(ArmVariant::Proposed));
+        let lb = lb_datas_true();
+        let mp = mp_dmb_ctrl_branch();
+        // Multiplicities other than 1: lb has 4 configurations but 5
+        // candidates; mp has 6 configurations but 3 candidates.
+        assert_eq!(
+            (count_rf_configs(&lb, &opts).unwrap(), count_candidates(&lb, &opts).unwrap()),
+            (4, 5)
+        );
+        assert_eq!(
+            (count_rf_configs(&mp, &opts).unwrap(), count_candidates(&mp, &opts).unwrap()),
+            (6, 3)
+        );
+        let inputs: [(LitmusTest, &dyn Architecture); 3] =
+            [(crate::corpus::iriw(Isa::Power, Dev::Po, Dev::Po), &power), (lb, &power), (mp, &arm)];
+        for (test, arch) in &inputs {
+            let total = count_rf_configs(test, &opts).unwrap();
+            let space = count_candidates(test, &opts).unwrap();
+            let mut whole_states = Vec::new();
+            let whole = stream_verdicts(test, &opts, &[*arch], .., &mut |vc| {
+                whole_states
+                    .push(format!("{:?}|{:?}|{:?}", vc.verdicts, vc.final_regs, vc.final_mem));
+            })
+            .unwrap();
+            whole_states.sort();
+            assert_eq!(whole.total(), space, "{}: the stream covers the space", test.name);
+            for units in [1u128, 3, 5, total, total + 7] {
+                let ranges = herd_core::sched::rf_ranges(total, units);
+                let mut merged = EnumStats::default();
+                let mut states = Vec::new();
+                for (s, e) in ranges {
+                    let part = stream_verdicts(test, &opts, &[*arch], s..e, &mut |vc| {
+                        states.push(format!(
+                            "{:?}|{:?}|{:?}",
+                            vc.verdicts, vc.final_regs, vc.final_mem
+                        ));
+                    })
+                    .unwrap();
+                    merged.emitted += part.emitted;
+                    merged.pruned += part.pruned;
+                }
+                states.sort();
+                assert_eq!(states, whole_states, "{}: {units} units cover the stream", test.name);
+                assert_eq!(merged.total(), space, "{}: {units} units count the space", test.name);
+                assert_eq!(merged.emitted, whole.emitted);
+                assert_eq!(merged.pruned, whole.pruned, "pruned counters merge exactly");
             }
-            states.sort();
-            assert_eq!(states, whole_states, "{units} units cover exactly the stream");
-            assert_eq!(merged.emitted, whole.emitted);
-            assert_eq!(merged.pruned, whole.pruned, "pruned counters merge exactly");
+        }
+    }
+
+    /// A candidate bound cuts `lb+datas-true` anywhere, the weighted
+    /// accounting still covers its space exactly.
+    #[test]
+    fn bounded_runs_weigh_what_they_leave_unreached() {
+        use herd_core::arch::Power;
+        let test = lb_datas_true();
+        let opts = EnumOptions::default();
+        let space = count_candidates(&test, &opts).unwrap();
+        let ts = TestSpace::new(&test, &opts).unwrap();
+        for max in 0..=space {
+            let (stats, _) =
+                ts.judge(&[&Power::new()], (0, u128::MAX), max, &mut RelArena::new(0), &mut |_| {});
+            assert_eq!(stats.emitted + stats.pruned + stats.remaining, space, "bound {max}");
+            let bound = max as usize;
+            let out = crate::simulate::simulate_with(
+                &test,
+                &Power::new(),
+                &EnumOptions { max_candidates: bound, ..opts },
+            )
+            .unwrap();
+            assert_eq!(out.candidates, space, "bound {bound}");
+            let remaining = out.partial.as_ref().map_or(0, |p| p.remaining);
+            let judged = out.candidates - out.pruned - remaining;
+            assert!(judged <= bound as u128 + 2, "bound {bound}: at most one witness overshoots");
         }
     }
 
@@ -1506,7 +1248,7 @@ mod tests {
                 }
                 let mut multi_allowed = 0usize;
                 let mut multi_states = std::collections::BTreeSet::new();
-                stream_multi_verdicts(&test, &opts, &arch_refs, &mut |mc| {
+                stream_verdicts(&test, &opts, &arch_refs, .., &mut |mc| {
                     if mc.verdicts[k].allowed() {
                         multi_allowed += 1;
                         multi_states.insert(format!("{:?}", mc.final_mem));

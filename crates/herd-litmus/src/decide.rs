@@ -44,10 +44,10 @@
 //! single-row path cannot drift from the batch path.
 
 use crate::candidates::{
-    bump, combo_parts, final_registers, thread_paths, value_domain, CandidateError, ComboParts,
-    EnumOptions, LocTable, RegFinal,
+    bump, combo_parts, final_registers, for_each_combo, thread_paths, value_domain, CandidateError,
+    ComboParts, EnumOptions, LocTable, RegFinal,
 };
-use crate::expr::{self, Equation, RVal, SymExpr, SymId};
+use crate::expr::{self, RVal, SymExpr, SymId};
 use crate::isa::Reg;
 use crate::program::{InitVal, LitmusTest};
 use crate::sem::ThreadPath;
@@ -58,6 +58,7 @@ use herd_core::fingerprint::{Fingerprint, FpHasher};
 use herd_core::model::Architecture;
 use herd_core::ppo::PpoEnvelope;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::ControlFlow;
 
 /// One queried final state: register values by `(thread, register)` and
 /// memory values by location name. Both parts are *subset* constraints —
@@ -124,7 +125,8 @@ pub struct QueryStats {
     /// rf configurations walked (after required-value menu filtering).
     pub rf_configs: u64,
     /// The unfiltered rf-configuration space of the examined
-    /// combinations — what enumeration would walk.
+    /// combinations — what enumeration would walk (saturating: a
+    /// legal test can exceed `u128`).
     pub rf_space: u128,
     /// Value concretisations whose observables matched the outcome.
     pub matched: u64,
@@ -139,7 +141,7 @@ impl QueryStats {
         self.combos += o.combos;
         self.combos_pruned += o.combos_pruned;
         self.rf_configs += o.rf_configs;
-        self.rf_space += o.rf_space;
+        self.rf_space = self.rf_space.saturating_add(o.rf_space);
         self.matched += o.matched;
         self.backend.absorb(&o.backend);
     }
@@ -245,7 +247,7 @@ pub fn decide_log<A: Architecture + ?Sized>(
     let mut distinct: Vec<usize> = Vec::new();
     let mut owner: Vec<usize> = Vec::with_capacity(rows.len());
     for (i, o) in rows.iter().enumerate() {
-        let key = render_key(&o.regs, &o.mem);
+        let key = render_state_row(&o.regs, &o.mem);
         owner.push(*first.entry(key).or_insert_with(|| {
             distinct.push(i);
             distinct.len() - 1
@@ -270,14 +272,10 @@ pub fn decide_log<A: Architecture + ?Sized>(
         let paths = thread_paths(test, opts, &loc_map)?;
         let domain = value_domain(test);
         let mut arena = RelArena::new(0);
-        let mut pick = vec![0usize; paths.len()];
-        let radices: Vec<usize> = paths.iter().map(Vec::len).collect();
-        loop {
-            let combo: Vec<&ThreadPath> = pick.iter().zip(&paths).map(|(&i, ps)| &ps[i]).collect();
+        for_each_combo(&paths, |combo| {
             stats.query.combos += 1;
-            let parts = combo_parts(test, &locs, &combo);
-            stats.query.rf_space +=
-                parts.rf_choices.iter().map(|c| c.len() as u128).product::<u128>().max(1);
+            let parts = combo_parts(test, &locs, combo);
+            stats.query.rf_space = stats.query.rf_space.saturating_add(parts.space.rf_total());
             // Screen every still-undecided row, grouping survivors by
             // their screened rf class.
             let mut groups: BTreeMap<u128, (Vec<Vec<usize>>, Vec<usize>)> = BTreeMap::new();
@@ -288,7 +286,7 @@ pub fn decide_log<A: Architecture + ?Sized>(
                 }
                 screened += 1;
                 let outcome = &rows[distinct[d]];
-                if let Some(menus) = screen_combo(test, &locs, &combo, &parts, outcome) {
+                if let Some(menus) = screen_combo(test, &locs, combo, &parts, outcome) {
                     let key = class_fingerprint(&menus, &outcome.mem);
                     groups.entry(key.0).or_insert_with(|| (menus, Vec::new())).1.push(d);
                 }
@@ -309,7 +307,7 @@ pub fn decide_log<A: Architecture + ?Sized>(
                     test,
                     arch,
                     &locs,
-                    &combo,
+                    combo,
                     &domain,
                     &parts,
                     envelope.as_ref(),
@@ -328,12 +326,11 @@ pub fn decide_log<A: Architecture + ?Sized>(
                 }
             }
             if live.iter().all(|&d| dverdict[d].is_some()) {
-                break;
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
             }
-            if !bump(&mut pick, &radices) {
-                break;
-            }
-        }
+        });
     }
 
     // Rows the walk never settled have no witness in any combination;
@@ -371,24 +368,17 @@ fn decide_class<A: Architecture + ?Sized>(
     // Memory constraints are part of the class key: identical across
     // members, so any member stands for the class below.
     let class_outcome = &rows[distinct[members[0]]];
-    let symbols: Vec<SymId> = parts.reads.iter().map(|&r| SymId(r)).collect();
+    let symbols: Vec<SymId> = parts.space.reads.iter().map(|&r| SymId(r)).collect();
     let rf_radices: Vec<usize> = menus.iter().map(Vec::len).collect();
     let mut rf_pick = vec![0usize; menus.len()];
     loop {
         stats.query.rf_configs += 1;
-        let mut equations = parts.base_equations.clone();
-        let mut rf_pairs: Vec<(usize, usize)> = Vec::with_capacity(parts.reads.len());
-        for (k, &r) in parts.reads.iter().enumerate() {
-            let w = menus[k][rf_pick[k]];
-            rf_pairs.push((w, r));
-            equations.push(Equation::ReadsValue {
-                sym: SymId(r),
-                expr: parts.write_value[w].clone().expect("write has a value expression"),
-            });
-        }
+        let rf_pairs: Vec<(usize, usize)> =
+            parts.space.reads.iter().enumerate().map(|(k, &r)| (menus[k][rf_pick[k]], r)).collect();
+        let equations = parts.flow.equations(rf_pairs.iter().copied());
         for asg in expr::solve(&symbols, &equations, domain) {
-            let Some(evs) = concretise(parts, &asg) else { continue };
-            let final_regs = final_registers(test, locs, combo, &asg, &parts.read_gid);
+            let Some(evs) = parts.flow.concretise(&parts.space.events, &asg) else { continue };
+            let final_regs = final_registers(test, locs, combo, &asg, &parts.flow.read_gid);
             // The per-row probe: which undecided members does this
             // concretisation's register file satisfy?
             let matching: Vec<usize> = members
@@ -492,7 +482,7 @@ pub fn query_fingerprint(test: &LitmusTest, model_name: &str, opts: &EnumOptions
 pub fn outcome_fingerprint(base: Fingerprint, outcome: &Outcome) -> Fingerprint {
     let mut h = FpHasher::from(base);
     h.tag("row");
-    h.write_str(&render_key(&outcome.regs, &outcome.mem));
+    h.write_str(&render_state_row(&outcome.regs, &outcome.mem));
     h.finish()
 }
 
@@ -507,7 +497,7 @@ fn screen_combo(
     parts: &ComboParts,
     outcome: &Outcome,
 ) -> Option<Vec<Vec<usize>>> {
-    let mut menus = parts.rf_choices.clone();
+    let mut menus = parts.space.rf_choices.clone();
     for ((otid, reg), want) in &outcome.regs {
         let Some(path) = combo.get(*otid as usize) else {
             return None; // a thread the test does not have
@@ -529,14 +519,15 @@ fn screen_combo(
                     } else if let SymExpr::Sym(s) = e {
                         // The register is a read's value verbatim: only
                         // sources that can produce `v` can match.
-                        let g = parts.read_gid[*otid as usize][s.0];
+                        let g = parts.flow.read_gid[*otid as usize][s.0];
                         let k = parts
+                            .space
                             .reads
                             .iter()
                             .position(|&r| r == g)
                             .expect("read symbol maps to a read event");
                         menus[k].retain(|&w| {
-                            match parts.write_value[w].as_ref().and_then(SymExpr::as_const) {
+                            match parts.flow.write_value[w].as_ref().and_then(SymExpr::as_const) {
                                 Some(c) => c == *v,
                                 None => true, // symbolic source: solver decides
                             }
@@ -559,23 +550,6 @@ fn screen_combo(
     Some(menus)
 }
 
-/// Concretises the combination's events under one assignment; `None` when
-/// a value does not resolve.
-fn concretise(parts: &ComboParts, asg: &expr::Assignment) -> Option<Vec<Event>> {
-    let mut evs = parts.events.clone();
-    for e in &mut evs {
-        if e.thread.is_none() {
-            continue;
-        }
-        let v = match e.dir {
-            herd_core::event::Dir::R => asg.get(SymId(e.id)),
-            herd_core::event::Dir::W => parts.write_value[e.id].as_ref().and_then(|x| x.eval(asg)),
-        };
-        e.val = Val(v?);
-    }
-    Some(evs)
-}
-
 /// The candidate co-maximal writes of each memory-constrained location;
 /// `None` when some required value is unproducible in this
 /// concretisation.
@@ -589,10 +563,13 @@ fn last_write_menus(
     let mut menus: Vec<Vec<usize>> = Vec::new();
     for (name, &v) in &outcome.mem {
         let loc = locs.lookup(name).expect("unknown locations rejected up front");
-        match parts.co_locs.iter().position(|&l| l == loc) {
+        match parts.space.locs.iter().position(|&l| l == loc) {
             Some(li) => {
-                let cands: Vec<usize> =
-                    parts.co_writes[li].iter().copied().filter(|&w| evs[w].val == Val(v)).collect();
+                let cands: Vec<usize> = parts.space.loc_writes[li]
+                    .iter()
+                    .copied()
+                    .filter(|&w| evs[w].val == Val(v))
+                    .collect();
                 if cands.is_empty() {
                     return None;
                 }
@@ -632,39 +609,34 @@ pub fn allowed_full_outcomes<A: Architecture + ?Sized>(
     let domain = value_domain(test);
     let mut arena = RelArena::new(0);
     let mut seen_allowed: BTreeSet<String> = BTreeSet::new();
-    let mut pick = vec![0usize; paths.len()];
-    let radices: Vec<usize> = paths.iter().map(Vec::len).collect();
-    loop {
-        let combo: Vec<&ThreadPath> = pick.iter().zip(&paths).map(|(&i, ps)| &ps[i]).collect();
+    for_each_combo(&paths, |combo| {
         stats.combos += 1;
-        let parts = combo_parts(test, &locs, &combo);
-        stats.rf_space += parts.rf_choices.iter().map(|c| c.len() as u128).product::<u128>().max(1);
+        let parts = combo_parts(test, &locs, combo);
+        let space = &parts.space;
+        stats.rf_space = stats.rf_space.saturating_add(space.rf_total());
         // One ppo envelope per combination, shared by every query on it.
         let envelope: Option<PpoEnvelope> = arch.ppo_envelope(&parts.core);
-        let symbols: Vec<SymId> = parts.reads.iter().map(|&r| SymId(r)).collect();
-        let rf_radices: Vec<usize> = parts.rf_choices.iter().map(Vec::len).collect();
-        let mut rf_pick = vec![0usize; parts.rf_choices.len()];
+        let symbols: Vec<SymId> = space.reads.iter().map(|&r| SymId(r)).collect();
+        let rf_radices: Vec<usize> = space.rf_choices.iter().map(Vec::len).collect();
+        let mut rf_pick = vec![0usize; space.rf_choices.len()];
         loop {
             stats.rf_configs += 1;
-            let mut equations = parts.base_equations.clone();
-            let mut rf_pairs: Vec<(usize, usize)> = Vec::with_capacity(parts.reads.len());
-            for (k, &r) in parts.reads.iter().enumerate() {
-                let w = parts.rf_choices[k][rf_pick[k]];
-                rf_pairs.push((w, r));
-                equations.push(Equation::ReadsValue {
-                    sym: SymId(r),
-                    expr: parts.write_value[w].clone().expect("write has a value expression"),
-                });
-            }
+            let rf_pairs: Vec<(usize, usize)> = space
+                .reads
+                .iter()
+                .enumerate()
+                .map(|(k, &r)| (space.rf_choices[k][rf_pick[k]], r))
+                .collect();
+            let equations = parts.flow.equations(rf_pairs.iter().copied());
             for asg in expr::solve(&symbols, &equations, &domain) {
-                let Some(evs) = concretise(&parts, &asg) else { continue };
-                let final_regs = final_registers(test, &locs, &combo, &asg, &parts.read_gid);
+                let Some(evs) = parts.flow.concretise(&space.events, &asg) else { continue };
+                let final_regs = final_registers(test, &locs, combo, &asg, &parts.flow.read_gid);
                 stats.matched += 1;
                 // Full final memory: one co-maximal write choice per
                 // location with thread writes, the initial value
                 // elsewhere.
-                let lw_radices: Vec<usize> = parts.co_writes.iter().map(Vec::len).collect();
-                let mut lw_pick = vec![0usize; parts.co_writes.len()];
+                let lw_radices: Vec<usize> = space.loc_writes.iter().map(Vec::len).collect();
+                let mut lw_pick = vec![0usize; space.loc_writes.len()];
                 loop {
                     let mut mem: BTreeMap<String, i64> = locs
                         .names()
@@ -672,14 +644,13 @@ pub fn allowed_full_outcomes<A: Architecture + ?Sized>(
                         .enumerate()
                         .map(|(i, n)| (n.clone(), evs[i].val.0))
                         .collect();
-                    let mut last_writes: Vec<(Loc, usize)> =
-                        Vec::with_capacity(parts.co_locs.len());
-                    for (li, &loc) in parts.co_locs.iter().enumerate() {
-                        let w = parts.co_writes[li][lw_pick[li]];
+                    let mut last_writes: Vec<(Loc, usize)> = Vec::with_capacity(space.locs.len());
+                    for (li, &loc) in space.locs.iter().enumerate() {
+                        let w = space.loc_writes[li][lw_pick[li]];
                         mem.insert(locs.name(loc).to_owned(), evs[w].val.0);
                         last_writes.push((loc, w));
                     }
-                    let key = render_key(&final_regs, &mem);
+                    let key = render_state_row(&final_regs, &mem);
                     if !seen_allowed.contains(&key) {
                         let q = CoQuery {
                             core: &parts.core,
@@ -707,16 +678,18 @@ pub fn allowed_full_outcomes<A: Architecture + ?Sized>(
                 break;
             }
         }
-        if !bump(&mut pick, &radices) {
-            break;
-        }
-    }
+        ControlFlow::<()>::Continue(())
+    });
     Ok(())
 }
 
-/// Canonical text of one full outcome, for deduplication (mirrors the log
-/// row format: `0:r1=1; x=2`).
-fn render_key(regs: &BTreeMap<(u16, Reg), RegFinal>, mem: &BTreeMap<String, i64>) -> String {
+/// Renders a final state as one canonical log row — `0:r1=1; x=2`, the
+/// format [`Outcome::from_state_row`] parses — the one renderer behind
+/// deduplication, verdict fingerprints and `herd-hw`'s logs.
+pub fn render_state_row(
+    regs: &BTreeMap<(u16, Reg), RegFinal>,
+    mem: &BTreeMap<String, i64>,
+) -> String {
     let mut parts: Vec<String> = Vec::new();
     for ((tid, reg), v) in regs {
         let v = match v {
@@ -831,6 +804,44 @@ mod tests {
         assert_eq!(d.stats.rf_configs, 1, "pinned reads collapse the rf odometer");
     }
 
+    /// 81 loads of a location written twice: the rf space is 3^81, past
+    /// `u128`. Pinning every register to 0 leaves one configuration to
+    /// walk, and the space counter saturates instead of overflowing.
+    #[test]
+    fn rf_space_saturates_on_a_legal_test() {
+        use crate::isa::{Addr, Instr, Isa};
+        use crate::program::{Condition, Prop, Quantifier};
+        let x = Addr::Reg(Reg(0));
+        let writer = vec![
+            Instr::MoveImm { dst: Reg(1), val: 1 },
+            Instr::Store { src: Reg(1), addr: x.clone() },
+            Instr::MoveImm { dst: Reg(2), val: 2 },
+            Instr::Store { src: Reg(2), addr: x.clone() },
+        ];
+        let reader: Vec<Instr> =
+            (1..=81).map(|r| Instr::Load { dst: Reg(r), addr: x.clone() }).collect();
+        let test = LitmusTest {
+            isa: Isa::Arm,
+            name: "81-loads".into(),
+            threads: vec![writer, reader],
+            reg_init: BTreeMap::from([
+                ((0, Reg(0)), InitVal::Loc("x".into())),
+                ((1, Reg(0)), InitVal::Loc("x".into())),
+            ]),
+            mem_init: BTreeMap::new(),
+            condition: Condition { quantifier: Quantifier::Exists, prop: Prop::True },
+        };
+        let zeros = Outcome {
+            regs: (1..=81).map(|r| ((1, Reg(r)), RegFinal::Int(0))).collect(),
+            ..Outcome::default()
+        };
+        let arm = herd_core::arch::Arm::new(herd_core::arch::ArmVariant::Proposed);
+        let d = decide_outcome(&test, &arm, &EnumOptions::default(), &zeros).unwrap();
+        assert!(d.allowed, "every load reading the initial value is allowed");
+        assert_eq!(d.stats.rf_configs, 1, "pinned reads collapse the rf odometer");
+        assert_eq!(d.stats.rf_space, u128::MAX, "3^81 saturates");
+    }
+
     #[test]
     fn batch_verdicts_match_row_at_a_time() {
         let rows: Vec<Outcome> = [
@@ -919,12 +930,12 @@ mod tests {
             let reference: BTreeSet<String> = cands
                 .iter()
                 .filter(|c| herd_core::model::check(&Tso, &c.exec).allowed())
-                .map(|c| render_key(&c.final_regs, &c.final_mem))
+                .map(|c| render_state_row(&c.final_regs, &c.final_mem))
                 .collect();
             let mut stats = QueryStats::default();
             let mut ours = BTreeSet::new();
             allowed_full_outcomes(&test, &Tso, &EnumOptions::default(), &mut stats, &mut |r, m| {
-                ours.insert(render_key(r, m));
+                ours.insert(render_state_row(r, m));
             })
             .unwrap();
             assert_eq!(ours, reference, "{}", test.name);

@@ -1,25 +1,30 @@
-//! The herd-style simulation driver: stream candidates with uniproc
-//! pruning, apply a model, evaluate the final condition (paper, Sec 8.3).
+//! The herd-style simulation driver: walk the candidates with
+//! generation-time pruning, apply a model, evaluate the final condition
+//! (paper, Sec 8.3).
 //!
-//! [`simulate`] never materialises the candidate vector: candidates arrive
-//! one at a time from [`candidates::stream_arch`] with both `-speedcheck`
-//! axes applied at the generator — SC-PER-LOCATION-violating subtrees
-//! (forbidden by every architecture's first axiom) and, when the
+//! [`simulate`] never materialises a candidate: the arena verdict engine
+//! ([`herd_core::enumerate::ArenaEngine`], through
+//! [`crate::candidates::stream_verdicts`]'s driver) applies both
+//! `-speedcheck` axes at the generator — SC-PER-LOCATION-violating
+//! subtrees (forbidden by every architecture's first axiom) and, when the
 //! architecture vouches for a static base
 //! ([`Architecture::thin_air_base`]), NO-THIN-AIR-violating rf subtrees;
-//! only their counts are kept. Each surviving candidate is judged via
-//! [`herd_core::model::check_with`] on architecture relations computed
-//! once per candidate — `hb+`/`hb*` are shared by the NO THIN AIR and
-//! OBSERVATION axioms instead of being recomputed per axiom consumer.
-//! [`simulate_sharded`] fans the rf×co space of a *single* test out over
-//! the [`herd_core::sched`] work-stealing executor (contiguous
-//! rf-configuration range units, exactly merged accounting), and
+//! only their counts are kept — and judges each surviving `(rf, co)`
+//! witness once, in place, for all of its value concretisations. One
+//! driver serves both entry points: [`simulate_with`] is its one-worker
+//! case, run inline, and [`simulate_sharded`] fans the rf×co space of a
+//! *single* test out over the [`herd_core::sched`] work-stealing executor
+//! (contiguous rf-configuration range units, exactly merged accounting).
 //! [`simulate_corpus`] distributes a whole corpus over every core through
-//! the same executor (no static split, no idle workers).
+//! the same executor (no static split, no idle workers). [`judge`] keeps
+//! the owned path — [`herd_core::model::check_with`] on pre-enumerated
+//! candidates — as the reference.
 
-use crate::candidates::{self, Candidate, CandidateError, EnumOptions, RegFinal, VerdictCandidate};
+use crate::candidates::{Candidate, CandidateError, EnumOptions, RegFinal, TestSpace};
 use crate::isa::Reg;
 use crate::program::{CondVal, LitmusTest, Prop, Quantifier};
+use herd_core::arena::RelArena;
+use herd_core::enumerate::CheckedStats;
 use herd_core::model::{self, ArchRelations, Architecture, Verdict};
 use herd_core::sched;
 use std::collections::{BTreeMap, BTreeSet};
@@ -61,8 +66,8 @@ pub struct LostUnit {
 /// `negative`, `states`, `validated`) are computed from the candidates
 /// that *were* judged — lower bounds, not final answers. The accounting
 /// stays exact: `candidates == judged + pruned + remaining`, with the
-/// unreached share counted against the true space
-/// ([`crate::candidates::count_candidates`]), never inferred.
+/// unreached share weighed by the engine, never inferred — it always
+/// equals [`crate::candidates::count_candidates`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PartialSim {
     /// The budget that stopped enumeration, if one tripped.
@@ -166,16 +171,16 @@ pub fn simulate<A: Architecture + ?Sized>(
 /// masks plus NO THIN AIR when [`Architecture::thin_air_base`] provides a
 /// static base).
 ///
-/// Runs on the arena-backed verdict stream
-/// ([`candidates::stream_arch_verdicts`]): candidates are judged in
-/// place, no owned `Execution` is materialised, and the worker's relation
-/// arena is reset between candidates instead of reallocated.
+/// The one-worker case of [`simulate_sharded`]'s driver, run inline on
+/// the calling thread: the arena verdict engine
+/// ([`crate::candidates::stream_verdicts`]) judges candidates in place, no owned
+/// `Execution` is materialised, and the worker's relation arena is reset
+/// between candidates instead of reallocated.
 ///
 /// A tripped `max_candidates` bound no longer discards what was learned:
 /// the run degrades to a **partial** outcome ([`SimOutcome::partial`])
 /// whose verdicts cover the judged prefix and whose `remaining` is the
-/// exact unreached share of the space
-/// ([`candidates::count_candidates`]).
+/// exact unreached share of the space, weighed by the engine.
 ///
 /// # Errors
 ///
@@ -186,28 +191,19 @@ pub fn simulate_with<A: Architecture + ?Sized>(
     arch: &A,
     opts: &EnumOptions,
 ) -> Result<SimOutcome, CandidateError> {
+    Ok(simulate_inline(&TestSpace::new(test, opts)?, arch, opts))
+}
+
+/// The driver's one-unit case: the whole space on the calling thread.
+fn simulate_inline<A: Architecture + ?Sized>(
+    space: &TestSpace<'_>,
+    arch: &A,
+    opts: &EnumOptions,
+) -> SimOutcome {
     let mut acc = Judgement::default();
-    let result = candidates::stream_arch_verdicts(test, opts, arch, &mut |vc| {
-        acc.absorb_verdict(test, vc);
-    });
-    match result {
-        Ok(stats) => {
-            warn_unpruned(test, stats.unpruned_locations);
-            Ok(acc.outcome(test, arch, stats.total(), stats.pruned))
-        }
-        Err(CandidateError::TooManyCandidates { bound, emitted, pruned }) => {
-            let space = candidates::count_candidates(test, opts)?;
-            let remaining = space.saturating_sub(emitted.saturating_add(pruned));
-            let mut out = acc.outcome(test, arch, space, pruned);
-            out.partial = Some(PartialSim {
-                stopped: Some(SimStop::CandidateBudget { bound }),
-                poisoned: Vec::new(),
-                remaining,
-            });
-            Ok(out)
-        }
-        Err(e) => Err(e),
-    }
+    let mut tally = Tally::default();
+    tally.add(&judge_unit(space, arch, opts, (0, u128::MAX), &mut acc, &mut RelArena::new(0)));
+    tally.outcome(acc, space.test, arch, opts)
 }
 
 /// Surfaces the uniproc pruner's per-location member-cap fallback: such
@@ -230,111 +226,132 @@ fn warn_unpruned(test: &LitmusTest, unpruned_locations: usize) {
 
 /// Units per worker the rf-configuration planner targets: enough
 /// granularity for the stealing executor to rebalance, little enough that
-/// the per-unit seek (thread semantics re-run) stays negligible.
+/// the per-unit seek stays negligible.
 const UNITS_PER_WORKER: usize = 4;
 
 /// Simulates one test with its rf×co space fanned out over `workers`
-/// threads on the [`herd_core::sched`] work-stealing executor: the
-/// rf-configuration index space ([`candidates::count_rf_configs`]) is cut
-/// into `workers × 4` contiguous [`candidates::stream_range_verdicts`]
-/// units that workers steal from a shared cursor — no static split, no
-/// idle workers when the odometer's weight is lopsided. Per-unit
+/// threads on the [`herd_core::sched`] work-stealing executor: thread
+/// semantics runs once, then the rf-configuration index space
+/// ([`crate::candidates::count_rf_configs`]) is cut into `workers × 4`
+/// contiguous units that workers steal from a shared cursor — no static
+/// split, no idle workers when the odometer's weight is lopsided. Per-unit
 /// judgements and `emitted`/`pruned` counters merge into exact totals, so
 /// the outcome is identical to [`simulate_with`] — including the
-/// candidate accounting. `workers <= 1` degrades to the sequential
-/// driver.
+/// candidate accounting. `workers <= 1` is [`simulate_with`].
 ///
 /// # Errors
 ///
-/// Returns the first hard [`CandidateError`] (thread semantics) any unit
-/// produced. Size limits and lost units degrade instead of failing: the
-/// `max_candidates` bound keeps its sequential, whole-test meaning — if
-/// the units together emit more than the bound, the outcome is partial
-/// exactly as [`simulate_with`]'s trip is, whatever the worker count —
-/// and a panicking unit ([`herd_core::sched::UnitResult::Poisoned`])
-/// surrenders only its own range: every sibling's verdicts are salvaged
-/// and the lost share is reported in [`PartialSim::remaining`].
+/// Returns the hard [`CandidateError`] of thread semantics. Size limits
+/// and lost units degrade instead of failing: the `max_candidates` bound
+/// keeps its sequential, whole-test meaning — if the units together emit
+/// more than the bound, the outcome is partial exactly as
+/// [`simulate_with`]'s trip is, whatever the worker count — and a
+/// panicking unit ([`herd_core::sched::UnitResult::Poisoned`]) surrenders
+/// only its own range: every sibling's verdicts are salvaged and the lost
+/// share is reported in [`PartialSim::remaining`].
 pub fn simulate_sharded<A: Architecture + Sync + ?Sized>(
     test: &LitmusTest,
     arch: &A,
     opts: &EnumOptions,
     workers: usize,
 ) -> Result<SimOutcome, CandidateError> {
+    let space = TestSpace::new(test, opts)?;
     if workers <= 1 {
-        return simulate_with(test, arch, opts);
+        return Ok(simulate_inline(&space, arch, opts));
     }
-    let total = candidates::count_rf_configs(test, opts)?;
-    let units = sched::rf_ranges(total, (workers * UNITS_PER_WORKER) as u128);
+    let units = sched::rf_ranges(space.rf_total(), (workers * UNITS_PER_WORKER) as u128);
     if units.len() <= 1 {
-        return simulate_with(test, arch, opts);
+        return Ok(simulate_inline(&space, arch, opts));
     }
-    // Each worker owns one Judgement (and, inside the stream, one relation
-    // arena) — no cross-thread state, no locks, only the unit cursor. A
-    // Judgement is append-only across units, so there is nothing to
-    // repair after a poisoned unit: the stream state it tore was local to
-    // the lost `stream_range_verdicts` call.
+    // Each worker owns one Judgement and one relation arena — no
+    // cross-thread state, no locks, only the unit cursor. A Judgement is
+    // append-only across units, and every engine run resets the arena, so
+    // there is nothing to repair after a poisoned unit.
     let (accs, results) = sched::execute_units(
         units.len(),
         workers,
-        |_| Judgement::default(),
+        |_| (Judgement::default(), RelArena::new(0)),
         |_| {},
-        |acc, u| {
-            let (start, end) = units[u];
-            candidates::stream_range_verdicts(test, opts, arch, start, end, &mut |vc| {
-                acc.absorb_verdict(test, vc);
-            })
-        },
+        |(acc, arena), u| judge_unit(&space, arch, opts, units[u], acc, arena),
     );
     let mut acc = Judgement::default();
-    for part in accs {
+    for (part, _) in accs {
         acc.merge(part);
     }
-    // `covered` = candidates exactly classified (judged or pruned) by the
-    // units that survived; everything else is `remaining`, counted
-    // against the true space below — never inferred.
-    let (mut covered, mut pruned, mut emitted, mut unpruned) = (0u128, 0u128, 0u128, 0usize);
-    let mut stopped: Option<SimStop> = None;
-    let mut poisoned: Vec<LostUnit> = Vec::new();
+    let mut tally = Tally::default();
     for (u, r) in results.into_iter().enumerate() {
         match r {
-            sched::UnitResult::Done(Ok(stats)) => {
-                covered = covered.saturating_add(stats.total());
-                pruned += stats.pruned;
-                emitted += stats.emitted as u128;
-                unpruned = unpruned.max(stats.unpruned_locations);
-            }
-            sched::UnitResult::Done(Err(CandidateError::TooManyCandidates {
-                bound,
-                emitted: e,
-                pruned: p,
-            })) => {
-                // The unit stopped at its bound mid-range; its judged
-                // prefix stands and its exact progress counts as covered.
-                stopped.get_or_insert(SimStop::CandidateBudget { bound });
-                covered = covered.saturating_add(e.saturating_add(p));
-                pruned += p;
-                emitted += e;
-            }
-            sched::UnitResult::Done(Err(e)) => return Err(e),
+            sched::UnitResult::Done(unit) => tally.add(&unit),
             sched::UnitResult::Poisoned { payload } => {
-                poisoned.push(LostUnit { unit: u, payload });
+                // The lost unit's counters died with it: re-measure its
+                // share without emitting anything, all of it unclassified.
+                let (lost, _) =
+                    space.judge(&[arch], units[u], 0, &mut RelArena::new(0), &mut |_| {});
+                tally.stats.remaining = tally
+                    .stats
+                    .remaining
+                    .saturating_add(lost.pruned.saturating_add(lost.remaining));
+                tally.poisoned.push(LostUnit { unit: u, payload });
             }
         }
     }
-    // Per-unit streams each stay under the bound individually; restore
-    // the whole-test semantics so outcomes do not depend on core count.
-    if emitted > opts.max_candidates as u128 {
-        stopped.get_or_insert(SimStop::CandidateBudget { bound: opts.max_candidates });
+    Ok(tally.outcome(acc, test, arch, opts))
+}
+
+/// Judges one rf range of `test` on the arena verdict engine into `acc`,
+/// stopping once the range has emitted more than `max_candidates`.
+fn judge_unit<A: Architecture + ?Sized>(
+    space: &TestSpace<'_>,
+    arch: &A,
+    opts: &EnumOptions,
+    range: (u128, u128),
+    acc: &mut Judgement,
+    arena: &mut RelArena,
+) -> (CheckedStats, usize) {
+    let max = opts.max_candidates as u128 + 1;
+    space.judge(&[arch], range, max, arena, &mut |vc| {
+        acc.tally(space.test, vc.verdicts[0], vc.final_regs, vc.final_mem);
+    })
+}
+
+/// The merged accounting of a simulation's units.
+#[derive(Default)]
+struct Tally {
+    stats: CheckedStats,
+    unpruned_locations: usize,
+    poisoned: Vec<LostUnit>,
+}
+
+impl Tally {
+    fn add(&mut self, (stats, unpruned): &(CheckedStats, usize)) {
+        self.stats.absorb(stats);
+        self.unpruned_locations = self.unpruned_locations.max(*unpruned);
     }
-    warn_unpruned(test, unpruned);
-    if stopped.is_none() && poisoned.is_empty() {
-        return Ok(acc.outcome(test, arch, covered, pruned));
+
+    /// The outcome: `candidates = emitted + pruned + remaining` counts the
+    /// whole space, and a tripped bound or a lost unit makes it partial.
+    fn outcome<A: Architecture + ?Sized>(
+        self,
+        acc: Judgement,
+        test: &LitmusTest,
+        arch: &A,
+        opts: &EnumOptions,
+    ) -> SimOutcome {
+        warn_unpruned(test, self.unpruned_locations);
+        let s = self.stats;
+        let bound = SimStop::CandidateBudget { bound: opts.max_candidates };
+        // Units each stop at the bound on their own; restore the
+        // whole-test meaning so outcomes do not depend on core count.
+        let stopped =
+            (s.stopped.is_some() || s.emitted > opts.max_candidates as u128).then_some(bound);
+        let space = s.emitted.saturating_add(s.pruned).saturating_add(s.remaining);
+        let mut out = acc.outcome(test, arch, space, s.pruned);
+        if stopped.is_some() || !self.poisoned.is_empty() {
+            out.partial =
+                Some(PartialSim { stopped, poisoned: self.poisoned, remaining: s.remaining });
+        }
+        out
     }
-    let space = candidates::count_candidates(test, opts)?;
-    let remaining = space.saturating_sub(covered);
-    let mut out = acc.outcome(test, arch, space, pruned);
-    out.partial = Some(PartialSim { stopped, poisoned, remaining });
-    Ok(out)
 }
 
 /// Simulates by *deciding outcomes* instead of enumerating witnesses: the
@@ -412,12 +429,6 @@ impl Judgement {
         let rels = ArchRelations::compute(arch, &c.exec);
         let v: Verdict = model::check_with(arch, &c.exec, &rels);
         self.tally(test, v, &c.final_regs, &c.final_mem);
-    }
-
-    /// Folds one arena-judged candidate (the verdict was already computed
-    /// in place by the streaming checker).
-    fn absorb_verdict(&mut self, test: &LitmusTest, vc: &VerdictCandidate<'_>) {
-        self.tally(test, vc.verdict, vc.final_regs, vc.final_mem);
     }
 
     fn tally(

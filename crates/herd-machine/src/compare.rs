@@ -73,7 +73,7 @@ impl ModelComparison {
 
 /// Streams the comparison of two models over one test's candidate space:
 /// one enumeration pass, both verdicts per candidate computed on shared
-/// arena relations ([`candidates::stream_multi_verdicts`]).
+/// arena relations ([`candidates::stream_verdicts`]).
 ///
 /// A candidate-budget trip does not discard the comparison: the report
 /// degrades to a partial one — every candidate compared before the cut
@@ -98,7 +98,7 @@ pub fn compare_models(
         only_b: BTreeSet::new(),
         uncompared: None,
     };
-    let streamed = candidates::stream_multi_verdicts(test, opts, &[a, b], &mut |mc| {
+    let streamed = candidates::stream_verdicts(test, opts, &[a, b], .., &mut |mc| {
         out.checked += 1;
         let (va, vb) = (mc.verdicts[0].allowed(), mc.verdicts[1].allowed());
         if va == vb {

@@ -17,7 +17,7 @@
 
 use crate::intermediate::Machine;
 use herd_core::model::Architecture;
-use herd_litmus::candidates::{enumerate, stream_arch_verdicts, CandidateError, EnumOptions};
+use herd_litmus::candidates::{enumerate, stream_verdicts, CandidateError, EnumOptions};
 use herd_litmus::program::LitmusTest;
 use herd_litmus::simulate::{eval_prop, eval_prop_parts};
 
@@ -50,8 +50,8 @@ pub fn verify_axiomatic(
 ) -> Result<VerifyOutcome, CandidateError> {
     let mut allowed = 0;
     let mut reachable = false;
-    let stats = stream_arch_verdicts(test, &EnumOptions::default(), arch, &mut |vc| {
-        if vc.verdict.allowed() {
+    let stats = stream_verdicts(test, &EnumOptions::default(), &[arch], .., &mut |vc| {
+        if vc.verdicts[0].allowed() {
             allowed += 1;
             reachable |= eval_prop_parts(&test.condition.prop, vc.final_regs, vc.final_mem);
         }

@@ -8,7 +8,7 @@
 //! queries — their verdicts must be indistinguishable from the
 //! enumerate-and-check reference, row by row.
 
-use herd_core::arch::{Arm, ArmVariant, Power, Sc, Tso};
+use herd_core::arch::{Arm, ArmVariant, CppRa, CppRaStrength, Power, Sc, Tso};
 use herd_hw::{arm_machines, campaign, power_machines, x86_machines};
 use herd_litmus::corpus;
 use herd_litmus::program::LitmusTest;
@@ -125,6 +125,23 @@ fn backend_model_log_matches_the_enumeration_reference() {
         }
         assert_eq!(backend, reference, "backend log differs under {}", model.name());
     }
+
+    // Past the frontier: C++RA, the only stock Frontier model, streams
+    // every candidate through the arena verdict engine instead.
+    let cpp_ra = CppRa::new(CppRaStrength::PaperStrong);
+    assert_eq!(cpp_ra.tractability(), Tractability::Frontier);
+    let streamed = herd_hw::model_log(&tests, &cpp_ra);
+    let mut reference = Log::default();
+    for t in &tests {
+        let states = enumerate(t, &EnumOptions::default())
+            .unwrap()
+            .iter()
+            .filter(|c| check(&cpp_ra, &c.exec).allowed())
+            .map(|c| (render_full_state(c), 0))
+            .collect();
+        reference.insert(&t.name, states);
+    }
+    assert_eq!(streamed, reference, "streamed log differs under {}", cpp_ra.name());
 }
 
 #[test]

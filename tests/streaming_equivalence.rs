@@ -248,18 +248,18 @@ fn erratum_silicon_keeps_hazard_candidates_under_pruning() {
 }
 
 /// The arena-backed verdict stream against the PR 3 engine, candidate by
-/// candidate across the whole corpus: [`stream_arch_verdicts`] judges
+/// candidate across the whole corpus: [`stream_verdicts`] judges
 /// each candidate in place (no owned `Execution`, relations in a reused
 /// arena) and must reproduce exactly the per-candidate verdicts of the
 /// owned path (`stream_arch` + `ArchRelations` + `check_with`), along
 /// with identical emitted/pruned accounting.
 ///
-/// [`stream_arch_verdicts`]: herd_litmus::candidates::stream_arch_verdicts
+/// [`stream_verdicts`]: herd_litmus::candidates::stream_verdicts
 #[test]
 fn arena_verdict_stream_matches_owned_candidate_stream_corpus_wide() {
     use herd_core::arch::{Arm, ArmVariant, Tso};
     use herd_core::model::{check_with, ArchRelations};
-    use herd_litmus::candidates::{stream_arch, stream_arch_verdicts};
+    use herd_litmus::candidates::{stream_arch, stream_verdicts};
     use herd_litmus::corpus;
 
     let opts = EnumOptions::default();
@@ -280,8 +280,10 @@ fn arena_verdict_stream_matches_owned_candidate_stream_corpus_wide() {
             .expect("corpus streams");
             // Arena engine: verdicts computed in place.
             let mut arena_side: Vec<String> = Vec::new();
-            let arena_stats = stream_arch_verdicts(&entry.test, &opts, arch.as_ref(), &mut |vc| {
-                arena_side.push(format!("{:?}|{:?}|{:?}", vc.verdict, vc.final_regs, vc.final_mem));
+            let models = [arch.as_ref()];
+            let arena_stats = stream_verdicts(&entry.test, &opts, &models, .., &mut |vc| {
+                arena_side
+                    .push(format!("{:?}|{:?}|{:?}", vc.verdicts[0], vc.final_regs, vc.final_mem));
             })
             .expect("corpus streams");
             owned.sort();
