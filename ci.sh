@@ -75,6 +75,9 @@
 #                                     reference
 #   8. cargo doc   --no-deps        — rustdoc, warnings denied
 #   9. cargo fmt   --check          — formatting (rustfmt.toml at root)
+#  10. cargo clippy -D warnings     — lints over every workspace target
+#                                     (libraries, tests, benches,
+#                                     examples), warnings denied
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -115,5 +118,6 @@ for workload in herd-sim scaled-sim log-judge; do
 done
 run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 run cargo fmt --check
+run cargo clippy --workspace --all-targets -- -D warnings
 
 echo "CI OK"

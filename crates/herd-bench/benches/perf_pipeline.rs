@@ -812,8 +812,9 @@ struct BatchRow {
     /// Uncached single-row decides over the distinct rows: the cold unit
     /// of work a cache miss pays.
     cold_ns: u128,
-    /// Warm `judge_log_cached` pass over the whole log (all hits): parse
-    /// + fingerprint + shard probe per row.
+    /// Warm `judge_log_cached` pass over the whole log (all hits): one
+    /// canonical-row scan, one fingerprint and one shard probe per row
+    /// (no parsing).
     warm_ns: u128,
     /// `BatchStats` of the batch call, plus the cache counters after the
     /// warm pass.
@@ -877,7 +878,7 @@ fn bench_batch(
         best_of(reps, || herd_hw::judge_log_cached(test, arch, &log, &cache).expect("warm judges"));
     assert_eq!(warm, verdicts, "{name}: a warm hit changed a verdict");
     let cs = cache.stats();
-    assert_eq!(cs.len as usize, distinct.len(), "{name}: one cache entry per distinct row");
+    assert_eq!(cs.len, distinct.len(), "{name}: one cache entry per distinct row");
     BatchRow {
         name: name.to_owned(),
         arch: arch.name().to_owned(),

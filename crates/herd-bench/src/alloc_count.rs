@@ -6,15 +6,28 @@
 //! installing [`CountingAllocator`] as the global allocator and reading
 //! [`allocation_count`] around the hot loop. Behind the `alloc-count`
 //! feature because a counting allocator taxes every build that links it.
+//!
+//! The count is per thread: a test measures only the allocations of the
+//! code it runs, never those of the test harness's other threads.
 
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocation events on this thread. Const-initialised with no
+    /// destructor: no lazy set-up and no teardown, so touching it from
+    /// inside the allocator can neither allocate nor fail.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
-/// The system allocator with an allocation-event counter in front.
+fn count_one() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
+
+/// The system allocator with a per-thread allocation-event counter in
+/// front.
 ///
 /// Counts `alloc`, `alloc_zeroed` and `realloc` calls (frees are not
 /// counted: the contract under test is "no new memory per candidate").
@@ -31,12 +44,12 @@ pub struct CountingAllocator;
 // contract; the counter is a side effect with no aliasing implications.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc_zeroed(layout) }
     }
 
@@ -45,12 +58,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
-/// Allocation events since process start (monotone).
+/// Allocation events on the calling thread since it started (monotone).
 pub fn allocation_count() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }

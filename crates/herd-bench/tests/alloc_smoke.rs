@@ -9,26 +9,31 @@
 //! machinery all live in reused storage. A counting global allocator
 //! turns that claim into an assert on the `iriw+2w` family.
 //!
+//! The same instrument pins the verdict cache's warm path: keying a
+//! canonical log row ([`row_fingerprint`]) allocates nothing.
+//!
+//! The counter is per thread, and every check below runs on the test's
+//! own thread, so other harness threads cannot disturb a count.
+//!
 //! [`RelArena`]: herd_core::arena::RelArena
+//! [`row_fingerprint`]: herd_litmus::decide::row_fingerprint
 #![cfg(feature = "alloc-count")]
 
 use herd_bench::alloc_count::{allocation_count, CountingAllocator};
 use herd_bench::iriw_scaled;
-use herd_core::arch::Power;
+use herd_core::arch::{Arm, ArmVariant, Power, Tso};
 use herd_core::arena::RelArena;
-use std::sync::Mutex;
+use herd_core::model::Architecture;
+use herd_litmus::candidates::EnumOptions;
+use herd_litmus::corpus;
+use herd_litmus::decide::{query_fingerprint, row_fingerprint};
+use herd_litmus::program::LitmusTest;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-/// The counting allocator is process-global, so the two tests must not
-/// run on parallel harness threads: one test's warm-up allocations would
-/// show up in the other's per-candidate deltas.
-static SERIAL: Mutex<()> = Mutex::new(());
-
 #[test]
 fn iriw_2w_steady_state_allocates_zero_per_candidate() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let sk = iriw_scaled(2);
     let power = Power::new();
     let mut arena = RelArena::new(0);
@@ -68,7 +73,6 @@ fn iriw_2w_steady_state_allocates_zero_per_candidate() {
 /// all (every buffer, menu and arena slot is reused).
 #[test]
 fn second_pass_over_iriw_2w_allocates_nothing_in_the_arena() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let sk = iriw_scaled(2);
     let power = Power::new();
     let mut arena = RelArena::new(0);
@@ -80,4 +84,48 @@ fn second_pass_over_iriw_2w_allocates_nothing_in_the_arena() {
         high_water,
         "second pass grew the arena past the first pass's high-water mark"
     );
+}
+
+/// Every row the workspace's own logs hold — the model logs of the
+/// shipped Power, ARM and x86 corpora and one hardware campaign — is
+/// keyed without a single allocation, i.e. on the canonical byte path.
+#[test]
+fn log_rows_are_keyed_without_allocating() {
+    let base = query_fingerprint(
+        &corpus::co_rr(herd_litmus::isa::Isa::Arm),
+        "ARM",
+        &EnumOptions::default(),
+    );
+    let power = Power::new();
+    let arm = Arm::new(ArmVariant::Proposed);
+    let mut rows: Vec<String> = Vec::new();
+    for (tests, model) in [
+        (corpus::power_corpus(), &power as &dyn Architecture),
+        (corpus::arm_corpus(), &arm),
+        (corpus::x86_corpus(), &Tso),
+    ] {
+        let tests: Vec<LitmusTest> = tests.into_iter().map(|e| e.test).collect();
+        for entry in herd_hw::model_log(&tests, model).entries.into_values() {
+            rows.extend(entry.states.into_keys());
+        }
+    }
+    let tests: Vec<LitmusTest> = corpus::arm_corpus().into_iter().map(|e| e.test).collect();
+    let machines = herd_hw::arm_machines();
+    let tegra3 = machines.iter().find(|m| m.name == "Tegra3").expect("Tegra3 is modelled");
+    for entry in herd_hw::hardware_log(&tests, tegra3, 1_000_000, 7).entries.into_values() {
+        rows.extend(entry.states.into_keys());
+    }
+    assert!(rows.len() > 500, "the logs hold a meaningful number of rows: {}", rows.len());
+
+    for row in &rows {
+        let before = allocation_count();
+        let key = row_fingerprint(base, row);
+        let after = allocation_count();
+        assert!(key.is_ok(), "{row:?}");
+        assert_eq!(after, before, "keying {row:?} allocated: it missed the byte path");
+    }
+    // The instrument sees the parse path: a reordered row allocates.
+    let before = allocation_count();
+    assert!(row_fingerprint(base, "1:r2=0; 0:r1=1").is_ok());
+    assert!(allocation_count() > before, "the parse path went uncounted");
 }

@@ -9,6 +9,13 @@
 //! [`herd_core::fingerprint`], so a warm re-query is one hash and one
 //! shard probe instead of a fresh consistency decision.
 //!
+//! The callers build the keys; this crate never sees a test or a model.
+//! A verdict key names the test by its structure, the model by what it
+//! is (`Architecture::identity`, not its display name) and the state
+//! row by its canonical bytes — `herd_litmus::decide::row_fingerprint`
+//! hashes a canonical row as it stands, so a warm log row is one byte
+//! scan, one hash and one probe, with no parsing.
+//!
 //! Design:
 //!
 //! - **Content-addressed.** The 128-bit [`Fingerprint`] *is* the key;
@@ -359,7 +366,7 @@ mod tests {
         let mut i = 0;
         while same.len() < 3 {
             let k = key(i);
-            if (k.lo() as usize) % SHARDS == 0 {
+            if (k.lo() as usize).is_multiple_of(SHARDS) {
                 same.push(k);
             }
             i += 1;

@@ -18,6 +18,7 @@
 use crate::arena::{RelArena, RelId};
 use crate::event::{Dir, Fence};
 use crate::exec::{ExecCore, ExecFrame, Execution};
+use crate::fingerprint::FpHasher;
 use crate::model::{Architecture, ArenaArchRels, Tractability};
 use crate::ppo::{self, PpoConfig, PpoEnvelope};
 use crate::relation::Relation;
@@ -140,6 +141,12 @@ impl Architecture for Arm {
             ArmVariant::Proposed => "ARM",
             ArmVariant::ProposedLlh => "ARM-llh",
         }
+    }
+
+    /// The name fixes the variant but not the `.st` fence semantics.
+    fn identity(&self, h: &mut FpHasher) {
+        h.write_str(self.name());
+        h.write_bool(self.st_fences_lightweight);
     }
 
     fn ppo(&self, x: &Execution) -> Relation {

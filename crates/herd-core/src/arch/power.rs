@@ -14,6 +14,7 @@
 use crate::arena::{RelArena, RelId};
 use crate::event::{Dir, Fence};
 use crate::exec::{ExecCore, ExecFrame, Execution};
+use crate::fingerprint::FpHasher;
 use crate::model::{Architecture, ArenaArchRels, Tractability};
 use crate::ppo::{self, PpoConfig, PpoEnvelope};
 use crate::relation::Relation;
@@ -93,6 +94,15 @@ impl Architecture for Power {
             "Power"
         } else {
             "Power-static-ppo"
+        }
+    }
+
+    /// The name covers only `rdw_in_ii0`; every ppo flag is hashed.
+    fn identity(&self, h: &mut FpHasher) {
+        h.write_str(self.name());
+        let c = &self.ppo_cfg;
+        for flag in [c.po_loc_in_cc0, c.rdw_in_ii0, c.detour_in_ci0, c.ctrl_cfence_in_ci0] {
+            h.write_bool(flag);
         }
     }
 

@@ -1392,7 +1392,7 @@ impl HeapPerm {
     pub fn advance(&mut self) -> bool {
         while self.i < self.arr.len() {
             if self.c[self.i] < self.i {
-                if self.i % 2 == 0 {
+                if self.i.is_multiple_of(2) {
                     self.arr.swap(0, self.i);
                 } else {
                     self.arr.swap(self.c[self.i], self.i);
@@ -1717,7 +1717,7 @@ mod tests {
 
         let mut it = sk.stream_pruned();
         let kept: Vec<Execution> = it.by_ref().collect();
-        assert!(kept.iter().all(|x| sc_per_location(x)));
+        assert!(kept.iter().all(sc_per_location));
         assert_eq!(kept.len(), ok_eager, "pruning keeps exactly the uniproc-consistent ones");
         assert_eq!(it.emitted() + it.pruned(), total, "pruned + emitted == candidate_count");
         assert!(it.pruned() > 0, "this skeleton must actually prune");
@@ -1730,8 +1730,8 @@ mod tests {
         let mut b = SkeletonBuilder::new();
         let names: Vec<String> = (0..threads).map(|i| format!("x{i}")).collect();
         let mut reads = Vec::new();
-        for t in 0..threads {
-            reads.push(b.read(t as u16, &names[t]));
+        for (t, name) in names.iter().enumerate() {
+            reads.push(b.read(t as u16, name));
         }
         for t in 0..threads {
             let w = b.write(t as u16, &names[(t + 1) % threads], 1);

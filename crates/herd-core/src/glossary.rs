@@ -207,8 +207,8 @@
 //! | term | meaning | where |
 //! |---|---|---|
 //! | fingerprint | a deterministic 128-bit FNV-1a structural hash over a byte-tagged encoding; equal inputs hash equal across runs and platforms, so a fingerprint is a stable *content address* for a question | [`crate::fingerprint::Fingerprint`], [`crate::fingerprint::FpHasher`] |
-//! | query fingerprint | the address of a question's invariant part — test source, model name, enumeration options — hashed once per log, not once per row | `herd_litmus::decide::query_fingerprint` |
-//! | outcome fingerprint | the query fingerprint extended with one parsed outcome: the full content address of a single verdict | `herd_litmus::decide::outcome_fingerprint` |
+//! | query fingerprint | the address of a question's invariant part — the test's structure (ISA, name, code, initial state, condition, hashed in place without printing the test), the model, enumeration options — hashed once per log, not once per row. Every cached path keys the model by its identity: its name plus whatever configuration the name does not fix | `herd_litmus::decide::query_fingerprint`, [`crate::model::Architecture::identity`] |
+//! | outcome fingerprint | the query fingerprint extended with one state row's canonical bytes (`0:r1=1; x=2`, as `render_state_row` prints it): the full content address of a single verdict. A row already canonical is hashed as it stands, after one allocation-free scan; any other row is parsed and re-rendered first | `herd_litmus::decide::outcome_fingerprint`, `herd_litmus::decide::row_fingerprint` |
 //! | batch judging | `decide_log` parses every row up front, groups rows by their screened rf class, and answers each class with one backend walk — co placements launched once per class, not once per row | `herd_litmus::decide::decide_log`, `herd_hw::judge_entries` |
 //! | batch stats | the accounting of a batch: rows in, distinct classes walked, co saturations launched, rows answered by another row's work (`reused`) | `herd_litmus::decide::BatchStats` |
 //! | verdict cache | a sharded, bounded LRU keyed by outcome fingerprint; a warm `mcompare` pass over an unchanged log is pure lookups | the `herd-cache` crate, `herd_hw::judge_log_cached` |

@@ -17,6 +17,7 @@
 use crate::arena::{RelArena, RelId};
 use crate::event::Dir;
 use crate::exec::{ExecCore, ExecFrame, Execution};
+use crate::fingerprint::FpHasher;
 use crate::ppo::PpoEnvelope;
 use crate::relation::Relation;
 use std::fmt;
@@ -84,6 +85,21 @@ pub enum Tractability {
 pub trait Architecture {
     /// Human-readable architecture name (e.g. `"Power"`).
     fn name(&self) -> &str;
+
+    /// Feeds what this model *is* to a cache key: everything that can
+    /// change a verdict. Memoised answers (`herd-hw`'s verdict and
+    /// model-log caches, `herd-litmus`'s corpus cache, `herd-machine`'s
+    /// reachability cache) are keyed by it, so two models may share a
+    /// cached verdict only when their identities hash equal.
+    ///
+    /// The default hashes [`Architecture::name`], which is right when
+    /// the name fixes the configuration. A model whose configuration
+    /// the name does not fix (a named silicon part with errata, a
+    /// variant with an option) must override it and hash that
+    /// configuration too.
+    fn identity(&self, h: &mut FpHasher) {
+        h.write_str(self.name());
+    }
 
     /// The preserved program order for this execution.
     fn ppo(&self, x: &Execution) -> Relation;
@@ -256,6 +272,9 @@ pub trait Architecture {
 impl<A: Architecture + ?Sized> Architecture for &A {
     fn name(&self) -> &str {
         (**self).name()
+    }
+    fn identity(&self, h: &mut FpHasher) {
+        (**self).identity(h)
     }
     fn ppo(&self, x: &Execution) -> Relation {
         (**self).ppo(x)

@@ -53,7 +53,7 @@ impl Relation {
     pub fn full(n: usize) -> Self {
         let wpr = words_for(n);
         let mut bits = vec![!0u64; n * wpr];
-        if n % 64 != 0 && wpr > 0 {
+        if !n.is_multiple_of(64) && wpr > 0 {
             let tail = (1u64 << (n % 64)) - 1;
             for row in 0..n {
                 bits[row * wpr + wpr - 1] = tail;

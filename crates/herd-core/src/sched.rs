@@ -532,7 +532,7 @@ where
     }
     let workers = workers.min(units);
     let next = AtomicUsize::new(0);
-    let done: Vec<(S, Vec<(usize, UnitResult<R>)>)> = std::thread::scope(|scope| {
+    let done: Vec<_> = std::thread::scope(|scope| {
         let (next, init, repair, guarded) = (&next, &init, &repair, &guarded);
         let handles: Vec<_> = (0..workers)
             .map(|w| {

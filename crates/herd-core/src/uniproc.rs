@@ -636,7 +636,7 @@ mod tests {
             assert!(g.is_uniproc_in(&in_po, &rf, &mut scratch));
             assert!(!g.is_uniproc_in(&against, &rf, &mut scratch));
         }
-        assert_eq!(g.is_uniproc(&in_po, &rf), true);
-        assert_eq!(g.is_uniproc(&against, &rf), false);
+        assert!(g.is_uniproc(&in_po, &rf));
+        assert!(!g.is_uniproc(&against, &rf));
     }
 }

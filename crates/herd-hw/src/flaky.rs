@@ -88,7 +88,7 @@ impl<'m> FlakyMachine<'m> {
             return None;
         }
         let h = self.mix(test_name);
-        if h % self.flaky_one_in != 0 {
+        if !h.is_multiple_of(self.flaky_one_in) {
             return None;
         }
         // The flake kind alternates per attempt so both recovery paths

@@ -206,17 +206,16 @@ pub fn model_log(
 /// allowed-state set is looked up in (and on a miss, computed into) the
 /// content-addressed `cache`, so re-judging a corpus a second time — the
 /// normal shape of the Sec 11 data-mining loop — is one fingerprint and
-/// one shard probe per test.
+/// one shard probe per test. The key holds the test's structure and the
+/// model's [`identity`](herd_core::model::Architecture::identity).
 pub fn model_log_cached(
     tests: &[herd_litmus::program::LitmusTest],
     model: &dyn herd_core::model::Architecture,
     cache: &ModelLogCache,
 ) -> Log {
-    use herd_litmus::candidates::EnumOptions;
-    use herd_litmus::decide::query_fingerprint;
     let mut log = Log::default();
     for t in tests {
-        let key = query_fingerprint(t, model.name(), &EnumOptions::default());
+        let key = query_key(t, model);
         let states = cache.get_or_insert_with(key, || {
             let one = model_log(std::slice::from_ref(t), model);
             one.entries.get(&t.name).map(|e| e.states.clone()).unwrap_or_default()
@@ -229,6 +228,21 @@ pub fn model_log_cached(
 /// A content-addressed store of model-log state sets, keyed by
 /// `(test, model, opts)` fingerprints — see [`model_log_cached`].
 pub type ModelLogCache = herd_cache::ShardedLru<BTreeMap<String, u64>>;
+
+/// The `(test, model, opts)` key every cache here starts from: the
+/// structural query fingerprint extended with the model's identity, so
+/// a model is keyed by what it is, not by what it is called.
+fn query_key(
+    test: &herd_litmus::program::LitmusTest,
+    model: &dyn herd_core::model::Architecture,
+) -> herd_core::fingerprint::Fingerprint {
+    use herd_litmus::candidates::EnumOptions;
+    let base = herd_litmus::decide::query_fingerprint(test, model.name(), &EnumOptions::default());
+    let mut h = herd_core::fingerprint::FpHasher::from(base);
+    h.tag("identity");
+    model.identity(&mut h);
+    h.finish()
+}
 
 /// A content-addressed store of per-row verdicts, keyed by
 /// `(test, model, opts, state row)` fingerprints — see
@@ -281,8 +295,10 @@ pub fn judge_entries<S: AsRef<str>>(
 }
 
 /// The memoised variant of [`judge_entry`]: the verdict is stored in the
-/// content-addressed `cache` under the `(test, model, opts, row)`
-/// fingerprint, so a warm re-query never re-runs the decision.
+/// content-addressed `cache` under the `(test, model identity, opts,
+/// row)` fingerprint, so a warm re-query never re-runs the decision. A
+/// canonical row is keyed by its bytes and parsed only on a miss
+/// ([`herd_litmus::decide::row_fingerprint`]).
 ///
 /// # Errors
 ///
@@ -293,11 +309,7 @@ pub fn judge_entry_cached(
     state: &str,
     cache: &VerdictCache,
 ) -> Result<bool, String> {
-    use herd_litmus::candidates::EnumOptions;
-    use herd_litmus::decide::{outcome_fingerprint, query_fingerprint, Outcome};
-    let outcome = Outcome::from_state_row(state)?;
-    let base = query_fingerprint(test, model.name(), &EnumOptions::default());
-    let key = outcome_fingerprint(base, &outcome);
+    let key = herd_litmus::decide::row_fingerprint(query_key(test, model), state)?;
     if let Some(v) = cache.get(key) {
         return Ok(v);
     }
@@ -307,13 +319,14 @@ pub fn judge_entry_cached(
 }
 
 /// The batched, memoised form of [`judge_entry`] — the Sec 11 `mcompare`
-/// inner loop at full speed. The query fingerprint is computed once per
-/// call (not once per row), every row is probed in the content-addressed
-/// `cache`, and the misses are decided *together* through
-/// [`herd_litmus::decide::decide_log`]'s class grouping before being
-/// cached. A warm re-query is one parse, one row fingerprint and one
-/// shard probe per row; a cold million-row log costs one saturation per
-/// distinct rf class.
+/// inner loop at full speed. The query key (test structure plus model
+/// identity) is computed once per call, not once per row; every row is
+/// probed in the content-addressed `cache`, and the misses are parsed
+/// and decided *together* through [`herd_litmus::decide::decide_log`]'s
+/// class grouping before being cached. A warm re-query of a canonical
+/// row is one byte scan, one hash and one shard probe
+/// ([`herd_litmus::decide::row_fingerprint`]); a cold million-row log
+/// costs one saturation per distinct rf class.
 ///
 /// # Errors
 ///
@@ -326,32 +339,31 @@ pub fn judge_log_cached<S: AsRef<str>>(
     cache: &VerdictCache,
 ) -> Result<Vec<bool>, String> {
     use herd_litmus::candidates::EnumOptions;
-    use herd_litmus::decide::{decide_log, outcome_fingerprint, query_fingerprint, Outcome};
-    let base = query_fingerprint(test, model.name(), &EnumOptions::default());
-    let mut verdicts: Vec<Option<bool>> = Vec::with_capacity(states.len());
-    let mut keys = Vec::with_capacity(states.len());
+    use herd_litmus::decide::{decide_log, row_fingerprint, Outcome};
+    let base = query_key(test, model);
+    let mut verdicts = Vec::with_capacity(states.len());
+    // Rows the cache lacks: their index and key.
     let mut missing = Vec::new();
-    let mut rows = Vec::new();
     for (i, s) in states.iter().enumerate() {
-        let outcome = Outcome::from_state_row(s.as_ref())?;
-        let key = outcome_fingerprint(base, &outcome);
-        let hit = cache.get(key);
-        if hit.is_none() {
-            missing.push(i);
-            rows.push(outcome);
-        }
-        keys.push(key);
-        verdicts.push(hit);
+        let key = row_fingerprint(base, s.as_ref())?;
+        verdicts.push(cache.get(key).unwrap_or_else(|| {
+            missing.push((i, key));
+            false
+        }));
     }
     if !missing.is_empty() {
+        let rows: Vec<Outcome> = missing
+            .iter()
+            .map(|&(i, _)| Outcome::from_state_row(states[i].as_ref()))
+            .collect::<Result<_, String>>()?;
         let batch =
             decide_log(test, model, &EnumOptions::default(), &rows).map_err(|e| e.to_string())?;
-        for (&i, &v) in missing.iter().zip(&batch.verdicts) {
-            cache.insert(keys[i], v);
-            verdicts[i] = Some(v);
+        for (&(i, key), &v) in missing.iter().zip(&batch.verdicts) {
+            cache.insert(key, v);
+            verdicts[i] = v;
         }
     }
-    Ok(verdicts.into_iter().map(|v| v.expect("every row hit or was decided")).collect())
+    Ok(verdicts)
 }
 
 /// Builds the hardware-side log by running each test on a machine.

@@ -20,6 +20,7 @@
 use herd_core::arch::{prop_power_arm, Arm, ArmVariant, Power};
 use herd_core::event::{Dir, Fence};
 use herd_core::exec::Execution;
+use herd_core::fingerprint::FpHasher;
 use herd_core::model::Architecture;
 use herd_core::ppo::{self, PpoConfig};
 use herd_core::relation::Relation;
@@ -95,6 +96,18 @@ impl ArmSilicon {
 impl Architecture for ArmSilicon {
     fn name(&self) -> &str {
         &self.name
+    }
+
+    /// A part is named by its vendor, so the errata are hashed too: a
+    /// part called `"ARM"` never shares cached verdicts with the stock
+    /// ARM model.
+    fn identity(&self, h: &mut FpHasher) {
+        h.write_str("ARM-silicon");
+        h.write_str(&self.name);
+        let e = self.errata;
+        for flag in [e.load_load_hazards, e.early_commit, e.isb_defeat] {
+            h.write_bool(flag);
+        }
     }
 
     fn ppo(&self, x: &Execution) -> Relation {

@@ -464,11 +464,12 @@ fn class_fingerprint(menus: &[Vec<usize>], mem: &BTreeMap<String, i64>) -> Finge
 /// Stable content key of one `(test, model, opts)` query context — the
 /// base the per-row verdict keys of [`outcome_fingerprint`] extend, and
 /// the key `herd-cache` stores model logs and reachability verdicts
-/// under.
+/// under. The test enters by structure (ISA, name, code, initial state,
+/// condition), hashed in place without rendering it.
 pub fn query_fingerprint(test: &LitmusTest, model_name: &str, opts: &EnumOptions) -> Fingerprint {
-    let mut h = FpHasher::new("query/v1");
+    let mut h = FpHasher::new("query/v2");
     h.tag("test");
-    h.write_str(&test.to_string());
+    hash_test(&mut h, test);
     h.tag("model");
     h.write_str(model_name);
     h.tag("opts");
@@ -477,13 +478,267 @@ pub fn query_fingerprint(test: &LitmusTest, model_name: &str, opts: &EnumOptions
     h.finish()
 }
 
+/// Feeds a test's structure to `h` as fixed-width integers and
+/// length-prefixed strings: no allocation, and the same stream on every
+/// platform. Each instruction (with its address operand) and each
+/// proposition node is one word whose low byte names its kind, with its
+/// registers packed above; strings and immediates follow where the kind
+/// says so. Counts prefix every list, so the stream is unambiguous
+/// without per-field tags.
+fn hash_test(h: &mut FpHasher, test: &LitmusTest) {
+    use crate::isa::{Addr, BranchCond, Instr};
+    use crate::program::{CondVal, Prop, Quantifier};
+    /// Writes `fields` packed into one word, `fields[0]` lowest.
+    fn word(h: &mut FpHasher, fields: &[u8]) {
+        h.write_u64(fields.iter().rev().fold(0, |w, &f| w << 8 | u64::from(f)));
+    }
+    /// An instruction word with its address operand: `[kind, reg,
+    /// address kind, address registers]`, then a direct address's name.
+    fn access(h: &mut FpHasher, kind: u8, reg: Reg, a: &Addr) {
+        match a {
+            Addr::Reg(r) => word(h, &[kind, reg.0, 1, r.0]),
+            Addr::Indexed { base, index } => word(h, &[kind, reg.0, 2, base.0, index.0]),
+            Addr::Direct(l) => {
+                word(h, &[kind, reg.0, 3]);
+                h.write_str(l);
+            }
+        }
+    }
+    fn prop(h: &mut FpHasher, p: &Prop) {
+        match p {
+            Prop::RegEq { tid, reg, val } => {
+                let [lo, hi] = tid.to_le_bytes();
+                word(h, &[1, lo, hi, reg.0]);
+                match val {
+                    CondVal::Int(v) => h.write_i64(*v),
+                    CondVal::Loc(l) => h.write_str(l),
+                }
+            }
+            Prop::MemEq { loc, val } => {
+                word(h, &[2]);
+                h.write_str(loc);
+                h.write_i64(*val);
+            }
+            Prop::Not(a) => {
+                word(h, &[3]);
+                prop(h, a);
+            }
+            Prop::And(a, b) | Prop::Or(a, b) => {
+                word(h, &[if matches!(p, Prop::And(..)) { 4 } else { 5 }]);
+                prop(h, a);
+                prop(h, b);
+            }
+            Prop::True => word(h, &[6]),
+        }
+    }
+
+    h.write_str(test.isa.header_name());
+    h.write_str(&test.name);
+    h.write_len(test.threads.len());
+    for code in &test.threads {
+        h.write_len(code.len());
+        for i in code {
+            match i {
+                Instr::Load { dst, addr } => access(h, 1, *dst, addr),
+                Instr::Store { src, addr } => access(h, 2, *src, addr),
+                Instr::StoreImm { val, addr } => {
+                    access(h, 3, Reg(0), addr);
+                    h.write_i64(*val);
+                }
+                Instr::MoveImm { dst, val } => {
+                    word(h, &[4, dst.0]);
+                    h.write_i64(*val);
+                }
+                Instr::Move { dst, src } => word(h, &[5, dst.0, src.0]),
+                Instr::Xor { dst, a, b } => word(h, &[6, dst.0, a.0, b.0]),
+                Instr::Add { dst, a, b } => word(h, &[7, dst.0, a.0, b.0]),
+                Instr::CmpImm { src, val } => {
+                    word(h, &[8, src.0]);
+                    h.write_i64(*val);
+                }
+                Instr::CmpReg { a, b } => word(h, &[9, a.0, b.0]),
+                Instr::Branch { cond, label } => {
+                    let cond = match cond {
+                        BranchCond::Eq => 0,
+                        BranchCond::Ne => 1,
+                        BranchCond::Always => 2,
+                    };
+                    word(h, &[10, cond]);
+                    h.write_str(label);
+                }
+                Instr::Label(l) => {
+                    word(h, &[11]);
+                    h.write_str(l);
+                }
+                Instr::Fence(f) => {
+                    word(h, &[12]);
+                    h.write_str(f.mnemonic());
+                }
+            }
+        }
+    }
+    h.write_len(test.reg_init.len());
+    for (&(tid, reg), v) in &test.reg_init {
+        let [lo, hi] = tid.to_le_bytes();
+        word(h, &[lo, hi, reg.0]);
+        match v {
+            InitVal::Int(n) => h.write_i64(*n),
+            InitVal::Loc(l) => h.write_str(l),
+        }
+    }
+    h.write_len(test.mem_init.len());
+    for (loc, &v) in &test.mem_init {
+        h.write_str(loc);
+        h.write_i64(v);
+    }
+    word(
+        h,
+        &[match test.condition.quantifier {
+            Quantifier::Exists => 0,
+            Quantifier::NotExists => 1,
+            Quantifier::Forall => 2,
+        }],
+    );
+    prop(h, &test.condition.prop);
+}
+
 /// Extends a query key with one outcome row: the content key of a single
 /// cached verdict.
 pub fn outcome_fingerprint(base: Fingerprint, outcome: &Outcome) -> Fingerprint {
+    row_key(base, &render_state_row(&outcome.regs, &outcome.mem))
+}
+
+/// The verdict key of one raw state row, equal to
+/// `outcome_fingerprint(base, &Outcome::from_state_row(row)?)` — the key
+/// `herd-hw`'s cached judging probes with.
+///
+/// A row already in canonical form — byte for byte what
+/// [`render_state_row`] prints, e.g. `0:r1=1; 0:r10=2; x=3` — is
+/// recognised in one pass without allocating, and its bytes are hashed
+/// as they stand. Canonical means: pieces separated by `; `; registers
+/// first, in numeric `(thread, register)` order; then locations, in
+/// name order; values in canonical decimal; no key twice. Every other
+/// row, malformed ones included, is parsed and re-rendered.
+///
+/// # Errors
+///
+/// As [`Outcome::from_state_row`], with the same message.
+pub fn row_fingerprint(base: Fingerprint, row: &str) -> Result<Fingerprint, String> {
+    if is_canonical_row(row) {
+        Ok(row_key(base, row))
+    } else {
+        Outcome::from_state_row(row).map(|o| outcome_fingerprint(base, &o))
+    }
+}
+
+/// The row part of a verdict key: `rendered` must be a
+/// [`render_state_row`] output.
+fn row_key(base: Fingerprint, rendered: &str) -> Fingerprint {
     let mut h = FpHasher::from(base);
     h.tag("row");
-    h.write_str(&render_state_row(&outcome.regs, &outcome.mem));
+    h.write_str(rendered);
     h.finish()
+}
+
+/// Would [`render_state_row`] print `row` back verbatim from the outcome
+/// [`Outcome::from_state_row`] parses out of it? One pass over the
+/// bytes, no allocation. Conservative: names must start with an ASCII
+/// letter or `_` and hold no whitespace, `;`, `:` or `=`, and a number
+/// past `i64` counts as not canonical — a `false` only costs the parse.
+fn is_canonical_row(row: &str) -> bool {
+    let b = row.as_bytes();
+    if b.is_empty() {
+        return true;
+    }
+    let mut at = 0;
+    let mut last_reg: Option<(u64, u64)> = None;
+    let mut last_loc: Option<&[u8]> = None;
+    loop {
+        if b.get(at).is_some_and(u8::is_ascii_digit) {
+            // `T:rN=v`, after every earlier register and before any
+            // location; `v` is an integer or an address name.
+            let Some((tid, end)) = scan_magnitude(b, at) else { return false };
+            if !b[end..].starts_with(b":r") {
+                return false;
+            }
+            let Some((reg, end)) = scan_magnitude(b, end + 2) else { return false };
+            let key = (tid, reg);
+            if tid > u64::from(u16::MAX)
+                || reg > u64::from(u8::MAX)
+                || b.get(end) != Some(&b'=')
+                || last_loc.is_some()
+                || last_reg.is_some_and(|prev| prev >= key)
+            {
+                return false;
+            }
+            match scan_i64(b, end + 1).or_else(|| scan_name(b, end + 1)) {
+                Some(end) => at = end,
+                None => return false,
+            }
+            last_reg = Some(key);
+        } else {
+            // `x=v`, after every earlier location; `v` is an integer.
+            let Some(end) = scan_name(b, at) else { return false };
+            let loc = &b[at..end];
+            if b.get(end) != Some(&b'=') || last_loc.is_some_and(|prev| prev >= loc) {
+                return false;
+            }
+            match scan_i64(b, end + 1) {
+                Some(end) => at = end,
+                None => return false,
+            }
+            last_loc = Some(loc);
+        }
+        if at == b.len() {
+            return true;
+        }
+        if !b[at..].starts_with(b"; ") {
+            return false;
+        }
+        at += 2;
+    }
+}
+
+/// The decimal at `b[at..]`, without sign or leading zeros, if it fits
+/// `u64`: its value and the index past it.
+fn scan_magnitude(b: &[u8], at: usize) -> Option<(u64, usize)> {
+    let mut end = at;
+    let mut n = 0u64;
+    while let Some(&c) = b.get(end).filter(|c| c.is_ascii_digit()) {
+        n = n.checked_mul(10)?.checked_add(u64::from(c - b'0'))?;
+        end += 1;
+    }
+    if end == at || (b[at] == b'0' && end > at + 1) {
+        return None;
+    }
+    Some((n, end))
+}
+
+/// An integer at `b[at..]` exactly as `i64::to_string` prints it: the
+/// index past it.
+fn scan_i64(b: &[u8], at: usize) -> Option<usize> {
+    if b.get(at) == Some(&b'-') {
+        let (n, end) = scan_magnitude(b, at + 1)?;
+        (n != 0 && n <= 1 << 63).then_some(end)
+    } else {
+        let (n, end) = scan_magnitude(b, at)?;
+        (n <= i64::MAX as u64).then_some(end)
+    }
+}
+
+/// A location or address name at `b[at..]` that the parser keeps
+/// verbatim — it cannot parse as an integer, survives trimming and
+/// cannot be split apart: the index past it.
+fn scan_name(b: &[u8], at: usize) -> Option<usize> {
+    let first = *b.get(at)?;
+    if !(first.is_ascii_alphabetic() || first == b'_') {
+        return None;
+    }
+    let mut end = at + 1;
+    while b.get(end).is_some_and(|&c| c.is_ascii_graphic() && !matches!(c, b';' | b':' | b'=')) {
+        end += 1;
+    }
+    Some(end)
 }
 
 /// Static register screening of one combination: `None` when the path's
@@ -587,6 +842,9 @@ fn last_write_menus(
     Some((constrained, menus))
 }
 
+/// A consumer of full final states: the register file and the memory.
+type StateSink<'a> = dyn FnMut(&BTreeMap<(u16, Reg), RegFinal>, &BTreeMap<String, i64>) + 'a;
+
 /// Feeds every distinct allowed *full* outcome of `test` under `arch` to
 /// `emit`: the complete final register file plus one value per location —
 /// the states an `herd-hw` model log lists. Each distinct outcome is
@@ -601,7 +859,7 @@ pub fn allowed_full_outcomes<A: Architecture + ?Sized>(
     arch: &A,
     opts: &EnumOptions,
     stats: &mut QueryStats,
-    emit: &mut dyn FnMut(&BTreeMap<(u16, Reg), RegFinal>, &BTreeMap<String, i64>),
+    emit: &mut StateSink<'_>,
 ) -> Result<(), CandidateError> {
     let locs = LocTable::for_test(test);
     let loc_map = locs.as_map();
@@ -916,6 +1174,113 @@ mod tests {
         let k1 = outcome_fingerprint(base, &row);
         assert_eq!(k1, outcome_fingerprint(base, &row));
         assert_ne!(k1, outcome_fingerprint(base, &outcome("0:r1=1; 1:r1=0")));
+    }
+
+    /// Row keys equal the parse path's keys, and exactly the rows the
+    /// renderer could have printed take the byte path.
+    #[test]
+    fn row_keys_match_the_parse_path() {
+        let base = query_fingerprint(
+            &corpus::sb(Isa::X86, Dev::Po, Dev::Po),
+            "TSO",
+            &EnumOptions::default(),
+        );
+        // (row, canonical?)
+        let table = [
+            ("0:r1=1; 1:r2=0; x=2", true),
+            ("0:r1=1; 0:r10=2; x=3", true),
+            ("0:r2=1; 0:r10=2", true),
+            ("0:r20=x; 1:r1=-7; y=0", true),
+            ("0:r1=-9223372036854775808; x=9223372036854775807", true),
+            ("", true),
+            ("zz=0", true), // unknown location: a key like any other
+            ("1:r2=0; 0:r1=1", false),
+            ("x=2; 0:r1=1", false),
+            ("y=1; x=1", false),
+            ("0:r10=2; 0:r2=1", false),
+            ("0:r1=1; 0:r1=2", false), // the last value wins
+            ("x=1; x=2", false),
+            ("0:r1=01", false),
+            ("0:r1=+1", false),
+            ("0:r1=-0", false),
+            ("x=01", false),
+            ("00:r1=1", false),
+            ("0:r01=1", false),
+            ("0:r1=1;", false),
+            ("0:r1=1; ", false),
+            ("0:r1=1;1:r1=2", false),
+            ("0:r1=1;  1:r1=2", false),
+            (" 0:r1=1", false),
+            ("0 : r1 = 1", false),
+            ("x = 1", false),
+            ("0:r1=9223372036854775808", false), // past i64: an address name
+            ("0:r1=", false),
+        ];
+        for (row, canonical) in table {
+            assert_eq!(is_canonical_row(row), canonical, "{row:?}");
+            let want = outcome_fingerprint(base, &outcome(row));
+            assert_eq!(row_fingerprint(base, row), Ok(want), "{row:?}");
+            if canonical {
+                assert_eq!(render_state_row(&outcome(row).regs, &outcome(row).mem), row);
+            }
+        }
+        for bad in ["nonsense", "0:rx=1", "x=y", "a:r1=1", "0:r256=1", "0:r1=1; x=1=2"] {
+            let err = Outcome::from_state_row(bad).unwrap_err();
+            assert_eq!(row_fingerprint(base, bad), Err(err), "{bad:?}");
+        }
+    }
+
+    /// Whatever the renderer prints — every register, value and name
+    /// shape a test can produce — takes the byte path.
+    #[test]
+    fn rendered_rows_are_canonical() {
+        let vals = [
+            RegFinal::Int(0),
+            RegFinal::Int(-3),
+            RegFinal::Int(i64::MAX),
+            RegFinal::Addr("x".into()),
+        ];
+        for tid in [0u16, 1, 9, 10, u16::MAX] {
+            for reg in [0u8, 2, 10, u8::MAX] {
+                for (k, v) in vals.iter().enumerate() {
+                    let regs = BTreeMap::from([
+                        ((tid, Reg(reg)), v.clone()),
+                        ((tid, Reg(reg / 2 + 1)), RegFinal::Int(k as i64)),
+                        ((tid.saturating_add(1), Reg(1)), RegFinal::Int(i64::MIN)),
+                    ]);
+                    let mem = BTreeMap::from([
+                        ("x".to_owned(), -1),
+                        ("x_1".to_owned(), k as i64),
+                        ("y".to_owned(), 12),
+                    ]);
+                    let row = render_state_row(&regs, &mem);
+                    assert!(is_canonical_row(&row), "{row:?}");
+                }
+            }
+        }
+        for (corpus, arch) in [
+            (corpus::power_corpus(), &Power::new() as &dyn Architecture),
+            (
+                corpus::arm_corpus(),
+                &herd_core::arch::Arm::new(herd_core::arch::ArmVariant::Proposed),
+            ),
+            (corpus::x86_corpus(), &Tso),
+        ] {
+            for e in corpus {
+                let mut stats = QueryStats::default();
+                allowed_full_outcomes(
+                    &e.test,
+                    arch,
+                    &EnumOptions::default(),
+                    &mut stats,
+                    &mut |r, m| {
+                        let row = render_state_row(r, m);
+                        assert!(is_canonical_row(&row), "{}: {row:?}", e.test.name);
+                    },
+                )
+                .unwrap();
+            }
+        }
     }
 
     #[test]

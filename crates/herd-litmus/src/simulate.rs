@@ -575,6 +575,8 @@ pub fn simulate_corpus_cached<A: Architecture + Sync + ?Sized>(
                 let mut h = herd_core::fingerprint::FpHasher::from(
                     crate::decide::query_fingerprint(t, arch.name(), opts),
                 );
+                h.tag("identity");
+                arch.identity(&mut h);
                 h.tag("simulate");
                 h.finish()
             })

@@ -111,6 +111,8 @@ pub fn verify_reachable_cached(
         arch.name(),
         &EnumOptions::default(),
     ));
+    h.tag("identity");
+    arch.identity(&mut h);
     h.tag("reachable");
     let key = h.finish();
     if let Some(v) = cache.get(key) {

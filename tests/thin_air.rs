@@ -164,11 +164,9 @@ fn build_skeleton(ops: &[SkOp]) -> Skeleton {
                     b.fence(Fence::Mfence, prev, id);
                 }
             }
-            4 => {
-                if is_write {
-                    if let Some(r) = last_read[t] {
-                        b.data(r, id);
-                    }
+            4 if is_write => {
+                if let Some(r) = last_read[t] {
+                    b.data(r, id);
                 }
             }
             5 => {
@@ -204,7 +202,7 @@ fn wide_tracker_inputs(
 
 fn small_candidates(sk: &Skeleton) -> Option<Vec<Execution>> {
     let count = sk.candidate_count_saturating();
-    (count >= 1 && count <= 256).then(|| sk.stream().collect())
+    (1..=256).contains(&count).then(|| sk.stream().collect())
 }
 
 proptest! {
