@@ -30,37 +30,13 @@
 #                                     counting global allocator asserts 0
 #                                     steady-state heap allocations per
 #                                     candidate on iriw+2w
-#   6. perf_pipeline --quick --gate — the tracked perf bench (eager vs
-#                                     streaming vs pruned vs arena-backed
-#                                     enumeration+checking, thin-air
-#                                     pruning, single-test sharding,
-#                                     compiled cat models, work-stealing
-#                                     corpus split); writes
+#   6. perf_pipeline --quick --gate — the tracked perf bench, one timed
+#                                     section per layer; writes
 #                                     BENCH_pr<N>.json so every PR leaves
 #                                     its own perf-trajectory data point
 #                                     (prior PRs' files are kept), and
-#                                     FAILS if a heavily-pruning IRIW/2+2W
-#                                     row drops below 5x, a heavily-
-#                                     cyclic lb+datas row below 2x, or a
-#                                     backend query row (SC/TSO on
-#                                     iriw+3w / wrc+6w) below 10x over
-#                                     the enumeration scan, or a robust
-#                                     row (never-firing budget threaded
-#                                     through the arena engine) at ≥5%
-#                                     overhead, or a batch row (memoised
-#                                     query layer, PR 9) below 10x for
-#                                     decide_log over row-at-a-time
-#                                     judging on a 100k-row log / below
-#                                     100x for a warm verdict-cache
-#                                     lookup over the cold decide, or a
-#                                     frontier row (conditional
-#                                     saturation, PR 10) above a 20%
-#                                     Power/ARM corpus fallback rate /
-#                                     below an 80% definitive fraction /
-#                                     below 5x for the envelope path
-#                                     over the pure-enumeration-fallback
-#                                     baseline on the iriw+3w+syncs and
-#                                     wrc+6w+po probes
+#                                     FAILS on any threshold of
+#                                     herd_bench::report::gate_violations
 #   7. perf_pipeline --compare      — reads every BENCH_pr*.json, prints
 #                                     the per-family speedup trajectory
 #                                     table, and FAILS if the new PR's

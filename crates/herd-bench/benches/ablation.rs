@@ -1,4 +1,4 @@
-//! Ablations of design choices called out in DESIGN.md:
+//! Ablations of design choices the paper discusses (see the README):
 //!
 //! - Sec 8.2's "more static" preserved program order (no `rdw`/`detour`):
 //!   cost and verdict drift;

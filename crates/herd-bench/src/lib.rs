@@ -2,8 +2,9 @@
 //!
 //! Criterion benches live in `benches/`; this library hosts the helpers
 //! they share. Each bench target regenerates one table or figure of the
-//! paper — see `DESIGN.md` for the index and `EXPERIMENTS.md` for
-//! recorded paper-vs-measured outcomes.
+//! paper — the README's crate map indexes them, and each bench's header
+//! comment names what it reproduces. [`report`] is the row format of
+//! the `perf_pipeline` bench's `BENCH_pr<N>.json` files and its gates.
 
 #![warn(missing_docs)]
 // The `alloc-count` feature installs a counting global allocator, whose
@@ -14,6 +15,7 @@
 
 #[cfg(feature = "alloc-count")]
 pub mod alloc_count;
+pub mod report;
 
 use herd_core::enumerate::{Skeleton, SkeletonBuilder};
 use herd_litmus::candidates::{enumerate, Candidate, EnumOptions};

@@ -24,6 +24,7 @@ use herd_bench::iriw_scaled;
 use herd_core::arch::{Arm, ArmVariant, Power, Tso};
 use herd_core::arena::RelArena;
 use herd_core::model::Architecture;
+use herd_core::sched::Budget;
 use herd_litmus::candidates::EnumOptions;
 use herd_litmus::corpus;
 use herd_litmus::decide::{query_fingerprint, row_fingerprint};
@@ -40,7 +41,7 @@ fn iriw_2w_steady_state_allocates_zero_per_candidate() {
 
     // Pre-size the observation buffer so the sink itself cannot allocate.
     let mut counts: Vec<u64> = Vec::with_capacity(4096);
-    let stats = sk.check_stream_arena(&power, &mut arena, &mut |_, _, _| {
+    let stats = sk.check_stream_arena(&power, &mut arena, &Budget::unlimited(), &mut |_, _, _| {
         counts.push(allocation_count());
     });
     assert!(stats.emitted > 16, "iriw+2w must stream a meaningful candidate count");
@@ -76,9 +77,9 @@ fn second_pass_over_iriw_2w_allocates_nothing_in_the_arena() {
     let sk = iriw_scaled(2);
     let power = Power::new();
     let mut arena = RelArena::new(0);
-    sk.check_stream_arena(&power, &mut arena, &mut |_, _, _| {});
+    sk.check_stream_arena(&power, &mut arena, &Budget::unlimited(), &mut |_, _, _| {});
     let high_water = arena.high_water_words();
-    sk.check_stream_arena(&power, &mut arena, &mut |_, _, _| {});
+    sk.check_stream_arena(&power, &mut arena, &Budget::unlimited(), &mut |_, _, _| {});
     assert_eq!(
         arena.high_water_words(),
         high_water,

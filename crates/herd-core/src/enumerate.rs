@@ -197,6 +197,13 @@ impl Skeleton {
     /// rolled back to a checkpoint after every candidate, so the arena's
     /// footprint is the high-water mark of one candidate's working set.
     ///
+    /// A deadline, candidate bound, or cooperative cancellation in
+    /// `budget` stops enumeration mid-odometer ([`Budget::unlimited`]
+    /// never does), and the returned stats report the cut exactly —
+    /// `emitted + pruned + remaining == candidate_count`, with a
+    /// [`ResumePoint`] that [`Skeleton::check_stream_arena_resume`] can
+    /// complete from.
+    ///
     /// # Panics
     ///
     /// Panics on a universe mismatch (a front-end bug).
@@ -204,9 +211,14 @@ impl Skeleton {
         &self,
         arch: &A,
         arena: &mut RelArena,
+        budget: &Budget,
         sink: &mut dyn FnMut(&ExecFrame<'_>, &RelArena, Verdict),
     ) -> CheckedStats {
-        self.check_stream_arena_shard(arch, arena, 0, 1, sink)
+        let models = [arch];
+        let engine = self.engine(&models);
+        let mut w = engine.skeleton_worker(arena);
+        let range = (0, engine.rf_total());
+        engine.run_skeleton(arena, &mut w, range, None, budget, sink)
     }
 
     /// One shard of [`Skeleton::check_stream_arena`], covering the
@@ -233,31 +245,7 @@ impl Skeleton {
         engine.run_skeleton(arena, &mut w, range, None, &Budget::unlimited(), sink)
     }
 
-    /// [`Skeleton::check_stream_arena`] under a [`Budget`]: a deadline,
-    /// candidate bound, or cooperative cancellation stops enumeration
-    /// mid-odometer, and the returned stats report the cut exactly —
-    /// `emitted + pruned + remaining == candidate_count`, with a
-    /// [`ResumePoint`] that [`Skeleton::check_stream_arena_resume`] can
-    /// complete from.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a universe mismatch (a front-end bug).
-    pub fn check_stream_arena_budgeted<A: Architecture + ?Sized>(
-        &self,
-        arch: &A,
-        arena: &mut RelArena,
-        budget: &Budget,
-        sink: &mut dyn FnMut(&ExecFrame<'_>, &RelArena, Verdict),
-    ) -> CheckedStats {
-        let models = [arch];
-        let engine = self.engine(&models);
-        let mut w = engine.skeleton_worker(arena);
-        let range = (0, engine.rf_total());
-        engine.run_skeleton(arena, &mut w, range, None, budget, sink)
-    }
-
-    /// Completes an interrupted [`Skeleton::check_stream_arena_budgeted`]
+    /// Completes an interrupted [`Skeleton::check_stream_arena`]
     /// run from its [`ResumePoint`]: first the unchecked tail of the cut
     /// configuration's coherence odometer, then every following rf
     /// configuration. The merged stats of the interrupted run and this one
@@ -1836,18 +1824,19 @@ mod tests {
 
             let mut arena = RelArena::new(0);
             let mut keys = Vec::new();
-            let stats = sk.check_stream_arena(&power, &mut arena, &mut |fx, a, v| {
-                assert_eq!(
-                    v,
-                    check(&power, &fx.to_execution(a)),
-                    "frame verdict disagrees with the owned check"
-                );
-                keys.push(format!(
-                    "{:?}|{:?}",
-                    a.to_relation(fx.rels.rf),
-                    a.to_relation(fx.rels.co)
-                ));
-            });
+            let stats =
+                sk.check_stream_arena(&power, &mut arena, &Budget::unlimited(), &mut |fx, a, v| {
+                    assert_eq!(
+                        v,
+                        check(&power, &fx.to_execution(a)),
+                        "frame verdict disagrees with the owned check"
+                    );
+                    keys.push(format!(
+                        "{:?}|{:?}",
+                        a.to_relation(fx.rels.rf),
+                        a.to_relation(fx.rels.co)
+                    ));
+                });
             owned_keys.sort();
             keys.sort();
             assert_eq!(keys, owned_keys, "same candidates in the same witness space");
@@ -1870,7 +1859,8 @@ mod tests {
         let power = Power::new();
         let sk = lb_ring(3);
         let mut arena = RelArena::new(0);
-        let whole = sk.check_stream_arena(&power, &mut arena, &mut |_, _, _| {});
+        let whole =
+            sk.check_stream_arena(&power, &mut arena, &Budget::unlimited(), &mut |_, _, _| {});
         for nshards in [2usize, 3, 5] {
             let mut merged = CheckedStats::default();
             for s in 0..nshards {
@@ -1893,7 +1883,7 @@ mod tests {
         let sk = mp_skeleton(true, true);
         let mut arena = RelArena::new(0);
         let mut waters: Vec<usize> = Vec::new();
-        sk.check_stream_arena(&power, &mut arena, &mut |_, a, _| {
+        sk.check_stream_arena(&power, &mut arena, &Budget::unlimited(), &mut |_, a, _| {
             waters.push(a.high_water_words());
         });
         assert!(waters.len() > 2);

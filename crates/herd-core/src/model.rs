@@ -489,6 +489,36 @@ impl ArenaChecker {
         fx: &ExecFrame<'_>,
         arena: &mut RelArena,
     ) -> Verdict {
+        self.axioms(arch, fx, arena, |arena| arch.arch_rels_arena(fx, arena))
+    }
+
+    /// [`ArenaChecker::check`] with the architecture's ppo frozen to
+    /// `ppo_bound` ([`Architecture::arch_rels_arena_frozen`]): the axiom
+    /// evaluator conditional saturation probes co hypotheses with. The
+    /// bound slot must outlive the call; everything else is released
+    /// before returning, as in `check`.
+    pub fn check_frozen<A: Architecture + ?Sized>(
+        &self,
+        arch: &A,
+        fx: &ExecFrame<'_>,
+        arena: &mut RelArena,
+        ppo_bound: RelId,
+    ) -> Verdict {
+        self.axioms(arch, fx, arena, |arena| arch.arch_rels_arena_frozen(fx, ppo_bound, arena))
+    }
+
+    /// The four axioms over the relations `arch_rels` derives. Generic in
+    /// the relation step, so each caller gets its own monomorphised body,
+    /// and inlined into both: left to the inliner, it measured slower on
+    /// the decide backend's saturation loops.
+    #[inline(always)]
+    fn axioms<A: Architecture + ?Sized>(
+        &self,
+        arch: &A,
+        fx: &ExecFrame<'_>,
+        arena: &mut RelArena,
+        arch_rels: impl FnOnce(&mut RelArena) -> ArenaArchRels,
+    ) -> Verdict {
         let m = arena.mark();
 
         // SC PER LOCATION: acyclic(po-loc ∪ com).
@@ -496,7 +526,7 @@ impl ArenaChecker {
         arena.union_into(t, fx.rels.com);
         let sc_per_location = arena.is_acyclic(t);
 
-        let ar = arch.arch_rels_arena(fx, arena);
+        let ar = arch_rels(arena);
 
         // hb = ppo ∪ fences ∪ rfe; NO THIN AIR is acyclic(hb).
         let hb = arena.alloc_from(ar.ppo);
@@ -516,57 +546,6 @@ impl ArenaChecker {
         let observation = arena.is_irreflexive(t2);
 
         // PROPAGATION: acyclic(co ∪ prop), or the C++ R-A weakening.
-        let propagation = match arch.propagation_check() {
-            PropagationCheck::Acyclic => {
-                let t3 = arena.alloc_from(fx.rels.co);
-                arena.union_into(t3, ar.prop);
-                arena.is_acyclic(t3)
-            }
-            PropagationCheck::IrreflexivePropCo => {
-                let t3 = arena.alloc();
-                arena.seq_into(t3, ar.prop, fx.rels.co);
-                arena.is_irreflexive(t3)
-            }
-        };
-
-        arena.release(m);
-        Verdict { sc_per_location, no_thin_air, observation, propagation }
-    }
-
-    /// [`ArenaChecker::check`] with the architecture's ppo frozen to
-    /// `ppo_bound` ([`Architecture::arch_rels_arena_frozen`]): the axiom
-    /// evaluator conditional saturation probes co hypotheses with. The
-    /// bound slot must outlive the call; everything else is released
-    /// before returning, as in `check`.
-    pub fn check_frozen<A: Architecture + ?Sized>(
-        &self,
-        arch: &A,
-        fx: &ExecFrame<'_>,
-        arena: &mut RelArena,
-        ppo_bound: RelId,
-    ) -> Verdict {
-        let m = arena.mark();
-
-        let t = arena.alloc_from(&self.sc_po_loc);
-        arena.union_into(t, fx.rels.com);
-        let sc_per_location = arena.is_acyclic(t);
-
-        let ar = arch.arch_rels_arena_frozen(fx, ppo_bound, arena);
-
-        let hb = arena.alloc_from(ar.ppo);
-        arena.union_into(hb, ar.fences);
-        arena.union_into(hb, fx.rels.rfe);
-        let hb_plus = arena.alloc();
-        arena.tclosure_into(hb_plus, hb);
-        let no_thin_air = arena.is_irreflexive(hb_plus);
-
-        arena.union_id(hb_plus);
-        let t1 = arena.alloc();
-        arena.seq_into(t1, fx.rels.fre, ar.prop);
-        let t2 = arena.alloc();
-        arena.seq_into(t2, t1, hb_plus);
-        let observation = arena.is_irreflexive(t2);
-
         let propagation = match arch.propagation_check() {
             PropagationCheck::Acyclic => {
                 let t3 = arena.alloc_from(fx.rels.co);

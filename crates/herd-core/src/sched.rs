@@ -644,29 +644,15 @@ impl Skeleton {
     /// `make_sink` builds one candidate sink per worker (worker index
     /// passed in); sinks observe exactly the candidates of the units their
     /// worker stole.
-    pub fn check_stream_sched<A, S>(
-        &self,
-        arch: &A,
-        plan: &WorkPlan,
-        workers: usize,
-        make_sink: impl Fn(usize) -> S + Sync,
-    ) -> SchedOutcome<S>
-    where
-        A: Architecture + Sync + ?Sized,
-        S: FnMut(&ExecFrame<'_>, &RelArena, Verdict) + Send,
-    {
-        self.check_stream_sched_budgeted(arch, plan, workers, &Budget::unlimited(), make_sink)
-    }
-
-    /// [`Skeleton::check_stream_sched`] under a [`Budget`]: the budget is
-    /// checked inside every unit (so a deadline, candidate bound or
-    /// cancellation stops the run mid-odometer) and unit-by-unit (a unit
-    /// claimed after the budget tripped is classified — pruned/remaining —
-    /// in one rf scope without emitting anything). Poisoned units are
-    /// salvaged the same way; either way the merged
+    ///
+    /// `budget` is checked inside every unit (so a deadline, candidate
+    /// bound or cancellation stops the run mid-odometer) and unit by unit
+    /// (a unit claimed after the budget tripped is classified —
+    /// pruned/remaining — in one rf scope without emitting anything).
+    /// Poisoned units are salvaged the same way; either way the merged
     /// `emitted + pruned + remaining` equals
     /// [`Skeleton::candidate_count`] exactly.
-    pub fn check_stream_sched_budgeted<A, S>(
+    pub fn check_stream_sched<A, S>(
         &self,
         arch: &A,
         plan: &WorkPlan,
@@ -781,10 +767,14 @@ mod tests {
         let power = Power::new();
         for sk in [co_heavy(3), rf_heavy()] {
             let mut arena = RelArena::new(0);
-            let whole = sk.check_stream_arena(&power, &mut arena, &mut |_, _, _| {});
+            let whole =
+                sk.check_stream_arena(&power, &mut arena, &Budget::unlimited(), &mut |_, _, _| {});
             for workers in [1usize, 3] {
                 let plan = WorkPlan::for_skeleton(&sk, &power, &PlanOpts::for_workers(workers));
-                let out = sk.check_stream_sched(&power, &plan, workers, |_| |_: &_, _: &_, _| {});
+                let out =
+                    sk.check_stream_sched(&power, &plan, workers, &Budget::unlimited(), |_| {
+                        |_: &_, _: &_, _| {}
+                    });
                 assert_eq!(out.stats, whole, "{workers} workers merge exactly");
                 let mut per_unit = CheckedStats::default();
                 for s in &out.unit_stats {
@@ -882,8 +872,10 @@ mod tests {
         // The schedule steers execution order only — verdict accounting
         // is untouched by prioritisation.
         let mut arena = RelArena::new(0);
-        let whole = sk.check_stream_arena(&power, &mut arena, &mut |_, _, _| {});
-        let out = sk.check_stream_sched(&power, &plan, 3, |_| |_: &_, _: &_, _| {});
+        let whole =
+            sk.check_stream_arena(&power, &mut arena, &Budget::unlimited(), &mut |_, _, _| {});
+        let out =
+            sk.check_stream_sched(&power, &plan, 3, &Budget::unlimited(), |_| |_: &_, _: &_, _| {});
         assert_eq!(out.stats, whole, "prioritised plan merges exactly");
     }
 

@@ -119,10 +119,10 @@ pub struct Comparison {
 }
 
 impl Comparison {
-    /// Tab V summary counts: `(tests compared, invalid, unseen)`.
-    pub fn summary(&self) -> (usize, usize, usize) {
+    /// Tab V summary counts: `(tests with invalid states, tests with
+    /// unseen states)`.
+    pub fn summary(&self) -> (usize, usize) {
         (
-            self.invalid.len().max(self.unseen.len()),
             self.invalid.values().filter(|s| !s.is_empty()).count(),
             self.unseen.values().filter(|s| !s.is_empty()).count(),
         )
@@ -229,19 +229,14 @@ pub fn model_log_cached(
 /// `(test, model, opts)` fingerprints — see [`model_log_cached`].
 pub type ModelLogCache = herd_cache::ShardedLru<BTreeMap<String, u64>>;
 
-/// The `(test, model, opts)` key every cache here starts from: the
-/// structural query fingerprint extended with the model's identity, so
-/// a model is keyed by what it is, not by what it is called.
+/// The `(test, model identity, default opts)` key every cache here
+/// starts from.
 fn query_key(
     test: &herd_litmus::program::LitmusTest,
     model: &dyn herd_core::model::Architecture,
 ) -> herd_core::fingerprint::Fingerprint {
-    use herd_litmus::candidates::EnumOptions;
-    let base = herd_litmus::decide::query_fingerprint(test, model.name(), &EnumOptions::default());
-    let mut h = herd_core::fingerprint::FpHasher::from(base);
-    h.tag("identity");
-    model.identity(&mut h);
-    h.finish()
+    let opts = herd_litmus::candidates::EnumOptions::default();
+    herd_litmus::decide::query_hasher(test, model, &opts).finish()
 }
 
 /// A content-addressed store of per-row verdicts, keyed by
@@ -296,9 +291,8 @@ pub fn judge_entries<S: AsRef<str>>(
 
 /// The memoised variant of [`judge_entry`]: the verdict is stored in the
 /// content-addressed `cache` under the `(test, model identity, opts,
-/// row)` fingerprint, so a warm re-query never re-runs the decision. A
-/// canonical row is keyed by its bytes and parsed only on a miss
-/// ([`herd_litmus::decide::row_fingerprint`]).
+/// row)` fingerprint, so a warm re-query never re-runs the decision: a
+/// one-row [`judge_log_cached`].
 ///
 /// # Errors
 ///
@@ -309,13 +303,7 @@ pub fn judge_entry_cached(
     state: &str,
     cache: &VerdictCache,
 ) -> Result<bool, String> {
-    let key = herd_litmus::decide::row_fingerprint(query_key(test, model), state)?;
-    if let Some(v) = cache.get(key) {
-        return Ok(v);
-    }
-    let v = judge_entry(test, model, state)?;
-    cache.insert(key, v);
-    Ok(v)
+    judge_log_cached(test, model, std::slice::from_ref(&state), cache).map(|v| v[0])
 }
 
 /// The batched, memoised form of [`judge_entry`] — the Sec 11 `mcompare`
@@ -464,6 +452,51 @@ mod tests {
         assert_eq!(s.hits, tests.len() as u64, "warm pass is all hits");
     }
 
+    /// The shared key constructor keys every cached question exactly as
+    /// the inline fold each cached path used to write out.
+    #[test]
+    fn query_keys_match_the_inline_fold() {
+        use crate::silicon::{ArmErrata, ArmSilicon};
+        use herd_core::fingerprint::FpHasher;
+        use herd_litmus::candidates::EnumOptions;
+        use herd_litmus::decide::{query_fingerprint, query_hasher};
+        let names = ["sc", "tso", "pso", "rmo", "cpp-ra", "power", "arm", "power-arm", "arm-llh"];
+        let mut models: Vec<_> =
+            names.iter().map(|n| herd_core::arch::by_name(n).expect("stock model")).collect();
+        let errata = ArmErrata { load_load_hazards: true, early_commit: true, isb_defeat: true };
+        models.push(Box::new(ArmSilicon::new("ARM", errata)));
+        let opts = EnumOptions::default();
+        let tests = corpus::arm_corpus().into_iter().chain(corpus::x86_corpus()).map(|e| e.test);
+        for t in tests {
+            for m in &models {
+                for tag in [None, Some("simulate"), Some("reachable")] {
+                    let mut inline = FpHasher::from(query_fingerprint(&t, m.name(), &opts));
+                    inline.tag("identity");
+                    m.identity(&mut inline);
+                    let mut shared = query_hasher(&t, m.as_ref(), &opts);
+                    if let Some(tag) = tag {
+                        inline.tag(tag);
+                        shared.tag(tag);
+                    }
+                    assert_eq!(shared.finish(), inline.finish(), "{} on {}", t.name, m.name());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn summary_counts_tests_with_invalid_and_unseen_states() {
+        // Three tests in both logs; the model allows one state of `b`
+        // that the hardware never showed.
+        let (mut model, mut hw) = (Log::default(), Log::default());
+        for name in ["a", "b", "c"] {
+            hw.insert(name, BTreeMap::from([("x=1".to_owned(), 5)]));
+            model.insert(name, BTreeMap::from([("x=1".to_owned(), 0)]));
+        }
+        model.insert("b", BTreeMap::from([("x=1".to_owned(), 0), ("x=2".to_owned(), 0)]));
+        assert_eq!(compare(&model, &hw).summary(), (0, 1));
+    }
+
     #[test]
     fn mcompare_reproduces_tab5_for_one_machine() {
         let tests: Vec<_> = corpus::arm_corpus().into_iter().map(|e| e.test).collect();
@@ -472,7 +505,7 @@ mod tests {
         let hw = hardware_log(&tests, tegra3, 10_000_000_000, 7);
         let model = model_log(&tests, &Arm::new(ArmVariant::PowerArm));
         let cmp = compare(&model, &hw);
-        let (_, invalid, unseen) = cmp.summary();
+        let (invalid, unseen) = cmp.summary();
         assert!(invalid > 0, "Tegra3 invalidates Power-ARM");
         assert!(unseen > 0, "some allowed states stay unseen");
         assert!(cmp.missing.is_empty());

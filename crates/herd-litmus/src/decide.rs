@@ -478,6 +478,21 @@ pub fn query_fingerprint(test: &LitmusTest, model_name: &str, opts: &EnumOptions
     h.finish()
 }
 
+/// The key every cached model query starts from: [`query_fingerprint`]
+/// extended with the model's [`identity`](Architecture::identity), so a
+/// model is keyed by what it is, not by what it is called. A caller
+/// appends its question's tag, if it has one, and finishes the hasher.
+pub fn query_hasher<A: Architecture + ?Sized>(
+    test: &LitmusTest,
+    model: &A,
+    opts: &EnumOptions,
+) -> FpHasher {
+    let mut h = FpHasher::from(query_fingerprint(test, model.name(), opts));
+    h.tag("identity");
+    model.identity(&mut h);
+    h
+}
+
 /// Feeds a test's structure to `h` as fixed-width integers and
 /// length-prefixed strings: no allocation, and the same stream on every
 /// platform. Each instruction (with its address operand) and each

@@ -568,19 +568,14 @@ pub fn simulate_corpus_cached<A: Architecture + Sync + ?Sized>(
     opts: &EnumOptions,
     cache: &SimCache,
 ) -> Result<CorpusOutcome, CandidateError> {
-    let keys: Vec<_> =
-        tests
-            .iter()
-            .map(|t| {
-                let mut h = herd_core::fingerprint::FpHasher::from(
-                    crate::decide::query_fingerprint(t, arch.name(), opts),
-                );
-                h.tag("identity");
-                arch.identity(&mut h);
-                h.tag("simulate");
-                h.finish()
-            })
-            .collect();
+    let keys: Vec<_> = tests
+        .iter()
+        .map(|t| {
+            let mut h = crate::decide::query_hasher(t, arch, opts);
+            h.tag("simulate");
+            h.finish()
+        })
+        .collect();
     let mut slots: Vec<Option<SimOutcome>> = keys.iter().map(|&k| cache.get(k)).collect();
     let missing: Vec<usize> = (0..tests.len()).filter(|&i| slots[i].is_none()).collect();
     let mut poisoned: Vec<LostUnit> = Vec::new();

@@ -106,13 +106,7 @@ pub fn verify_reachable_cached(
     arch: &dyn Architecture,
     cache: &ReachabilityCache,
 ) -> Result<bool, CandidateError> {
-    let mut h = herd_core::fingerprint::FpHasher::from(herd_litmus::decide::query_fingerprint(
-        test,
-        arch.name(),
-        &EnumOptions::default(),
-    ));
-    h.tag("identity");
-    arch.identity(&mut h);
+    let mut h = herd_litmus::decide::query_hasher(test, arch, &EnumOptions::default());
     h.tag("reachable");
     let key = h.finish();
     if let Some(v) = cache.get(key) {

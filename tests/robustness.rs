@@ -98,9 +98,10 @@ fn key(fx: &ExecFrame<'_>, a: &RelArena, v: Verdict) -> String {
 fn reference(sk: &Skeleton) -> (Vec<String>, herd_core::enumerate::CheckedStats) {
     let mut arena = RelArena::new(0);
     let mut keys = Vec::new();
-    let stats = sk.check_stream_arena(&Power::new(), &mut arena, &mut |fx, a, v| {
-        keys.push(key(fx, a, v));
-    });
+    let stats =
+        sk.check_stream_arena(&Power::new(), &mut arena, &Budget::unlimited(), &mut |fx, a, v| {
+            keys.push(key(fx, a, v));
+        });
     keys.sort();
     (keys, stats)
 }
@@ -120,7 +121,7 @@ proptest! {
         let mut arena = RelArena::new(0);
         let budget = Budget::unlimited().with_max_candidates(cut);
         let stats =
-            sk.check_stream_arena_budgeted(&Power::new(), &mut arena, &budget, &mut |_, _, _| {});
+            sk.check_stream_arena(&Power::new(), &mut arena, &budget, &mut |_, _, _| {});
         prop_assert_eq!(stats.emitted + stats.pruned + stats.remaining, space);
         prop_assert!(stats.emitted <= cut, "the bound is never exceeded");
         if stats.remaining > 0 {
@@ -143,7 +144,7 @@ proptest! {
         let mut arena = RelArena::new(0);
         let mut keys = Vec::new();
         let budget = Budget::unlimited().with_max_candidates(cut);
-        let head = sk.check_stream_arena_budgeted(&power, &mut arena, &budget, &mut |fx, a, v| {
+        let head = sk.check_stream_arena(&power, &mut arena, &budget, &mut |fx, a, v| {
             keys.push(key(fx, a, v));
         });
         let (mut emitted, mut pruned, mut allowed) = (head.emitted, head.pruned, head.allowed);
@@ -176,8 +177,7 @@ fn expired_deadline_stops_with_exact_accounting() {
         let space = sk.candidate_count().expect("small space");
         let mut arena = RelArena::new(0);
         let budget = Budget::unlimited().with_deadline(Instant::now());
-        let stats =
-            sk.check_stream_arena_budgeted(&Power::new(), &mut arena, &budget, &mut |_, _, _| {});
+        let stats = sk.check_stream_arena(&Power::new(), &mut arena, &budget, &mut |_, _, _| {});
         assert_eq!(stats.emitted + stats.pruned + stats.remaining, space);
         assert_eq!(stats.stopped, Some(StopReason::Deadline));
         assert!(stats.remaining > 0, "nothing was classified before the expired deadline");
@@ -196,8 +196,7 @@ fn cancelled_sched_run_classifies_everything_as_remaining_or_pruned() {
         token.cancel();
         let budget = Budget::unlimited().with_cancel(token);
         let plan = WorkPlan::for_skeleton(&sk, &power, &PlanOpts::for_workers(3));
-        let out =
-            sk.check_stream_sched_budgeted(&power, &plan, 3, &budget, |_| |_: &_, _: &_, _| {});
+        let out = sk.check_stream_sched(&power, &plan, 3, &budget, |_| |_: &_, _: &_, _| {});
         assert_eq!(out.stats.emitted, 0, "no candidate is emitted after cancellation");
         assert_eq!(out.stats.emitted + out.stats.pruned + out.stats.remaining, space);
         assert_eq!(out.stats.stopped, Some(StopReason::Cancelled));
@@ -215,8 +214,7 @@ fn sched_budget_cuts_keep_the_partition_identity() {
         let plan = WorkPlan::for_skeleton(&sk, &power, &PlanOpts::for_workers(3));
         for cut in [0u128, 1, 7, 50, 1_000_000] {
             let budget = Budget::unlimited().with_max_candidates(cut);
-            let out =
-                sk.check_stream_sched_budgeted(&power, &plan, 3, &budget, |_| |_: &_, _: &_, _| {});
+            let out = sk.check_stream_sched(&power, &plan, 3, &budget, |_| |_: &_, _: &_, _| {});
             assert_eq!(
                 out.stats.emitted + out.stats.pruned + out.stats.remaining,
                 space,
@@ -289,7 +287,8 @@ mod fault_injection {
         let (full_keys, _) = reference(&sk);
         let space = sk.candidate_count().expect("small space");
         let plan = WorkPlan::for_skeleton(&sk, &power, &PlanOpts::for_workers(3));
-        let clean = sk.check_stream_sched(&power, &plan, 1, |_| |_: &_, _: &_, _| {});
+        let clean =
+            sk.check_stream_sched(&power, &plan, 1, &Budget::unlimited(), |_| |_: &_, _: &_, _| {});
         for k in [0usize, plan.len() / 2, plan.len() - 1] {
             let mut salvaged_by_workers: Vec<Vec<String>> = Vec::new();
             for workers in [1usize, 2, 4] {
@@ -299,11 +298,12 @@ mod fault_injection {
                     action: FaultAction::Panic,
                 });
                 let collected: Mutex<Vec<String>> = Mutex::new(Vec::new());
-                let out = sk.check_stream_sched(&power, &plan, workers, |_| {
-                    |fx: &ExecFrame<'_>, a: &RelArena, v: Verdict| {
-                        collected.lock().expect("sink mutex").push(key(fx, a, v));
-                    }
-                });
+                let out =
+                    sk.check_stream_sched(&power, &plan, workers, &Budget::unlimited(), |_| {
+                        |fx: &ExecFrame<'_>, a: &RelArena, v: Verdict| {
+                            collected.lock().expect("sink mutex").push(key(fx, a, v));
+                        }
+                    });
                 assert_eq!(out.poisoned.len(), 1, "exactly one unit is lost");
                 assert_eq!(out.poisoned[0].unit, k);
                 assert!(out.poisoned[0].payload.contains("faultpoint"));
@@ -350,7 +350,9 @@ mod fault_injection {
                 key: config_key(cfg),
                 action: FaultAction::Panic,
             });
-            let out = sk.check_stream_sched(&power, &plan, 2, |_| |_: &_, _: &_, _| {});
+            let out = sk.check_stream_sched(&power, &plan, 2, &Budget::unlimited(), |_| {
+                |_: &_, _: &_, _| {}
+            });
             assert_eq!(
                 out.stats.emitted + out.stats.pruned + out.stats.remaining,
                 space,
@@ -377,7 +379,8 @@ mod fault_injection {
             key: 0,
             action: FaultAction::Delay(Duration::from_millis(30)),
         });
-        let out = sk.check_stream_sched(&power, &plan, 2, |_| |_: &_, _: &_, _| {});
+        let out =
+            sk.check_stream_sched(&power, &plan, 2, &Budget::unlimited(), |_| |_: &_, _: &_, _| {});
         assert!(out.is_complete());
         assert_eq!(out.stats, whole, "a delayed unit still produces its exact results");
     }
@@ -399,8 +402,7 @@ mod fault_injection {
                 action: FaultAction::Cancel(token.clone()),
             });
             let budget = Budget::unlimited().with_cancel(token.clone());
-            let out =
-                sk.check_stream_sched_budgeted(&power, &plan, 2, &budget, |_| |_: &_, _: &_, _| {});
+            let out = sk.check_stream_sched(&power, &plan, 2, &budget, |_| |_: &_, _: &_, _| {});
             assert_eq!(
                 out.stats.emitted + out.stats.pruned + out.stats.remaining,
                 space,

@@ -10,7 +10,7 @@ use herd_core::arena::RelArena;
 use herd_core::enumerate::{CheckedStats, Skeleton, SkeletonBuilder};
 use herd_core::exec::ExecFrame;
 use herd_core::model::Verdict;
-use herd_core::sched::{PlanOpts, WorkPlan};
+use herd_core::sched::{Budget, PlanOpts, WorkPlan};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
@@ -59,7 +59,7 @@ fn reference(sk: &Skeleton) -> (Vec<String>, CheckedStats) {
     let power = Power::new();
     let mut arena = RelArena::new(0);
     let mut keys = Vec::new();
-    let stats = sk.check_stream_arena(&power, &mut arena, &mut |fx, a, v| {
+    let stats = sk.check_stream_arena(&power, &mut arena, &Budget::unlimited(), &mut |fx, a, v| {
         keys.push(key(fx, a, v));
     });
     keys.sort();
@@ -76,7 +76,7 @@ fn check_plan(sk: &Skeleton, plan: &WorkPlan, workers: usize) {
     let power = Power::new();
     let (ref_keys, whole) = reference(sk);
     let collected: Mutex<Vec<String>> = Mutex::new(Vec::new());
-    let out = sk.check_stream_sched(&power, plan, workers, |_| {
+    let out = sk.check_stream_sched(&power, plan, workers, &Budget::unlimited(), |_| {
         |fx: &ExecFrame<'_>, a: &RelArena, v: Verdict| {
             collected.lock().expect("sink mutex").push(key(fx, a, v));
         }
