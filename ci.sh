@@ -42,13 +42,19 @@
 #                                     table, and FAILS if the new PR's
 #                                     effective pruned row regresses past
 #                                     tolerance vs the previous PR's file
-#   7b. e2e-bench answers           — each benchmark workload (herd-sim,
+#   7b. e2e-bench answers + counters— each benchmark workload (herd-sim,
 #                                     scaled-sim, log-judge) for one second
 #                                     at seed 1; fails unless the last line
 #                                     reports `"correct": true`, i.e. every
 #                                     generated diy test, scaled family and
 #                                     hardware log matches the owned
-#                                     reference
+#                                     reference. Then each again with
+#                                     `--trace 1`: its deterministic work
+#                                     counters (`# counter` lines, 43 in
+#                                     all) must equal
+#                                     tests/e2e_counters_seed1.txt exactly,
+#                                     so a change in work done fails here
+#                                     instead of hiding in timing noise
 #   8. cargo doc   --no-deps        — rustdoc, warnings denied
 #   9. cargo fmt   --check          — formatting (rustfmt.toml at root)
 #  10. cargo clippy -D warnings     — lints over every workspace target
@@ -83,6 +89,7 @@ run cargo test -p herd-bench --release --features alloc-count --test alloc_smoke
 run cargo bench -p herd-bench --bench perf_pipeline -- \
     --quick --gate --pr "$PR" --json "$PWD/BENCH_pr${PR}.json"
 run cargo bench -p herd-bench --bench perf_pipeline -- --compare --gate
+counters=""
 for workload in herd-sim scaled-sim log-judge; do
     echo "==> e2e-bench --workload $workload --seed 1 --seconds 1"
     last=$(cargo run --release --offline -q --manifest-path e2e-bench/Cargo.toml -- \
@@ -91,7 +98,15 @@ for workload in herd-sim scaled-sim log-judge; do
         echo "e2e-bench $workload: answers differ from the reference: $last" >&2
         exit 1
     fi
+    echo "==> e2e-bench --workload $workload --trace 1 --seed 1 --seconds 1"
+    counters+=$(cargo run --release --offline -q --manifest-path e2e-bench/Cargo.toml -- \
+        --workload "$workload" --trace 1 --seed 1 --seconds 1 |
+        sed -n "s/^# counter /$workload /p")$'\n'
 done
+if ! diff -u tests/e2e_counters_seed1.txt - <<<"${counters%$'\n'}"; then
+    echo "e2e-bench: work counters differ from tests/e2e_counters_seed1.txt" >&2
+    exit 1
+fi
 run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 run cargo fmt --check
 run cargo clippy --workspace --all-targets -- -D warnings

@@ -26,7 +26,10 @@
 //!
 //! [`ExecCore`]: crate::exec::ExecCore
 
-use crate::maskrow::{acyclic_masks, and_words, andnot_words, or_words, KahnScratch};
+use crate::maskrow::{
+    and_words, andnot_words, irreflexive_rows, iter_pairs, or_words, restrict_rows, seq_rows,
+    set_diagonal, tclosure_rows, transpose_rows, KahnScratch,
+};
 use crate::relation::Relation;
 use crate::set::{words_for, EventSet};
 
@@ -112,12 +115,7 @@ impl<'a> RelView<'a> {
 
     /// Iterates over all pairs `(a, b)`.
     pub fn iter_pairs(&self) -> impl Iterator<Item = (usize, usize)> + 'a {
-        let (n, wpr, bits) = (self.n, self.wpr, self.bits);
-        (0..n).flat_map(move |a| {
-            (0..n)
-                .filter(move |&b| bits[a * wpr + b / 64] >> (b % 64) & 1 == 1)
-                .map(move |b| (a, b))
-        })
+        iter_pairs(self.bits, self.wpr)
     }
 
     /// Materialises an owned [`Relation`] (allocates; test/interop only).
@@ -169,9 +167,6 @@ pub struct RelArena {
     buf: Vec<u64>,
     /// Live slot count (the bump pointer, in slots).
     top: u32,
-    /// Pooled row-index scratch for the blocked `seq_into` /
-    /// `tclosure_into` composition loops.
-    idx: Vec<u32>,
     /// Pooled Kahn scratch for `is_acyclic` beyond 64 events.
     kahn: KahnScratch,
     /// Largest `top * stride` ever reached (growth diagnostic).
@@ -188,7 +183,6 @@ impl RelArena {
             stride: n * wpr,
             buf: Vec::new(),
             top: 0,
-            idx: Vec::new(),
             kahn: KahnScratch::new(),
             high_water: 0,
         }
@@ -202,7 +196,6 @@ impl RelArena {
         self.wpr = words_for(n);
         self.stride = n * self.wpr;
         self.top = 0;
-        self.idx.clear();
     }
 
     /// Size of the event universe.
@@ -283,19 +276,57 @@ impl RelArena {
         &mut self.buf[o..o + self.stride]
     }
 
-    /// Two disjoint slots: `dst` mutable, `src` shared.
-    fn two_slots(&mut self, dst: RelId, src: RelId) -> (&mut [u64], &[u64]) {
-        assert_ne!(dst, src, "aliasing arena operands");
-        let (d0, s0, st) = (self.off(dst), self.off(src), self.stride);
-        if d0 > s0 {
-            let (lo, hi) = self.buf.split_at_mut(d0);
-            (&mut hi[..st], &lo[s0..s0 + st])
-        } else {
-            let (lo, hi) = self.buf.split_at_mut(s0);
-            (&mut lo[d0..d0 + st], &hi[..st])
+    /// `dst`'s words, mutable, beside the words of `K` read-only operands
+    /// (slots or external relations), none of which may be `dst` itself;
+    /// `op` names the operation in the aliasing panic. Inlined into every
+    /// operator: it is the whole per-call overhead around a kernel.
+    #[inline(always)]
+    fn dst_and<'s, const K: usize>(
+        &'s mut self,
+        dst: RelId,
+        srcs: [RelSrc<'s>; K],
+        op: &str,
+    ) -> (&'s mut [u64], [&'s [u64]; K]) {
+        for src in &srcs {
+            match *src {
+                RelSrc::Slot(id) if id == dst => aliasing_panic(op),
+                RelSrc::Slot(_) => {}
+                RelSrc::Ext(r) => self.check_ext(r),
+            }
         }
+        let (d0, st, top) = (self.off(dst), self.stride, self.top);
+        let (lo, rest) = self.buf.split_at_mut(d0);
+        let (d, hi) = rest.split_at_mut(st);
+        let mut words: [&[u64]; K] = [&[]; K];
+        for (w, src) in words.iter_mut().zip(srcs) {
+            *w = match src {
+                RelSrc::Slot(id) => {
+                    debug_assert!(id.0 < top, "retired arena slot used");
+                    let o = id.0 as usize * st;
+                    if o < d0 {
+                        &lo[o..o + st]
+                    } else {
+                        &hi[o - d0 - st..][..st]
+                    }
+                }
+                RelSrc::Ext(r) => r.bits(),
+            };
+        }
+        (d, words)
     }
 
+    /// `dst = kernel(dst, src)` for a word-wise kernel under which a
+    /// relation combined with itself is unchanged.
+    #[inline]
+    fn word_op(&mut self, dst: RelId, src: RelSrc<'_>, kernel: impl FnOnce(&mut [u64], &[u64])) {
+        if matches!(src, RelSrc::Slot(s) if s == dst) {
+            return;
+        }
+        let (d, [s]) = self.dst_and(dst, [src], "word-wise operation");
+        kernel(d, s);
+    }
+
+    #[inline]
     fn check_ext(&self, r: &Relation) {
         assert_eq!(r.universe(), self.n, "external operand universe mismatch");
     }
@@ -341,245 +372,70 @@ impl RelArena {
 
     /// Copies `src` into `dst` (`dst = src`).
     pub fn copy_into<'a>(&mut self, dst: RelId, src: impl Into<RelSrc<'a>>) {
-        match src.into() {
-            RelSrc::Slot(s) => {
-                if s == dst {
-                    return;
-                }
-                let (d, s) = self.two_slots(dst, s);
-                d.copy_from_slice(s);
-            }
-            RelSrc::Ext(r) => {
-                self.check_ext(r);
-                self.slot_mut(dst).copy_from_slice(r.bits());
-            }
-        }
+        self.word_op(dst, src.into(), <[u64]>::copy_from_slice);
     }
 
     /// `dst |= src`.
     pub fn union_into<'a>(&mut self, dst: RelId, src: impl Into<RelSrc<'a>>) {
-        match src.into() {
-            RelSrc::Slot(s) => {
-                if s == dst {
-                    return;
-                }
-                let (d, s) = self.two_slots(dst, s);
-                or_words(d, s);
-            }
-            RelSrc::Ext(r) => {
-                self.check_ext(r);
-                or_words(self.slot_mut(dst), r.bits());
-            }
-        }
+        self.word_op(dst, src.into(), or_words);
     }
 
     /// `dst &= src`.
     pub fn intersect_into<'a>(&mut self, dst: RelId, src: impl Into<RelSrc<'a>>) {
-        match src.into() {
-            RelSrc::Slot(s) => {
-                if s == dst {
-                    return;
-                }
-                let (d, s) = self.two_slots(dst, s);
-                and_words(d, s);
-            }
-            RelSrc::Ext(r) => {
-                self.check_ext(r);
-                and_words(self.slot_mut(dst), r.bits());
-            }
-        }
+        self.word_op(dst, src.into(), and_words);
     }
 
     /// `dst \= src` (difference in place).
     pub fn minus_into<'a>(&mut self, dst: RelId, src: impl Into<RelSrc<'a>>) {
-        match src.into() {
-            RelSrc::Slot(s) => {
-                if s == dst {
-                    self.clear(dst);
-                    return;
-                }
-                let (d, s) = self.two_slots(dst, s);
-                andnot_words(d, s);
-            }
-            RelSrc::Ext(r) => {
-                self.check_ext(r);
-                andnot_words(self.slot_mut(dst), r.bits());
-            }
+        let src = src.into();
+        if matches!(src, RelSrc::Slot(s) if s == dst) {
+            self.clear(dst);
+        } else {
+            self.word_op(dst, src, andnot_words);
         }
     }
 
     /// Adds the identity diagonal to `dst` (`dst |= id`).
     pub fn union_id(&mut self, dst: RelId) {
-        let (o, wpr) = (self.off(dst), self.wpr);
-        for i in 0..self.n {
-            self.buf[o + i * wpr + i / 64] |= 1u64 << (i % 64);
-        }
+        let wpr = self.wpr;
+        set_diagonal(self.slot_mut(dst), wpr);
     }
 
     /// `dst = a; b` (relational composition). `dst` must alias neither
     /// operand slot.
     ///
-    /// Blocked over [`crate::maskrow`]-style 4-word column chunks: per
-    /// source row, the successors `j ∈ a(i)` are gathered once into the
-    /// pooled index scratch, then each chunk of `dst`'s row accumulates
-    /// the matching chunks of all `b(j)` rows in registers before a
-    /// single store — one pass over `b`'s rows per chunk instead of one
-    /// full-row OR per successor, which is what keeps wide universes
-    /// (beyond the 64-event single-word case) in cache.
+    /// Runs [`crate::maskrow`]'s composition kernel: one-word rows (at
+    /// most 64 events) OR successor masks directly; only wider rows are
+    /// blocked into 4-word column chunks accumulated in registers.
     pub fn seq_into<'a, 'b>(
         &mut self,
         dst: RelId,
         a: impl Into<RelSrc<'a>>,
         b: impl Into<RelSrc<'b>>,
     ) {
-        let a = a.into();
-        let b = b.into();
-        for s in [&a, &b] {
-            match s {
-                RelSrc::Slot(id) => assert_ne!(*id, dst, "seq_into destination aliases an operand"),
-                RelSrc::Ext(r) => self.check_ext(r),
-            }
-        }
-        self.clear(dst);
-        let (n, wpr) = (self.n, self.wpr);
-        let d0 = self.off(dst);
-        let a_off = match a {
-            RelSrc::Slot(id) => Some(self.off(id)),
-            RelSrc::Ext(_) => None,
-        };
-        let b_off = match b {
-            RelSrc::Slot(id) => Some(self.off(id)),
-            RelSrc::Ext(_) => None,
-        };
-        let mut idx = std::mem::take(&mut self.idx);
-        for i in 0..n {
-            // Gather the successor indices of a's row i once; the chunk
-            // loop below then re-reads b freely (a and b never change —
-            // both are distinct from dst).
-            idx.clear();
-            let arow: &[u64] = match (a_off, &a) {
-                (Some(o), _) => &self.buf[o + i * wpr..o + (i + 1) * wpr],
-                (None, RelSrc::Ext(r)) => &r.bits()[i * wpr..(i + 1) * wpr],
-                _ => unreachable!(),
-            };
-            for (w, &word0) in arow.iter().enumerate() {
-                let mut word = word0;
-                while word != 0 {
-                    idx.push((w * 64 + word.trailing_zeros() as usize) as u32);
-                    word &= word - 1;
-                }
-            }
-            if idx.is_empty() {
-                continue;
-            }
-            let drow = d0 + i * wpr;
-            let mut cb = 0;
-            while cb < wpr {
-                let bw = (wpr - cb).min(4);
-                let mut acc = [0u64; 4];
-                match (b_off, &b) {
-                    (Some(o), _) => {
-                        for &j in &idx {
-                            let base = o + j as usize * wpr + cb;
-                            for (t, a) in acc.iter_mut().enumerate().take(bw) {
-                                *a |= self.buf[base + t];
-                            }
-                        }
-                    }
-                    (None, RelSrc::Ext(r)) => {
-                        let bits = r.bits();
-                        for &j in &idx {
-                            let base = j as usize * wpr + cb;
-                            for (t, a) in acc.iter_mut().enumerate().take(bw) {
-                                *a |= bits[base + t];
-                            }
-                        }
-                    }
-                    _ => unreachable!(),
-                }
-                for (t, &a) in acc.iter().enumerate().take(bw) {
-                    self.buf[drow + cb + t] |= a;
-                }
-                cb += 4;
-            }
-        }
-        self.idx = idx;
+        let wpr = self.wpr;
+        let (d, [a, b]) = self.dst_and(dst, [a.into(), b.into()], "seq_into");
+        seq_rows(d, a, b, wpr);
     }
 
     /// `dst = src⁻¹` (transpose). `dst` must not alias the operand slot.
     pub fn transpose_into<'a>(&mut self, dst: RelId, src: impl Into<RelSrc<'a>>) {
-        let src = src.into();
-        if let RelSrc::Slot(id) = src {
-            assert_ne!(id, dst, "transpose_into destination aliases the operand");
-        }
-        if let RelSrc::Ext(r) = src {
-            self.check_ext(r);
-        }
-        self.clear(dst);
-        let (n, wpr) = (self.n, self.wpr);
-        let d0 = self.off(dst);
-        let s_off = match src {
-            RelSrc::Slot(id) => Some(self.off(id)),
-            RelSrc::Ext(_) => None,
-        };
-        for i in 0..n {
-            for w in 0..wpr {
-                let mut word = match (s_off, &src) {
-                    (Some(o), _) => self.buf[o + i * wpr + w],
-                    (None, RelSrc::Ext(r)) => r.bits()[i * wpr + w],
-                    _ => unreachable!(),
-                };
-                while word != 0 {
-                    let j = w * 64 + word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    self.buf[d0 + j * wpr + i / 64] |= 1u64 << (i % 64);
-                }
-            }
-        }
+        let wpr = self.wpr;
+        let (d, [s]) = self.dst_and(dst, [src.into()], "transpose_into");
+        transpose_rows(d, s, wpr);
     }
 
-    /// `dst = src⁺` (transitive closure, Warshall over bit rows in place).
+    /// `dst = src⁺` (transitive closure, in place in `dst`).
     ///
-    /// Blocked like [`RelArena::seq_into`]: per pivot `k`, the rows that
-    /// reach `k` are gathered once — the set is fixed for the whole
-    /// iteration, since row `k` itself is excluded and a row only joins
-    /// by already having bit `k` — then row `k` is OR-ed into all of them
-    /// one 4-word column chunk at a time, keeping the pivot row's chunk
-    /// in registers across the member rows.
+    /// Runs [`crate::maskrow`]'s closure kernel: one-word rows (at most 64
+    /// events) are closed one successor mask at a time; only wider rows
+    /// run Warshall's algorithm blocked into 4-word column chunks,
+    /// keeping the pivot row's chunk in registers across the rows that
+    /// reach it.
     pub fn tclosure_into<'a>(&mut self, dst: RelId, src: impl Into<RelSrc<'a>>) {
         self.copy_into(dst, src);
-        let (n, wpr) = (self.n, self.wpr);
-        let d0 = self.off(dst);
-        let mut idx = std::mem::take(&mut self.idx);
-        for k in 0..n {
-            idx.clear();
-            let (kw, kb) = (k / 64, 1u64 << (k % 64));
-            for i in 0..n {
-                if i != k && self.buf[d0 + i * wpr + kw] & kb != 0 {
-                    idx.push(i as u32);
-                }
-            }
-            if idx.is_empty() {
-                continue;
-            }
-            let k0 = d0 + k * wpr;
-            let mut cb = 0;
-            while cb < wpr {
-                let bw = (wpr - cb).min(4);
-                let mut acc = [0u64; 4];
-                for (t, a) in acc.iter_mut().enumerate().take(bw) {
-                    *a = self.buf[k0 + cb + t];
-                }
-                for &i in &idx {
-                    let base = d0 + i as usize * wpr + cb;
-                    for (t, &a) in acc.iter().enumerate().take(bw) {
-                        self.buf[base + t] |= a;
-                    }
-                }
-                cb += 4;
-            }
-        }
-        self.idx = idx;
+        let wpr = self.wpr;
+        tclosure_rows(self.slot_mut(dst), wpr);
     }
 
     /// `dst = src*` (reflexive-transitive closure).
@@ -599,31 +455,9 @@ impl RelArena {
     ) {
         assert_eq!(srcs.universe(), self.n, "source-set universe mismatch");
         assert_eq!(dsts.universe(), self.n, "target-set universe mismatch");
-        let src = src.into();
-        if let RelSrc::Ext(r) = src {
-            self.check_ext(r);
-        }
-        self.clear(dst);
         let wpr = self.wpr;
-        let d0 = self.off(dst);
-        let s_off = match src {
-            RelSrc::Slot(id) => {
-                assert_ne!(id, dst, "restrict_into destination aliases the operand");
-                Some(self.off(id))
-            }
-            RelSrc::Ext(_) => None,
-        };
-        for a in srcs.iter() {
-            for w in 0..wpr {
-                let mask = dsts.words()[w];
-                let v = match (s_off, &src) {
-                    (Some(o), _) => self.buf[o + a * wpr + w],
-                    (None, RelSrc::Ext(r)) => r.bits()[a * wpr + w],
-                    _ => unreachable!(),
-                };
-                self.buf[d0 + a * wpr + w] = v & mask;
-            }
-        }
+        let (d, [s]) = self.dst_and(dst, [src.into()], "restrict_into");
+        restrict_rows(d, s, srcs.words(), dsts.words(), wpr);
     }
 
     /// Is the source relation empty?
@@ -634,26 +468,17 @@ impl RelArena {
     /// Is the source relation irreflexive?
     pub fn is_irreflexive<'a>(&self, src: impl Into<RelSrc<'a>>) -> bool {
         let v = self.view_of(src);
-        (0..self.n).all(|i| !v.contains(i, i))
+        irreflexive_rows(v.bits, v.wpr)
     }
 
     /// Is the source relation acyclic?
     ///
-    /// Universes of at most 64 events (every litmus-scale candidate) run
-    /// a stack-only Kahn elimination over successor masks; larger ones
-    /// run the same elimination over multi-word rows through the arena's
-    /// pooled [`KahnScratch`] — O(rounds · n²/64) on the direct adjacency,
-    /// with no transitive closure and no temporary slot.
+    /// Sink elimination on the direct adjacency — no transitive closure
+    /// and no temporary slot: universes of at most 64 events run it over
+    /// stack successor masks ([`crate::maskrow::acyclic_masks`]), larger
+    /// ones over multi-word rows through the arena's pooled
+    /// [`KahnScratch`], O(rounds · n²/64).
     pub fn is_acyclic<'a>(&mut self, src: impl Into<RelSrc<'a>>) -> bool {
-        let src = src.into();
-        if self.n <= 64 {
-            let v = self.view_of(src);
-            let mut adj = [0u64; 64];
-            for (i, a) in adj.iter_mut().enumerate().take(self.n) {
-                *a = if self.wpr == 0 { 0 } else { v.row(i)[0] };
-            }
-            return acyclic_masks(&adj[..self.n]);
-        }
         let mut kahn = std::mem::take(&mut self.kahn);
         let v = self.view_of(src);
         let ok = kahn.is_acyclic_rows(v.bits, v.n, v.wpr);
@@ -665,6 +490,12 @@ impl RelArena {
     pub fn eq<'a, 'b>(&self, a: impl Into<RelSrc<'a>>, b: impl Into<RelSrc<'b>>) -> bool {
         self.view_of(a).bits == self.view_of(b).bits
     }
+}
+
+#[cold]
+#[inline(never)]
+fn aliasing_panic(op: &str) -> ! {
+    panic!("{op} destination aliases an operand")
 }
 
 #[cfg(test)]

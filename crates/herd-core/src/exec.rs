@@ -79,7 +79,8 @@ pub enum ExecutionError {
         /// Human-readable detail.
         detail: String,
     },
-    /// `po` relates events of different threads or an initial write.
+    /// `po` relates events of different threads or an initial write, or
+    /// the edge lies on a cycle of `po`.
     MalformedPo {
         /// Source of the edge.
         a: usize,
@@ -104,7 +105,11 @@ impl fmt::Display for ExecutionError {
                 write!(f, "coherence order malformed: {detail}")
             }
             ExecutionError::MalformedPo { a, b } => {
-                write!(f, "program order relates ({a},{b}) across threads or init writes")
+                write!(
+                    f,
+                    "program order relates ({a},{b}) across threads or init writes, \
+                     or lies on a cycle"
+                )
             }
         }
     }
@@ -801,7 +806,9 @@ fn validate_po(events: &[Event], po: &Relation) -> Result<(), ExecutionError> {
         }
     }
     if !po.is_acyclic() {
-        return Err(ExecutionError::MalformedPo { a: 0, b: 0 });
+        // The cycle's closing edge, from its last event back to its first.
+        let cycle = po.find_cycle().expect("a cyclic relation has a cycle");
+        return Err(ExecutionError::MalformedPo { a: cycle[cycle.len() - 1], b: cycle[0] });
     }
     Ok(())
 }
@@ -836,11 +843,13 @@ fn validate_co(events: &[Event], co: &Relation) -> Result<(), ExecutionError> {
             });
         }
     }
-    if !co.is_acyclic() {
+    // One closure serves both checks: `co` is acyclic iff its closure is
+    // irreflexive, and total per location iff the closure links every
+    // same-location write pair.
+    let closed = co.tclosure();
+    if !closed.is_irreflexive() {
         return Err(ExecutionError::MalformedCo { detail: "cyclic".into() });
     }
-    // Totality per location.
-    let closed = co.tclosure();
     for a in events {
         for b in events {
             if a.id < b.id && a.is_write() && b.is_write() && a.loc == b.loc {
@@ -1002,5 +1011,52 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, ExecutionError::MalformedPo { .. }));
+    }
+
+    #[test]
+    fn rejects_cyclic_po() {
+        let x = mp_fig4();
+        let n = x.len();
+        // Same-thread edges only, so the cycle is the sole defect.
+        let cyclic_po = Relation::from_pairs(n, [(2, 3), (3, 2), (4, 5)]);
+        let err = Execution::new(
+            x.events().to_vec(),
+            cyclic_po.clone(),
+            x.rf().clone(),
+            x.co().clone(),
+            Deps::none(n),
+            BTreeMap::new(),
+        )
+        .unwrap_err();
+        let ExecutionError::MalformedPo { a, b } = err else {
+            panic!("expected MalformedPo, got {err:?}");
+        };
+        assert!(cyclic_po.contains(a, b), "reported ({a},{b}) is not a po edge");
+        assert!(err.to_string().contains("or lies on a cycle"), "{err}");
+    }
+
+    #[test]
+    fn rejects_cyclic_co() {
+        let x = mp_fig4();
+        let n = x.len();
+        // Move b to x (so c now reads y from init), then order the two
+        // x writes a and b both ways round.
+        let mut events = x.events().to_vec();
+        events[3].loc = Loc(0);
+        events[4].val = Val(0);
+        let cyclic_co = Relation::from_pairs(n, [(0, 2), (0, 3), (2, 3), (3, 2)]);
+        let err = Execution::new(
+            events,
+            x.po().clone(),
+            Relation::from_pairs(n, [(1, 4), (0, 5)]),
+            cyclic_co,
+            Deps::none(n),
+            BTreeMap::new(),
+        )
+        .unwrap_err();
+        let ExecutionError::MalformedCo { detail } = err else {
+            panic!("expected MalformedCo, got {err:?}");
+        };
+        assert_eq!(detail, "cyclic");
     }
 }

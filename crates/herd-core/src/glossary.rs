@@ -101,16 +101,19 @@
 //! | rows over | width / storage | used by | where |
 //! |---|---|---|---|
 //! | a relation universe | `words_for(n)` words per row in pooled arena slots | every derived relation and axiom temporary of the walk | [`crate::arena::RelArena`] |
+//! | a relation universe, owned | `words_for(n)` words per row in one `Vec` per relation | candidate executions ([`crate::exec::Execution`]), the reference checker, static `ppo`, saturation | [`crate::relation::Relation`] |
+//! | a relational kernel | ≤64 events: one word per row, successor masks, no scratch; wider: 4-word column chunks in registers | composition, closure, transpose, restriction and irreflexivity for both rows above | [`crate::maskrow`] (`seq_rows`, `tclosure_rows`, ...) |
 //! | one location's members | ≤64 members: one stack word; wider: pooled multi-word rows | uniproc pruning's per-location acyclicity | [`crate::uniproc::LocGraph`], [`crate::uniproc::LocScratch`] |
 //! | the event universe's reachability | `words_for(n)` words per event row, one pooled level per rf pick | thin-air pruning's tracked closure | [`crate::thinair::ThinAirTracker`] |
-//! | a Kahn elimination | ≤64 nodes: stack masks ([`crate::maskrow::acyclic_masks`]); wider: grow-only scratch | acyclicity everywhere (arena, uniproc, scheduler replays) | [`crate::maskrow::KahnScratch`] |
+//! | a sink elimination | ≤64 nodes: stack masks ([`crate::maskrow::acyclic_masks`]); wider: one grow-only scratch row | acyclicity everywhere (owned relations, arena, uniproc, scheduler replays) | [`crate::maskrow::KahnScratch`] |
 //! | a single named mask | ≤256 bits inline, spilling to the heap past that | init/read masks, odometer bookkeeping | [`crate::maskrow::MaskRow`] |
 //!
-//! The dispatch discipline: the 1-word paths are bit-identical to the
-//! pre-PR 8 code (same instructions, zero steady-state allocations —
-//! the `alloc-count` smoke test still pins the zero), and wider rows
-//! reuse pooled buffers so the walk's zero-allocation steady state
-//! survives past 64 events. The `lb+68ev`/`lb+132ev` bench families
+//! The dispatch discipline: the 1-word paths work on single `u64`
+//! successor masks with stack scratch only (zero steady-state
+//! allocations — the `alloc-count` smoke test pins the zero), and wider
+//! rows reuse pooled buffers so the walk's zero-allocation steady state
+//! survives past 64 events. Owned relations and arena slots share one
+//! layout and one kernel per operator, so the two algebras cannot drift. The `lb+68ev`/`lb+132ev` bench families
 //! gate both pruning axes at 2- and 3-word widths.
 //!
 //! # Work units — scheduling the incremental-candidate walk (Sec 8.3)

@@ -11,9 +11,10 @@
 //! - [`relation`] / [`set`]: dense bit-matrix relational algebra (union,
 //!   sequence, closures, acyclicity).
 //! - [`maskrow`]: the width-generic bit-row layer under every fast path —
-//!   unrolled word kernels, [`maskrow::MaskRow`] values, and the shared
-//!   Kahn elimination (stack masks up to 64 nodes, pooled row-major
-//!   scratch beyond).
+//!   unrolled word kernels, the one copy of composition, closure,
+//!   transpose and acyclicity that owned relations and arena slots share
+//!   (a one-word branch up to 64 events, blocked multi-word rows beyond),
+//!   and [`maskrow::MaskRow`] values.
 //! - [`event`] / [`exec`]: memory events and candidate executions with all
 //!   derived relations (`fr`, `com`, `rdw`, `detour`, ...).
 //! - [`model`]: the generic axioms and the [`model::Architecture`] trait.

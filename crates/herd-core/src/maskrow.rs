@@ -1,30 +1,37 @@
 //! Width-generic bit-row kernels: the mask layer under every fast path.
 //!
-//! The streaming engine's hot structures — arena slots
-//! ([`crate::arena::RelArena`]), thin-air reachability masks
+//! Every relation in the crate — owned [`crate::relation::Relation`]s,
+//! arena slots ([`crate::arena::RelArena`]), thin-air reachability masks
 //! ([`crate::thinair::ThinAirTracker`]) and per-location uniproc graphs
-//! ([`crate::uniproc::LocGraphs`]) — all reduce to *rows* of `u64` words:
-//! one row per graph node, one bit per possible successor. Historically
-//! each of them hard-coded a single-word row (`u64`), which capped every
-//! pruning axis at 64 events exactly where pruning matters most (the
-//! search space explodes with event count, Sec 8.3). This module is the
-//! one place that knows how wide a row is:
+//! ([`crate::uniproc::LocGraphs`]) — reduces to *rows* of `u64` words:
+//! one row per graph node, one bit per possible successor, `n` rows of
+//! `words_for(n)` words laid out row-major. This module is the one place
+//! that knows how wide a row is, and the one place each relational
+//! kernel exists:
 //!
 //! - the word kernels `or_words` / `and_words` / `andnot_words`
 //!   dispatch on row width — explicit unrolled arms for 1-, 2- and 4-word
 //!   rows (64 / 128 / 256 events) that the compiler keeps in SIMD
 //!   registers, plus a 4-words-per-step loop for anything wider;
+//! - the relational kernels `seq_rows` (composition), `tclosure_rows`
+//!   (transitive closure), `transpose_rows`, `restrict_rows`,
+//!   `set_diagonal` and `irreflexive_rows` over whole row-major
+//!   matrices. Universes of at most 64 events (one word per row: every
+//!   litmus-scale candidate) take a one-word branch that works on
+//!   successor masks directly, with no scratch; wider rows run a loop
+//!   blocked into 4-word column chunks held in registers (Warshall's
+//!   algorithm, for the closure);
+//! - [`acyclic_masks`] is the one-word acyclicity check (stack-only sink
+//!   elimination), and [`KahnScratch`] its width-generic twin over
+//!   row-major adjacency with a pooled buffer, so steady-state checks
+//!   allocate nothing at any width;
 //! - [`MaskRow`] wraps one row as a value: up to 4 words inline (no heap)
-//!   and a spill to `Vec<u64>` beyond 256 events;
-//! - [`acyclic_masks`] is the single-word Kahn elimination previously
-//!   duplicated (and drifting) in `arena.rs` and `uniproc.rs`;
-//! - [`KahnScratch`] is its width-generic twin over row-major adjacency,
-//!   with pooled buffers so steady-state checks allocate nothing.
+//!   and a spill to `Vec<u64>` beyond 256 events.
 //!
-//! The 1-word path is bit-identical to the pre-refactor code: `wpr == 1`
-//! callers hit the same single-`u64` operations as before, and
-//! [`KahnScratch::is_acyclic_rows`] delegates 1-word graphs straight to
-//! [`acyclic_masks`].
+//! The owned [`crate::relation::Relation`] operators and the arena's
+//! in-place twins are thin callers of these kernels, so the two algebras
+//! cannot drift apart — and cannot check each other either: the pair-set
+//! oracle in `tests/algebra_oracle.rs` pins both to the definitions.
 
 /// Words needed for a row of `n` bits.
 #[inline]
@@ -148,6 +155,201 @@ pub(crate) fn row_set(row: &mut [u64], b: usize) {
     row[b / 64] |= 1u64 << (b % 64);
 }
 
+/// Iterates over the set bits of a row in ascending order.
+#[inline]
+pub(crate) fn iter_bits(row: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    row.iter().enumerate().flat_map(|(w, &word)| {
+        let mut word = word;
+        std::iter::from_fn(move || {
+            if word == 0 {
+                return None;
+            }
+            let b = word.trailing_zeros() as usize;
+            word &= word - 1;
+            Some(w * 64 + b)
+        })
+    })
+}
+
+/// Iterates over the pairs `(a, b)` of a row-major matrix with rows of
+/// `wpr` words, in row-then-column order.
+#[inline]
+pub(crate) fn iter_pairs(rows: &[u64], wpr: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+    // `max(1)`: an empty universe has zero-word rows and no words at all.
+    rows.chunks_exact(wpr.max(1))
+        .enumerate()
+        .flat_map(|(a, row)| iter_bits(row).map(move |b| (a, b)))
+}
+
+/// `out = a; b`: relational composition (`(i, k)` iff some `j` has
+/// `(i, j) ∈ a` and `(j, k) ∈ b`) over row-major matrices with rows of
+/// `wpr` words. Every word of `out` is written.
+///
+/// One-word rows OR together the successor masks of `a(i)`'s members;
+/// wider rows accumulate each (up to) 4-word column chunk of `out`'s row
+/// over the members' rows in registers before a single store — one pass
+/// over `b`'s rows per chunk instead of one full-row OR per member, which
+/// is what keeps wide universes in cache.
+///
+/// # Panics
+///
+/// Panics if the three matrices differ in length.
+pub(crate) fn seq_rows(out: &mut [u64], a: &[u64], b: &[u64], wpr: usize) {
+    assert!(out.len() == a.len() && a.len() == b.len(), "composition shape mismatch");
+    if wpr == 1 {
+        for (o, &succ) in out.iter_mut().zip(a) {
+            let (mut s, mut acc) = (succ, 0);
+            while s != 0 {
+                acc |= b[s.trailing_zeros() as usize];
+                s &= s - 1;
+            }
+            *o = acc;
+        }
+        return;
+    }
+    for (orow, arow) in out.chunks_exact_mut(wpr.max(1)).zip(a.chunks_exact(wpr.max(1))) {
+        for (cb, chunk) in (0..).step_by(4).zip(orow.chunks_mut(4)) {
+            match chunk.len() {
+                4 => chunk.copy_from_slice(&gather_chunk::<4>(arow, b, wpr, cb)),
+                3 => chunk.copy_from_slice(&gather_chunk::<3>(arow, b, wpr, cb)),
+                2 => chunk.copy_from_slice(&gather_chunk::<2>(arow, b, wpr, cb)),
+                _ => chunk.copy_from_slice(&gather_chunk::<1>(arow, b, wpr, cb)),
+            }
+        }
+    }
+}
+
+/// The `W`-word column chunk at word `cb` of the union of the rows of `b`
+/// (rows of `wpr` words) named by the set bits of `members`.
+#[inline(always)]
+fn gather_chunk<const W: usize>(members: &[u64], b: &[u64], wpr: usize, cb: usize) -> [u64; W] {
+    let mut acc = [0u64; W];
+    for (w, &word) in members.iter().enumerate() {
+        let mut s = word;
+        while s != 0 {
+            let j = w * 64 + s.trailing_zeros() as usize;
+            s &= s - 1;
+            let src: &[u64; W] = b[j * wpr + cb..][..W].try_into().expect("chunk width");
+            for (x, &y) in acc.iter_mut().zip(src) {
+                *x |= y;
+            }
+        }
+    }
+    acc
+}
+
+/// `rows = rows⁺`: transitive closure in place over row-major rows of
+/// `wpr` words.
+///
+/// One-word rows are closed one row at a time, from the highest index
+/// down: a row absorbs the successor masks of the nodes it reaches until
+/// nothing new appears, and a node whose row is already closed
+/// contributes its whole closure with no further search. Program order
+/// and everything built from it point mostly from lower to higher
+/// indices, so most successors are closed by the time they are reached.
+///
+/// Wider rows run Warshall's algorithm: per pivot `k`, pivot row `k` is
+/// OR-ed into every row holding bit `k` (a set fixed for the whole pivot:
+/// a row only gains bit `k` by absorbing row `k`, which it does only if
+/// it already had it), one 4-word column chunk at a time, keeping the
+/// pivot row's chunk in registers across the member rows. Pivots with an
+/// empty chunk are skipped.
+pub(crate) fn tclosure_rows(rows: &mut [u64], wpr: usize) {
+    if wpr == 1 {
+        let mut closed = 0u64;
+        for i in (0..rows.len()).rev() {
+            let mut reach = rows[i];
+            let mut todo = reach;
+            while todo != 0 {
+                let j = todo.trailing_zeros() as usize;
+                todo &= todo - 1;
+                let new = rows[j] & !reach;
+                reach |= new;
+                if closed >> j & 1 == 0 {
+                    todo |= new;
+                }
+            }
+            rows[i] = reach;
+            closed |= 1 << i;
+        }
+        return;
+    }
+    let n = rows.len() / wpr.max(1);
+    for k in 0..n {
+        let (kw, kb) = (k / 64, 1u64 << (k % 64));
+        for cb in (0..wpr).step_by(4) {
+            let bw = (wpr - cb).min(4);
+            let mut acc = [0u64; 4];
+            acc[..bw].copy_from_slice(&rows[k * wpr + cb..][..bw]);
+            if acc == [0; 4] {
+                continue;
+            }
+            for row in rows.chunks_exact_mut(wpr) {
+                if row[kw] & kb != 0 {
+                    for (x, &y) in row[cb..cb + bw].iter_mut().zip(&acc) {
+                        *x |= y;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `out = src⁻¹`: the transpose of a row-major matrix with rows of `wpr`
+/// words, visiting only the set bits of `src`.
+///
+/// # Panics
+///
+/// Panics if the two matrices differ in length.
+pub(crate) fn transpose_rows(out: &mut [u64], src: &[u64], wpr: usize) {
+    assert_eq!(out.len(), src.len(), "transpose shape mismatch");
+    out.fill(0);
+    if wpr == 1 {
+        for (i, &succ) in src.iter().enumerate() {
+            let mut s = succ;
+            while s != 0 {
+                out[s.trailing_zeros() as usize] |= 1 << i;
+                s &= s - 1;
+            }
+        }
+        return;
+    }
+    for (i, row) in src.chunks_exact(wpr.max(1)).enumerate() {
+        let (iw, ib) = (i / 64, 1u64 << (i % 64));
+        for (w, &word) in row.iter().enumerate() {
+            let mut s = word;
+            while s != 0 {
+                out[(w * 64 + s.trailing_zeros() as usize) * wpr + iw] |= ib;
+                s &= s - 1;
+            }
+        }
+    }
+}
+
+/// `out = src ∩ (srcs × dsts)`: the pairs of `src` whose source is in
+/// the membership row `srcs` and whose target is in `dsts`.
+pub(crate) fn restrict_rows(out: &mut [u64], src: &[u64], srcs: &[u64], dsts: &[u64], wpr: usize) {
+    assert_eq!(out.len(), src.len(), "restriction shape mismatch");
+    out.fill(0);
+    for a in iter_bits(srcs) {
+        let row = &mut out[a * wpr..(a + 1) * wpr];
+        row.copy_from_slice(&src[a * wpr..(a + 1) * wpr]);
+        and_words(row, dsts);
+    }
+}
+
+/// `rows |= id`: adds the diagonal to a square row-major matrix.
+pub(crate) fn set_diagonal(rows: &mut [u64], wpr: usize) {
+    for (i, row) in rows.chunks_exact_mut(wpr.max(1)).enumerate() {
+        row_set(row, i);
+    }
+}
+
+/// Is the diagonal of a square row-major matrix empty (`¬∃x. (x, x)`)?
+pub(crate) fn irreflexive_rows(rows: &[u64], wpr: usize) -> bool {
+    rows.chunks_exact(wpr.max(1)).enumerate().all(|(i, row)| !row_test(row, i))
+}
+
 /// One width-generic bit row: a successor or membership mask over a
 /// universe of `n` nodes, `words_for(n)` words wide.
 ///
@@ -155,8 +357,7 @@ pub(crate) fn row_set(row: &mut [u64], b: usize) {
 /// family) live inline with no heap allocation; wider rows spill to a
 /// `Vec<u64>` allocated once at construction. All operations run through
 /// the width-dispatched kernels of this module, so a 1-word `MaskRow`
-/// compiles to the same single-`u64` instructions the pre-refactor code
-/// hard-wired.
+/// compiles to single-`u64` instructions.
 ///
 /// # Examples
 ///
@@ -257,82 +458,60 @@ impl MaskRow {
 
     /// Iterates over the set bits in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words().iter().enumerate().flat_map(|(w, &word)| {
-            let mut word = word;
-            std::iter::from_fn(move || {
-                if word == 0 {
-                    return None;
-                }
-                let b = word.trailing_zeros() as usize;
-                word &= word - 1;
-                Some(w * 64 + b)
-            })
-        })
+        iter_bits(self.words())
     }
 }
 
-/// Kahn-style elimination over single-word successor masks of at most 64
-/// nodes — the shared fast path of [`crate::arena::RelArena::is_acyclic`]
-/// and [`crate::uniproc::LocGraph::is_uniproc`] (previously two private
-/// copies that had already drifted in shape).
+/// Acyclicity of a graph of at most 64 nodes given as single-word
+/// successor masks — the shared fast path of every acyclicity check
+/// (owned [`crate::relation::Relation`], [`crate::arena::RelArena`],
+/// [`crate::uniproc::LocGraph::is_uniproc`]).
 ///
-/// `adj[i]` is node `i`'s successor mask; the graph is acyclic iff nodes
-/// with no live predecessor (other than themselves) can be removed until
-/// none remain. Stack-only: no allocation whatever the outcome.
+/// `adj[i]` is node `i`'s successor mask. The graph is acyclic iff nodes
+/// with no live successor (sinks, which a self loop never is) can be
+/// removed until none remain. Nodes are visited from the highest index
+/// down, so an order that mostly points from lower to higher indices
+/// (program order, for one) falls apart in a round or two. Stack-only:
+/// no allocation whatever the outcome.
 pub fn acyclic_masks(adj: &[u64]) -> bool {
     let m = adj.len();
     debug_assert!(m <= 64, "acyclic_masks caps at 64 nodes; use KahnScratch");
-    let mut preds = [0u64; 64];
-    for (i, &succ) in adj.iter().enumerate() {
-        let mut s = succ;
-        while s != 0 {
-            let j = s.trailing_zeros() as usize;
-            s &= s - 1;
-            preds[j] |= 1 << i;
-        }
-    }
     let mut alive: u64 = if m == 64 { !0 } else { (1u64 << m) - 1 };
     loop {
-        let mut removed = 0u64;
+        let before = alive;
         let mut a = alive;
         while a != 0 {
-            let i = a.trailing_zeros() as usize;
-            a &= a - 1;
-            if preds[i] & alive & !(1 << i) == 0 && adj[i] >> i & 1 == 0 {
-                removed |= 1 << i;
+            let i = 63 - a.leading_zeros() as usize;
+            a ^= 1 << i;
+            if adj[i] & alive == 0 {
+                alive ^= 1 << i;
             }
         }
-        alive &= !removed;
         if alive == 0 {
             return true;
         }
-        if removed == 0 {
+        if alive == before {
             return false;
         }
     }
 }
 
-/// Pooled scratch for width-generic Kahn elimination: acyclicity of a
-/// graph given as row-major successor masks (`m` rows of `wpr` words).
+/// Pooled scratch for width-generic acyclicity: the same sink
+/// elimination as [`acyclic_masks`] over row-major successor masks (`m`
+/// rows of `wpr` words).
 ///
-/// The buffers grow to the largest graph ever checked and are reused
-/// afterwards, so steady-state checks allocate nothing — the same
-/// discipline as the arena pool. One-word graphs skip the buffers
-/// entirely and run [`acyclic_masks`] on the stack, keeping the ≤64-node
-/// path bit-identical (and allocation-identical) to the pre-refactor
-/// code.
+/// The one buffer (the live-node row) grows to the widest graph ever
+/// checked and is reused afterwards, so steady-state checks allocate
+/// nothing — the same discipline as the arena pool. One-word graphs skip
+/// it entirely and run [`acyclic_masks`] on the stack.
 #[derive(Debug, Default)]
 pub struct KahnScratch {
-    /// Row-major predecessor masks (the transpose of `adj`).
-    preds: Vec<u64>,
     /// Mask of nodes not yet removed.
     alive: Vec<u64>,
-    /// Mask of nodes removed this round.
-    removed: Vec<u64>,
 }
 
 impl KahnScratch {
-    /// Fresh scratch with empty pools.
+    /// Fresh scratch with an empty pool.
     pub fn new() -> Self {
         KahnScratch::default()
     }
@@ -351,69 +530,33 @@ impl KahnScratch {
         if wpr == 1 {
             return acyclic_masks(&adj[..m]);
         }
-        self.preds.clear();
-        self.preds.resize(m * wpr, 0);
-        for i in 0..m {
-            for w in 0..wpr {
-                let mut word = adj[i * wpr + w];
-                while word != 0 {
-                    let j = w * 64 + word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    debug_assert!(j < m, "successor bit beyond the node count");
-                    row_set(&mut self.preds[j * wpr..(j + 1) * wpr], i);
-                }
-            }
+        let alive = &mut self.alive;
+        alive.clear();
+        alive.resize(wpr, 0);
+        alive[..m / 64].fill(!0);
+        if !m.is_multiple_of(64) {
+            alive[m / 64] = (1u64 << (m % 64)) - 1;
         }
-        self.alive.clear();
-        self.alive.resize(wpr, !0u64);
-        let tail = m % 64;
-        if tail != 0 {
-            self.alive[m / 64] = (1u64 << tail) - 1;
-        }
-        for w in self.alive[m.div_ceil(64)..].iter_mut() {
-            *w = 0;
-        }
-        self.removed.clear();
-        self.removed.resize(wpr, 0);
         loop {
-            self.removed.fill(0);
-            let mut any = false;
-            for w in 0..wpr {
-                let mut word = self.alive[w];
-                while word != 0 {
-                    let i = w * 64 + word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    if adj[i * wpr + w] >> (i % 64) & 1 == 1 {
-                        continue; // self loop: never removable
-                    }
-                    let prow = &self.preds[i * wpr..(i + 1) * wpr];
-                    let mut live_preds = false;
-                    for (pw, (&p, &a)) in prow.iter().zip(&self.alive).enumerate() {
-                        let mut v = p & a;
-                        if pw == w {
-                            v &= !(1u64 << (i % 64));
-                        }
-                        if v != 0 {
-                            live_preds = true;
-                            break;
-                        }
-                    }
-                    if !live_preds {
-                        row_set(&mut self.removed, i);
-                        any = true;
+            let mut removed = false;
+            for w in (0..wpr).rev() {
+                let mut a = alive[w];
+                while a != 0 {
+                    let b = 63 - a.leading_zeros() as usize;
+                    a ^= 1 << b;
+                    let i = w * 64 + b;
+                    let row = &adj[i * wpr..(i + 1) * wpr];
+                    if row.iter().zip(alive.iter()).all(|(&s, &l)| s & l == 0) {
+                        alive[w] ^= 1 << b;
+                        removed = true;
                     }
                 }
             }
-            if !any {
-                return false;
-            }
-            let mut empty = true;
-            for (a, &r) in self.alive.iter_mut().zip(&self.removed) {
-                *a &= !r;
-                empty &= *a == 0;
-            }
-            if empty {
+            if alive.iter().all(|&w| w == 0) {
                 return true;
+            }
+            if !removed {
+                return false;
             }
         }
     }
@@ -424,10 +567,11 @@ mod tests {
     use super::*;
     use crate::relation::Relation;
 
-    /// Owned-algebra reference: acyclic iff the transitive closure is
-    /// irreflexive.
+    /// Closure reference: acyclic iff the transitive closure is
+    /// irreflexive (`Relation::is_acyclic` itself runs the elimination
+    /// under test).
     fn acyclic_ref(n: usize, pairs: &[(usize, usize)]) -> bool {
-        Relation::from_pairs(n, pairs.iter().copied()).is_acyclic()
+        Relation::from_pairs(n, pairs.iter().copied()).tclosure().is_irreflexive()
     }
 
     fn rows_from(n: usize, pairs: &[(usize, usize)]) -> (Vec<u64>, usize) {

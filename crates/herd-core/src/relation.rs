@@ -7,7 +7,16 @@
 //! scale have well under a hundred events, so a dense row-major bit matrix
 //! makes every operator a short loop over machine words. This representation
 //! is the reason single-event axiomatic simulation is fast (paper, Sec 8.3).
+//!
+//! [`Relation`] owns its rows; every operator beyond a word-wise union or
+//! intersection calls the kernel in [`crate::maskrow`] that the arena's
+//! in-place twins ([`crate::arena::RelArena`]) call too, so universes of at
+//! most 64 events take the same one-word fast path on either side.
 
+use crate::maskrow::{
+    irreflexive_rows, iter_bits, iter_pairs, restrict_rows, seq_rows, set_diagonal, tclosure_rows,
+    transpose_rows, KahnScratch,
+};
 use crate::set::{words_for, EventSet};
 use std::fmt;
 use std::ops::{BitAnd, BitOr, Sub};
@@ -43,9 +52,7 @@ impl Relation {
     /// The identity relation `{(e, e)}` over `n` events.
     pub fn id(n: usize) -> Self {
         let mut r = Relation::empty(n);
-        for i in 0..n {
-            r.bits[i * r.wpr + i / 64] = 1u64 << (i % 64);
-        }
+        set_diagonal(&mut r.bits, r.wpr);
         r
     }
 
@@ -186,63 +193,42 @@ impl Relation {
     pub fn seq(&self, other: &Relation) -> Relation {
         assert_eq!(self.n, other.n, "universe mismatch");
         let mut out = Relation::empty(self.n);
-        for a in 0..self.n {
-            let row_a = a * self.wpr;
-            for b in 0..self.n {
-                if self.bits[row_a + b / 64] >> (b % 64) & 1 == 1 {
-                    let (dst, src) = (a * self.wpr, b * self.wpr);
-                    for w in 0..self.wpr {
-                        out.bits[dst + w] |= other.bits[src + w];
-                    }
-                }
-            }
-        }
+        seq_rows(&mut out.bits, &self.bits, &other.bits, self.wpr);
         out
     }
 
     /// Converse (transpose) relation `{(b, a) | (a, b) ∈ self}`.
     pub fn transpose(&self) -> Relation {
         let mut out = Relation::empty(self.n);
-        for (a, b) in self.iter_pairs() {
-            out.add(b, a);
-        }
+        transpose_rows(&mut out.bits, &self.bits, self.wpr);
         out
     }
 
-    /// Transitive closure `r+`, by Warshall's algorithm over bitset rows.
+    /// Transitive closure `r+` (row by row over successor masks up to 64
+    /// events, Warshall's algorithm over blocked rows beyond).
     pub fn tclosure(&self) -> Relation {
         let mut c = self.clone();
-        for k in 0..self.n {
-            for i in 0..self.n {
-                if c.contains(i, k) {
-                    let (dst, src) = (i * c.wpr, k * c.wpr);
-                    if dst != src {
-                        for w in 0..c.wpr {
-                            let v = c.bits[src + w];
-                            c.bits[dst + w] |= v;
-                        }
-                    }
-                }
-            }
-        }
+        tclosure_rows(&mut c.bits, self.wpr);
         c
     }
 
     /// Reflexive-transitive closure `r*`.
     pub fn rtclosure(&self) -> Relation {
         let mut c = self.tclosure();
-        c.union_with(&Relation::id(self.n));
+        set_diagonal(&mut c.bits, self.wpr);
         c
     }
 
     /// Is the relation irreflexive (`¬∃x. (x, x) ∈ r`)?
     pub fn is_irreflexive(&self) -> bool {
-        (0..self.n).all(|i| !self.contains(i, i))
+        irreflexive_rows(&self.bits, self.wpr)
     }
 
-    /// Is the relation acyclic (`¬∃x. (x, x) ∈ r+`)?
+    /// Is the relation acyclic (`¬∃x. (x, x) ∈ r+`)? Decided by sink
+    /// elimination on the relation itself, with no closure; universes
+    /// wider than 64 events allocate one row of scratch.
     pub fn is_acyclic(&self) -> bool {
-        self.tclosure().is_irreflexive()
+        KahnScratch::new().is_acyclic_rows(&self.bits, self.n, self.wpr)
     }
 
     /// Restriction to pairs whose source is in `src` and target in `dst`.
@@ -250,13 +236,7 @@ impl Relation {
         assert_eq!(self.n, src.universe());
         assert_eq!(self.n, dst.universe());
         let mut out = Relation::empty(self.n);
-        let dw = dst.words();
-        for a in src.iter() {
-            let base = a * self.wpr;
-            for (w, &mask) in dw.iter().enumerate() {
-                out.bits[base + w] = self.bits[base + w] & mask;
-            }
-        }
+        restrict_rows(&mut out.bits, &self.bits, src.words(), dst.words(), self.wpr);
         out
     }
 
@@ -280,14 +260,16 @@ impl Relation {
         s
     }
 
-    /// Successors of `a` under the relation.
+    /// Successors of `a` under the relation (none if `a` is outside the
+    /// universe).
     pub fn succs(&self, a: usize) -> impl Iterator<Item = usize> + '_ {
-        (0..self.n).filter(move |&b| self.contains(a, b))
+        let row = if a < self.n { self.row(a) } else { &[] };
+        iter_bits(row)
     }
 
     /// Iterates over all pairs `(a, b)` of the relation.
     pub fn iter_pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        (0..self.n).flat_map(move |a| self.succs(a).map(move |b| (a, b)))
+        iter_pairs(&self.bits, self.wpr)
     }
 
     /// Is `self ⊆ other`?

@@ -398,8 +398,7 @@ impl LocGraph {
         }
     }
 
-    /// The single-word fast path: stack arrays, bit-identical to the
-    /// pre-width-generic implementation.
+    /// The single-word fast path: stack arrays only.
     fn is_uniproc_narrow(&self, co_order: &[usize], rf_src: &[usize]) -> bool {
         let m = self.members.len();
         debug_assert_eq!(self.wpr, 1, "narrow path requires single-word rows");
