@@ -51,10 +51,15 @@
 #                                     reference. Then each again with
 #                                     `--trace 1`: its deterministic work
 #                                     counters (`# counter` lines, 43 in
-#                                     all) must equal
+#                                     all) and its generated inputs'
+#                                     fingerprint (`inputs=` in the report
+#                                     header, one per workload) must equal
 #                                     tests/e2e_counters_seed1.txt exactly,
-#                                     so a change in work done fails here
-#                                     instead of hiding in timing noise
+#                                     so a change in work done, or in the
+#                                     inputs the benchmark generates
+#                                     through the crates' own renderers,
+#                                     fails here instead of hiding in
+#                                     timing noise
 #   8. cargo doc   --no-deps        — rustdoc, warnings denied
 #   9. cargo fmt   --check          — formatting (rustfmt.toml at root)
 #  10. cargo clippy -D warnings     — lints over every workspace target
@@ -101,10 +106,11 @@ for workload in herd-sim scaled-sim log-judge; do
     echo "==> e2e-bench --workload $workload --trace 1 --seed 1 --seconds 1"
     counters+=$(cargo run --release --offline -q --manifest-path e2e-bench/Cargo.toml -- \
         --workload "$workload" --trace 1 --seed 1 --seconds 1 |
-        sed -n "s/^# counter /$workload /p")$'\n'
+        sed -n -e "s/^# $workload seed=.* inputs=\([0-9a-f]*\) .*/$workload inputs = \1/p" \
+            -e "s/^# counter /$workload /p")$'\n'
 done
 if ! diff -u tests/e2e_counters_seed1.txt - <<<"${counters%$'\n'}"; then
-    echo "e2e-bench: work counters differ from tests/e2e_counters_seed1.txt" >&2
+    echo "e2e-bench: work counters or inputs differ from tests/e2e_counters_seed1.txt" >&2
     exit 1
 fi
 run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace

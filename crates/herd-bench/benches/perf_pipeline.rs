@@ -58,6 +58,7 @@ use herd_litmus::decide::{decide_outcome, Outcome, QueryStats};
 use herd_litmus::isa::Isa;
 use herd_litmus::program::{LitmusTest, Prop, Quantifier};
 use herd_litmus::simulate::{simulate_corpus, simulate_decided, simulate_with};
+use herd_litmus::state::{matches, Slot, StateLayout};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
@@ -522,12 +523,14 @@ fn bench_query(
     reps: usize,
 ) -> Row {
     let opts = EnumOptions::default();
+    let layout = StateLayout::for_test(test);
+    let mut query = vec![Slot::Free; layout.width()];
+    assert!(layout.fill_from_maps(&probe.regs, &probe.mem, Slot::Free, &mut query));
     let (enum_ns, enum_reachable) = best_of(reps, || {
         let mut hit = false;
         stream_verdicts(test, &opts, &[arch], .., &mut |vc| {
             if !hit && vc.verdicts[0].allowed() {
-                hit = probe.regs.iter().all(|(k, v)| vc.final_regs.get(k) == Some(v))
-                    && probe.mem.iter().all(|(l, v)| vc.final_mem.get(l) == Some(v));
+                hit = matches(&query, vc.state);
             }
         })
         .expect("query family streams");

@@ -10,7 +10,11 @@
 //! turns that claim into an assert on the `iriw+2w` family.
 //!
 //! The same instrument pins the verdict cache's warm path: keying a
-//! canonical log row ([`row_fingerprint`]) allocates nothing.
+//! canonical log row ([`row_fingerprint`]) allocates nothing; and the
+//! litmus-level verdict stream above the engine: a judged candidate's
+//! final state is slot values in reused storage, so once warm a judged
+//! candidate allocates nothing, and a whole simulation allocates fewer
+//! times than it judges candidates.
 //!
 //! The counter is per thread, and every check below runs on the test's
 //! own thread, so other harness threads cannot disturb a count.
@@ -25,10 +29,12 @@ use herd_core::arch::{Arm, ArmVariant, Power, Tso};
 use herd_core::arena::RelArena;
 use herd_core::model::Architecture;
 use herd_core::sched::Budget;
-use herd_litmus::candidates::EnumOptions;
-use herd_litmus::corpus;
+use herd_litmus::candidates::{stream_verdicts, EnumOptions};
+use herd_litmus::corpus::{self, Dev, Op, TestBuilder};
 use herd_litmus::decide::{query_fingerprint, row_fingerprint};
-use herd_litmus::program::LitmusTest;
+use herd_litmus::isa::Isa;
+use herd_litmus::program::{LitmusTest, Prop, Quantifier};
+use herd_litmus::simulate::simulate_with;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -129,4 +135,62 @@ fn log_rows_are_keyed_without_allocating() {
     let before = allocation_count();
     assert!(row_fingerprint(base, "1:r2=0; 0:r1=1").is_ok());
     assert!(allocation_count() > before, "the parse path went uncounted");
+}
+
+/// One rf configuration, many coherence orders: five threads each write
+/// `x` then `y`, so the walk is the 5! × 5! = 14400 coherence choices of
+/// a single (read-free) rf configuration, and every judged candidate has
+/// its own final memory.
+fn five_writers() -> LitmusTest {
+    let mut b = TestBuilder::new(Isa::X86, "5x2w");
+    for v in 1..=5 {
+        b = b.thread(vec![Op::W("x", v), Op::W("y", v)], vec![Dev::Po]);
+    }
+    b.condition(Quantifier::Exists, |_| {
+        Prop::and(Prop::MemEq { loc: "x".into(), val: 1 }, Prop::MemEq { loc: "y".into(), val: 5 })
+    })
+}
+
+/// Above the arena engine, a judged candidate's verdicts and final state
+/// reach the sink without an allocation once warm, and a whole
+/// simulation — thread semantics, set-up and the rendered states
+/// included — allocates fewer times than it judges candidates.
+#[test]
+fn litmus_judged_candidates_allocate_zero_in_the_steady_state() {
+    let test = five_writers();
+    let opts = EnumOptions::default();
+    let mut counts: Vec<u64> = Vec::with_capacity(1 << 15);
+    let mut memory = 0i64;
+    let stats = stream_verdicts(&test, &opts, &[&Tso], .., &mut |vc| {
+        // Read the final state, so the sink really consumes it.
+        memory ^= vc
+            .state
+            .iter()
+            .map(|s| matches!(s, herd_litmus::state::Slot::Int(1)) as i64)
+            .sum::<i64>();
+        counts.push(allocation_count());
+    })
+    .expect("the test streams");
+    std::hint::black_box(memory);
+    assert_eq!(stats.emitted, 14400, "one rf configuration, 5! x 5! coherence orders");
+    assert!(counts.len() < counts.capacity(), "observation buffer must not have grown");
+    let steady = &counts[counts.len() / 4..];
+    let per_candidate: Vec<u64> = steady.windows(2).map(|w| w[1] - w[0]).collect();
+    assert!(
+        per_candidate.iter().all(|&d| d == 0),
+        "steady-state judged candidates allocated: {} of {} deltas nonzero",
+        per_candidate.iter().filter(|&&d| d > 0).count(),
+        per_candidate.len()
+    );
+
+    let before = allocation_count();
+    let out = simulate_with(&test, &Tso, &opts).expect("the test simulates");
+    let allocations = u128::from(allocation_count() - before);
+    let judged = out.candidates - out.pruned;
+    assert_eq!(judged, 14400);
+    assert!(out.allowed > 0 && !out.states.is_empty());
+    assert!(
+        allocations < judged,
+        "simulate_with allocated {allocations} times for {judged} judged candidates"
+    );
 }

@@ -782,19 +782,6 @@ impl<'a> ExecFrame<'a> {
         )
         .expect("arena frames hold well-formed witnesses")
     }
-
-    /// The final memory state: for each location, the value of the
-    /// `co`-maximal write — the frame twin of [`Execution::final_memory`].
-    pub fn final_memory(&self, arena: &RelArena) -> BTreeMap<Loc, Val> {
-        let co = arena.view(self.rels.co);
-        let mut out = BTreeMap::new();
-        for e in self.events {
-            if e.is_write() && co.row_is_empty(e.id) {
-                out.insert(e.loc, e.val);
-            }
-        }
-        out
-    }
 }
 
 fn validate_po(events: &[Event], po: &Relation) -> Result<(), ExecutionError> {

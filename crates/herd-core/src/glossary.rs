@@ -211,8 +211,11 @@
 //! |---|---|---|
 //! | fingerprint | a deterministic 128-bit FNV-1a structural hash over a byte-tagged encoding; equal inputs hash equal across runs and platforms, so a fingerprint is a stable *content address* for a question | [`crate::fingerprint::Fingerprint`], [`crate::fingerprint::FpHasher`] |
 //! | query fingerprint | the address of a question's invariant part — the test's structure (ISA, name, code, initial state, condition, hashed in place without printing the test), the model, enumeration options — hashed once per log, not once per row. Every cached path keys the model by its identity: its name plus whatever configuration the name does not fix | `herd_litmus::decide::query_fingerprint`, [`crate::model::Architecture::identity`] |
-//! | outcome fingerprint | the query fingerprint extended with one state row's canonical bytes (`0:r1=1; x=2`, as `render_state_row` prints it): the full content address of a single verdict. A row already canonical is hashed as it stands, after one allocation-free scan; any other row is parsed and re-rendered first | `herd_litmus::decide::outcome_fingerprint`, `herd_litmus::decide::row_fingerprint` |
-//! | batch judging | `decide_log` parses every row up front, groups rows by their screened rf class, and answers each class with one backend walk — co placements launched once per class, not once per row | `herd_litmus::decide::decide_log`, `herd_hw::judge_entries` |
+//! | state layout | the slots of one test's final states: one per register the test writes, initialises or names in its condition, in `(thread, register)` order, then one per location, in name order — the order canonical rows print in | `herd_litmus::state::StateLayout` |
+//! | slot | one value of a final state over its layout: an integer, a location's address, `Absent` (a register the path leaves unset) or, in a query row, `Free` (the row does not mention it). Judged candidates, decided outcomes and parsed log rows are all slot vectors; a row is parsed once, straight into one, and rendered only for output | `herd_litmus::state::Slot`, `herd_litmus::decide::QueryRows` |
+//! | condition projection | a test's final proposition compiled against its layout: slot predicates plus the slots its atoms mention, in first-mention order. Simulation keeps each distinct projection once, as slot values, and renders it once (`1:r1=1; x=2;`) into `SimOutcome::states` | `herd_litmus::state::CondSlots` |
+//! | outcome fingerprint | the query fingerprint extended with one state row's canonical bytes (`0:r1=1; x=2`, as `render_state_row` and `StateLayout::row` print it): the full content address of a single verdict. A row already canonical is hashed as it stands, after one allocation-free scan; any other row is parsed and re-rendered first. Keys hash these bytes, not slot values, so they are unchanged by the slot layout: `outcome_fingerprint` has no test to lay a row out over | `herd_litmus::decide::outcome_fingerprint`, `herd_litmus::decide::row_fingerprint` |
+//! | batch judging | `decide_rows` takes rows parsed straight into the test's layout, deduplicates them by slot values, groups them by their screened rf class, and answers each class with one backend walk — co placements launched once per class, not once per row; `decide_log` maps `Outcome`s onto the layout and runs the same walk | `herd_litmus::decide::decide_rows`, `herd_litmus::decide::decide_log`, `herd_hw::judge_entries` |
 //! | batch stats | the accounting of a batch: rows in, distinct classes walked, co saturations launched, rows answered by another row's work (`reused`) | `herd_litmus::decide::BatchStats` |
 //! | verdict cache | a sharded, bounded LRU keyed by outcome fingerprint; a warm `mcompare` pass over an unchanged log is pure lookups | the `herd-cache` crate, `herd_hw::judge_log_cached` |
 //!

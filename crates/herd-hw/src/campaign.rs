@@ -38,9 +38,10 @@ use herd_core::sched::{self, UnitResult};
 use herd_litmus::candidates::{self, Candidate, CandidateError, EnumOptions};
 use herd_litmus::decide::render_state_row;
 use herd_litmus::program::LitmusTest;
+use herd_litmus::state::{Slot, StateLayout};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 /// Renders a candidate's complete final state canonically
 /// ([`render_state_row`]).
@@ -72,8 +73,8 @@ pub fn run_test(
     // come from the same arena relations (no owned Execution, no three
     // materialising `check` calls). Group silicon-allowed candidates by
     // final state, grading each state by its most likely (least buggy)
-    // producing candidate.
-    let mut weights: BTreeMap<String, f64> = BTreeMap::new();
+    // producing candidate; each distinct state is rendered once.
+    let mut by_state: HashMap<Box<[Slot]>, f64> = HashMap::new();
     let archs: [&dyn Architecture; 3] = [machine.silicon.as_ref(), &Sc, machine.clean.as_ref()];
     candidates::stream_verdicts(test, &EnumOptions::default(), &archs, .., &mut |mc| {
         if !mc.verdicts[0].allowed() {
@@ -86,10 +87,17 @@ pub fn run_test(
         } else {
             Rarity::BugOnly
         };
-        let state = render_state_row(mc.final_regs, mc.final_mem);
-        let w = weights.entry(state).or_insert(0.0);
-        *w = w.max(rarity.weight());
+        match by_state.get_mut(mc.state) {
+            Some(w) => *w = w.max(rarity.weight()),
+            None => {
+                by_state.insert(mc.state.into(), rarity.weight());
+            }
+        }
     })?;
+    // Sampled in row order, as the log lists the states.
+    let layout = StateLayout::for_test(test);
+    let weights: BTreeMap<String, f64> =
+        by_state.into_iter().map(|(state, w)| (layout.row(&state), w)).collect();
     let total: f64 = weights.values().sum();
     let mut states = BTreeMap::new();
     for (state, w) in weights {
@@ -309,20 +317,33 @@ fn campaign_test(
     reference: &(dyn Architecture + Sync),
     run: RunOutcome,
 ) -> Result<(TestReport, Vec<String>), CandidateError> {
-    let mut model_allowed = BTreeSet::new();
+    let mut allowed: HashSet<Box<[Slot]>> = HashSet::new();
     // For classification: per state, remember the reference verdicts of
     // the silicon-allowed candidates producing it.
-    let mut state_labels: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+    let mut labels: HashMap<Box<[Slot]>, BTreeSet<String>> = HashMap::new();
     let archs: [&dyn Architecture; 2] = [reference, machine.silicon.as_ref()];
     candidates::stream_verdicts(test, &EnumOptions::default(), &archs, .., &mut |mc| {
-        let state = render_state_row(mc.final_regs, mc.final_mem);
         let verdict = mc.verdicts[0];
         if verdict.allowed() {
-            model_allowed.insert(state);
+            if !allowed.contains(mc.state) {
+                allowed.insert(mc.state.into());
+            }
         } else if mc.verdicts[1].allowed() {
-            state_labels.entry(state).or_default().insert(verdict.violation_label());
+            let label = verdict.violation_label();
+            match labels.get_mut(mc.state) {
+                Some(set) => {
+                    set.insert(label);
+                }
+                None => {
+                    labels.insert(mc.state.into(), BTreeSet::from([label]));
+                }
+            }
         }
     })?;
+    let layout = StateLayout::for_test(test);
+    let model_allowed: BTreeSet<String> = allowed.iter().map(|s| layout.row(s)).collect();
+    let state_labels: BTreeMap<String, BTreeSet<String>> =
+        labels.into_iter().map(|(s, l)| (layout.row(&s), l)).collect();
     let invalid_states: Vec<String> =
         run.states.keys().filter(|s| !model_allowed.contains(*s)).cloned().collect();
     let unseen_states: Vec<String> =
@@ -575,7 +596,7 @@ mod tests {
             let mut s_labels: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
             let archs: [&dyn Architecture; 2] = [&reference, machine.silicon.as_ref()];
             candidates::stream_verdicts(&test, &EnumOptions::default(), &archs, .., &mut |mc| {
-                let state = render_state_row(mc.final_regs, mc.final_mem);
+                let state = mc.layout.row(mc.state);
                 if mc.verdicts[0].allowed() {
                     s_allowed.insert(state);
                 } else if mc.verdicts[1].allowed() {

@@ -15,6 +15,9 @@
 //! Ok
 //! ```
 
+use herd_litmus::decide::canonical_row;
+use herd_litmus::state::Slot;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -130,18 +133,27 @@ impl Comparison {
 }
 
 /// Compares a model log (allowed states) against a hardware log (observed
-/// states) — `mcompare`.
+/// states) — `mcompare`. Rows match on their canonical form
+/// ([`canonical_row`]), so `1:r1=0; 1:r2=0;` as litmus7 prints it is the
+/// state `1:r1=0; 1:r2=0` a model log lists; malformed rows compare
+/// verbatim. Each discrepancy is reported in its own log's spelling.
 pub fn compare(model: &Log, hardware: &Log) -> Comparison {
+    fn canonical(row: &str) -> Cow<'_, str> {
+        canonical_row(row).unwrap_or(Cow::Borrowed(row))
+    }
+    /// The rows of `of` whose canonical form `other` lacks.
+    fn missing_from(of: &LogEntry, other: &LogEntry) -> BTreeSet<String> {
+        let have: BTreeSet<Cow<'_, str>> = other.states.keys().map(|s| canonical(s)).collect();
+        of.states.keys().filter(|s| !have.contains(&canonical(s))).cloned().collect()
+    }
     let mut out = Comparison::default();
     for (name, hw) in &hardware.entries {
         let Some(m) = model.entries.get(name) else {
             out.missing.insert(name.clone());
             continue;
         };
-        let invalid: BTreeSet<String> =
-            hw.states.keys().filter(|s| !m.states.contains_key(*s)).cloned().collect();
-        let unseen: BTreeSet<String> =
-            m.states.keys().filter(|s| !hw.states.contains_key(*s)).cloned().collect();
+        let invalid = missing_from(hw, m);
+        let unseen = missing_from(m, hw);
         if !invalid.is_empty() {
             out.invalid.insert(name.clone(), invalid);
         }
@@ -177,27 +189,33 @@ pub fn model_log(
 ) -> Log {
     use herd_core::model::Tractability;
     use herd_litmus::candidates::{stream_verdicts, EnumOptions};
-    use herd_litmus::decide::render_state_row;
+    use herd_litmus::state::StateLayout;
     let opts = EnumOptions::default();
     let mut log = Log::default();
     for t in tests {
-        let mut states: BTreeMap<String, u64> = BTreeMap::new();
-        let mut keep = |regs: &_, mem: &_| {
-            states.insert(render_state_row(regs, mem), 0);
+        // Distinct allowed states as slot values, each rendered once.
+        let mut allowed: BTreeSet<Box<[Slot]>> = BTreeSet::new();
+        let mut keep = |state: &[Slot]| {
+            if !allowed.contains(state) {
+                allowed.insert(state.into());
+            }
         };
         if model.tractability() != Tractability::Frontier {
             let mut stats = herd_litmus::decide::QueryStats::default();
-            herd_litmus::decide::allowed_full_outcomes(t, model, &opts, &mut stats, &mut keep)
-                .expect("corpus tests enumerate");
+            herd_litmus::decide::allowed_full_outcomes(t, model, &opts, &mut stats, &mut |_, s| {
+                keep(s);
+            })
+            .expect("corpus tests enumerate");
         } else {
             stream_verdicts(t, &opts, &[model], .., &mut |mc| {
                 if mc.verdicts[0].allowed() {
-                    keep(mc.final_regs, mc.final_mem);
+                    keep(mc.state);
                 }
             })
             .expect("corpus tests enumerate");
         }
-        log.insert(&t.name, states);
+        let layout = StateLayout::for_test(t);
+        log.insert(&t.name, allowed.iter().map(|s| (layout.row(s), 0)).collect());
     }
     log
 }
@@ -279,13 +297,13 @@ pub fn judge_entries<S: AsRef<str>>(
     states: &[S],
 ) -> Result<(Vec<bool>, herd_litmus::decide::BatchStats), String> {
     use herd_litmus::candidates::EnumOptions;
-    use herd_litmus::decide::{decide_log, Outcome};
-    let rows: Vec<Outcome> = states
-        .iter()
-        .map(|s| Outcome::from_state_row(s.as_ref()))
-        .collect::<Result<_, String>>()?;
+    use herd_litmus::decide::{decide_rows, QueryRows};
+    let mut rows = QueryRows::new(test);
+    for s in states {
+        rows.push_row(s.as_ref())?;
+    }
     let batch =
-        decide_log(test, model, &EnumOptions::default(), &rows).map_err(|e| e.to_string())?;
+        decide_rows(test, model, &EnumOptions::default(), &rows).map_err(|e| e.to_string())?;
     Ok((batch.verdicts, batch.stats))
 }
 
@@ -310,11 +328,12 @@ pub fn judge_entry_cached(
 /// inner loop at full speed. The query key (test structure plus model
 /// identity) is computed once per call, not once per row; every row is
 /// probed in the content-addressed `cache`, and the misses are parsed
-/// and decided *together* through [`herd_litmus::decide::decide_log`]'s
-/// class grouping before being cached. A warm re-query of a canonical
-/// row is one byte scan, one hash and one shard probe
-/// ([`herd_litmus::decide::row_fingerprint`]); a cold million-row log
-/// costs one saturation per distinct rf class.
+/// straight into the test's state layout and decided *together* through
+/// [`herd_litmus::decide::decide_rows`]'s class grouping before being
+/// cached — a cold row is parsed once and never rendered. A warm
+/// re-query of a canonical row is one byte scan, one hash and one shard
+/// probe ([`herd_litmus::decide::row_fingerprint`]); a cold million-row
+/// log costs one saturation per distinct rf class.
 ///
 /// # Errors
 ///
@@ -327,7 +346,7 @@ pub fn judge_log_cached<S: AsRef<str>>(
     cache: &VerdictCache,
 ) -> Result<Vec<bool>, String> {
     use herd_litmus::candidates::EnumOptions;
-    use herd_litmus::decide::{decide_log, row_fingerprint, Outcome};
+    use herd_litmus::decide::{decide_rows, row_fingerprint, QueryRows};
     let base = query_key(test, model);
     let mut verdicts = Vec::with_capacity(states.len());
     // Rows the cache lacks: their index and key.
@@ -340,12 +359,12 @@ pub fn judge_log_cached<S: AsRef<str>>(
         }));
     }
     if !missing.is_empty() {
-        let rows: Vec<Outcome> = missing
-            .iter()
-            .map(|&(i, _)| Outcome::from_state_row(states[i].as_ref()))
-            .collect::<Result<_, String>>()?;
+        let mut rows = QueryRows::new(test);
+        for &(i, _) in &missing {
+            rows.push_row(states[i].as_ref())?;
+        }
         let batch =
-            decide_log(test, model, &EnumOptions::default(), &rows).map_err(|e| e.to_string())?;
+            decide_rows(test, model, &EnumOptions::default(), &rows).map_err(|e| e.to_string())?;
         for (&(i, key), &v) in missing.iter().zip(&batch.verdicts) {
             cache.insert(key, v);
             verdicts[i] = v;
@@ -495,6 +514,39 @@ mod tests {
         }
         model.insert("b", BTreeMap::from([("x=1".to_owned(), 0), ("x=2".to_owned(), 0)]));
         assert_eq!(compare(&model, &hw).summary(), (0, 1));
+    }
+
+    /// litmus7 spells a state with a trailing `;`: a model log fed back in
+    /// that spelling matches itself, and every discrepancy keeps its own
+    /// log's spelling; malformed rows compare verbatim.
+    #[test]
+    fn compare_matches_rows_on_their_canonical_form() {
+        use herd_core::arch::Power;
+        use herd_litmus::corpus::Dev;
+        use herd_litmus::isa::Isa;
+        let mp = corpus::mp(Isa::Power, Dev::Po, Dev::Po);
+        let model = model_log(std::slice::from_ref(&mp), &Power::new());
+        let rows: Vec<String> =
+            model.entries["mp"].states.keys().map(|s| format!("{s};")).collect();
+        assert!(rows.len() > 1, "{rows:?}");
+        let mut hw = Log::default();
+        hw.insert("mp", rows.iter().map(|s| (s.clone(), 1)).collect());
+        assert_eq!(compare(&model, &hw).summary(), (0, 0));
+
+        // One allowed state unobserved, one odd spelling of an impossible
+        // state and one malformed row observed.
+        let mut states = hw.entries["mp"].states.clone();
+        states.remove(&rows[0]);
+        states.insert("1:r2=7 ;1:r1=1;".to_owned(), 1);
+        states.insert("garbage".to_owned(), 1);
+        hw.insert("mp", states);
+        let cmp = compare(&model, &hw);
+        let unseen = model.entries["mp"].states.keys().next().cloned();
+        assert_eq!(cmp.unseen["mp"], unseen.into_iter().collect());
+        assert_eq!(
+            cmp.invalid["mp"],
+            BTreeSet::from(["1:r2=7 ;1:r1=1;".to_owned(), "garbage".to_owned()])
+        );
     }
 
     #[test]

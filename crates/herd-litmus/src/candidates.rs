@@ -26,6 +26,7 @@ use crate::expr::{self, Assignment, Equation, RVal, SymExpr, SymId};
 use crate::isa::Reg;
 use crate::program::{InitVal, LitmusTest};
 use crate::sem::{self, SemError, ThreadPath};
+use crate::state::{Slot, StateLayout};
 use herd_core::arena::RelArena;
 use herd_core::enumerate::{
     build_co, ArenaEngine, CheckedStats, ChoiceSpace, Concretise, HeapPerm,
@@ -133,39 +134,6 @@ impl Default for EnumOptions {
     }
 }
 
-/// The location table of a test: name ↔ [`Loc`] in sorted-name order.
-#[derive(Clone, Debug, Default)]
-pub struct LocTable {
-    names: Vec<String>,
-}
-
-impl LocTable {
-    /// Builds the table for a test.
-    pub fn for_test(test: &LitmusTest) -> Self {
-        LocTable { names: test.locations() }
-    }
-
-    /// The [`Loc`] of `name`.
-    pub fn lookup(&self, name: &str) -> Option<Loc> {
-        self.names.iter().position(|n| n == name).map(|i| Loc(i as u32))
-    }
-
-    /// The name of `loc`.
-    pub fn name(&self, loc: Loc) -> &str {
-        &self.names[loc.0 as usize]
-    }
-
-    /// All names in `Loc` order.
-    pub fn names(&self) -> &[String] {
-        &self.names
-    }
-
-    /// The name → [`Loc`] map (for the instruction semantics).
-    pub fn as_map(&self) -> BTreeMap<String, Loc> {
-        self.names.iter().enumerate().map(|(i, n)| (n.clone(), Loc(i as u32))).collect()
-    }
-}
-
 /// How streaming enumeration prunes at generation time (paper, Sec 8.3).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Prune {
@@ -224,8 +192,8 @@ type ThinAirHook<'a> = &'a dyn Fn(&ExecCore) -> Option<Relation>;
 
 /// One judged candidate of the arena verdict stream: the verdicts of
 /// every model in the judged slice, computed from one shared set of arena
-/// relations, plus the observables the final condition consumes — no
-/// owned [`Execution`] is ever materialised. The `herd-hw` campaigns
+/// relations, plus the candidate's final state as slot values — no owned
+/// [`Execution`] and no map is ever built. The `herd-hw` campaigns
 /// (silicon / clean / SC in one sweep) and `herd-machine` comparisons
 /// judge several models per candidate this way; simulation and
 /// verification judge one.
@@ -234,10 +202,12 @@ pub struct MultiVerdictCandidate<'a> {
     /// Per-model verdicts, indexed like the `models` slice passed to
     /// [`stream_verdicts`].
     pub verdicts: &'a [Verdict],
-    /// Final register values, per `(thread, register)`.
-    pub final_regs: &'a BTreeMap<(u16, Reg), RegFinal>,
-    /// Final memory values by location name (the `co`-maximal writes).
-    pub final_mem: &'a BTreeMap<String, i64>,
+    /// The full final state over [`MultiVerdictCandidate::layout`]: each
+    /// register's value (`Absent` where the path leaves none) and each
+    /// location's `co`-maximal write.
+    pub state: &'a [Slot],
+    /// The test's layout, `StateLayout::for_test(test)`.
+    pub layout: &'a StateLayout,
 }
 
 /// Streams the candidate executions of `test` into `sink`.
@@ -399,7 +369,7 @@ fn combo_rf_configs(combo: &[&ThreadPath]) -> u128 {
 /// concatenates the combinations' rf odometers in combination order.
 pub(crate) struct TestSpace<'t> {
     pub(crate) test: &'t LitmusTest,
-    locs: LocTable,
+    pub(crate) layout: StateLayout,
     paths: Vec<Vec<ThreadPath>>,
     domain: Vec<i64>,
 }
@@ -407,9 +377,9 @@ pub(crate) struct TestSpace<'t> {
 impl<'t> TestSpace<'t> {
     /// Runs the thread semantics of `test`.
     pub(crate) fn new(test: &'t LitmusTest, opts: &EnumOptions) -> Result<Self, CandidateError> {
-        let locs = LocTable::for_test(test);
-        let paths = thread_paths(test, opts, &locs.as_map())?;
-        Ok(TestSpace { test, locs, paths, domain: value_domain(test) })
+        let layout = StateLayout::for_test(test);
+        let paths = thread_paths(test, opts, &layout.loc_map())?;
+        Ok(TestSpace { test, layout, paths, domain: value_domain(test) })
     }
 
     /// The number of rf configurations across all combinations
@@ -440,6 +410,10 @@ impl<'t> TestSpace<'t> {
         let mut stats = CheckedStats::default();
         let mut unpruned = 0;
         let mut off = 0u128;
+        // The sink's final state: registers copied from the
+        // concretisation, locations from the co-maximal writes.
+        let nregs = self.layout.regs().len();
+        let mut state = vec![Slot::Absent; self.layout.width()];
         for_each_combo(&self.paths, |combo| {
             if off >= end {
                 return ControlFlow::Break(());
@@ -451,27 +425,27 @@ impl<'t> TestSpace<'t> {
                     return ControlFlow::Continue(());
                 }
             }
-            let ComboParts { space, core, flow } = combo_parts(self.test, &self.locs, combo);
+            let ComboParts { space, core, flow, regs } =
+                combo_parts(self.test, &self.layout, combo);
             let engine = ArenaEngine::new(space, core, models);
             let n = engine.rf_total();
             let local = (start.saturating_sub(off).min(n), end.saturating_sub(off).min(n));
-            let values = ComboValues::new(self, combo, &engine.space().events, &flow);
+            let values = ComboValues::new(&self.domain, &engine.space().events, &flow, &regs);
             let mut w = engine.worker(arena, values);
             // The bound spans the whole range: a combination reached after
             // it tripped classifies its share without emitting anything.
             let budget =
                 Budget::unlimited().with_max_candidates(max_emitted.saturating_sub(stats.emitted));
             let part = engine.run(arena, &mut w, local, None, &budget, &mut |j, a| {
-                let final_mem: BTreeMap<String, i64> = j
-                    .frame
-                    .final_memory(a)
-                    .into_iter()
-                    .map(|(l, v)| (self.locs.name(l).to_owned(), v.0))
-                    .collect();
+                state[..nregs].copy_from_slice(j.values.regs(j.conc));
+                let co = a.view(j.frame.rels.co);
+                for e in j.frame.events.iter().filter(|e| e.is_write() && co.row_is_empty(e.id)) {
+                    state[nregs + e.loc.0 as usize] = Slot::Int(e.val.0);
+                }
                 sink(&MultiVerdictCandidate {
                     verdicts: j.verdicts,
-                    final_regs: &j.values.concs[j.conc].1,
-                    final_mem: &final_mem,
+                    state: &state,
+                    layout: &self.layout,
                 });
             });
             stats.absorb(&part);
@@ -514,9 +488,9 @@ pub fn count_candidates(test: &LitmusTest, opts: &EnumOptions) -> Result<u128, C
     let ts = TestSpace::new(test, opts)?;
     let mut total = 0u128;
     for_each_combo(&ts.paths, |combo| {
-        let parts = combo_parts(test, &ts.locs, combo);
+        let parts = combo_parts(test, &ts.layout, combo);
         let space = &parts.space;
-        let mut values = ComboValues::new(&ts, combo, &space.events, &parts.flow);
+        let mut values = ComboValues::new(&ts.domain, &space.events, &parts.flow, &parts.regs);
         let mut rf_src = vec![0usize; space.events.len()];
         let radices: Vec<usize> = space.rf_choices.iter().map(Vec::len).collect();
         let mut pick = vec![0usize; radices.len()];
@@ -596,9 +570,9 @@ pub(crate) fn value_domain(test: &LitmusTest) -> Vec<i64> {
 }
 
 /// The skeleton-invariant parts of one control-flow combination: its
-/// choice space, shared core and data flow. Shared by the verdict stream,
-/// the owned reference odometer ([`assemble`]) and the single-outcome
-/// decision backend ([`crate::decide`]).
+/// choice space, shared core, data flow and final register file. Shared
+/// by the verdict stream, the owned reference odometer ([`assemble`]) and
+/// the single-outcome decision backend ([`crate::decide`]).
 pub(crate) struct ComboParts {
     /// Events (init writes first: the init write of `loc` has id
     /// `loc.0`), reads with their rf menus, and coherence locations.
@@ -607,6 +581,73 @@ pub(crate) struct ComboParts {
     pub core: Arc<ExecCore>,
     /// Symbolic write values and path constraints.
     pub flow: DataFlow,
+    /// The final register values, over the test's register slots.
+    pub regs: FinalRegs,
+}
+
+/// One combination's final register file over the layout's register
+/// slots: per written or initialised register, its value expression
+/// (renamed to global read symbols) or address.
+pub(crate) struct FinalRegs {
+    width: usize,
+    values: Vec<(usize, RVal)>,
+}
+
+impl FinalRegs {
+    fn new(
+        test: &LitmusTest,
+        layout: &StateLayout,
+        combo: &[&ThreadPath],
+        read_gid: &[Vec<usize>],
+    ) -> Self {
+        let slot = |t: u16, reg: Reg| layout.reg_slot(t, reg).expect("final registers have slots");
+        let mut values = Vec::new();
+        for (t, path) in combo.iter().enumerate() {
+            let rgids = &read_gid[t];
+            let rename = |s: SymId| SymId(rgids[s.0]);
+            for (reg, val) in &path.final_regs {
+                let v = match val {
+                    RVal::Addr(l) => RVal::Addr(*l),
+                    RVal::Int(e) => RVal::Int(e.rename(&rename)),
+                };
+                values.push((slot(t as u16, *reg), v));
+            }
+            // Registers never written keep their initial value.
+            for ((tid, reg), init) in &test.reg_init {
+                if *tid == t as u16 && !path.final_regs.contains_key(reg) {
+                    let v = match init {
+                        InitVal::Int(i) => RVal::int(*i),
+                        InitVal::Loc(l) => {
+                            RVal::Addr(layout.loc(l).expect("initial addresses are locations"))
+                        }
+                    };
+                    values.push((slot(*tid, *reg), v));
+                }
+            }
+        }
+        FinalRegs { width: layout.regs().len(), values }
+    }
+
+    /// Number of register slots.
+    pub(crate) fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Writes the register slots of the concretisation `asg`: `Absent`
+    /// where the path holds no value.
+    pub(crate) fn fill(&self, asg: &Assignment, out: &mut [Slot]) {
+        out.fill(Slot::Absent);
+        for (i, v) in &self.values {
+            match v {
+                RVal::Addr(l) => out[*i] = Slot::Addr(*l),
+                RVal::Int(e) => {
+                    if let Some(x) = e.eval(asg) {
+                        out[*i] = Slot::Int(x);
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// The symbolic data flow of one control-flow combination.
@@ -651,8 +692,13 @@ impl DataFlow {
 /// Lays out the events of one combination of thread paths (init writes
 /// first, then thread accesses) and builds everything downstream of the
 /// layout that does not depend on an rf or co choice.
-pub(crate) fn combo_parts(test: &LitmusTest, locs: &LocTable, combo: &[&ThreadPath]) -> ComboParts {
-    let n_init = locs.names().len();
+pub(crate) fn combo_parts(
+    test: &LitmusTest,
+    state_layout: &StateLayout,
+    combo: &[&ThreadPath],
+) -> ComboParts {
+    let locs = state_layout.locs();
+    let n_init = locs.len();
     let n: usize = n_init + combo.iter().map(|p| p.accesses.len()).sum::<usize>();
 
     struct Layout {
@@ -665,7 +711,7 @@ pub(crate) fn combo_parts(test: &LitmusTest, locs: &LocTable, combo: &[&ThreadPa
     let mut events: Vec<Event> = Vec::with_capacity(n);
     let mut write_value: Vec<Option<SymExpr>> = vec![None; n];
 
-    for (i, name) in locs.names().iter().enumerate() {
+    for (i, name) in locs.iter().enumerate() {
         let init_val = test.mem_init.get(name).copied().unwrap_or(0);
         events.push(Event {
             id: i,
@@ -768,39 +814,53 @@ pub(crate) fn combo_parts(test: &LitmusTest, locs: &LocTable, combo: &[&ThreadPa
         ExecCore::new(&events, po, deps, fences).expect("assembled relations are well-formed"),
     );
 
+    let regs = FinalRegs::new(test, state_layout, combo, &layout.read_gid);
     ComboParts {
         space: ChoiceSpace::new(events),
         core,
         flow: DataFlow { read_gid: layout.read_gid, write_value, base_equations },
+        regs,
     }
 }
 
 /// The value step of one control-flow combination: per rf configuration,
 /// solve the read equations over the test's value domain and keep every
 /// assignment under which each thread event's value resolves, with its
-/// final register file.
+/// final register slots.
 struct ComboValues<'a> {
-    ts: &'a TestSpace<'a>,
-    combo: &'a [&'a ThreadPath],
+    domain: &'a [i64],
     events: &'a [Event],
     flow: &'a DataFlow,
+    regs: &'a FinalRegs,
     symbols: Vec<SymId>,
-    /// The current configuration's concretisations.
-    concs: Vec<Concretisation>,
+    /// The current configuration's concretisations: their events, and
+    /// their register slots back to back.
+    concs: Vec<Vec<Event>>,
+    reg_slots: Vec<Slot>,
 }
-
-/// One value concretisation: the events and the final register file.
-type Concretisation = (Vec<Event>, BTreeMap<(u16, Reg), RegFinal>);
 
 impl<'a> ComboValues<'a> {
     fn new(
-        ts: &'a TestSpace<'a>,
-        combo: &'a [&'a ThreadPath],
+        domain: &'a [i64],
         events: &'a [Event],
         flow: &'a DataFlow,
+        regs: &'a FinalRegs,
     ) -> Self {
         let symbols = events.iter().filter(|e| e.dir == Dir::R).map(|e| SymId(e.id)).collect();
-        ComboValues { ts, combo, events, flow, symbols, concs: Vec::new() }
+        ComboValues {
+            domain,
+            events,
+            flow,
+            regs,
+            symbols,
+            concs: Vec::new(),
+            reg_slots: Vec::new(),
+        }
+    }
+
+    /// The register slots of concretisation `k`.
+    fn regs(&self, k: usize) -> &[Slot] {
+        &self.reg_slots[k * self.regs.width..(k + 1) * self.regs.width]
     }
 }
 
@@ -808,23 +868,20 @@ impl Concretise for ComboValues<'_> {
     fn concretise(&mut self, space: &ChoiceSpace, rf_src: &[usize]) -> usize {
         let equations = self.flow.equations(space.reads.iter().map(|&r| (rf_src[r], r)));
         self.concs.clear();
-        for asg in expr::solve(&self.symbols, &equations, &self.ts.domain) {
+        self.reg_slots.clear();
+        for asg in expr::solve(&self.symbols, &equations, self.domain) {
             if let Some(evs) = self.flow.concretise(self.events, &asg) {
-                let regs = final_registers(
-                    self.ts.test,
-                    &self.ts.locs,
-                    self.combo,
-                    &asg,
-                    &self.flow.read_gid,
-                );
-                self.concs.push((evs, regs));
+                self.concs.push(evs);
+                let at = self.reg_slots.len();
+                self.reg_slots.resize(at + self.regs.width, Slot::Absent);
+                self.regs.fill(&asg, &mut self.reg_slots[at..]);
             }
         }
         self.concs.len()
     }
 
     fn events(&self, k: usize) -> &[Event] {
-        &self.concs[k].0
+        &self.concs[k]
     }
 }
 
@@ -840,7 +897,7 @@ fn assemble(
     stats: &mut EnumStats,
     sink: &mut dyn FnMut(Candidate),
 ) -> Result<(), CandidateError> {
-    let ComboParts { space, core, flow } = combo_parts(ts.test, &ts.locs, combo);
+    let ComboParts { space, core, flow, regs } = combo_parts(ts.test, &ts.layout, combo);
     let n = space.events.len();
     let co_total = space.co_total();
 
@@ -863,7 +920,7 @@ fn assemble(
     // for this combination's core (width-generic: any universe size).
     let mut thinair: Option<ThinAirTracker> =
         thin_air.and_then(|hook| hook(&core)).map(|base| ThinAirTracker::new(&base));
-    let mut values = ComboValues::new(ts, combo, &space.events, &flow);
+    let mut values = ComboValues::new(&ts.domain, &space.events, &flow, &regs);
 
     let mut rf_src = vec![0usize; n];
     let mut rf_pick = vec![0usize; space.reads.len()];
@@ -921,7 +978,10 @@ fn assemble(
 
             let menu_radices: Vec<usize> =
                 menus.as_ref().map(|m| m.iter().map(Vec::len).collect()).unwrap_or_default();
-            for (evs, final_regs) in &values.concs {
+            for (k, evs) in values.concs.iter().enumerate() {
+                // The owned candidates' register file: one map per
+                // concretisation.
+                let final_regs = reg_map(&ts.layout, values.regs(k));
                 // Coherence odometer: in-place Heap's generators without
                 // pruning, the filtered menus with it.
                 let mut heaps: Vec<HeapPerm> = match &menus {
@@ -943,13 +1003,13 @@ fn assemble(
                     let final_mem = exec
                         .final_memory()
                         .into_iter()
-                        .map(|(l, v)| (ts.locs.name(l).to_owned(), v.0))
+                        .map(|(l, v)| (ts.layout.loc_name(l).to_owned(), v.0))
                         .collect();
                     sink(Candidate {
                         exec,
                         final_regs: final_regs.clone(),
                         final_mem,
-                        loc_names: ts.locs.names().to_vec(),
+                        loc_names: ts.layout.locs().to_vec(),
                     });
                     stats.emitted += 1;
                     if stats.emitted > opts.max_candidates {
@@ -976,39 +1036,19 @@ fn assemble(
     Ok(())
 }
 
-pub(crate) fn final_registers(
-    test: &LitmusTest,
-    locs: &LocTable,
-    combo: &[&ThreadPath],
-    asg: &Assignment,
-    read_gid: &[Vec<usize>],
-) -> BTreeMap<(u16, Reg), RegFinal> {
-    let mut out = BTreeMap::new();
-    for (t, path) in combo.iter().enumerate() {
-        let rgids = read_gid[t].clone();
-        let rename = move |s: SymId| SymId(rgids[s.0]);
-        for (reg, val) in &path.final_regs {
-            let fin = match val {
-                RVal::Addr(l) => RegFinal::Addr(locs.name(*l).to_owned()),
-                RVal::Int(e) => match e.rename(&rename).eval(asg) {
-                    Some(v) => RegFinal::Int(v),
-                    None => continue,
-                },
-            };
-            out.insert((t as u16, *reg), fin);
-        }
-        // Registers never written keep their initial value.
-        for ((tid, reg), init) in &test.reg_init {
-            if *tid == t as u16 && !path.final_regs.contains_key(reg) {
-                let fin = match init {
-                    InitVal::Int(i) => RegFinal::Int(*i),
-                    InitVal::Loc(l) => RegFinal::Addr(l.clone()),
-                };
-                out.insert((*tid, *reg), fin);
-            }
-        }
-    }
-    out
+/// The register file of register slots `regs`, as an owned candidate
+/// holds it.
+fn reg_map(layout: &StateLayout, regs: &[Slot]) -> BTreeMap<(u16, Reg), RegFinal> {
+    layout
+        .regs()
+        .iter()
+        .zip(regs)
+        .filter_map(|(&key, v)| match *v {
+            Slot::Int(i) => Some((key, RegFinal::Int(i))),
+            Slot::Addr(l) => Some((key, RegFinal::Addr(layout.loc_name(l).to_owned()))),
+            Slot::Free | Slot::Absent => None,
+        })
+        .collect()
 }
 
 pub(crate) fn bump(digits: &mut [usize], radices: &[usize]) -> bool {
@@ -1162,8 +1202,7 @@ exists (1:r1=1 /\\ 1:r5=0)",
             let space = count_candidates(test, &opts).unwrap();
             let mut whole_states = Vec::new();
             let whole = stream_verdicts(test, &opts, &[*arch], .., &mut |vc| {
-                whole_states
-                    .push(format!("{:?}|{:?}|{:?}", vc.verdicts, vc.final_regs, vc.final_mem));
+                whole_states.push(format!("{:?}|{}", vc.verdicts, vc.layout.row(vc.state)));
             })
             .unwrap();
             whole_states.sort();
@@ -1174,10 +1213,7 @@ exists (1:r1=1 /\\ 1:r5=0)",
                 let mut states = Vec::new();
                 for (s, e) in ranges {
                     let part = stream_verdicts(test, &opts, &[*arch], s..e, &mut |vc| {
-                        states.push(format!(
-                            "{:?}|{:?}|{:?}",
-                            vc.verdicts, vc.final_regs, vc.final_mem
-                        ));
+                        states.push(format!("{:?}|{}", vc.verdicts, vc.layout.row(vc.state)));
                     })
                     .unwrap();
                     merged.emitted += part.emitted;
@@ -1224,6 +1260,7 @@ exists (1:r1=1 /\\ 1:r5=0)",
     /// allowed observable states.
     #[test]
     fn multi_verdicts_match_per_model_owned_checks() {
+        use crate::decide::render_state_row;
         use herd_core::arch::{Power, Sc, Tso};
         use herd_core::model::check;
         let archs: Vec<Box<dyn herd_core::model::Architecture>> =
@@ -1243,7 +1280,7 @@ exists (1:r1=1 /\\ 1:r5=0)",
                 for c in &owned {
                     if check(*arch, &c.exec).allowed() {
                         owned_allowed += 1;
-                        owned_states.insert(format!("{:?}", c.final_mem));
+                        owned_states.insert(render_state_row(&c.final_regs, &c.final_mem));
                     }
                 }
                 let mut multi_allowed = 0usize;
@@ -1251,7 +1288,7 @@ exists (1:r1=1 /\\ 1:r5=0)",
                 stream_verdicts(&test, &opts, &arch_refs, .., &mut |mc| {
                     if mc.verdicts[k].allowed() {
                         multi_allowed += 1;
-                        multi_states.insert(format!("{:?}", mc.final_mem));
+                        multi_states.insert(mc.layout.row(mc.state));
                     }
                 })
                 .unwrap();

@@ -42,22 +42,33 @@
 //! register probe checked per row. [`decide_outcome`] (and `herd-hw`'s
 //! `judge_entry`) are thin wrappers over the same machinery, so the
 //! single-row path cannot drift from the batch path.
+//!
+//! Rows are slot vectors over the test's [`StateLayout`]
+//! ([`QueryRows`]): a log row parses straight into one, and
+//! deduplication, screening, the register probe and the last-write pins
+//! all compare slot values — a row is never rendered. [`Outcome`] stays
+//! as the map-shaped reference form, mapped onto the layout once by
+//! [`decide_log`].
 
 use crate::candidates::{
-    bump, combo_parts, final_registers, for_each_combo, thread_paths, value_domain, CandidateError,
-    ComboParts, EnumOptions, LocTable, RegFinal,
+    bump, combo_parts, for_each_combo, thread_paths, value_domain, CandidateError, ComboParts,
+    EnumOptions, RegFinal,
 };
 use crate::expr::{self, RVal, SymExpr, SymId};
 use crate::isa::Reg;
 use crate::program::{InitVal, LitmusTest};
 use crate::sem::ThreadPath;
+use crate::state::{
+    is_canonical, map_pieces, matches, scan_row, write_piece, Piece, Slot, StateLayout, Value,
+};
 use herd_core::arena::RelArena;
 use herd_core::consistency::{co_exists_with_envelope, CoQuery, ConsistencyStats};
 use herd_core::event::{Event, Loc, Val};
 use herd_core::fingerprint::{Fingerprint, FpHasher};
 use herd_core::model::Architecture;
 use herd_core::ppo::PpoEnvelope;
-use std::collections::{BTreeMap, BTreeSet};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashSet};
 use std::ops::ControlFlow;
 
 /// One queried final state: register values by `(thread, register)` and
@@ -75,43 +86,99 @@ impl Outcome {
     /// Parses a litmus-log state row — the format of
     /// `herd-hw`'s `render_full_state` and of litmus7 histograms:
     /// `0:r1=1; 1:r2=0; x=2`. Trailing semicolons and blank pieces are
-    /// tolerated; register values that are not integers are taken as
-    /// location names (address-valued registers).
+    /// tolerated, and a repeated key keeps its last value. A register's
+    /// value is an integer or a location name (an address-valued
+    /// register); a location's is an integer.
     ///
     /// # Errors
     ///
-    /// Returns the malformed piece.
+    /// Returns the malformed piece: `'{piece}': expected lhs=value`, `bad
+    /// thread id`, `bad register`, `bad register value` or `bad memory
+    /// value`.
     pub fn from_state_row(row: &str) -> Result<Outcome, String> {
         let mut out = Outcome::default();
-        for piece in row.split(';') {
-            let piece = piece.trim();
-            if piece.is_empty() {
-                continue;
-            }
-            let Some((lhs, rhs)) = piece.split_once('=') else {
-                return Err(format!("'{piece}': expected lhs=value"));
-            };
-            let (lhs, rhs) = (lhs.trim(), rhs.trim());
-            if let Some((tid, reg)) = lhs.split_once(':') {
-                let tid: u16 =
-                    tid.trim().parse().map_err(|_| format!("'{piece}': bad thread id"))?;
-                let reg = reg.trim();
-                let reg: Reg = reg
-                    .strip_prefix('r')
-                    .and_then(|n| n.parse().ok())
-                    .map(Reg)
-                    .ok_or_else(|| format!("'{piece}': bad register"))?;
-                let val = match rhs.parse::<i64>() {
-                    Ok(v) => RegFinal::Int(v),
-                    Err(_) => RegFinal::Addr(rhs.to_owned()),
+        scan_row(row, |p| match p {
+            Piece::Reg { tid, reg, val } => {
+                let v = match val {
+                    Value::Int(v) => RegFinal::Int(v),
+                    Value::Name(n) => RegFinal::Addr(n.to_owned()),
                 };
-                out.regs.insert((tid, reg), val);
-            } else {
-                let v: i64 = rhs.parse().map_err(|_| format!("'{piece}': bad memory value"))?;
-                out.mem.insert(lhs.to_owned(), v);
+                out.regs.insert((tid, reg), v);
+            }
+            Piece::Mem { loc, val } => {
+                out.mem.insert(loc.to_owned(), val);
+            }
+        })?;
+        Ok(out)
+    }
+}
+
+/// Query rows over one test's [`StateLayout`]: per row, its slot
+/// constraints (`Free` where the row is silent), or none when the row
+/// names a register, location or address the test lacks — such a row
+/// matches no final state of the test.
+#[derive(Clone, Debug)]
+pub struct QueryRows {
+    layout: StateLayout,
+    slots: Vec<Slot>,
+    known: Vec<bool>,
+}
+
+impl QueryRows {
+    /// No rows yet, over `test`'s layout.
+    pub fn new(test: &LitmusTest) -> Self {
+        QueryRows { layout: StateLayout::for_test(test), slots: Vec::new(), known: Vec::new() }
+    }
+
+    /// The layout the rows are over.
+    pub fn layout(&self) -> &StateLayout {
+        &self.layout
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.known.len()
+    }
+
+    /// No rows?
+    pub fn is_empty(&self) -> bool {
+        self.known.is_empty()
+    }
+
+    /// Appends a log row, parsed straight into the layout
+    /// ([`StateLayout::parse_row`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`Outcome::from_state_row`]; nothing is appended.
+    pub fn push_row(&mut self, row: &str) -> Result<(), String> {
+        let at = self.slots.len();
+        self.slots.resize(at + self.layout.width(), Slot::Free);
+        match self.layout.parse_row(row, &mut self.slots[at..]) {
+            Ok(known) => {
+                self.known.push(known);
+                Ok(())
+            }
+            Err(e) => {
+                self.slots.truncate(at);
+                Err(e)
             }
         }
-        Ok(out)
+    }
+
+    /// Appends an [`Outcome`], mapped onto the layout.
+    pub fn push_outcome(&mut self, o: &Outcome) {
+        let at = self.slots.len();
+        self.slots.resize(at + self.layout.width(), Slot::Free);
+        let known = self.layout.fill_from_maps(&o.regs, &o.mem, Slot::Free, &mut self.slots[at..]);
+        self.known.push(known);
+    }
+
+    /// Row `i`'s constraints, or `None` when it names something the test
+    /// lacks.
+    pub fn get(&self, i: usize) -> Option<&[Slot]> {
+        let w = self.layout.width();
+        self.known[i].then(|| &self.slots[i * w..(i + 1) * w])
     }
 }
 
@@ -218,19 +285,8 @@ pub fn decide_outcome<A: Architecture + ?Sized>(
     Ok(Decision { allowed: batch.verdicts[0], stats: batch.stats.query })
 }
 
-/// Judges a whole log of outcome rows against one `(test, model)` pair.
-///
-/// Shares work three ways that row-at-a-time [`decide_outcome`] cannot:
-/// thread semantics and combination parts are computed once for the
-/// whole batch; literal repeat rows are answered once and copied; and
-/// within each combination, rows are grouped by screened rf class —
-/// identical filtered menus plus identical memory constraints — so each
-/// class walks the rf odometer, the solver and the coherence saturation
-/// *once*, with only the per-row register probe distinguishing members.
-/// A witness found for a class settles every member whose registers
-/// match ([`BatchStats::reused`]).
-///
-/// Verdicts are bit-identical to calling [`decide_outcome`] per row.
+/// Judges a whole log of outcome rows against one `(test, model)` pair:
+/// [`decide_rows`] over the rows mapped onto the test's layout.
 ///
 /// # Errors
 ///
@@ -241,40 +297,70 @@ pub fn decide_log<A: Architecture + ?Sized>(
     opts: &EnumOptions,
     rows: &[Outcome],
 ) -> Result<BatchDecision, CandidateError> {
+    let mut q = QueryRows::new(test);
+    for o in rows {
+        q.push_outcome(o);
+    }
+    decide_rows(test, arch, opts, &q)
+}
+
+/// Judges a whole log of query rows against one `(test, model)` pair.
+///
+/// Shares work three ways that row-at-a-time [`decide_outcome`] cannot:
+/// thread semantics and combination parts are computed once for the
+/// whole batch; literal repeat rows (equal slot vectors) are answered
+/// once and copied; and within each combination, rows are grouped by
+/// screened rf class — identical filtered menus plus identical memory
+/// constraints — so each class walks the rf odometer, the solver and the
+/// coherence saturation *once*, with only the per-row register probe
+/// distinguishing members. A witness found for a class settles every
+/// member whose registers match ([`BatchStats::reused`]). Rows naming
+/// something the test lacks are forbidden outright, and count as one
+/// distinct row.
+///
+/// Verdicts are bit-identical to calling [`decide_outcome`] per row.
+///
+/// # Errors
+///
+/// Propagates [`CandidateError`] from thread semantics.
+pub fn decide_rows<A: Architecture + ?Sized>(
+    test: &LitmusTest,
+    arch: &A,
+    opts: &EnumOptions,
+    rows: &QueryRows,
+) -> Result<BatchDecision, CandidateError> {
+    let layout = rows.layout();
     let mut stats = BatchStats { rows: rows.len() as u64, ..BatchStats::default() };
-    // Literal repeats: each input row maps to one distinct outcome.
-    let mut first: BTreeMap<String, usize> = BTreeMap::new();
+    // Literal repeats: each input row maps to one distinct row.
+    let mut first: BTreeMap<Option<&[Slot]>, usize> = BTreeMap::new();
     let mut distinct: Vec<usize> = Vec::new();
     let mut owner: Vec<usize> = Vec::with_capacity(rows.len());
-    for (i, o) in rows.iter().enumerate() {
-        let key = render_state_row(&o.regs, &o.mem);
-        owner.push(*first.entry(key).or_insert_with(|| {
+    for i in 0..rows.len() {
+        owner.push(*first.entry(rows.get(i)).or_insert_with(|| {
             distinct.push(i);
             distinct.len() - 1
         }));
     }
     stats.reused += (rows.len() - distinct.len()) as u64;
 
-    let locs = LocTable::for_test(test);
-    // A location the test does not know can never match any candidate.
-    let mut dverdict: Vec<Option<bool>> = distinct
-        .iter()
-        .map(|&i| rows[i].mem.keys().any(|name| locs.lookup(name).is_none()).then_some(false))
-        .collect();
+    // A row naming something the test lacks can never match any candidate.
+    let mut dverdict: Vec<Option<bool>> =
+        distinct.iter().map(|&i| rows.get(i).is_none().then_some(false)).collect();
     let live: Vec<usize> = (0..distinct.len()).filter(|&d| dverdict[d].is_none()).collect();
+    let row = |d: usize| rows.get(distinct[d]).expect("live rows are known");
 
     // Distinct rows a multi-member class answered *forbidden*: they rode
     // another member's exhaustive walk exactly as witness-settled members
     // do, and count as reused (once per row) when they stay forbidden.
     let mut shared_forbidden = vec![false; distinct.len()];
     if !live.is_empty() {
-        let loc_map = locs.as_map();
-        let paths = thread_paths(test, opts, &loc_map)?;
+        let paths = thread_paths(test, opts, &layout.loc_map())?;
         let domain = value_domain(test);
         let mut arena = RelArena::new(0);
+        let nregs = layout.regs().len();
         for_each_combo(&paths, |combo| {
             stats.query.combos += 1;
-            let parts = combo_parts(test, &locs, combo);
+            let parts = combo_parts(test, layout, combo);
             stats.query.rf_space = stats.query.rf_space.saturating_add(parts.space.rf_total());
             // Screen every still-undecided row, grouping survivors by
             // their screened rf class.
@@ -285,9 +371,8 @@ pub fn decide_log<A: Architecture + ?Sized>(
                     continue;
                 }
                 screened += 1;
-                let outcome = &rows[distinct[d]];
-                if let Some(menus) = screen_combo(test, &locs, combo, &parts, outcome) {
-                    let key = class_fingerprint(&menus, &outcome.mem);
+                if let Some(menus) = screen_combo(test, layout, combo, &parts, row(d)) {
+                    let key = class_fingerprint(&menus, &row(d)[nregs..]);
                     groups.entry(key.0).or_insert_with(|| (menus, Vec::new())).1.push(d);
                 }
             }
@@ -304,17 +389,13 @@ pub fn decide_log<A: Architecture + ?Sized>(
             for (menus, members) in groups.values() {
                 stats.classes += 1;
                 decide_class(
-                    test,
                     arch,
-                    &locs,
-                    combo,
                     &domain,
                     &parts,
                     envelope.as_ref(),
                     menus,
                     members,
-                    rows,
-                    &distinct,
+                    &row,
                     &mut dverdict,
                     &mut arena,
                     &mut stats,
@@ -348,29 +429,27 @@ pub fn decide_log<A: Architecture + ?Sized>(
 /// settling every member a witness covers. Members share the rf
 /// odometer, the solver and the coherence queries; only the final
 /// register probe is per-row.
-#[allow(clippy::too_many_arguments)] // private odometer step of decide_log
-fn decide_class<A: Architecture + ?Sized>(
-    test: &LitmusTest,
+#[allow(clippy::too_many_arguments)] // private odometer step of decide_rows
+fn decide_class<'r, A: Architecture + ?Sized>(
     arch: &A,
-    locs: &LocTable,
-    combo: &[&ThreadPath],
     domain: &[i64],
     parts: &ComboParts,
     envelope: Option<&PpoEnvelope>,
     menus: &[Vec<usize>],
     members: &[usize],
-    rows: &[Outcome],
-    distinct: &[usize],
+    row: &impl Fn(usize) -> &'r [Slot],
     dverdict: &mut [Option<bool>],
     arena: &mut RelArena,
     stats: &mut BatchStats,
 ) {
+    let nregs = parts.regs.width();
     // Memory constraints are part of the class key: identical across
     // members, so any member stands for the class below.
-    let class_outcome = &rows[distinct[members[0]]];
+    let class_mem = &row(members[0])[nregs..];
     let symbols: Vec<SymId> = parts.space.reads.iter().map(|&r| SymId(r)).collect();
     let rf_radices: Vec<usize> = menus.iter().map(Vec::len).collect();
     let mut rf_pick = vec![0usize; menus.len()];
+    let mut final_regs = vec![Slot::Absent; nregs];
     loop {
         stats.query.rf_configs += 1;
         let rf_pairs: Vec<(usize, usize)> =
@@ -378,16 +457,14 @@ fn decide_class<A: Architecture + ?Sized>(
         let equations = parts.flow.equations(rf_pairs.iter().copied());
         for asg in expr::solve(&symbols, &equations, domain) {
             let Some(evs) = parts.flow.concretise(&parts.space.events, &asg) else { continue };
-            let final_regs = final_registers(test, locs, combo, &asg, &parts.flow.read_gid);
+            parts.regs.fill(&asg, &mut final_regs);
             // The per-row probe: which undecided members does this
             // concretisation's register file satisfy?
             let matching: Vec<usize> = members
                 .iter()
                 .copied()
                 .filter(|&d| dverdict[d].is_none())
-                .filter(|&d| {
-                    rows[distinct[d]].regs.iter().all(|(k, v)| final_regs.get(k) == Some(v))
-                })
+                .filter(|&d| matches(&row(d)[..nregs], &final_regs))
                 .collect();
             if matching.is_empty() {
                 continue;
@@ -396,9 +473,7 @@ fn decide_class<A: Architecture + ?Sized>(
             // writes: collect the candidate last writes of each
             // constrained location (any one of them being co-maximal
             // yields the required value — they are tried in turn).
-            let Some((constrained, last_menus)) =
-                last_write_menus(parts, locs, class_outcome, &evs)
-            else {
+            let Some((constrained, last_menus)) = last_write_menus(parts, class_mem, &evs) else {
                 continue;
             };
             stats.query.matched += matching.len() as u64;
@@ -442,8 +517,8 @@ fn decide_class<A: Architecture + ?Sized>(
 
 /// The identity of one screened rf class: the filtered menus plus the
 /// row's memory constraints — everything the shared walk depends on.
-fn class_fingerprint(menus: &[Vec<usize>], mem: &BTreeMap<String, i64>) -> Fingerprint {
-    let mut h = FpHasher::new("rf-class/v1");
+fn class_fingerprint(menus: &[Vec<usize>], mem: &[Slot]) -> Fingerprint {
+    let mut h = FpHasher::new("rf-class/v2");
     h.tag("menus");
     h.write_len(menus.len());
     for m in menus {
@@ -453,10 +528,14 @@ fn class_fingerprint(menus: &[Vec<usize>], mem: &BTreeMap<String, i64>) -> Finge
         }
     }
     h.tag("mem");
-    h.write_len(mem.len());
-    for (name, &v) in mem {
-        h.write_str(name);
-        h.write_i64(v);
+    for s in mem {
+        match *s {
+            Slot::Int(v) => {
+                h.write_u64(1);
+                h.write_i64(v);
+            }
+            _ => h.write_u64(0),
+        }
     }
     h.finish()
 }
@@ -625,24 +704,33 @@ pub fn outcome_fingerprint(base: Fingerprint, outcome: &Outcome) -> Fingerprint 
 
 /// The verdict key of one raw state row, equal to
 /// `outcome_fingerprint(base, &Outcome::from_state_row(row)?)` — the key
-/// `herd-hw`'s cached judging probes with.
-///
-/// A row already in canonical form — byte for byte what
-/// [`render_state_row`] prints, e.g. `0:r1=1; 0:r10=2; x=3` — is
-/// recognised in one pass without allocating, and its bytes are hashed
-/// as they stand. Canonical means: pieces separated by `; `; registers
-/// first, in numeric `(thread, register)` order; then locations, in
-/// name order; values in canonical decimal; no key twice. Every other
-/// row, malformed ones included, is parsed and re-rendered.
+/// `herd-hw`'s cached judging probes with: the bytes of
+/// [`canonical_row`]. A row already in canonical form is recognised in
+/// one scan without allocating, and its bytes are hashed as they stand.
 ///
 /// # Errors
 ///
 /// As [`Outcome::from_state_row`], with the same message.
 pub fn row_fingerprint(base: Fingerprint, row: &str) -> Result<Fingerprint, String> {
-    if is_canonical_row(row) {
-        Ok(row_key(base, row))
+    canonical_row(row).map(|r| row_key(base, &r))
+}
+
+/// `row` as [`render_state_row`] prints the outcome it holds: borrowed
+/// when the row already is, byte for byte, e.g. `0:r1=1; 0:r10=2; x=3`
+/// (pieces separated by `; `; registers first, in numeric
+/// `(thread, register)` order; then locations, in name order; values in
+/// canonical decimal; no key twice). Every other row, reordered,
+/// repeated or oddly spaced, is parsed and re-rendered.
+///
+/// # Errors
+///
+/// As [`Outcome::from_state_row`], with the same message.
+pub fn canonical_row(row: &str) -> Result<Cow<'_, str>, String> {
+    if is_canonical(row) {
+        Ok(Cow::Borrowed(row))
     } else {
-        Outcome::from_state_row(row).map(|o| outcome_fingerprint(base, &o))
+        let o = Outcome::from_state_row(row)?;
+        Ok(Cow::Owned(render_state_row(&o.regs, &o.mem)))
     }
 }
 
@@ -655,164 +743,63 @@ fn row_key(base: Fingerprint, rendered: &str) -> Fingerprint {
     h.finish()
 }
 
-/// Would [`render_state_row`] print `row` back verbatim from the outcome
-/// [`Outcome::from_state_row`] parses out of it? One pass over the
-/// bytes, no allocation. Conservative: names must start with an ASCII
-/// letter or `_` and hold no whitespace, `;`, `:` or `=`, and a number
-/// past `i64` counts as not canonical — a `false` only costs the parse.
-fn is_canonical_row(row: &str) -> bool {
-    let b = row.as_bytes();
-    if b.is_empty() {
-        return true;
-    }
-    let mut at = 0;
-    let mut last_reg: Option<(u64, u64)> = None;
-    let mut last_loc: Option<&[u8]> = None;
-    loop {
-        if b.get(at).is_some_and(u8::is_ascii_digit) {
-            // `T:rN=v`, after every earlier register and before any
-            // location; `v` is an integer or an address name.
-            let Some((tid, end)) = scan_magnitude(b, at) else { return false };
-            if !b[end..].starts_with(b":r") {
-                return false;
-            }
-            let Some((reg, end)) = scan_magnitude(b, end + 2) else { return false };
-            let key = (tid, reg);
-            if tid > u64::from(u16::MAX)
-                || reg > u64::from(u8::MAX)
-                || b.get(end) != Some(&b'=')
-                || last_loc.is_some()
-                || last_reg.is_some_and(|prev| prev >= key)
-            {
-                return false;
-            }
-            match scan_i64(b, end + 1).or_else(|| scan_name(b, end + 1)) {
-                Some(end) => at = end,
-                None => return false,
-            }
-            last_reg = Some(key);
-        } else {
-            // `x=v`, after every earlier location; `v` is an integer.
-            let Some(end) = scan_name(b, at) else { return false };
-            let loc = &b[at..end];
-            if b.get(end) != Some(&b'=') || last_loc.is_some_and(|prev| prev >= loc) {
-                return false;
-            }
-            match scan_i64(b, end + 1) {
-                Some(end) => at = end,
-                None => return false,
-            }
-            last_loc = Some(loc);
-        }
-        if at == b.len() {
-            return true;
-        }
-        if !b[at..].starts_with(b"; ") {
-            return false;
-        }
-        at += 2;
-    }
-}
-
-/// The decimal at `b[at..]`, without sign or leading zeros, if it fits
-/// `u64`: its value and the index past it.
-fn scan_magnitude(b: &[u8], at: usize) -> Option<(u64, usize)> {
-    let mut end = at;
-    let mut n = 0u64;
-    while let Some(&c) = b.get(end).filter(|c| c.is_ascii_digit()) {
-        n = n.checked_mul(10)?.checked_add(u64::from(c - b'0'))?;
-        end += 1;
-    }
-    if end == at || (b[at] == b'0' && end > at + 1) {
-        return None;
-    }
-    Some((n, end))
-}
-
-/// An integer at `b[at..]` exactly as `i64::to_string` prints it: the
-/// index past it.
-fn scan_i64(b: &[u8], at: usize) -> Option<usize> {
-    if b.get(at) == Some(&b'-') {
-        let (n, end) = scan_magnitude(b, at + 1)?;
-        (n != 0 && n <= 1 << 63).then_some(end)
-    } else {
-        let (n, end) = scan_magnitude(b, at)?;
-        (n <= i64::MAX as u64).then_some(end)
-    }
-}
-
-/// A location or address name at `b[at..]` that the parser keeps
-/// verbatim — it cannot parse as an integer, survives trimming and
-/// cannot be split apart: the index past it.
-fn scan_name(b: &[u8], at: usize) -> Option<usize> {
-    let first = *b.get(at)?;
-    if !(first.is_ascii_alphabetic() || first == b'_') {
-        return None;
-    }
-    let mut end = at + 1;
-    while b.get(end).is_some_and(|&c| c.is_ascii_graphic() && !matches!(c, b';' | b':' | b'=')) {
-        end += 1;
-    }
-    Some(end)
-}
-
 /// Static register screening of one combination: `None` when the path's
-/// final register file can never match `outcome`, otherwise the rf menus
-/// with required-value filtering applied (a read whose value the outcome
-/// pins to `v` keeps only sources that can produce `v`).
+/// final register file can never match `row`, otherwise the rf menus with
+/// required-value filtering applied (a read whose value the row pins to
+/// `v` keeps only sources that can produce `v`).
 fn screen_combo(
     test: &LitmusTest,
-    locs: &LocTable,
+    layout: &StateLayout,
     combo: &[&ThreadPath],
     parts: &ComboParts,
-    outcome: &Outcome,
+    row: &[Slot],
 ) -> Option<Vec<Vec<usize>>> {
     let mut menus = parts.space.rf_choices.clone();
-    for ((otid, reg), want) in &outcome.regs {
-        let Some(path) = combo.get(*otid as usize) else {
+    for (&(otid, reg), &want) in layout.regs().iter().zip(row) {
+        if want == Slot::Free {
+            continue;
+        }
+        let Some(path) = combo.get(otid as usize) else {
             return None; // a thread the test does not have
         };
-        match path.final_regs.get(reg) {
+        match path.final_regs.get(&reg) {
             Some(RVal::Addr(l)) => {
-                let ok = matches!(want, RegFinal::Addr(name) if name == locs.name(*l));
-                if !ok {
+                if want != Slot::Addr(*l) {
                     return None;
                 }
             }
-            Some(RVal::Int(e)) => match want {
-                RegFinal::Addr(_) => return None,
-                RegFinal::Int(v) => {
-                    if let Some(c) = e.as_const() {
-                        if c != *v {
-                            return None;
+            Some(RVal::Int(e)) => {
+                let Slot::Int(v) = want else { return None };
+                if let Some(c) = e.as_const() {
+                    if c != v {
+                        return None;
+                    }
+                } else if let SymExpr::Sym(s) = e {
+                    // The register is a read's value verbatim: only
+                    // sources that can produce `v` can match.
+                    let g = parts.flow.read_gid[otid as usize][s.0];
+                    let k = parts
+                        .space
+                        .reads
+                        .iter()
+                        .position(|&r| r == g)
+                        .expect("read symbol maps to a read event");
+                    menus[k].retain(|&w| {
+                        match parts.flow.write_value[w].as_ref().and_then(SymExpr::as_const) {
+                            Some(c) => c == v,
+                            None => true, // symbolic source: solver decides
                         }
-                    } else if let SymExpr::Sym(s) = e {
-                        // The register is a read's value verbatim: only
-                        // sources that can produce `v` can match.
-                        let g = parts.flow.read_gid[*otid as usize][s.0];
-                        let k = parts
-                            .space
-                            .reads
-                            .iter()
-                            .position(|&r| r == g)
-                            .expect("read symbol maps to a read event");
-                        menus[k].retain(|&w| {
-                            match parts.flow.write_value[w].as_ref().and_then(SymExpr::as_const) {
-                                Some(c) => c == *v,
-                                None => true, // symbolic source: solver decides
-                            }
-                        });
-                        if menus[k].is_empty() {
-                            return None;
-                        }
+                    });
+                    if menus[k].is_empty() {
+                        return None;
                     }
                 }
-            },
+            }
             // Unwritten registers keep their initial value (or are
             // absent from the final file entirely).
-            None => match (test.reg_init.get(&(*otid, *reg)), want) {
-                (Some(InitVal::Int(i)), RegFinal::Int(v)) if i == v => {}
-                (Some(InitVal::Loc(l)), RegFinal::Addr(m)) if l == m => {}
+            None => match (test.reg_init.get(&(otid, reg)), want) {
+                (Some(InitVal::Int(i)), Slot::Int(v)) if *i == v => {}
+                (Some(InitVal::Loc(l)), Slot::Addr(m)) if layout.loc_name(m) == l => {}
                 _ => return None,
             },
         }
@@ -820,19 +807,19 @@ fn screen_combo(
     Some(menus)
 }
 
-/// The candidate co-maximal writes of each memory-constrained location;
-/// `None` when some required value is unproducible in this
-/// concretisation.
+/// The candidate co-maximal writes of each memory-constrained location
+/// (`mem` holds the row's location slots); `None` when some required
+/// value is unproducible in this concretisation.
 fn last_write_menus(
     parts: &ComboParts,
-    locs: &LocTable,
-    outcome: &Outcome,
+    mem: &[Slot],
     evs: &[Event],
 ) -> Option<(Vec<Loc>, Vec<Vec<usize>>)> {
     let mut constrained: Vec<Loc> = Vec::new();
     let mut menus: Vec<Vec<usize>> = Vec::new();
-    for (name, &v) in &outcome.mem {
-        let loc = locs.lookup(name).expect("unknown locations rejected up front");
+    for (i, &want) in mem.iter().enumerate() {
+        let Slot::Int(v) = want else { continue };
+        let loc = Loc(i as u32);
         match parts.space.locs.iter().position(|&l| l == loc) {
             Some(li) => {
                 let cands: Vec<usize> = parts.space.loc_writes[li]
@@ -848,7 +835,7 @@ fn last_write_menus(
             }
             // Only the initial write: the final value is fixed.
             None => {
-                if evs[loc.0 as usize].val != Val(v) {
+                if evs[i].val != Val(v) {
                     return None;
                 }
             }
@@ -857,8 +844,8 @@ fn last_write_menus(
     Some((constrained, menus))
 }
 
-/// A consumer of full final states: the register file and the memory.
-type StateSink<'a> = dyn FnMut(&BTreeMap<(u16, Reg), RegFinal>, &BTreeMap<String, i64>) + 'a;
+/// A consumer of full final states, over the test's layout.
+type StateSink<'a> = dyn FnMut(&StateLayout, &[Slot]) + 'a;
 
 /// Feeds every distinct allowed *full* outcome of `test` under `arch` to
 /// `emit`: the complete final register file plus one value per location —
@@ -876,15 +863,17 @@ pub fn allowed_full_outcomes<A: Architecture + ?Sized>(
     stats: &mut QueryStats,
     emit: &mut StateSink<'_>,
 ) -> Result<(), CandidateError> {
-    let locs = LocTable::for_test(test);
-    let loc_map = locs.as_map();
-    let paths = thread_paths(test, opts, &loc_map)?;
+    let layout = StateLayout::for_test(test);
+    let paths = thread_paths(test, opts, &layout.loc_map())?;
     let domain = value_domain(test);
     let mut arena = RelArena::new(0);
-    let mut seen_allowed: BTreeSet<String> = BTreeSet::new();
+    let nregs = layout.regs().len();
+    let nlocs = layout.locs().len();
+    let mut state = vec![Slot::Absent; layout.width()];
+    let mut seen_allowed: HashSet<Box<[Slot]>> = HashSet::new();
     for_each_combo(&paths, |combo| {
         stats.combos += 1;
-        let parts = combo_parts(test, &locs, combo);
+        let parts = combo_parts(test, &layout, combo);
         let space = &parts.space;
         stats.rf_space = stats.rf_space.saturating_add(space.rf_total());
         // One ppo envelope per combination, shared by every query on it.
@@ -903,7 +892,7 @@ pub fn allowed_full_outcomes<A: Architecture + ?Sized>(
             let equations = parts.flow.equations(rf_pairs.iter().copied());
             for asg in expr::solve(&symbols, &equations, &domain) {
                 let Some(evs) = parts.flow.concretise(&space.events, &asg) else { continue };
-                let final_regs = final_registers(test, &locs, combo, &asg, &parts.flow.read_gid);
+                parts.regs.fill(&asg, &mut state[..nregs]);
                 stats.matched += 1;
                 // Full final memory: one co-maximal write choice per
                 // location with thread writes, the initial value
@@ -911,20 +900,16 @@ pub fn allowed_full_outcomes<A: Architecture + ?Sized>(
                 let lw_radices: Vec<usize> = space.loc_writes.iter().map(Vec::len).collect();
                 let mut lw_pick = vec![0usize; space.loc_writes.len()];
                 loop {
-                    let mut mem: BTreeMap<String, i64> = locs
-                        .names()
-                        .iter()
-                        .enumerate()
-                        .map(|(i, n)| (n.clone(), evs[i].val.0))
-                        .collect();
+                    for (i, e) in evs[..nlocs].iter().enumerate() {
+                        state[nregs + i] = Slot::Int(e.val.0);
+                    }
                     let mut last_writes: Vec<(Loc, usize)> = Vec::with_capacity(space.locs.len());
                     for (li, &loc) in space.locs.iter().enumerate() {
                         let w = space.loc_writes[li][lw_pick[li]];
-                        mem.insert(locs.name(loc).to_owned(), evs[w].val.0);
+                        state[layout.loc_slot(loc)] = Slot::Int(evs[w].val.0);
                         last_writes.push((loc, w));
                     }
-                    let key = render_state_row(&final_regs, &mem);
-                    if !seen_allowed.contains(&key) {
+                    if !seen_allowed.contains(&state[..]) {
                         let q = CoQuery {
                             core: &parts.core,
                             events: &evs,
@@ -938,8 +923,8 @@ pub fn allowed_full_outcomes<A: Architecture + ?Sized>(
                             &mut arena,
                             &mut stats.backend,
                         ) {
-                            seen_allowed.insert(key);
-                            emit(&final_regs, &mem);
+                            seen_allowed.insert(state.clone().into_boxed_slice());
+                            emit(&layout, &state);
                         }
                     }
                     if !bump(&mut lw_pick, &lw_radices) {
@@ -957,24 +942,21 @@ pub fn allowed_full_outcomes<A: Architecture + ?Sized>(
 }
 
 /// Renders a final state as one canonical log row — `0:r1=1; x=2`, the
-/// format [`Outcome::from_state_row`] parses — the one renderer behind
-/// deduplication, verdict fingerprints and `herd-hw`'s logs.
+/// format [`Outcome::from_state_row`] parses — through the one piece
+/// writer behind [`StateLayout::row`]: the key of verdict
+/// fingerprints and the row format of `herd-hw`'s logs.
 pub fn render_state_row(
     regs: &BTreeMap<(u16, Reg), RegFinal>,
     mem: &BTreeMap<String, i64>,
 ) -> String {
-    let mut parts: Vec<String> = Vec::new();
-    for ((tid, reg), v) in regs {
-        let v = match v {
-            RegFinal::Int(i) => i.to_string(),
-            RegFinal::Addr(l) => l.clone(),
-        };
-        parts.push(format!("{tid}:{reg}={v}"));
+    let mut s = String::new();
+    for (k, p) in map_pieces(regs, mem).enumerate() {
+        if k > 0 {
+            s.push_str("; ");
+        }
+        write_piece(&mut s, &p);
     }
-    for (loc, v) in mem {
-        parts.push(format!("{loc}={v}"));
-    }
-    parts.join("; ")
+    s
 }
 
 #[cfg(test)]
@@ -983,6 +965,7 @@ mod tests {
     use crate::corpus::{self, Dev};
     use crate::isa::Isa;
     use herd_core::arch::{Power, Sc, Tso};
+    use std::collections::BTreeSet;
 
     fn outcome(row: &str) -> Outcome {
         Outcome::from_state_row(row).unwrap()
@@ -999,6 +982,20 @@ mod tests {
         assert!(o.mem.is_empty());
         assert!(Outcome::from_state_row("nonsense").is_err());
         assert!(Outcome::from_state_row("0:rx=1").is_err());
+        // A register holds an integer or a location name, nothing else.
+        let o = outcome("0:r1=x; 0:r2=_a1; 0:r3=-4");
+        assert_eq!(o.regs.get(&(0, Reg(1))), Some(&RegFinal::Addr("x".into())));
+        assert_eq!(o.regs.get(&(0, Reg(2))), Some(&RegFinal::Addr("_a1".into())));
+        assert_eq!(o.regs.get(&(0, Reg(3))), Some(&RegFinal::Int(-4)));
+        for (row, err) in [
+            ("0:r1=", "'0:r1=': bad register value"),
+            ("0:r1=1x", "'0:r1=1x': bad register value"),
+            ("0:r1=x=y", "'0:r1=x=y': bad register value"),
+            ("0:r1=9223372036854775808", "'0:r1=9223372036854775808': bad register value"),
+            ("x=", "'x=': bad memory value"),
+        ] {
+            assert_eq!(Outcome::from_state_row(row), Err(err.to_owned()), "{row:?}");
+        }
     }
 
     #[test]
@@ -1228,18 +1225,29 @@ mod tests {
             (" 0:r1=1", false),
             ("0 : r1 = 1", false),
             ("x = 1", false),
-            ("0:r1=9223372036854775808", false), // past i64: an address name
-            ("0:r1=", false),
+            ("1x=0", false), // a location, but not a name
         ];
         for (row, canonical) in table {
-            assert_eq!(is_canonical_row(row), canonical, "{row:?}");
+            let borrowed = matches!(canonical_row(row), Ok(Cow::Borrowed(_)));
+            assert_eq!(borrowed, canonical, "{row:?}");
             let want = outcome_fingerprint(base, &outcome(row));
             assert_eq!(row_fingerprint(base, row), Ok(want), "{row:?}");
             if canonical {
                 assert_eq!(render_state_row(&outcome(row).regs, &outcome(row).mem), row);
             }
         }
-        for bad in ["nonsense", "0:rx=1", "x=y", "a:r1=1", "0:r256=1", "0:r1=1; x=1=2"] {
+        for bad in [
+            "nonsense",
+            "0:rx=1",
+            "x=y",
+            "a:r1=1",
+            "0:r256=1",
+            "0:r1=1; x=1=2",
+            "0:r1=9223372036854775808",  // past i64, and not a name
+            "0:r1=92233720368547758080", // past u64
+            "x=18446744073709551616",
+            "0:r1=",
+        ] {
             let err = Outcome::from_state_row(bad).unwrap_err();
             assert_eq!(row_fingerprint(base, bad), Err(err), "{bad:?}");
         }
@@ -1269,7 +1277,7 @@ mod tests {
                         ("y".to_owned(), 12),
                     ]);
                     let row = render_state_row(&regs, &mem);
-                    assert!(is_canonical_row(&row), "{row:?}");
+                    assert!(matches!(canonical_row(&row), Ok(Cow::Borrowed(_))), "{row:?}");
                 }
             }
         }
@@ -1288,9 +1296,13 @@ mod tests {
                     arch,
                     &EnumOptions::default(),
                     &mut stats,
-                    &mut |r, m| {
-                        let row = render_state_row(r, m);
-                        assert!(is_canonical_row(&row), "{}: {row:?}", e.test.name);
+                    &mut |layout, state| {
+                        let row = layout.row(state);
+                        assert!(
+                            matches!(canonical_row(&row), Ok(Cow::Borrowed(_))),
+                            "{}: {row:?}",
+                            e.test.name
+                        );
                     },
                 )
                 .unwrap();
@@ -1314,8 +1326,8 @@ mod tests {
                 .collect();
             let mut stats = QueryStats::default();
             let mut ours = BTreeSet::new();
-            allowed_full_outcomes(&test, &Tso, &EnumOptions::default(), &mut stats, &mut |r, m| {
-                ours.insert(render_state_row(r, m));
+            allowed_full_outcomes(&test, &Tso, &EnumOptions::default(), &mut stats, &mut |l, s| {
+                ours.insert(l.row(s));
             })
             .unwrap();
             assert_eq!(ours, reference, "{}", test.name);

@@ -6,6 +6,26 @@
 //! a parser for the litmus format, candidate-execution enumeration
 //! (control flow × data flow, Sec 3), and a herd-style simulation driver.
 //!
+//! ## Crate tour
+//!
+//! - [`isa`], [`program`], [`parse`], [`corpus`], [`text_corpus`]: the
+//!   tests — instructions, the litmus format, the shipped corpora.
+//! - [`sem`], [`expr`]: symbolic per-thread semantics and the value
+//!   solver.
+//! - [`candidates`]: candidate executions, judged in place on herd-core's
+//!   arena engine (`stream_verdicts`) or materialised as the owned
+//!   reference (`enumerate`).
+//! - [`state`]: the one final-state type. A test's [`state::StateLayout`]
+//!   gives every final register and location a slot; judged candidates,
+//!   decided outcomes and log rows are slot vectors over it. One scanner
+//!   reads rows, the condition compiles to slot predicates plus its
+//!   projection, and one piece writer prints canonical rows and
+//!   projections.
+//! - [`mod@simulate`]: the simulation drivers, which render each distinct
+//!   observable state once.
+//! - [`decide`]: single-outcome and batched log decisions on the
+//!   consistency backend, plus the verdict-cache keys.
+//!
 //! ## Example
 //!
 //! ```
@@ -37,6 +57,7 @@ pub mod parse;
 pub mod program;
 pub mod sem;
 pub mod simulate;
+pub mod state;
 pub mod text_corpus;
 
 pub use candidates::{Candidate, EnumOptions};

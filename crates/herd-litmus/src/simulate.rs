@@ -23,11 +23,12 @@
 use crate::candidates::{Candidate, CandidateError, EnumOptions, RegFinal, TestSpace};
 use crate::isa::Reg;
 use crate::program::{CondVal, LitmusTest, Prop, Quantifier};
+use crate::state::{CondSlots, Slot, StateLayout};
 use herd_core::arena::RelArena;
 use herd_core::enumerate::CheckedStats;
-use herd_core::model::{self, ArchRelations, Architecture, Verdict};
+use herd_core::model::{self, ArchRelations, Architecture};
 use herd_core::sched;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
 
 /// Why a simulation stopped before classifying its whole space.
@@ -101,7 +102,9 @@ pub struct SimOutcome {
     pub negative: usize,
     /// Whether the quantified condition is validated.
     pub validated: bool,
-    /// Rendered final states of the allowed executions.
+    /// The distinct observable states of the allowed executions: the
+    /// registers and locations the condition mentions, in first-mention
+    /// order, in the style of litmus logs (`1:r1=1; 1:r5=0;`).
     pub states: BTreeSet<String>,
     /// `Some` when the run degraded instead of completing — a candidate
     /// budget tripped or work units were lost to panics. `None` means
@@ -200,10 +203,11 @@ fn simulate_inline<A: Architecture + ?Sized>(
     arch: &A,
     opts: &EnumOptions,
 ) -> SimOutcome {
-    let mut acc = Judgement::default();
+    let cond = space.layout.condition(&space.test.condition.prop);
+    let mut acc = Judgement::new(&cond);
     let mut tally = Tally::default();
     tally.add(&judge_unit(space, arch, opts, (0, u128::MAX), &mut acc, &mut RelArena::new(0)));
-    tally.outcome(acc, space.test, arch, opts)
+    tally.outcome(acc, space, arch, opts)
 }
 
 /// Surfaces the uniproc pruner's per-location member-cap fallback: such
@@ -267,14 +271,15 @@ pub fn simulate_sharded<A: Architecture + Sync + ?Sized>(
     // cross-thread state, no locks, only the unit cursor. A Judgement is
     // append-only across units, and every engine run resets the arena, so
     // there is nothing to repair after a poisoned unit.
+    let cond = space.layout.condition(&test.condition.prop);
     let (accs, results) = sched::execute_units(
         units.len(),
         workers,
-        |_| (Judgement::default(), RelArena::new(0)),
+        |_| (Judgement::new(&cond), RelArena::new(0)),
         |_| {},
         |(acc, arena), u| judge_unit(&space, arch, opts, units[u], acc, arena),
     );
-    let mut acc = Judgement::default();
+    let mut acc = Judgement::new(&cond);
     for (part, _) in accs {
         acc.merge(part);
     }
@@ -295,7 +300,7 @@ pub fn simulate_sharded<A: Architecture + Sync + ?Sized>(
             }
         }
     }
-    Ok(tally.outcome(acc, test, arch, opts))
+    Ok(tally.outcome(acc, &space, arch, opts))
 }
 
 /// Judges one rf range of `test` on the arena verdict engine into `acc`,
@@ -305,12 +310,14 @@ fn judge_unit<A: Architecture + ?Sized>(
     arch: &A,
     opts: &EnumOptions,
     range: (u128, u128),
-    acc: &mut Judgement,
+    acc: &mut Judgement<'_>,
     arena: &mut RelArena,
 ) -> (CheckedStats, usize) {
     let max = opts.max_candidates as u128 + 1;
     space.judge(&[arch], range, max, arena, &mut |vc| {
-        acc.tally(space.test, vc.verdicts[0], vc.final_regs, vc.final_mem);
+        if vc.verdicts[0].allowed() {
+            acc.tally(vc.state);
+        }
     })
 }
 
@@ -332,11 +339,12 @@ impl Tally {
     /// whole space, and a tripped bound or a lost unit makes it partial.
     fn outcome<A: Architecture + ?Sized>(
         self,
-        acc: Judgement,
-        test: &LitmusTest,
+        acc: Judgement<'_>,
+        space: &TestSpace<'_>,
         arch: &A,
         opts: &EnumOptions,
     ) -> SimOutcome {
+        let test = space.test;
         warn_unpruned(test, self.unpruned_locations);
         let s = self.stats;
         let bound = SimStop::CandidateBudget { bound: opts.max_candidates };
@@ -344,8 +352,8 @@ impl Tally {
         // whole-test meaning so outcomes do not depend on core count.
         let stopped =
             (s.stopped.is_some() || s.emitted > opts.max_candidates as u128).then_some(bound);
-        let space = s.emitted.saturating_add(s.pruned).saturating_add(s.remaining);
-        let mut out = acc.outcome(test, arch, space, s.pruned);
+        let candidates = s.emitted.saturating_add(s.pruned).saturating_add(s.remaining);
+        let mut out = acc.outcome(test, &space.layout, arch, candidates, s.pruned);
         if stopped.is_some() || !self.poisoned.is_empty() {
             out.partial =
                 Some(PartialSim { stopped, poisoned: self.poisoned, remaining: s.remaining });
@@ -377,82 +385,91 @@ pub fn simulate_decided<A: Architecture + ?Sized>(
     opts: &EnumOptions,
     stats: &mut crate::decide::QueryStats,
 ) -> Result<SimOutcome, CandidateError> {
-    let mut acc = Judgement::default();
-    crate::decide::allowed_full_outcomes(test, arch, opts, stats, &mut |regs, mem| {
-        acc.allowed += 1;
-        if eval_prop_parts(&test.condition.prop, regs, mem) {
-            acc.positive += 1;
-        } else {
-            acc.negative += 1;
-        }
-        acc.states.insert(render_state(test, regs, mem));
+    let layout = StateLayout::for_test(test);
+    let cond = layout.condition(&test.condition.prop);
+    let mut acc = Judgement::new(&cond);
+    crate::decide::allowed_full_outcomes(test, arch, opts, stats, &mut |_, state| {
+        acc.tally(state);
     })?;
     let probed = acc.allowed as u128;
-    Ok(acc.outcome(test, arch, probed, 0))
+    Ok(acc.outcome(test, &layout, arch, probed, 0))
 }
 
 /// Applies the model and condition to pre-enumerated candidates (lets
-/// callers reuse one enumeration across several models).
+/// callers reuse one enumeration across several models). The owned
+/// reference path: each candidate's maps are mapped onto the layout.
 pub fn judge<A: Architecture + ?Sized>(
     test: &LitmusTest,
     arch: &A,
     cands: &[Candidate],
 ) -> SimOutcome {
-    let mut acc = Judgement::default();
+    let layout = StateLayout::for_test(test);
+    let cond = layout.condition(&test.condition.prop);
+    let mut acc = Judgement::new(&cond);
+    let mut state = vec![Slot::Absent; layout.width()];
     for c in cands {
-        acc.absorb(test, arch, c);
-    }
-    acc.outcome(test, arch, cands.len() as u128, 0)
-}
-
-/// Streaming accumulator behind [`simulate_with`] and [`judge`].
-#[derive(Default)]
-struct Judgement {
-    allowed: usize,
-    positive: usize,
-    negative: usize,
-    states: BTreeSet<String>,
-}
-
-impl Judgement {
-    /// Folds another shard's judgement into this one.
-    fn merge(&mut self, other: Judgement) {
-        self.allowed += other.allowed;
-        self.positive += other.positive;
-        self.negative += other.negative;
-        self.states.extend(other.states);
-    }
-
-    fn absorb<A: Architecture + ?Sized>(&mut self, test: &LitmusTest, arch: &A, c: &Candidate) {
         // One relation computation per candidate, shared by every axiom
         // (hb+/hb* feed both NO THIN AIR and OBSERVATION).
         let rels = ArchRelations::compute(arch, &c.exec);
-        let v: Verdict = model::check_with(arch, &c.exec, &rels);
-        self.tally(test, v, &c.final_regs, &c.final_mem);
+        if model::check_with(arch, &c.exec, &rels).allowed() {
+            layout.fill_from_maps(&c.final_regs, &c.final_mem, Slot::Absent, &mut state);
+            acc.tally(&state);
+        }
+    }
+    acc.outcome(test, &layout, arch, cands.len() as u128, 0)
+}
+
+/// Streaming accumulator behind every simulation driver: counts the
+/// allowed states and keeps each distinct observable projection once, as
+/// slot values, rendering them only when the outcome is built.
+struct Judgement<'c> {
+    cond: &'c CondSlots,
+    allowed: usize,
+    positive: usize,
+    negative: usize,
+    seen: HashSet<Box<[Slot]>>,
+    /// Scratch: the projection of the state being tallied.
+    proj: Vec<Slot>,
+}
+
+impl<'c> Judgement<'c> {
+    fn new(cond: &'c CondSlots) -> Self {
+        Judgement {
+            cond,
+            allowed: 0,
+            positive: 0,
+            negative: 0,
+            seen: HashSet::new(),
+            proj: Vec::new(),
+        }
     }
 
-    fn tally(
-        &mut self,
-        test: &LitmusTest,
-        v: Verdict,
-        final_regs: &BTreeMap<(u16, Reg), RegFinal>,
-        final_mem: &BTreeMap<String, i64>,
-    ) {
-        if !v.allowed() {
-            return;
-        }
+    /// Folds another shard's judgement into this one.
+    fn merge(&mut self, other: Judgement<'_>) {
+        self.allowed += other.allowed;
+        self.positive += other.positive;
+        self.negative += other.negative;
+        self.seen.extend(other.seen);
+    }
+
+    /// Counts one allowed full state.
+    fn tally(&mut self, state: &[Slot]) {
         self.allowed += 1;
-        if eval_prop_parts(&test.condition.prop, final_regs, final_mem) {
+        if self.cond.holds(state) {
             self.positive += 1;
         } else {
             self.negative += 1;
         }
-        self.states.insert(render_state(test, final_regs, final_mem));
+        self.cond.project(state, &mut self.proj);
+        if !self.seen.contains(self.proj.as_slice()) {
+            self.seen.insert(self.proj.as_slice().into());
+        }
     }
 
     fn outcome<A: Architecture + ?Sized>(
         self,
         test: &LitmusTest,
+        layout: &StateLayout,
         arch: &A,
         candidates: u128,
         pruned: u128,
@@ -462,6 +479,7 @@ impl Judgement {
             Quantifier::NotExists => self.positive == 0,
             Quantifier::Forall => self.negative == 0,
         };
+        let states = self.seen.iter().map(|proj| self.cond.projection_row(layout, proj)).collect();
         SimOutcome {
             test: test.name.clone(),
             arch: arch.name().to_owned(),
@@ -471,7 +489,7 @@ impl Judgement {
             positive: self.positive,
             negative: self.negative,
             validated,
-            states: self.states,
+            states,
             partial: None,
         }
     }
@@ -610,8 +628,8 @@ pub fn eval_prop(p: &Prop, c: &Candidate) -> bool {
     eval_prop_parts(p, &c.final_regs, &c.final_mem)
 }
 
-/// Evaluates a proposition against bare final-state observables (shared
-/// by the owned [`Candidate`] path and the arena verdict stream).
+/// Evaluates a proposition against map-shaped final-state observables:
+/// the owned reference of [`CondSlots::holds`].
 pub fn eval_prop_parts(
     p: &Prop,
     final_regs: &BTreeMap<(u16, Reg), RegFinal>,
@@ -632,44 +650,6 @@ pub fn eval_prop_parts(
             (Some(RegFinal::Addr(l)), CondVal::Loc(m)) => l == m,
             _ => false,
         },
-    }
-}
-
-/// Renders the observable state (the registers and locations the condition
-/// mentions), in the style of litmus logs: `1:r1=1; 1:r5=0;`.
-fn render_state(
-    test: &LitmusTest,
-    final_regs: &BTreeMap<(u16, Reg), RegFinal>,
-    final_mem: &BTreeMap<String, i64>,
-) -> String {
-    let mut pieces: Vec<String> = Vec::new();
-    let mut seen = BTreeSet::new();
-    collect_atoms(&test.condition.prop, &mut |p| match p {
-        Prop::RegEq { tid, reg, .. } if seen.insert(format!("{tid}:{reg}")) => {
-            let v = match final_regs.get(&(*tid, *reg)) {
-                Some(RegFinal::Int(v)) => v.to_string(),
-                Some(RegFinal::Addr(l)) => l.clone(),
-                None => "?".into(),
-            };
-            pieces.push(format!("{tid}:{reg}={v};"));
-        }
-        Prop::MemEq { loc, .. } if seen.insert(loc.clone()) => {
-            let v = final_mem.get(loc).copied().unwrap_or(0);
-            pieces.push(format!("{loc}={v};"));
-        }
-        _ => {}
-    });
-    pieces.join(" ")
-}
-
-fn collect_atoms(p: &Prop, f: &mut impl FnMut(&Prop)) {
-    match p {
-        Prop::Not(a) => collect_atoms(a, f),
-        Prop::And(a, b) | Prop::Or(a, b) => {
-            collect_atoms(a, f);
-            collect_atoms(b, f);
-        }
-        atom => f(atom),
     }
 }
 

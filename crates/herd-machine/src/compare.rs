@@ -26,7 +26,8 @@ use herd_core::model::Architecture;
 use herd_core::relation::Relation;
 use herd_litmus::candidates::{self, CandidateError, EnumOptions};
 use herd_litmus::program::LitmusTest;
-use std::collections::BTreeSet;
+use herd_litmus::state::{Slot, StateLayout};
+use std::collections::{BTreeSet, HashSet};
 
 /// The streamed divergence report between two models on one test — what
 /// the Fig 36/37 comparison experiments aggregate. Produced by
@@ -43,10 +44,10 @@ pub struct ModelComparison {
     /// Candidates where the two verdicts disagree.
     pub diverging: u128,
     /// Final states of diverging candidates that `a` allows and `b`
-    /// forbids.
+    /// forbids, as canonical log rows (`1:r1=1; 1:r2=0; x=1; y=1`).
     pub only_a: BTreeSet<String>,
     /// Final states of diverging candidates that `b` allows and `a`
-    /// forbids.
+    /// forbids, as canonical log rows.
     pub only_b: BTreeSet<String>,
     /// `Some(n)` when the enumeration was cut by the candidate budget:
     /// `n` candidates were never compared, and the counts above are exact
@@ -98,6 +99,8 @@ pub fn compare_models(
         only_b: BTreeSet::new(),
         uncompared: None,
     };
+    // Diverging states as slot values, each rendered once at the end.
+    let (mut only_a, mut only_b) = (HashSet::<Box<[Slot]>>::new(), HashSet::new());
     let streamed = candidates::stream_verdicts(test, opts, &[a, b], .., &mut |mc| {
         out.checked += 1;
         let (va, vb) = (mc.verdicts[0].allowed(), mc.verdicts[1].allowed());
@@ -105,13 +108,14 @@ pub fn compare_models(
             return;
         }
         out.diverging += 1;
-        let state = format!("{:?} {:?}", mc.final_regs, mc.final_mem);
-        if va {
-            out.only_a.insert(state);
-        } else {
-            out.only_b.insert(state);
+        let side = if va { &mut only_a } else { &mut only_b };
+        if !side.contains(mc.state) {
+            side.insert(mc.state.into());
         }
     });
+    let layout = StateLayout::for_test(test);
+    out.only_a = only_a.iter().map(|s| layout.row(s)).collect();
+    out.only_b = only_b.iter().map(|s| layout.row(s)).collect();
     match streamed {
         Ok(_) => {}
         Err(CandidateError::TooManyCandidates { emitted, pruned, .. }) => {
@@ -309,7 +313,8 @@ mod tests {
     }
 
     /// The documented flaw shows up in the streamed report: the PLDI
-    /// surrogate forbids candidates of the detour test our model allows.
+    /// surrogate forbids candidates of the detour test our model allows,
+    /// reported as rows of our model's log.
     #[test]
     fn streamed_comparison_surfaces_the_pldi_flaw() {
         let test = corpus::mp_addr_po_detour(herd_litmus::isa::Isa::Power);
@@ -318,5 +323,10 @@ mod tests {
         assert!(!cmp.agrees(), "the detour test must diverge");
         assert!(!cmp.only_a.is_empty(), "our model allows states the PLDI surrogate forbids");
         assert!(cmp.only_b.is_empty(), "the flaw is one-sided: PLDI is too strong");
+        let log = herd_hw::model_log(std::slice::from_ref(&test), &Power::new());
+        let rows = &log.entries[&test.name].states;
+        for state in &cmp.only_a {
+            assert!(rows.contains_key(state), "{state:?} is not a row of {:?}", rows.keys());
+        }
     }
 }

@@ -19,7 +19,8 @@ use crate::intermediate::Machine;
 use herd_core::model::Architecture;
 use herd_litmus::candidates::{enumerate, stream_verdicts, CandidateError, EnumOptions};
 use herd_litmus::program::LitmusTest;
-use herd_litmus::simulate::{eval_prop, eval_prop_parts};
+use herd_litmus::simulate::eval_prop;
+use herd_litmus::state::StateLayout;
 
 /// The verification verdict for a litmus program.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -48,12 +49,13 @@ pub fn verify_axiomatic(
     test: &LitmusTest,
     arch: &dyn Architecture,
 ) -> Result<VerifyOutcome, CandidateError> {
+    let cond = StateLayout::for_test(test).condition(&test.condition.prop);
     let mut allowed = 0;
     let mut reachable = false;
     let stats = stream_verdicts(test, &EnumOptions::default(), &[arch], .., &mut |vc| {
         if vc.verdicts[0].allowed() {
             allowed += 1;
-            reachable |= eval_prop_parts(&test.condition.prop, vc.final_regs, vc.final_mem);
+            reachable |= cond.holds(vc.state);
         }
     })?;
     Ok(VerifyOutcome { reachable, allowed, candidates: stats.total() })

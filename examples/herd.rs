@@ -17,7 +17,8 @@ use herd_cat::CatModel;
 use herd_litmus::candidates::{enumerate, EnumOptions};
 use herd_litmus::isa::Isa;
 use herd_litmus::parse::parse;
-use herd_litmus::simulate::eval_prop;
+use herd_litmus::state::{Slot, StateLayout};
+use std::collections::BTreeSet;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -85,32 +86,34 @@ fn main() -> ExitCode {
     };
 
     println!("Test {} ({})", test.name, model.name().unwrap_or("anonymous model"));
+    // Each allowed state over the test's layout; the observable
+    // projection (the condition's registers and locations) is what herd
+    // lists, as `SimOutcome::states` holds it.
+    let layout = StateLayout::for_test(&test);
+    let cond = layout.condition(&test.condition.prop);
     let mut positive = 0usize;
     let mut negative = 0usize;
-    let mut states = std::collections::BTreeSet::new();
+    let mut projections: BTreeSet<Vec<Slot>> = BTreeSet::new();
+    let mut state = vec![Slot::Absent; layout.width()];
     for c in &cands {
         if !compiled.check(&c.exec).allowed() {
             continue;
         }
-        if eval_prop(&test.condition.prop, c) {
+        layout.fill_from_maps(&c.final_regs, &c.final_mem, Slot::Absent, &mut state);
+        if cond.holds(&state) {
             positive += 1;
         } else {
             negative += 1;
         }
-        let mut state: Vec<String> = c
-            .final_regs
-            .iter()
-            .map(|((t, r), v)| match v {
-                herd_litmus::candidates::RegFinal::Int(i) => format!("{t}:{r}={i};"),
-                herd_litmus::candidates::RegFinal::Addr(l) => format!("{t}:{r}={l};"),
-            })
-            .collect();
-        state.extend(c.final_mem.iter().map(|(l, v)| format!("{l}={v};")));
-        states.insert(state.join(" "));
+        let mut proj = Vec::new();
+        cond.project(&state, &mut proj);
+        projections.insert(proj);
         if dot {
             println!("{}", c.to_dot());
         }
     }
+    let states: BTreeSet<String> =
+        projections.iter().map(|proj| cond.projection_row(&layout, proj)).collect();
     println!("States {}", states.len());
     for s in &states {
         println!("  {s}");

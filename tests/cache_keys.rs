@@ -4,6 +4,11 @@
 //!   parsed and re-rendered outcome ([`outcome_fingerprint`]) on every
 //!   row the workspace's own logs hold and on random rows, malformed
 //!   ones included (same error message).
+//! - Judging raw rows through the slot path ([`judge_log_cached`], rows
+//!   parsed straight into the test's state layout) gives the verdicts of
+//!   [`decide_log`] over the parsed [`Outcome`]s on random rows: unknown
+//!   registers, locations and addresses, repeated keys, reordered and
+//!   malformed rows included.
 //! - A test's key ([`query_fingerprint`]) is structural: it survives a
 //!   print/parse round trip and moves with any single instruction,
 //!   initial value or condition atom.
@@ -18,7 +23,9 @@ use cats::hw::{
 };
 use cats::litmus::candidates::EnumOptions;
 use cats::litmus::corpus::{self, Dev};
-use cats::litmus::decide::{outcome_fingerprint, query_fingerprint, row_fingerprint, Outcome};
+use cats::litmus::decide::{
+    decide_log, outcome_fingerprint, query_fingerprint, row_fingerprint, Outcome,
+};
 use cats::litmus::isa::{Instr, Isa, Reg};
 use cats::litmus::program::{CondVal, InitVal, LitmusTest, Prop};
 use cats::litmus::simulate::{simulate_corpus, simulate_corpus_cached, SimCache};
@@ -130,6 +137,20 @@ proptest! {
         if let Ok(o) = Outcome::from_state_row(&row) {
             let canonical = cats::litmus::decide::render_state_row(&o.regs, &o.mem);
             prop_assert_eq!(row_fingerprint(base, &canonical), parsed_key(base, &row), "{:?}", row);
+        }
+        // The slot path judges the row (in a batch with a repeat and an
+        // allowed row) exactly as the map path does, cold and warm.
+        let test = corpus::sb(Isa::X86, Dev::Po, Dev::Po);
+        let rows = [row.as_str(), "0:r1=0; 1:r1=0", row.as_str()];
+        let reference = rows
+            .iter()
+            .map(|r| Outcome::from_state_row(r))
+            .collect::<Result<Vec<_>, _>>()
+            .map(|o| decide_log(&test, &Tso, &EnumOptions::default(), &o).unwrap().verdicts);
+        let cache = VerdictCache::new(16);
+        for pass in ["cold", "warm"] {
+            let got = judge_log_cached(&test, &Tso, &rows, &cache);
+            prop_assert_eq!(&got, &reference, "{} {:?}", pass, row);
         }
     }
 }

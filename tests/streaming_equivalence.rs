@@ -250,9 +250,12 @@ fn erratum_silicon_keeps_hazard_candidates_under_pruning() {
 /// The arena-backed verdict stream against the PR 3 engine, candidate by
 /// candidate across the whole corpus: [`stream_verdicts`] judges
 /// each candidate in place (no owned `Execution`, relations in a reused
-/// arena) and must reproduce exactly the per-candidate verdicts of the
-/// owned path (`stream_arch` + `ArchRelations` + `check_with`), along
-/// with identical emitted/pruned accounting.
+/// arena) and must reproduce exactly the per-candidate verdicts and final
+/// states of the owned path (`stream_arch` + `ArchRelations` +
+/// `check_with`), each state compared as its canonical full row (the
+/// stream's slot values through the layout, the owned candidate's maps
+/// through `render_state_row`), along with identical emitted/pruned
+/// accounting.
 ///
 /// [`stream_verdicts`]: herd_litmus::candidates::stream_verdicts
 #[test]
@@ -261,6 +264,7 @@ fn arena_verdict_stream_matches_owned_candidate_stream_corpus_wide() {
     use herd_core::model::{check_with, ArchRelations};
     use herd_litmus::candidates::{stream_arch, stream_verdicts};
     use herd_litmus::corpus;
+    use herd_litmus::decide::render_state_row;
 
     let opts = EnumOptions::default();
     let suites: Vec<(Vec<CorpusEntry>, Box<dyn Architecture + Sync>)> = vec![
@@ -275,15 +279,14 @@ fn arena_verdict_stream_matches_owned_candidate_stream_corpus_wide() {
             let owned_stats = stream_arch(&entry.test, &opts, arch.as_ref(), &mut |c| {
                 let rels = ArchRelations::compute(arch.as_ref(), &c.exec);
                 let v = check_with(arch.as_ref(), &c.exec, &rels);
-                owned.push(format!("{v:?}|{:?}|{:?}", c.final_regs, c.final_mem));
+                owned.push(format!("{v:?}|{}", render_state_row(&c.final_regs, &c.final_mem)));
             })
             .expect("corpus streams");
             // Arena engine: verdicts computed in place.
             let mut arena_side: Vec<String> = Vec::new();
             let models = [arch.as_ref()];
             let arena_stats = stream_verdicts(&entry.test, &opts, &models, .., &mut |vc| {
-                arena_side
-                    .push(format!("{:?}|{:?}|{:?}", vc.verdicts[0], vc.final_regs, vc.final_mem));
+                arena_side.push(format!("{:?}|{}", vc.verdicts[0], vc.layout.row(vc.state)));
             })
             .expect("corpus streams");
             owned.sort();
