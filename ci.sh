@@ -10,7 +10,7 @@
 #                                     (cargo build/test skip these)
 #   4. cargo test  -q               — all unit + integration + doc tests
 #   4b. consistency_differential    — run by step 4 and repeated here by
-#                                     name: the polynomial single-outcome
+#                                     name: the saturation single-outcome
 #                                     backend must agree with the streamed
 #                                     enumeration engine on every probe
 #                                     (corpus-wide + randomised), with

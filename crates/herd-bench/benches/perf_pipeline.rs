@@ -43,7 +43,7 @@ use herd_bench::row;
 use herd_bench::{
     iriw_scaled, lb_ballast_scaled, lb_datas_scaled, power_tests, two_plus_two_w_scaled, wrc_scaled,
 };
-use herd_core::arch::{Arm, ArmVariant, Power, Sc, Tso};
+use herd_core::arch::{Arm, ArmVariant, CppRa, Power, Sc, Tso};
 use herd_core::arena::RelArena;
 use herd_core::enumerate::{CheckedStats, Skeleton};
 use herd_core::event::Fence;
@@ -473,8 +473,9 @@ fn bench_robust(name: &str, sk: &Skeleton, reps: usize) -> Row {
 }
 
 /// The litmus-level `iriw+3w` family (the skeleton benches' `iriw_scaled(3)`
-/// with real instruction semantics) plus its classic forbidden outcome:
-/// both readers observe the two locations in opposite orders.
+/// with real instruction semantics) plus its classic outcome: both readers
+/// observe the two locations in opposite orders — forbidden under SC and
+/// TSO, allowed under C++RA.
 fn query_iriw_3w() -> (LitmusTest, Outcome) {
     let test = TestBuilder::new(Isa::X86, "iriw+3w")
         .thread(vec![Op::W("x", 1), Op::W("x", 2), Op::W("x", 3)], vec![Dev::Po, Dev::Po])
@@ -512,11 +513,12 @@ fn query_wrc_6w() -> (LitmusTest, Outcome) {
     (test, outcome)
 }
 
-/// One single-outcome query row: the polynomial backend against the full
+/// One single-outcome query row: the saturation backend against the full
 /// streamed-enumeration scan, answering the same "is this final state
-/// allowed?" question.
+/// allowed?" question. The row is named `family/answer`, since one probe
+/// may be forbidden under one model and allowed under another.
 fn bench_query(
-    name: &str,
+    family: &str,
     test: &LitmusTest,
     probe: &Outcome,
     arch: &dyn Architecture,
@@ -541,13 +543,14 @@ fn bench_query(
     assert_eq!(
         decision.allowed,
         enum_reachable,
-        "{name} on {}: backend and enumeration disagree",
+        "{family} on {}: backend and enumeration disagree",
         arch.name()
     );
+    let name = format!("{family}/{}", if decision.allowed { "allowed" } else { "forbidden" });
     // The rf configurations of the whole space against the ones the
     // backend's register screening actually probed.
     row! {
-        "name": name, "arch": arch.name(), "allowed": decision.allowed, "enum_ns": enum_ns,
+        "name": name.as_str(), "arch": arch.name(), "allowed": decision.allowed, "enum_ns": enum_ns,
         "backend_ns": backend_ns, "speedup": Value::Fixed(ratio(enum_ns, backend_ns), 2),
         "rf_space": decision.stats.rf_space, "rf_configs": decision.stats.rf_configs,
         "fallbacks": decision.stats.backend.fallbacks,
@@ -557,10 +560,11 @@ fn bench_query(
 fn bench_queries(reps: usize) -> Vec<Row> {
     let (iriw, iriw_probe) = query_iriw_3w();
     let (wrc, wrc_probe) = query_wrc_6w();
+    let ra = CppRa::default();
     let mut rows = Vec::new();
-    for arch in [&Sc as &dyn Architecture, &Tso] {
-        rows.push(bench_query("iriw+3w/forbidden", &iriw, &iriw_probe, arch, reps));
-        rows.push(bench_query("wrc+6w/allowed", &wrc, &wrc_probe, arch, reps));
+    for arch in [&Sc as &dyn Architecture, &Tso, &ra] {
+        rows.push(bench_query("iriw+3w", &iriw, &iriw_probe, arch, reps));
+        rows.push(bench_query("wrc+6w", &wrc, &wrc_probe, arch, reps));
     }
     rows
 }

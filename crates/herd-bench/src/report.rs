@@ -535,9 +535,9 @@ pub fn gate_violations(report: &Report) -> Vec<String> {
             ));
         }
     }
-    // Every query row runs a polynomial-side model (SC/TSO): the backend
-    // must beat the full enumeration scan by 10x and never leave the
-    // saturation path.
+    // Every query row runs a model monotone in co (SC/TSO/C++RA): the
+    // backend must beat the full enumeration scan by 10x and never leave
+    // the saturation path.
     for r in report.rows("query") {
         let (name, arch, fallbacks) = (r.text("name"), r.text("arch"), r.int("fallbacks"));
         let x = ratio(r.int("enum_ns"), r.int("backend_ns"));

@@ -14,19 +14,23 @@
 //! litmus-level verdict stream above the engine: a judged candidate's
 //! final state is slot values in reused storage, so once warm a judged
 //! candidate allocates nothing, and a whole simulation allocates fewer
-//! times than it judges candidates.
+//! times than it judges candidates; and the decide backend's coherence
+//! query: on a prebuilt [`CoSetup`], a warm query allocates nothing.
 //!
 //! The counter is per thread, and every check below runs on the test's
 //! own thread, so other harness threads cannot disturb a count.
 //!
 //! [`RelArena`]: herd_core::arena::RelArena
 //! [`row_fingerprint`]: herd_litmus::decide::row_fingerprint
+//! [`CoSetup`]: herd_core::consistency::CoSetup
 #![cfg(feature = "alloc-count")]
 
 use herd_bench::alloc_count::{allocation_count, CountingAllocator};
 use herd_bench::iriw_scaled;
-use herd_core::arch::{Arm, ArmVariant, Power, Tso};
+use herd_core::arch::{Arm, ArmVariant, CppRa, Power, Tso};
 use herd_core::arena::RelArena;
+use herd_core::consistency::{co_exists, CoQuery, CoSetup, ConsistencyStats};
+use herd_core::fixtures::{self, Device};
 use herd_core::model::Architecture;
 use herd_core::sched::Budget;
 use herd_litmus::candidates::{stream_verdicts, EnumOptions};
@@ -193,4 +197,41 @@ fn litmus_judged_candidates_allocate_zero_in_the_steady_state() {
         allocations < judged,
         "simulate_with allocated {allocations} times for {judged} judged candidates"
     );
+}
+
+/// The decide backend's per-query contract: everything a coherence query
+/// needs beyond its rf and values lives in a [`CoSetup`] built once per
+/// core, so once the arena is warm a query allocates nothing — whether
+/// saturation ends in a witness (greedy completion included) or in a
+/// contradiction, under TSO and under C++RA alike.
+#[test]
+fn warm_coherence_queries_on_a_prebuilt_setup_allocate_nothing() {
+    let ra = CppRa::default();
+    let mut arena = RelArena::new(0);
+    for arch in [&Tso as &dyn Architecture, &ra] {
+        let mut decided = ConsistencyStats::default();
+        for (name, x) in [
+            ("iriw", fixtures::iriw(Device::None, Device::None)),
+            ("sb", fixtures::sb(Device::None, Device::None)),
+            ("mp", fixtures::mp(Device::None, Device::None)),
+        ] {
+            let rf: Vec<(usize, usize)> = x.rf().iter_pairs().collect();
+            let setup = CoSetup::new(arch, x.core(), x.events());
+            let q = CoQuery { core: x.core(), events: x.events(), rf: &rf, last_writes: &[] };
+            let mut stats = ConsistencyStats::default();
+            let warm = co_exists(arch, &setup, &q, &mut arena, &mut stats);
+            let before = allocation_count();
+            let allowed = co_exists(arch, &setup, &q, &mut arena, &mut stats);
+            let allocations = allocation_count() - before;
+            assert_eq!(allowed, warm, "{name} under {}", arch.name());
+            assert_eq!(allocations, 0, "a warm {name} query under {} allocated", arch.name());
+            decided.absorb(&stats);
+        }
+        assert_eq!(decided.fallbacks, 0, "{} saturates", arch.name());
+        assert!(
+            decided.witnesses > 0 && decided.contradictions > 0,
+            "{}: both answers are pinned: {decided:?}",
+            arch.name()
+        );
+    }
 }

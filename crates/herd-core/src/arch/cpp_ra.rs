@@ -7,7 +7,7 @@
 
 use crate::arena::RelArena;
 use crate::exec::{ExecCore, ExecFrame, Execution};
-use crate::model::{Architecture, ArenaArchRels, PropagationCheck};
+use crate::model::{Architecture, ArenaArchRels, PropagationCheck, Tractability};
 use crate::relation::Relation;
 
 /// Which PROPAGATION variant the instance uses (Sec 4.8).
@@ -65,6 +65,13 @@ impl Architecture for CppRa {
             CppRaStrength::PaperStrong => PropagationCheck::Acyclic,
             CppRaStrength::StandardExact => PropagationCheck::IrreflexivePropCo,
         }
+    }
+
+    fn tractability(&self) -> Tractability {
+        // With rf fixed, ppo = po and prop = (po ∪ rfe)+ ignore co, so
+        // both PROPAGATION forms, like the other three axioms, only grow
+        // with co; arch_rels_arena below is pure-arena.
+        Tractability::Monotone
     }
 
     fn thin_air_base(&self, core: &ExecCore) -> Option<Relation> {

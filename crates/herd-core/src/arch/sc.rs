@@ -40,7 +40,7 @@ impl Architecture for Sc {
     fn tractability(&self) -> Tractability {
         // prop = po ∪ rf ∪ fr: static except fr, which is monotone in co,
         // and arch_rels_arena below never materialises an Execution.
-        Tractability::Polynomial
+        Tractability::Monotone
     }
 
     fn arch_rels_arena(&self, fx: &ExecFrame<'_>, arena: &mut RelArena) -> ArenaArchRels {

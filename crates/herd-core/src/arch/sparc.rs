@@ -53,7 +53,7 @@ impl Architecture for Pso {
 
     fn tractability(&self) -> Tractability {
         // TSO-style prop over a static ppo: monotone in co throughout.
-        Tractability::Polynomial
+        Tractability::Monotone
     }
 
     fn arch_rels_arena(&self, fx: &ExecFrame<'_>, arena: &mut RelArena) -> ArenaArchRels {
@@ -113,7 +113,7 @@ impl Architecture for Rmo {
         // Dependency-only ppo is static; prop is the TSO shape. The llh
         // weakening only shrinks the static po-loc, which saturation
         // reads through `sc_per_location_po_loc_static`.
-        Tractability::Polynomial
+        Tractability::Monotone
     }
 
     fn arch_rels_arena(&self, fx: &ExecFrame<'_>, arena: &mut RelArena) -> ArenaArchRels {

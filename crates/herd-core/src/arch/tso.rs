@@ -44,7 +44,7 @@ impl Architecture for Tso {
     fn tractability(&self) -> Tractability {
         // Static ppo/fences; prop adds rfe (co-independent) and fr
         // (monotone in co); arch_rels_arena is pure-arena.
-        Tractability::Polynomial
+        Tractability::Monotone
     }
 
     fn arch_rels_arena(&self, fx: &ExecFrame<'_>, arena: &mut RelArena) -> ArenaArchRels {

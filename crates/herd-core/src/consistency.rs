@@ -1,12 +1,12 @@
-//! Polynomial single-execution consistency: one witness instead of all.
+//! Single-execution consistency by saturation: one witness instead of all.
 //!
 //! The enumeration engine answers "is this outcome allowed?" by walking
 //! every surviving (rf, co) witness. But with the read-from map fixed,
 //! the remaining question — *does some coherence order make this
-//! execution consistent?* — is polynomial for the SC/TSO-class instances
-//! ("How Hard is Weak-Memory Testing?", PAPERS.md): their axioms are
-//! monotone in `co`, so coherence can be *placed* by saturation instead
-//! of permuted.
+//! execution consistent?* — needs no permutation when the model's axioms
+//! are monotone in `co` ([`Tractability::Monotone`]: SC, TSO, PSO, RMO
+//! and C++ R-A under either PROPAGATION strength): coherence can be
+//! *placed* by saturation instead of permuted.
 //!
 //! [`co_exists`] implements that placement. Starting from the edges every
 //! valid coherence order must contain (the initial write first, the
@@ -22,9 +22,8 @@
 //! witness or sends the query to a **counted** fallback that enumerates
 //! the remaining linear extensions — saturation is never silently wrong,
 //! merely incomplete, and [`ConsistencyStats`] records every time it
-//! gives up. Models beyond the vouched-for frontier
-//! ([`Tractability::Frontier`]) skip saturation and go straight to the
-//! counted fallback.
+//! gives up. Models that vouch for nothing ([`Tractability::Frontier`])
+//! skip saturation and go straight to the counted fallback.
 //!
 //! [`Tractability::Conditional`] models (Power/ARM) sit in between:
 //! their ppo is candidate-dependent, but *frozen* to any fixed bound the
@@ -41,10 +40,13 @@
 //! fallback, recorded per query in
 //! [`ConsistencyStats::envelope_fallbacks`].
 //!
-//! Everything runs on the arena engine: relations live in [`RelArena`]
-//! slots, candidates are checked as borrowed [`ExecFrame`]s through
-//! [`ArenaChecker`], and a query performs no per-hypothesis heap
-//! allocation once the arena is warm.
+//! What a query needs beyond its rf and values depends only on its core:
+//! the [`ArenaChecker`], the per-location write table, the po-loc write
+//! seeds and the envelope. [`CoSetup`] builds them once per control-flow
+//! combination, and every query on it runs on the arena engine:
+//! relations live in [`RelArena`] slots, candidates are checked as
+//! borrowed [`ExecFrame`]s, and once the arena is warm a query that
+//! saturates performs no heap allocation at all.
 
 use crate::arena::{RelArena, RelId};
 use crate::enumerate::{build_co_arena, HeapPerm};
@@ -113,8 +115,9 @@ pub struct CoQuery<'a> {
     pub last_writes: &'a [(Loc, usize)],
 }
 
-/// Per-location write layout of a query: the initial write (if the
-/// location has one) and the thread writes, gathered once per query.
+/// Per-location write layout of a core: the initial write (if the
+/// location has one) and the thread writes in id order.
+#[derive(Debug)]
 struct LocWrites {
     loc: Loc,
     init: Option<usize>,
@@ -141,69 +144,99 @@ fn loc_writes(events: &[Event]) -> Vec<LocWrites> {
     by_loc.into_values().collect()
 }
 
+/// How a [`CoSetup`] decides its queries.
+#[derive(Debug)]
+enum Route {
+    /// Exact saturation ([`Tractability::Monotone`]).
+    Monotone,
+    /// Saturation against the ppo envelope
+    /// ([`Tractability::Conditional`]).
+    Conditional(PpoEnvelope),
+    /// The counted fallback alone ([`Tractability::Frontier`], and a
+    /// `Conditional` model that vouches for no envelope — a contract
+    /// violation, slower, never unsound).
+    Frontier,
+}
+
+/// Everything the coherence queries on one core share: the axiom
+/// checker, the per-location write table, the SC PER LOCATION po-loc
+/// write seeds and, for a [`Tractability::Conditional`] model, its ppo
+/// envelope. Batch drivers (`herd_litmus::decide`) build one per
+/// control-flow combination and pass it to every [`co_exists`] query on
+/// that combination, each of which then allocates nothing once the arena
+/// is warm, unless it takes the counted fallback.
+#[derive(Debug)]
+pub struct CoSetup {
+    checker: ArenaChecker,
+    locs: Vec<LocWrites>,
+    /// Same-location write pairs of the static po-loc: co must agree with
+    /// them, since orienting co against one closes a 2-cycle in
+    /// `po-loc ∪ com`. Empty on the frontier route, which seeds nothing.
+    seeds: Vec<(usize, usize)>,
+    route: Route,
+}
+
+impl CoSetup {
+    /// The setup of `arch`'s queries on `core`, whose events `events`
+    /// lists in any value concretisation: only each event's thread,
+    /// direction and location are read.
+    pub fn new<A: Architecture + ?Sized>(arch: &A, core: &ExecCore, events: &[Event]) -> Self {
+        let checker = ArenaChecker::new(arch, core);
+        let route = match arch.tractability() {
+            Tractability::Monotone => Route::Monotone,
+            Tractability::Conditional => {
+                arch.ppo_envelope(core).map_or(Route::Frontier, Route::Conditional)
+            }
+            Tractability::Frontier => Route::Frontier,
+        };
+        let seeds = match route {
+            Route::Frontier => Vec::new(),
+            _ => checker
+                .sc_po_loc()
+                .iter_pairs()
+                .filter(|&(a, b)| {
+                    events[a].dir == Dir::W
+                        && events[b].dir == Dir::W
+                        && events[a].loc == events[b].loc
+                })
+                .collect(),
+        };
+        CoSetup { checker, locs: loc_writes(events), seeds, route }
+    }
+}
+
 /// Does some coherence order make this rf-fixed execution satisfy all
 /// four axioms of `arch` (and respect the queried co-maximal writes)?
 ///
-/// Decided by saturation for models vouching for
-/// [`Tractability::Polynomial`], by envelope saturation plus exact
+/// `setup` must have been built by [`CoSetup::new`] for the same `arch`
+/// and the query's core. Decided by saturation for
+/// [`Tractability::Monotone`] models, by envelope saturation plus exact
 /// re-validation for [`Tractability::Conditional`] ones, and by counted
-/// enumeration otherwise — all paths agree exactly; only the cost
-/// differs. `arena` is scratch space reused across queries (it is reset
-/// to the query's universe).
+/// enumeration when saturation cannot decide — all paths agree exactly;
+/// only the cost differs. `arena` is scratch space reused across queries
+/// (it is reset to the query's universe).
 pub fn co_exists<A: Architecture + ?Sized>(
     arch: &A,
+    setup: &CoSetup,
     q: &CoQuery<'_>,
-    arena: &mut RelArena,
-    stats: &mut ConsistencyStats,
-) -> bool {
-    co_exists_with_envelope(arch, q, None, arena, stats)
-}
-
-/// [`co_exists`] with a caller-supplied ppo envelope for
-/// [`Tractability::Conditional`] models. The envelope depends only on
-/// the query's core and the architecture, so batch drivers
-/// (`herd_litmus::decide::decide_log`) compute it once per screened rf
-/// class and reuse it across every query on that class; `None` computes
-/// it on the fly (and is ignored entirely by non-`Conditional` models).
-pub fn co_exists_with_envelope<A: Architecture + ?Sized>(
-    arch: &A,
-    q: &CoQuery<'_>,
-    envelope: Option<&PpoEnvelope>,
     arena: &mut RelArena,
     stats: &mut ConsistencyStats,
 ) -> bool {
     stats.queries += 1;
     let core = q.core.as_ref();
-    let n = q.events.len();
-    arena.reset(n);
+    arena.reset(q.events.len());
     let rels = ExecRels::alloc(arena);
     arena.clear(rels.rf);
     for &(w, r) in q.rf {
         arena.add(rels.rf, w, r);
     }
     rels.derive_rf(core, arena);
-    let checker = ArenaChecker::new(arch, core);
-    let locs = loc_writes(q.events);
-
-    let mode = arch.tractability();
-    // A `Conditional` model must vouch for an envelope; a missing one
-    // (contract violation) degrades to the frontier fallback — slower,
-    // never unsound.
-    let owned_env = match (mode, &envelope) {
-        (Tractability::Conditional, None) => arch.ppo_envelope(core),
-        _ => None,
-    };
-    let env = match mode {
-        Tractability::Conditional => envelope.or(owned_env.as_ref()),
-        _ => None,
-    };
-    let saturating = mode == Tractability::Polynomial || env.is_some();
 
     // The partial coherence order every valid witness must extend,
     // kept transitively closed throughout.
     let forced = arena.alloc();
     arena.clear(forced);
-    for lw in &locs {
+    for lw in &setup.locs {
         if let Some(init) = lw.init {
             for &w in &lw.writes {
                 arena.add(forced, init, w);
@@ -211,7 +244,7 @@ pub fn co_exists_with_envelope<A: Architecture + ?Sized>(
         }
     }
     for &(loc, last) in q.last_writes {
-        if let Some(lw) = locs.iter().find(|lw| lw.loc == loc) {
+        if let Some(lw) = setup.locs.iter().find(|lw| lw.loc == loc) {
             for &w in lw.writes.iter().chain(lw.init.iter()) {
                 if w != last {
                     arena.add(forced, w, last);
@@ -219,102 +252,81 @@ pub fn co_exists_with_envelope<A: Architecture + ?Sized>(
             }
         }
     }
-
-    if saturating {
-        // SC PER LOCATION forces co to agree with the architecture's
-        // static po-loc on same-location write pairs: orienting co
-        // against such a pair closes a 2-cycle in `po-loc ∪ com`.
-        let po_loc = arch.sc_per_location_po_loc_static(core);
-        for (a, b) in po_loc.iter_pairs() {
-            if q.events[a].dir == Dir::W
-                && q.events[b].dir == Dir::W
-                && q.events[a].loc == q.events[b].loc
-            {
-                arena.add(forced, a, b);
-            }
-        }
+    for &(a, b) in &setup.seeds {
+        arena.add(forced, a, b);
     }
     close(arena, forced);
 
-    if mode == Tractability::Polynomial {
-        // Exact saturation: the per-candidate relations are themselves
-        // monotone in co, so every probe checks the exact model.
-        match saturate(arch, &checker, q, &rels, arena, forced, &locs, None) {
-            SatResult::Contradiction => {
+    match &setup.route {
+        Route::Monotone => {
+            // Exact saturation: the per-candidate relations are
+            // themselves monotone in co, so every probe checks the exact
+            // model.
+            if let SatResult::Contradiction = saturate(arch, setup, q, &rels, arena, forced, None) {
                 stats.contradictions += 1;
                 return false;
             }
-            SatResult::Fixpoint => {}
-        }
-        if greedy_complete(arena, &rels, forced, &locs) {
-            rels.derive_co(core, arena);
-            let fx = ExecFrame { core: q.core, events: q.events, rels: &rels };
-            if checker.check(arch, &fx, arena).allowed() {
+            if complete_and_check(arch, setup, q, &rels, arena, forced) {
                 stats.witnesses += 1;
                 return true;
             }
+            // Saturation incomplete: the greedy witness failed
+            // (independent pair orientations interact) — fall back,
+            // counted.
         }
-        // Saturation incomplete: the greedy witness failed (independent
-        // pair orientations interact) — fall back, counted.
-    } else if let Some(env) = env {
-        let lower = arena.alloc_from(&env.lower);
+        Route::Conditional(env) => {
+            let lower = arena.alloc_from(&env.lower);
 
-        // Pessimistic pass: with ppo frozen to the lower bound every
-        // violation is definitive for the exact model too (exact ppo ⊇
-        // lower only adds hb/prop edges, so the violating cycle
-        // persists) — a contradiction is definitively forbidden, and the
-        // forced edges are constraints every exact witness obeys.
-        match saturate(arch, &checker, q, &rels, arena, forced, &locs, Some(lower)) {
-            SatResult::Contradiction => {
+            // Pessimistic pass: with ppo frozen to the lower bound every
+            // violation is definitive for the exact model too (exact ppo
+            // ⊇ lower only adds hb/prop edges, so the violating cycle
+            // persists) — a contradiction is definitively forbidden, and
+            // the forced edges are constraints every exact witness obeys.
+            if let SatResult::Contradiction =
+                saturate(arch, setup, q, &rels, arena, forced, Some(lower))
+            {
                 stats.contradictions += 1;
                 stats.conditional_definitive += 1;
                 return false;
             }
-            SatResult::Fixpoint => {}
-        }
-        if greedy_complete(arena, &rels, forced, &locs) {
-            rels.derive_co(core, arena);
-            let fx = ExecFrame { core: q.core, events: q.events, rels: &rels };
             // A completed order is a real candidate: the *exact* check
             // decides it, bounds no longer needed.
-            if checker.check(arch, &fx, arena).allowed() {
+            if complete_and_check(arch, setup, q, &rels, arena, forced) {
                 stats.witnesses += 1;
                 stats.conditional_definitive += 1;
                 return true;
             }
-        }
 
-        // Optimistic pass, on a copy of the forced order (its forced
-        // edges are only sound for upper-frozen witnesses, so they must
-        // not leak into the fallback): saturating under the upper bound
-        // steers the greedy completion toward an order passing the
-        // *stricter* frozen model — and any such order passes the exact
-        // model by monotonicity (exact ppo ⊆ upper). The exact re-check
-        // below is what certifies the verdict either way. Only now does
-        // the envelope's lazily-materialised upper fixpoint get paid —
-        // queries the pessimistic pass settles never reach this line.
-        let upper = arena.alloc_from(env.upper(core));
-        let forced_up = arena.alloc_from(forced);
-        if let SatResult::Fixpoint =
-            saturate(arch, &checker, q, &rels, arena, forced_up, &locs, Some(upper))
-        {
-            if greedy_complete(arena, &rels, forced_up, &locs) {
-                rels.derive_co(core, arena);
-                let fx = ExecFrame { core: q.core, events: q.events, rels: &rels };
-                if checker.check(arch, &fx, arena).allowed() {
+            // Optimistic pass, on a copy of the forced order (its forced
+            // edges are only sound for upper-frozen witnesses, so they
+            // must not leak into the fallback): saturating under the
+            // upper bound steers the greedy completion toward an order
+            // passing the *stricter* frozen model — and any such order
+            // passes the exact model by monotonicity (exact ppo ⊆
+            // upper). The exact re-check is what certifies the verdict
+            // either way. Only now does the envelope's lazily-materialised
+            // upper fixpoint get paid — queries the pessimistic pass
+            // settles never reach this line.
+            let upper = arena.alloc_from(env.upper(core));
+            let forced_up = arena.alloc_from(forced);
+            if let SatResult::Fixpoint =
+                saturate(arch, setup, q, &rels, arena, forced_up, Some(upper))
+            {
+                if complete_and_check(arch, setup, q, &rels, arena, forced_up) {
                     stats.witnesses += 1;
                     stats.conditional_definitive += 1;
                     return true;
                 }
             }
+            // The envelope genuinely disagreed: no lower contradiction,
+            // no exact-clean witness under either bound's guidance.
+            stats.envelope_fallbacks += 1;
         }
-        // The envelope genuinely disagreed: no lower contradiction, no
-        // exact-clean witness under either bound's guidance.
-        stats.envelope_fallbacks += 1;
+        Route::Frontier => {}
     }
 
     stats.fallbacks += 1;
-    fallback(arch, &checker, q, &rels, arena, forced, &locs, stats)
+    fallback(arch, setup, q, &rels, arena, forced, stats)
 }
 
 /// How one saturation pass ended.
@@ -328,30 +340,28 @@ enum SatResult {
     Fixpoint,
 }
 
-/// The hypothesis loop of the polynomial side: tests every unordered
+/// The hypothesis loop of saturation: tests every unordered
 /// same-location write pair in both orientations against the axioms
 /// (frozen to `frozen` when given, exact otherwise), forcing the
 /// survivor of a one-sided violation, until nothing grows. Mutates
 /// `forced` in place (kept transitively closed).
-#[allow(clippy::too_many_arguments)] // the solver's single inner loop
 fn saturate<A: Architecture + ?Sized>(
     arch: &A,
-    checker: &ArenaChecker,
+    setup: &CoSetup,
     q: &CoQuery<'_>,
     rels: &ExecRels,
     arena: &mut RelArena,
     forced: RelId,
-    locs: &[LocWrites],
     frozen: Option<RelId>,
 ) -> SatResult {
     // Base check: the seed itself (plus the rf-only axioms, NO THIN
     // AIR included) may already be definitively violated.
-    if violates(arch, checker, q, rels, arena, forced, frozen) {
+    if violates(arch, setup, q, rels, arena, forced, frozen) {
         return SatResult::Contradiction;
     }
     loop {
         let mut grew = false;
-        for lw in locs {
+        for lw in &setup.locs {
             for (i, &a) in lw.writes.iter().enumerate() {
                 for &b in &lw.writes[i + 1..] {
                     let fv = arena.view(forced);
@@ -359,9 +369,9 @@ fn saturate<A: Architecture + ?Sized>(
                         continue;
                     }
                     let ab_bad =
-                        hypothesis_violates(arch, checker, q, rels, arena, forced, a, b, frozen);
+                        hypothesis_violates(arch, setup, q, rels, arena, forced, a, b, frozen);
                     let ba_bad =
-                        hypothesis_violates(arch, checker, q, rels, arena, forced, b, a, frozen);
+                        hypothesis_violates(arch, setup, q, rels, arena, forced, b, a, frozen);
                     match (ab_bad, ba_bad) {
                         (true, true) => {
                             // Every total order contains one of the two
@@ -385,27 +395,58 @@ fn saturate<A: Architecture + ?Sized>(
             return SatResult::Fixpoint;
         }
         // New forced edges can combine into a definitive violation.
-        if violates(arch, checker, q, rels, arena, forced, frozen) {
+        if violates(arch, setup, q, rels, arena, forced, frozen) {
             return SatResult::Contradiction;
         }
     }
 }
 
-/// Greedy completion: per location, a topological linearisation of the
-/// forced order (smallest event id first among the ready), built into
-/// `rels.co`. False if `forced` is cyclic on some location's writes.
-fn greedy_complete(
-    arena: &mut RelArena,
+/// Completes `forced` greedily into `rels.co` and checks the result
+/// against the *exact* model: true when the completion is a witness.
+fn complete_and_check<A: Architecture + ?Sized>(
+    arch: &A,
+    setup: &CoSetup,
+    q: &CoQuery<'_>,
     rels: &ExecRels,
+    arena: &mut RelArena,
     forced: RelId,
-    locs: &[LocWrites],
 ) -> bool {
     arena.clear(rels.co);
-    for lw in locs {
-        match linearise(arena, forced, &lw.writes) {
-            Some(order) => build_co_arena(arena, rels.co, lw.init, &order),
-            None => return false,
+    if !setup.locs.iter().all(|lw| linearise(arena, rels.co, forced, lw)) {
+        return false;
+    }
+    rels.derive_co(q.core.as_ref(), arena);
+    let fx = ExecFrame { core: q.core, events: q.events, rels };
+    setup.checker.check(arch, &fx, arena).allowed()
+}
+
+/// Builds into `co` one location's greedy completion: a topological
+/// linearisation of its writes under the closed partial order `forced`
+/// (smallest id first among the ready), after the initial write. False
+/// if `forced` is cyclic on these writes. Allocation-free: the writes
+/// placed so far are the last one placed and its co-predecessors.
+fn linearise(arena: &mut RelArena, co: RelId, forced: RelId, lw: &LocWrites) -> bool {
+    let mut last: Option<usize> = None;
+    for _ in 0..lw.writes.len() {
+        let prev = last;
+        let placed = move |arena: &RelArena, v: usize| {
+            prev.is_some_and(|l| v == l || arena.view(co).contains(v, l))
+        };
+        let fv = arena.view(forced);
+        let ready = lw.writes.iter().copied().find(|&w| {
+            !placed(arena, w)
+                && lw.writes.iter().all(|&v| v == w || placed(arena, v) || !fv.contains(v, w))
+        });
+        let Some(w) = ready else { return false };
+        for &v in &lw.writes {
+            if placed(arena, v) {
+                arena.add(co, v, w);
+            }
         }
+        if let Some(init) = lw.init {
+            arena.add(co, init, w);
+        }
+        last = Some(w);
     }
     true
 }
@@ -429,10 +470,9 @@ fn force(arena: &mut RelArena, rel: RelId, a: usize, b: usize) {
 /// ([`ArenaChecker::check_frozen`]); either way, for relations monotone
 /// in `co` a `true` here is definitive for every extension of `co_slot`
 /// under the same (frozen or exact) ppo.
-#[allow(clippy::too_many_arguments)] // the solver's single probe shape
 fn violates<A: Architecture + ?Sized>(
     arch: &A,
-    checker: &ArenaChecker,
+    setup: &CoSetup,
     q: &CoQuery<'_>,
     rels: &ExecRels,
     arena: &mut RelArena,
@@ -443,8 +483,8 @@ fn violates<A: Architecture + ?Sized>(
     rels.derive_co(q.core.as_ref(), arena);
     let fx = ExecFrame { core: q.core, events: q.events, rels };
     let v = match frozen {
-        None => checker.check(arch, &fx, arena),
-        Some(bound) => checker.check_frozen(arch, &fx, arena, bound),
+        None => setup.checker.check(arch, &fx, arena),
+        Some(bound) => setup.checker.check_frozen(arch, &fx, arena, bound),
     };
     !v.allowed()
 }
@@ -453,7 +493,7 @@ fn violates<A: Architecture + ?Sized>(
 #[allow(clippy::too_many_arguments)] // one hypothesis probe, one call site
 fn hypothesis_violates<A: Architecture + ?Sized>(
     arch: &A,
-    checker: &ArenaChecker,
+    setup: &CoSetup,
     q: &CoQuery<'_>,
     rels: &ExecRels,
     arena: &mut RelArena,
@@ -467,42 +507,25 @@ fn hypothesis_violates<A: Architecture + ?Sized>(
     arena.add(t, a, b);
     let hyp = arena.alloc();
     arena.tclosure_into(hyp, t);
-    let bad = violates(arch, checker, q, rels, arena, hyp, frozen);
+    let bad = violates(arch, setup, q, rels, arena, hyp, frozen);
     arena.release(m);
     bad
-}
-
-/// A topological linearisation of `writes` under the closed partial
-/// order in `forced` (smallest id first among the ready); `None` if the
-/// partial order is cyclic on these writes.
-fn linearise(arena: &RelArena, forced: RelId, writes: &[usize]) -> Option<Vec<usize>> {
-    let fv = arena.view(forced);
-    let mut remaining: Vec<usize> = writes.to_vec();
-    let mut order = Vec::with_capacity(writes.len());
-    while !remaining.is_empty() {
-        let pos = remaining
-            .iter()
-            .position(|&w| remaining.iter().all(|&v| v == w || !fv.contains(v, w)))?;
-        order.push(remaining.remove(pos));
-    }
-    Some(order)
 }
 
 /// The exact fallback: enumerate every per-location linear extension of
 /// `forced` and check each completed coherence order in full. Counted in
 /// [`ConsistencyStats::fallback_candidates`].
-#[allow(clippy::too_many_arguments)] // the solver's single exit path
 fn fallback<A: Architecture + ?Sized>(
     arch: &A,
-    checker: &ArenaChecker,
+    setup: &CoSetup,
     q: &CoQuery<'_>,
     rels: &ExecRels,
     arena: &mut RelArena,
     forced: RelId,
-    locs: &[LocWrites],
     stats: &mut ConsistencyStats,
 ) -> bool {
     // Per-location menus: the permutations consistent with `forced`.
+    let locs = &setup.locs;
     let mut menus: Vec<Vec<Vec<usize>>> = Vec::with_capacity(locs.len());
     for lw in locs {
         let mut menu = Vec::new();
@@ -535,7 +558,7 @@ fn fallback<A: Architecture + ?Sized>(
         rels.derive_co(q.core.as_ref(), arena);
         let fx = ExecFrame { core: q.core, events: q.events, rels };
         stats.fallback_candidates += 1;
-        if checker.check(arch, &fx, arena).allowed() {
+        if setup.checker.check(arch, &fx, arena).allowed() {
             return true;
         }
         if !bump(&mut pick, &radices) {
@@ -558,7 +581,7 @@ fn bump(digits: &mut [usize], radices: &[usize]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arch::{Power, Pso, Rmo, Sc, Tso};
+    use crate::arch::{CppRa, CppRaStrength, Power, Pso, Rmo, Sc, Tso};
     use crate::exec::Execution;
     use crate::fixtures::{self, Device};
     use crate::model::check;
@@ -587,14 +610,31 @@ mod tests {
         }
     }
 
-    fn query_of(x: &Execution) -> (Vec<(usize, usize)>, Vec<Event>) {
-        (x.rf().iter_pairs().collect(), x.events().to_vec())
+    /// [`co_exists`] on `x`'s events and rf, through a setup of its own.
+    fn decide(
+        arch: &dyn Architecture,
+        x: &Execution,
+        last_writes: &[(Loc, usize)],
+        arena: &mut RelArena,
+        stats: &mut ConsistencyStats,
+    ) -> bool {
+        let rf: Vec<(usize, usize)> = x.rf().iter_pairs().collect();
+        let setup = CoSetup::new(arch, x.core(), x.events());
+        let q = CoQuery { core: x.core(), events: x.events(), rf: &rf, last_writes };
+        co_exists(arch, &setup, &q, arena, stats)
     }
 
     #[test]
     fn matches_brute_force_on_fixtures() {
-        let archs: Vec<Box<dyn Architecture>> =
-            vec![Box::new(Sc), Box::new(Tso), Box::new(Pso), Box::new(Rmo), Box::new(Power::new())];
+        let archs: Vec<Box<dyn Architecture>> = vec![
+            Box::new(Sc),
+            Box::new(Tso),
+            Box::new(Pso),
+            Box::new(Rmo),
+            Box::new(Power::new()),
+            Box::new(CppRa::new(CppRaStrength::PaperStrong)),
+            Box::new(CppRa::new(CppRaStrength::StandardExact)),
+        ];
         let fixtures: Vec<(&str, Execution)> = vec![
             ("mp", fixtures::mp(Device::None, Device::None)),
             ("sb", fixtures::sb(Device::None, Device::None)),
@@ -613,9 +653,7 @@ mod tests {
         let mut stats = ConsistencyStats::default();
         for arch in &archs {
             for (name, x) in &fixtures {
-                let (rf, events) = query_of(x);
-                let q = CoQuery { core: x.core(), events: &events, rf: &rf, last_writes: &[] };
-                let ours = co_exists(arch.as_ref(), &q, &mut arena, &mut stats);
+                let ours = decide(arch.as_ref(), x, &[], &mut arena, &mut stats);
                 let brute = co_exists_brute(arch.as_ref(), x);
                 assert_eq!(ours, brute, "{name} on {} diverged", arch.name());
             }
@@ -640,26 +678,21 @@ mod tests {
         // co_ww: T0 writes x=1 then x=2 (po-loc). Final x=2 is the only
         // coherent completion; requiring x=1 last contradicts po-loc.
         let x = fixtures::co_ww();
-        let (rf, events) = query_of(&x);
         let (w1, w2) = {
             let mut ws =
-                events.iter().filter(|e| e.dir == Dir::W && e.thread.is_some()).map(|e| e.id);
+                x.events().iter().filter(|e| e.dir == Dir::W && e.thread.is_some()).map(|e| e.id);
             (ws.next().unwrap(), ws.next().unwrap())
         };
-        let loc = events[w1].loc;
+        let loc = x.events()[w1].loc;
         let mut arena = RelArena::new(0);
         let mut stats = ConsistencyStats::default();
-        let ok_last = [(loc, w2)];
-        let q = CoQuery { core: x.core(), events: &events, rf: &rf, last_writes: &ok_last };
-        assert!(co_exists(&Sc, &q, &mut arena, &mut stats));
-        let bad_last = [(loc, w1)];
-        let q = CoQuery { core: x.core(), events: &events, rf: &rf, last_writes: &bad_last };
-        assert!(!co_exists(&Sc, &q, &mut arena, &mut stats));
-        assert_eq!(stats.fallbacks, 0, "SC queries stay on the polynomial path");
+        assert!(decide(&Sc, &x, &[(loc, w2)], &mut arena, &mut stats));
+        assert!(!decide(&Sc, &x, &[(loc, w1)], &mut arena, &mut stats));
+        assert_eq!(stats.fallbacks, 0, "SC queries stay on the saturation path");
     }
 
     #[test]
-    fn polynomial_models_do_not_fall_back_on_independent_writes() {
+    fn monotone_models_do_not_fall_back_on_independent_writes() {
         // A bag of unordered same-location writes: saturation forces
         // nothing, the greedy witness must succeed on its own.
         let mut b = crate::fixtures::ExecBuilder::new();
@@ -668,14 +701,13 @@ mod tests {
             b.co(w[0], w[1]); // build() needs a total co; the query ignores it
         }
         let x = b.build().unwrap();
-        let (rf, events) = query_of(&x);
         let mut arena = RelArena::new(0);
         let mut stats = ConsistencyStats::default();
-        for arch in [&Sc as &dyn Architecture, &Tso, &Pso] {
-            let q = CoQuery { core: x.core(), events: &events, rf: &rf, last_writes: &[] };
-            assert!(co_exists(arch, &q, &mut arena, &mut stats));
+        let ra = CppRa::default();
+        for arch in [&Sc as &dyn Architecture, &Tso, &Pso, &ra] {
+            assert!(decide(arch, &x, &[], &mut arena, &mut stats));
         }
         assert_eq!(stats.fallbacks, 0);
-        assert_eq!(stats.witnesses, 3);
+        assert_eq!(stats.witnesses, 4);
     }
 }

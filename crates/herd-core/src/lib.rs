@@ -22,10 +22,11 @@
 //! - [`arch`]: the stock architectures.
 //! - [`enumerate`]: data-flow enumeration from skeletons to candidates,
 //!   streaming with generation-time pruning and rf-odometer sharding.
-//! - [`consistency`]: the polynomial single-execution backend — given a
+//! - [`consistency`]: the single-execution saturation backend — given a
 //!   fixed `rf`, saturation places one coherence order (or derives a
-//!   contradiction) instead of enumerating all of them, with a counted
-//!   enumeration fallback past the tractability frontier.
+//!   contradiction) instead of enumerating all of them, on a per-core
+//!   query setup built once per combination, with a counted enumeration
+//!   fallback when saturation cannot decide.
 //! - [`sched`]: the hierarchical work scheduler — [`sched::WorkPlan`]s
 //!   decompose the combined rf×co odometer (co-level splitting within one
 //!   rf configuration for co-heavy tests) and a work-stealing executor

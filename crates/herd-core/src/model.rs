@@ -33,35 +33,40 @@ pub enum PropagationCheck {
     IrreflexivePropCo,
 }
 
-/// Which side of the single-execution consistency tractability frontier a
-/// model sits on — the complexity landscape of "How Hard is Weak-Memory
-/// Testing?" applied to this framework's axioms.
+/// How [`crate::consistency`] may decide "does some coherence order make
+/// this (rf-fixed) execution consistent?" for a model — named by the
+/// property that makes saturation sound, not by a complexity class: "How
+/// Hard is Weak-Memory Testing?" (PAPERS.md) puts the release-acquire
+/// variants on the hard side of consistency testing, yet with rf fixed
+/// their axioms here are as monotone in co as SC's.
 ///
-/// [`crate::consistency`] decides "does some coherence order make this
-/// (rf-fixed) execution consistent?" by saturation: it tests co
-/// hypotheses against the axioms with a *partial* coherence order and
-/// treats a violation as definitive. That reasoning is sound exactly when
-/// every co-dependent relation the axioms consume (`fr`, `com`, `prop`,
-/// `fre; prop; hb*`) is **monotone** in co — adding co edges can only add
-/// derived edges, never remove a violation. The SC/TSO/PSO/RMO-class
-/// instances (static `ppo`, `prop = ppo ∪ fences ∪ rf[e] ∪ fr`) qualify.
-/// Power/ARM's `ppo` is *dynamic* (`rdw`/`rfi`/`detour` feed the Fig 25
-/// fixpoint), but once ppo is frozen to a candidate-independent bound
-/// their remaining axioms are monotone in co again — that is the
+/// Saturation tests co hypotheses against the axioms with a *partial*
+/// coherence order and treats a violation as definitive. That reasoning
+/// is sound exactly when every co-dependent relation the axioms consume
+/// (`fr`, `com`, `prop`, `fre; prop; hb*`) is **monotone** in co — adding
+/// co edges can only add derived edges, never remove a violation. The
+/// SC/TSO/PSO/RMO-class instances (static `ppo`, `prop = ppo ∪ fences ∪
+/// rf[e] ∪ fr`) qualify, and so does C++ R-A under either PROPAGATION
+/// strength: with rf fixed its `ppo = po` and `prop = (po ∪ rfe)+` ignore
+/// co, so `acyclic(co ∪ prop)` and `irreflexive(prop; co)` only grow
+/// with co. Power/ARM's `ppo` is *dynamic* (`rdw`/`rfi`/`detour` feed the
+/// Fig 25 fixpoint), but once ppo is frozen to a candidate-independent
+/// bound their remaining axioms are monotone in co again — that is the
 /// [`Tractability::Conditional`] mode, which saturates against a sound
 /// two-sided [`crate::ppo::PpoEnvelope`] and only falls back to (counted)
-/// enumeration when the bounds genuinely disagree. C++ R-A's
-/// `irreflexive(prop; co)` weakening is not vouched for at all, so its
-/// queries always take the fallback.
+/// enumeration when the bounds genuinely disagree.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Tractability {
-    /// Saturation/co-placement decides single-execution consistency in
-    /// polynomial time: every axiom is monotone in `co` and
-    /// [`Architecture::arch_rels_arena`] accepts partial coherence
-    /// orders (no materialising default that would validate totality).
-    Polynomial,
-    /// Conditionally polynomial: the axioms are monotone in co *given* a
-    /// frozen ppo, and the architecture vouches for a sound envelope
+    /// Every axiom is monotone in `co`, and
+    /// [`Architecture::arch_rels_arena`] accepts partial coherence orders
+    /// (no materialising default that would validate totality). A
+    /// violation under a partial `co` is therefore definitive for every
+    /// extension: saturation decides contradictions outright. Its greedy
+    /// completion may still fail to find a witness that exists — then the
+    /// query takes the counted fallback, never a silent guess.
+    Monotone,
+    /// Monotone once ppo is frozen: the axioms are monotone in co *given*
+    /// a frozen ppo, and the architecture vouches for a sound envelope
     /// `lower ⊆ ppo(x) ⊆ upper` via [`Architecture::ppo_envelope`] plus a
     /// frozen-ppo relation hook
     /// ([`Architecture::arch_rels_arena_frozen`]). Saturation runs once
@@ -71,9 +76,10 @@ pub enum Tractability {
     /// definitively allowed, and only a genuine disagreement falls back —
     /// counted in [`crate::consistency::ConsistencyStats`], never silent.
     Conditional,
-    /// Beyond the vouched-for frontier: single-execution queries fall
-    /// back to enumerating coherence orders, and the fallback is counted
-    /// in [`crate::consistency::ConsistencyStats`], never silent.
+    /// Nothing vouched for: single-execution queries skip saturation and
+    /// enumerate coherence orders, and the fallback is counted in
+    /// [`crate::consistency::ConsistencyStats`], never silent. No stock
+    /// model sits here.
     #[default]
     Frontier,
 }
@@ -154,9 +160,9 @@ pub trait Architecture {
         PropagationCheck::Acyclic
     }
 
-    /// Which side of the single-execution tractability frontier this
-    /// model sits on (see [`Tractability`]). Overriding to
-    /// [`Tractability::Polynomial`] is a promise that every co-dependent
+    /// How single-execution consistency queries may decide this model (see
+    /// [`Tractability`]). Overriding to
+    /// [`Tractability::Monotone`] is a promise that every co-dependent
     /// relation the axioms consume is monotone in `co` **and** that
     /// [`Architecture::arch_rels_arena`] never materialises an owned
     /// [`Execution`] (whose validation rejects the partial coherence
@@ -472,6 +478,7 @@ pub fn sc_per_location(x: &Execution) -> bool {
 /// SC PER LOCATION do so through
 /// [`Architecture::sc_per_location_po_loc_static`], which both paths
 /// consume.
+#[derive(Debug)]
 pub struct ArenaChecker {
     sc_po_loc: Relation,
 }
@@ -480,6 +487,12 @@ impl ArenaChecker {
     /// Precomputes the static per-architecture inputs for `core`.
     pub fn new<A: Architecture + ?Sized>(arch: &A, core: &ExecCore) -> Self {
         ArenaChecker { sc_po_loc: arch.sc_per_location_po_loc_static(core) }
+    }
+
+    /// The `po-loc` this checker's SC PER LOCATION uses
+    /// ([`Architecture::sc_per_location_po_loc_static`]).
+    pub fn sc_po_loc(&self) -> &Relation {
+        &self.sc_po_loc
     }
 
     /// Checks the four axioms of Fig 5 on one arena-backed candidate.

@@ -172,15 +172,17 @@ pub fn compare(model: &Log, hardware: &Log) -> Comparison {
 /// Builds the model-side log for a set of tests under a model: per test,
 /// the full states of the allowed candidate executions (count 0).
 ///
-/// Models on the polynomial side of the tractability frontier
-/// ([`herd_core::model::Tractability::Polynomial`]) and the conditional
-/// models past it ([`Tractability::Conditional`], Power/ARM with their
-/// ppo envelopes) are judged through the consistency backend — one
-/// witness query per distinct final state instead of a full (rf, co)
-/// enumeration; only [`Tractability::Frontier`] models stream every
+/// Models monotone in co ([`Tractability::Monotone`]: SC, TSO, PSO, RMO
+/// and C++RA) and the conditional ones ([`Tractability::Conditional`],
+/// Power/ARM with their ppo envelopes) are judged through the
+/// consistency backend (`herd_litmus::decide::allowed_full_outcomes`) —
+/// one witness query per distinct final state instead of a full (rf, co)
+/// enumeration. A model that vouches for neither
+/// ([`Tractability::Frontier`]; no stock model does) streams every
 /// candidate through the arena verdict engine. All produce the same
 /// states.
 ///
+/// [`Tractability::Monotone`]: herd_core::model::Tractability::Monotone
 /// [`Tractability::Conditional`]: herd_core::model::Tractability::Conditional
 /// [`Tractability::Frontier`]: herd_core::model::Tractability::Frontier
 pub fn model_log(

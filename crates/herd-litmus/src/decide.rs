@@ -7,10 +7,10 @@
 //! e.g. a row of an `herd-hw` campaign log), allowed or forbidden. It
 //! shares the control-flow and data-flow front end with the enumerator
 //! (`combo_parts` in [`mod@crate::candidates`]) but replaces the coherence
-//! odometer with the polynomial saturation backend
+//! odometer with the saturation backend
 //! ([`herd_core::consistency::co_exists`]): per matching value
 //! concretisation, *one* witness query instead of `Π |writes(l)|!`
-//! checks.
+//! checks, on a [`CoSetup`] built once per control-flow combination.
 //!
 //! Two further cuts keep the rf side polynomial in practice:
 //!
@@ -23,8 +23,8 @@
 //!   [`QueryStats::rf_configs`]).
 //!
 //! Exactness is unconditional: the backend falls back to counted
-//! enumeration whenever saturation is incomplete or the model sits past
-//! the tractability frontier ([`herd_core::model::Tractability`]); the
+//! enumeration whenever saturation is incomplete or the model vouches
+//! for no saturation route ([`herd_core::model::Tractability`]); the
 //! fallback shows up in [`QueryStats::backend`], never silently.
 //!
 //! ## Batched judging
@@ -62,11 +62,10 @@ use crate::state::{
     is_canonical, map_pieces, matches, scan_row, write_piece, Piece, Slot, StateLayout, Value,
 };
 use herd_core::arena::RelArena;
-use herd_core::consistency::{co_exists_with_envelope, CoQuery, ConsistencyStats};
+use herd_core::consistency::{co_exists, CoQuery, CoSetup, ConsistencyStats};
 use herd_core::event::{Event, Loc, Val};
 use herd_core::fingerprint::{Fingerprint, FpHasher};
 use herd_core::model::Architecture;
-use herd_core::ppo::PpoEnvelope;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet};
 use std::ops::ControlFlow;
@@ -267,8 +266,9 @@ pub struct BatchDecision {
 
 /// Decides whether `outcome` is allowed for `test` under `arch`.
 ///
-/// Exact for every architecture; polynomial (per rf configuration) for
-/// models vouching for [`herd_core::model::Tractability::Polynomial`].
+/// Exact for every architecture; one saturation pass per rf
+/// configuration for models monotone in co
+/// ([`herd_core::model::Tractability::Monotone`]).
 /// A thin wrapper over the batch engine ([`decide_log`]) with a
 /// single-row log — identical control flow and accounting.
 ///
@@ -376,23 +376,28 @@ pub fn decide_rows<A: Architecture + ?Sized>(
                     groups.entry(key.0).or_insert_with(|| (menus, Vec::new())).1.push(d);
                 }
             }
-            if screened > 0 && groups.is_empty() {
+            if groups.is_empty() {
                 // The combination is skipped whole, as in the single-row
-                // path: no surviving row can match it.
-                stats.query.combos_pruned += 1;
+                // path: no surviving row can match it. (No verdict moved,
+                // so some live row is still undecided.)
+                if screened > 0 {
+                    stats.query.combos_pruned += 1;
+                }
+                return ControlFlow::Continue(());
             }
-            // The ppo envelope of a Conditional model depends only on
-            // the combination's core — compute it once here and share
-            // it across every class and coherence query of the combo.
-            let envelope: Option<PpoEnvelope> =
-                if groups.is_empty() { None } else { arch.ppo_envelope(&parts.core) };
+            // What coherence queries need beyond their rf and values —
+            // the checker, the write table, the po-loc seeds and a
+            // Conditional model's ppo envelope — depends only on the
+            // combination's core: build it once here and share it across
+            // every class and coherence query of the combo.
+            let setup = CoSetup::new(arch, &parts.core, &parts.space.events);
             for (menus, members) in groups.values() {
                 stats.classes += 1;
                 decide_class(
                     arch,
                     &domain,
                     &parts,
-                    envelope.as_ref(),
+                    &setup,
                     menus,
                     members,
                     &row,
@@ -434,7 +439,7 @@ fn decide_class<'r, A: Architecture + ?Sized>(
     arch: &A,
     domain: &[i64],
     parts: &ComboParts,
-    envelope: Option<&PpoEnvelope>,
+    setup: &CoSetup,
     menus: &[Vec<usize>],
     members: &[usize],
     row: &impl Fn(usize) -> &'r [Slot],
@@ -493,7 +498,7 @@ fn decide_class<'r, A: Architecture + ?Sized>(
                     last_writes: &last_writes,
                 };
                 stats.saturations += 1;
-                if co_exists_with_envelope(arch, &q, envelope, arena, &mut stats.query.backend) {
+                if co_exists(arch, setup, &q, arena, &mut stats.query.backend) {
                     // One witness settles every matching member.
                     for (extra, &d) in matching.iter().enumerate() {
                         dverdict[d] = Some(true);
@@ -876,8 +881,8 @@ pub fn allowed_full_outcomes<A: Architecture + ?Sized>(
         let parts = combo_parts(test, &layout, combo);
         let space = &parts.space;
         stats.rf_space = stats.rf_space.saturating_add(space.rf_total());
-        // One ppo envelope per combination, shared by every query on it.
-        let envelope: Option<PpoEnvelope> = arch.ppo_envelope(&parts.core);
+        // One query setup per combination, shared by every query on it.
+        let setup = CoSetup::new(arch, &parts.core, &space.events);
         let symbols: Vec<SymId> = space.reads.iter().map(|&r| SymId(r)).collect();
         let rf_radices: Vec<usize> = space.rf_choices.iter().map(Vec::len).collect();
         let mut rf_pick = vec![0usize; space.rf_choices.len()];
@@ -916,13 +921,7 @@ pub fn allowed_full_outcomes<A: Architecture + ?Sized>(
                             rf: &rf_pairs,
                             last_writes: &last_writes,
                         };
-                        if co_exists_with_envelope(
-                            arch,
-                            &q,
-                            envelope.as_ref(),
-                            &mut arena,
-                            &mut stats.backend,
-                        ) {
+                        if co_exists(arch, &setup, &q, &mut arena, &mut stats.backend) {
                             seen_allowed.insert(state.clone().into_boxed_slice());
                             emit(&layout, &state);
                         }
@@ -1004,7 +1003,7 @@ mod tests {
         let witness = outcome("1:r1=1; 1:r2=0");
         let sc = decide_outcome(&test, &Sc, &EnumOptions::default(), &witness).unwrap();
         assert!(!sc.allowed, "SC forbids the mp relaxed outcome");
-        assert_eq!(sc.stats.backend.fallbacks, 0, "SC stays on the polynomial path");
+        assert_eq!(sc.stats.backend.fallbacks, 0, "SC stays on the saturation path");
         let power =
             decide_outcome(&test, &Power::new(), &EnumOptions::default(), &witness).unwrap();
         assert!(power.allowed, "Power allows bare mp");

@@ -363,7 +363,7 @@ impl Tally {
 }
 
 /// Simulates by *deciding outcomes* instead of enumerating witnesses: the
-/// distinct full final states are probed through the polynomial
+/// distinct full final states are probed through the saturation
 /// consistency backend ([`crate::decide`]), one coherence query per
 /// outcome rather than one check per (rf, co) candidate.
 ///
@@ -842,7 +842,7 @@ mod tests {
                 assert_eq!(decided.states, streamed.states, "{}", test.name);
                 assert_eq!(
                     stats.backend.fallbacks, 0,
-                    "{}: SC/TSO must stay on the polynomial path",
+                    "{}: SC/TSO must stay on the saturation path",
                     test.name
                 );
             }

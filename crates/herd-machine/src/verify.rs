@@ -61,12 +61,12 @@ pub fn verify_axiomatic(
     Ok(VerifyOutcome { reachable, allowed, candidates: stats.total() })
 }
 
-/// The bare reachability question, answered through the polynomial
+/// The bare reachability question, answered through the saturation
 /// consistency backend instead of candidate enumeration: the distinct
 /// final states are decided one witness query at a time
-/// ([`herd_litmus::simulate::simulate_decided`]), so for
-/// SC/TSO/PSO-class models
-/// ([`herd_core::model::Tractability::Polynomial`]) the per-outcome cost
+/// ([`herd_litmus::simulate::simulate_decided`]), so for models monotone
+/// in co (SC/TSO/PSO/RMO and C++RA,
+/// [`herd_core::model::Tractability::Monotone`]) the per-outcome cost
 /// drops from `Π |writes(l)|!` coherence checks to a saturation pass,
 /// Power/ARM-class models
 /// ([`herd_core::model::Tractability::Conditional`]) resolve most

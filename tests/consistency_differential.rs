@@ -1,4 +1,4 @@
-//! Differential tests: the polynomial single-execution backend vs the
+//! Differential tests: the single-execution saturation backend vs the
 //! enumeration engine.
 //!
 //! The backend ([`herd_core::consistency`], surfaced as
@@ -11,8 +11,11 @@
 //!   systematically unreachable mutations — must get the same verdict
 //!   from [`decide_outcome`] as from enumerate-and-check, on models on
 //!   both sides of the tractability frontier;
-//! * on the polynomial side (SC/TSO/PSO) the answer must come from the
-//!   saturation path — zero counted fallbacks;
+//! * on the models monotone in co (SC/TSO/PSO and C++RA under both
+//!   PROPAGATION strengths) the answer must come from the saturation
+//!   path — zero counted fallbacks;
+//! * a C++RA query whose pinned write contradicts po-loc is decided by
+//!   contradiction, not by permuting (N−1)! coherence orders;
 //! * past the old frontier (Power/ARM, now `Conditional`) most queries
 //!   must resolve definitively through the ppo-envelope bounds, the
 //!   small residue through the counted fallback — exact by enumeration
@@ -26,11 +29,12 @@
 //!   `validated` bit and rendered state set on the whole corpus;
 //! * the u128 `candidate_count` of the scaled families that broke the old
 //!   `usize` accounting stays pinned, and the backend answers queries on
-//!   one such family without leaving the polynomial path.
+//!   one such family without leaving the saturation path.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::time::{Duration, Instant};
 
-use herd_core::arch::{Arm, ArmVariant, Power, Pso, Sc, Tso};
+use herd_core::arch::{Arm, ArmVariant, CppRa, CppRaStrength, Power, Pso, Sc, Tso};
 use herd_core::event::Fence;
 use herd_core::fixtures::{probe_value, ProgramShape, ShapeOp};
 use herd_core::model::{check, Architecture, Tractability};
@@ -101,24 +105,84 @@ fn differential(test: &LitmusTest, arch: &dyn Architecture, stats: &mut QuerySta
 }
 
 #[test]
-fn corpus_verdicts_match_enumeration_on_polynomial_models() {
+fn corpus_verdicts_match_enumeration_on_monotone_models() {
     let tests: Vec<LitmusTest> = corpus::x86_corpus().into_iter().map(|e| e.test).collect();
-    let mut stats = QueryStats::default();
-    for arch in [&Sc as &dyn Architecture, &Tso, &Pso] {
-        assert_eq!(arch.tractability(), Tractability::Polynomial, "{}", arch.name());
+    let strong = CppRa::new(CppRaStrength::PaperStrong);
+    let exact = CppRa::new(CppRaStrength::StandardExact);
+    for arch in [&Sc as &dyn Architecture, &Tso, &Pso, &strong, &exact] {
+        assert_eq!(arch.tractability(), Tractability::Monotone, "{}", arch.name());
+        let mut stats = QueryStats::default();
         for t in &tests {
             differential(t, arch, &mut stats);
         }
+        assert!(stats.backend.queries > 0, "the probes must reach the backend on {}", arch.name());
+        // Every axiom is monotone in co: every query resolves by
+        // saturation, nothing silently enumerates.
+        assert_eq!(stats.backend.fallbacks, 0, "{} fell back on the corpus", arch.name());
+        assert_eq!(
+            stats.backend.queries,
+            stats.backend.contradictions + stats.backend.witnesses,
+            "every query on {} is accounted as a contradiction or a witness",
+            arch.name()
+        );
     }
-    assert!(stats.backend.queries > 0, "the probes must actually reach the backend");
-    // The tractability report: SC/TSO/PSO sit on the polynomial side —
-    // every query resolves by saturation, nothing silently enumerates.
-    assert_eq!(stats.backend.fallbacks, 0, "polynomial models never fall back on the corpus");
-    assert_eq!(
-        stats.backend.queries,
-        stats.backend.contradictions + stats.backend.witnesses,
-        "every query is accounted as a contradiction or a witness"
-    );
+}
+
+/// `wrc+Nw+po`: wrc's writer plus N−1 ballast writes of `x` po-ordered
+/// on one thread, probed with the po-earliest ballast write pinned
+/// coherence-last — forbidden by SC PER LOCATION alone. With the pin,
+/// the other N−1 writes of `x` have (N−1)! orders: a permute-and-filter
+/// fallback checks every one, while the po-loc write seeds make the
+/// forced order cyclic before the first hypothesis.
+fn wrc_po(n: i64) -> (LitmusTest, Outcome) {
+    let ballast: Vec<Op> = (2..=n).map(|v| Op::W("x", v)).collect();
+    let devs = vec![Dev::Po; ballast.len() - 1];
+    let mut read_regs = Vec::new();
+    let test = TestBuilder::new(Isa::X86, &format!("wrc+{n}w+po"))
+        .thread(vec![Op::W("z", 1)], vec![])
+        .thread(vec![Op::R("z"), Op::W("x", 1)], vec![Dev::Data])
+        .thread(ballast, devs)
+        .condition(Quantifier::Exists, |rr| {
+            read_regs = rr.to_vec();
+            Prop::True
+        });
+    let probe = Outcome {
+        regs: BTreeMap::from([((1, read_regs[1][0]), RegFinal::Int(1))]),
+        mem: BTreeMap::from([("x".to_owned(), 2)]),
+    };
+    (test, probe)
+}
+
+#[test]
+fn cpp_ra_decides_po_ordered_writers_by_contradiction() {
+    for strength in [CppRaStrength::PaperStrong, CppRaStrength::StandardExact] {
+        let ra = CppRa::new(strength);
+        // Small enough to enumerate: every probe of the family agrees.
+        let mut stats = QueryStats::default();
+        differential(&wrc_po(5).0, &ra, &mut stats);
+        assert_eq!(stats.backend.fallbacks, 0, "{}", ra.name());
+        for n in [7, 9, 10, 11] {
+            let (test, probe) = wrc_po(n);
+            let d = decide_outcome(&test, &ra, &EnumOptions::default(), &probe).unwrap();
+            let b = d.stats.backend;
+            assert!(!d.allowed, "wrc+{n}w+po under {}", ra.name());
+            assert!(b.queries > 0);
+            assert_eq!(b.contradictions, b.queries, "wrc+{n}w+po: decided by contradiction");
+            assert_eq!((b.fallbacks, b.fallback_candidates), (0, 0), "wrc+{n}w+po: no fallback");
+        }
+        // At N=11 the pin leaves 10! coherence orders, seconds of
+        // enumeration; a contradiction needs no order at all.
+        let (test, probe) = wrc_po(11);
+        let best = (0..3)
+            .map(|_| {
+                let t0 = Instant::now();
+                decide_outcome(&test, &ra, &EnumOptions::default(), &probe).unwrap();
+                t0.elapsed()
+            })
+            .min()
+            .unwrap();
+        assert!(best < Duration::from_millis(10), "wrc+11w+po took {best:?}");
+    }
 }
 
 #[test]
@@ -278,7 +342,9 @@ proptest! {
 
         let power = Power::new();
         let arm = Arm::new(ArmVariant::Proposed);
-        for arch in [&Sc as &dyn Architecture, &Tso, &power, &arm] {
+        let strong = CppRa::new(CppRaStrength::PaperStrong);
+        let exact = CppRa::new(CppRaStrength::StandardExact);
+        for arch in [&Sc as &dyn Architecture, &Tso, &power, &arm, &strong, &exact] {
             let allowed: Vec<&Candidate> =
                 cands.iter().filter(|c| check(arch, &c.exec).allowed()).collect();
             let mut probes = probes_for(&cands);
@@ -337,7 +403,7 @@ proptest! {
 }
 
 #[test]
-fn scaled_family_counts_stay_exact_and_the_backend_stays_polynomial() {
+fn scaled_family_counts_stay_exact_and_the_backend_saturates() {
     // wrc+20w: 21 writes of `x` — 21! coherence orders, 2 rf choices.
     // The old `usize` arithmetic wrapped here (21! > u64::MAX); the u128
     // count is exact.
@@ -375,7 +441,7 @@ fn scaled_family_counts_stay_exact_and_the_backend_stays_polynomial() {
     };
     let d = decide_outcome(&test, &Sc, &EnumOptions::default(), &probe).unwrap();
     assert!(d.allowed);
-    assert_eq!(d.stats.backend.fallbacks, 0, "stays on the polynomial path");
+    assert_eq!(d.stats.backend.fallbacks, 0, "stays on the saturation path");
     assert!(d.stats.backend.witnesses >= 1);
     // The register constraint collapses the rf menu before any coherence
     // work: one configuration probed out of the rf space.

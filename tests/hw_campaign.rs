@@ -2,14 +2,20 @@
 //! Power machines but leaves behaviours unseen; every ARM part invalidates
 //! the Power-ARM model; Tegra3 is the worst offender; x86 is clean.
 //!
-//! Plus the polynomial-backend routing of log judging: for models on the
-//! polynomial side of the tractability frontier, [`herd_hw::model_log`]
-//! and [`herd_hw::judge_entry`] answer through single-outcome witness
-//! queries — their verdicts must be indistinguishable from the
-//! enumerate-and-check reference, row by row.
+//! Plus the backend routing of log judging: for models monotone in co
+//! (SC, TSO, C++RA) and the conditional ones (Power, ARM),
+//! [`herd_hw::model_log`] and [`herd_hw::judge_entry`] answer through
+//! single-outcome witness queries — their verdicts must be
+//! indistinguishable from the enumerate-and-check reference, row by row.
 
 use herd_core::arch::{Arm, ArmVariant, CppRa, CppRaStrength, Power, Sc, Tso};
-use herd_hw::{arm_machines, campaign, power_machines, x86_machines};
+use herd_core::arena::RelArena;
+use herd_core::exec::{ExecCore, ExecFrame, Execution};
+use herd_core::model::{check, Architecture, ArenaArchRels, PropagationCheck, Tractability};
+use herd_core::relation::Relation;
+use herd_hw::campaign::render_full_state;
+use herd_hw::{arm_machines, campaign, power_machines, x86_machines, Log};
+use herd_litmus::candidates::{enumerate, EnumOptions};
 use herd_litmus::corpus;
 use herd_litmus::program::LitmusTest;
 
@@ -76,72 +82,101 @@ fn tab5_x86_control_row() {
     assert_eq!((s.invalid, s.unseen), (0, 0), "x86 silicon is exactly TSO");
 }
 
-#[test]
-fn backend_model_log_matches_the_enumeration_reference() {
-    use herd_core::model::{check, Architecture, Tractability};
-    use herd_hw::campaign::render_full_state;
-    use herd_hw::Log;
-    use herd_litmus::candidates::{enumerate, EnumOptions};
+/// A stock model with no saturation route: every hook delegates except
+/// `tractability`, which keeps the `Frontier` default, so `model_log`
+/// streams its candidates through the arena verdict engine.
+struct Unvouched<'a>(&'a dyn Architecture);
 
-    let tests: Vec<LitmusTest> = corpus::x86_corpus().into_iter().map(|e| e.test).collect();
-    for model in [&Sc as &(dyn Architecture + Sync), &Tso] {
-        // These models sit on the polynomial side: `model_log` routes
-        // them through the consistency backend.
-        assert_eq!(model.tractability(), Tractability::Polynomial);
-        let backend = herd_hw::model_log(&tests, model);
-        // The pre-backend reference: enumerate every candidate, keep the
-        // allowed ones, render their full states.
-        let mut reference = Log::default();
-        for t in &tests {
-            let states = enumerate(t, &EnumOptions::default())
-                .unwrap()
-                .iter()
-                .filter(|c| check(model, &c.exec).allowed())
-                .map(|c| (render_full_state(c), 0))
-                .collect();
-            reference.insert(&t.name, states);
-        }
-        assert_eq!(backend, reference, "backend log differs under {}", model.name());
+impl Architecture for Unvouched<'_> {
+    fn name(&self) -> &str {
+        self.0.name()
     }
-
-    // Past the old frontier: the conditional models (Power/ARM with ppo
-    // envelopes) route through the backend too, and their logs must be
-    // indistinguishable from enumerate-and-check as well.
-    for (tests, model) in [
-        (power_tests(), &Power::new() as &(dyn Architecture + Sync)),
-        (arm_tests(), &Arm::new(ArmVariant::Proposed)),
-    ] {
-        assert_eq!(model.tractability(), Tractability::Conditional);
-        let backend = herd_hw::model_log(&tests, model);
-        let mut reference = Log::default();
-        for t in &tests {
-            let states = enumerate(t, &EnumOptions::default())
-                .unwrap()
-                .iter()
-                .filter(|c| check(model, &c.exec).allowed())
-                .map(|c| (render_full_state(c), 0))
-                .collect();
-            reference.insert(&t.name, states);
-        }
-        assert_eq!(backend, reference, "backend log differs under {}", model.name());
+    fn ppo(&self, x: &Execution) -> Relation {
+        self.0.ppo(x)
     }
+    fn fences(&self, x: &Execution) -> Relation {
+        self.0.fences(x)
+    }
+    fn prop(&self, x: &Execution) -> Relation {
+        self.0.prop(x)
+    }
+    fn tolerates_load_load_hazards(&self) -> bool {
+        self.0.tolerates_load_load_hazards()
+    }
+    fn sc_per_location_po_loc_static(&self, core: &ExecCore) -> Relation {
+        self.0.sc_per_location_po_loc_static(core)
+    }
+    fn propagation_check(&self) -> PropagationCheck {
+        self.0.propagation_check()
+    }
+    fn thin_air_fences(&self, core: &ExecCore) -> Relation {
+        self.0.thin_air_fences(core)
+    }
+    fn thin_air_base(&self, core: &ExecCore) -> Option<Relation> {
+        self.0.thin_air_base(core)
+    }
+    fn arch_rels_arena(&self, fx: &ExecFrame<'_>, arena: &mut RelArena) -> ArenaArchRels {
+        self.0.arch_rels_arena(fx, arena)
+    }
+}
 
-    // Past the frontier: C++RA, the only stock Frontier model, streams
-    // every candidate through the arena verdict engine instead.
-    let cpp_ra = CppRa::new(CppRaStrength::PaperStrong);
-    assert_eq!(cpp_ra.tractability(), Tractability::Frontier);
-    let streamed = herd_hw::model_log(&tests, &cpp_ra);
+/// The pre-backend reference log: enumerate every candidate, keep the
+/// allowed ones, render their full states.
+fn enumerated_log(tests: &[LitmusTest], model: &dyn Architecture) -> Log {
     let mut reference = Log::default();
-    for t in &tests {
+    for t in tests {
         let states = enumerate(t, &EnumOptions::default())
             .unwrap()
             .iter()
-            .filter(|c| check(&cpp_ra, &c.exec).allowed())
+            .filter(|c| check(model, &c.exec).allowed())
             .map(|c| (render_full_state(c), 0))
             .collect();
         reference.insert(&t.name, states);
     }
-    assert_eq!(streamed, reference, "streamed log differs under {}", cpp_ra.name());
+    reference
+}
+
+#[test]
+fn backend_model_log_matches_the_enumeration_reference() {
+    let tests: Vec<LitmusTest> = corpus::x86_corpus().into_iter().map(|e| e.test).collect();
+    let strong = CppRa::new(CppRaStrength::PaperStrong);
+    let exact = CppRa::new(CppRaStrength::StandardExact);
+    for model in [&Sc as &dyn Architecture, &Tso, &strong, &exact] {
+        // These models are monotone in co: `model_log` routes them
+        // through the consistency backend.
+        assert_eq!(model.tractability(), Tractability::Monotone, "{}", model.name());
+        let backend = herd_hw::model_log(&tests, model);
+        assert_eq!(
+            backend,
+            enumerated_log(&tests, model),
+            "backend log differs under {}",
+            model.name()
+        );
+    }
+
+    // The conditional models (Power/ARM with ppo envelopes) route
+    // through the backend too, and their logs must be indistinguishable
+    // from enumerate-and-check as well.
+    for (tests, model) in [
+        (power_tests(), &Power::new() as &dyn Architecture),
+        (arm_tests(), &Arm::new(ArmVariant::Proposed)),
+    ] {
+        assert_eq!(model.tractability(), Tractability::Conditional);
+        let backend = herd_hw::model_log(&tests, model);
+        assert_eq!(
+            backend,
+            enumerated_log(&tests, model),
+            "backend log differs under {}",
+            model.name()
+        );
+    }
+
+    // No stock model is `Frontier`; one that vouches for nothing streams
+    // every candidate through the arena verdict engine instead.
+    let unvouched = Unvouched(&strong);
+    assert_eq!(unvouched.tractability(), Tractability::Frontier);
+    let streamed = herd_hw::model_log(&tests, &unvouched);
+    assert_eq!(streamed, enumerated_log(&tests, &strong), "streamed log differs under C++RA");
 }
 
 #[test]
@@ -175,9 +210,6 @@ fn batched_judging_matches_row_at_a_time_and_enumeration() {
     // seeded x86 campaign log, `judge_entries` over the whole row set
     // must agree row for row with (a) single-row `judge_entry` calls and
     // (b) the enumerate-every-candidate reference.
-    use herd_core::model::{check, Architecture};
-    use herd_hw::campaign::render_full_state;
-    use herd_litmus::candidates::{enumerate, EnumOptions};
     use std::collections::BTreeSet;
 
     let tests: Vec<LitmusTest> = corpus::x86_corpus().into_iter().map(|e| e.test).collect();
