@@ -14,8 +14,9 @@
 //! litmus-level verdict stream above the engine: a judged candidate's
 //! final state is slot values in reused storage, so once warm a judged
 //! candidate allocates nothing, and a whole simulation allocates fewer
-//! times than it judges candidates; and the decide backend's coherence
-//! query: on a prebuilt [`CoSetup`], a warm query allocates nothing.
+//! times than it judges candidates; the decide backend's coherence
+//! query: on a prebuilt [`CoSetup`], a warm query allocates nothing; and
+//! the compiled cat evaluator: a warm check allocates only its verdict.
 //!
 //! The counter is per thread, and every check below runs on the test's
 //! own thread, so other harness threads cannot disturb a count.
@@ -33,7 +34,7 @@ use herd_core::consistency::{co_exists, CoQuery, CoSetup, ConsistencyStats};
 use herd_core::fixtures::{self, Device};
 use herd_core::model::Architecture;
 use herd_core::sched::Budget;
-use herd_litmus::candidates::{stream_verdicts, EnumOptions};
+use herd_litmus::candidates::{enumerate, stream_verdicts, EnumOptions};
 use herd_litmus::corpus::{self, Dev, Op, TestBuilder};
 use herd_litmus::decide::{query_fingerprint, row_fingerprint};
 use herd_litmus::isa::Isa;
@@ -233,5 +234,39 @@ fn warm_coherence_queries_on_a_prebuilt_setup_allocate_nothing() {
             "{}: both answers are pinned: {decided:?}",
             arch.name()
         );
+    }
+}
+
+/// A warm `CompiledModel::check_in` allocates exactly once, for the
+/// returned verdict's `Vec`: the check names are shared with the compiled
+/// model, and the workspace's slots, arena and spare slots are reused —
+/// through incremental re-runs, `let rec` re-runs and restarts on a new
+/// core alike. Measured on the second of two passes over the Power
+/// corpus's candidates, for every stock model.
+#[test]
+fn warm_cat_checks_allocate_only_the_verdict() {
+    let opts = EnumOptions::default();
+    let cands: Vec<_> = corpus::power_corpus()
+        .iter()
+        .flat_map(|e| enumerate(&e.test, &opts).expect("the corpus enumerates"))
+        .collect();
+    for (name, src) in herd_cat::stock::ALL {
+        let compiled = herd_cat::compile(&herd_cat::parse(src).unwrap()).unwrap();
+        let mut ws = herd_cat::CatWorkspace::new();
+        for c in &cands {
+            compiled.check_in(&c.exec, &mut ws);
+        }
+        let mut iters = 0;
+        for c in &cands {
+            let before = allocation_count();
+            let verdict = compiled.check_in(&c.exec, &mut ws);
+            let allocations = allocation_count() - before;
+            assert_eq!(allocations, 1, "a warm {name} check allocated {allocations} times");
+            std::hint::black_box(verdict);
+            iters += ws.last_stats().fixpoint_iters;
+        }
+        if name.starts_with("power") || name.starts_with("arm") {
+            assert!(iters > 0, "{name}: the measured pass re-ran its let rec group");
+        }
     }
 }

@@ -24,14 +24,39 @@
 //! [`crate::eval::eval`] is a thin wrapper over compile-then-run; use
 //! [`CompiledModel::check`] directly to amortise compilation across a
 //! candidate stream.
+//!
+//! # Incremental checking
+//!
+//! Consecutive candidates of one enumeration share their core and usually
+//! differ in one coherence or read-from choice, so most of what one
+//! candidate derives is still valid for the next. A [`CatWorkspace`]
+//! therefore keeps the previous candidate's slot values, and
+//! [`CompiledModel::check_in`] re-runs only the instructions downstream
+//! of an input that changed:
+//!
+//! * builtins of the shared core (`po`, `addr`, the fences, ...) are
+//!   reused while the workspace holds the same [`Arc`]'d [`ExecCore`];
+//! * builtins derived from `rf` and `co` are compared bitwise with an
+//!   arena copy of their previous value;
+//! * a re-run instruction computes into a spare arena slot and compares
+//!   the result with its old value, so an unchanged result (`rdw =
+//!   po-loc & (fre;rfe)` under a new `co`, say) stops the change there;
+//! * a `let rec` group re-runs, from ∅ as its least-fixpoint semantics
+//!   demands, only when one of its inputs changed;
+//! * a check is re-decided only when its relation changed.
+//!
+//! A different model, universe or core starts fresh: every slot is unset,
+//! and the same loop then simply runs every instruction.
 
 use crate::ast::{CheckKind, Expr, Model, Stmt};
 use crate::eval::{CatVerdict, CheckOutcome, EvalError};
 use herd_core::arena::{RelArena, RelId, RelSrc};
 use herd_core::event::{Dir, Fence};
-use herd_core::exec::Execution;
+use herd_core::exec::{ExecCore, Execution};
 use herd_core::relation::Relation;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// A builtin relation of the candidate execution, resolved from its cat
 /// name at compile time (mirrors [`Execution::builtin`] without the string
@@ -117,6 +142,13 @@ impl BuiltinRel {
         })
     }
 
+    /// Is the builtin derived from the candidate's `rf` or `co`? The
+    /// others are relations of the shared core.
+    fn reads_witness(self) -> bool {
+        use BuiltinRel::*;
+        matches!(self, Rf | Rfe | Rfi | Co | Coe | Coi | Fr | Fre | Fri | Com | Rdw | Detour)
+    }
+
     /// Borrows the builtin from one execution — **no copy**: every
     /// variant, including `id` and absent fence flavours, resolves to a
     /// relation the execution (or its shared core) already holds. This is
@@ -172,6 +204,24 @@ enum Op {
     DirRestrict(usize, Option<Dir>, Option<Dir>),
 }
 
+impl Op {
+    /// The slots the operation reads.
+    fn operands(self) -> impl Iterator<Item = usize> {
+        let (a, b) = match self {
+            Op::Builtin(_) | Op::Empty | Op::DirId(_) => (None, None),
+            Op::Union(a, b) | Op::Inter(a, b) | Op::Diff(a, b) | Op::Seq(a, b) => {
+                (Some(a), Some(b))
+            }
+            Op::TClosure(a)
+            | Op::RtClosure(a)
+            | Op::Opt(a)
+            | Op::Inverse(a)
+            | Op::DirRestrict(a, _, _) => (Some(a), None),
+        };
+        a.into_iter().chain(b)
+    }
+}
+
 /// An instruction: compute `op` into slot `dst`.
 #[derive(Clone, Copy, Debug)]
 struct Insn {
@@ -193,13 +243,17 @@ enum Step {
         /// Loop body: only the fixpoint-variant instructions; invariant
         /// subexpressions were hoisted into the enclosing program.
         body: Vec<Insn>,
+        /// The slots outside the group that the body or a result reads:
+        /// the group's value is a function of these alone.
+        inputs: Vec<usize>,
     },
 }
 
 /// One compiled constraint statement.
 #[derive(Clone, Debug)]
 struct CompiledCheck {
-    name: String,
+    /// Shared with every verdict's [`CheckOutcome::name`].
+    name: Arc<str>,
     kind: CheckKind,
     slot: usize,
 }
@@ -207,11 +261,17 @@ struct CompiledCheck {
 /// A cat model lowered to a slot-indexed program; see the module docs.
 #[derive(Clone, Debug)]
 pub struct CompiledModel {
+    /// Per-compile identity, shared by clones (which hold the same
+    /// program): what a [`CatWorkspace`] keys its kept values on.
+    id: u64,
     name: Option<String>,
     prog: Vec<Step>,
     checks: Vec<CompiledCheck>,
     n_slots: usize,
 }
+
+/// The source of [`CompiledModel`] ids.
+static NEXT_MODEL_ID: AtomicU64 = AtomicU64::new(0);
 
 impl CompiledModel {
     /// The model's declared name, if any.
@@ -239,49 +299,37 @@ impl CompiledModel {
     /// Checks one candidate execution against the compiled model.
     ///
     /// Infallible: every name was resolved at compile time. Convenience
-    /// wrapper creating a throwaway [`CatWorkspace`]; when checking a
-    /// stream of candidates, hold one workspace and call
-    /// [`CompiledModel::check_in`] so the arena amortises to zero heap
-    /// allocations per candidate.
+    /// wrapper creating a throwaway [`CatWorkspace`], which starts fresh
+    /// and so runs every instruction; when checking a stream of
+    /// candidates, hold one workspace and call [`CompiledModel::check_in`].
     pub fn check(&self, exec: &Execution) -> CatVerdict {
         self.check_in(exec, &mut CatWorkspace::new())
     }
 
     /// Checks one candidate against the compiled model using a reusable
-    /// [`CatWorkspace`].
+    /// [`CatWorkspace`], re-running only what changed since the
+    /// workspace's previous candidate (see the [module docs](self)).
+    ///
+    /// The workspace keeps the previous call's slot values, check
+    /// outcomes and arena copies of the `rf`/`co`-derived builtins. It
+    /// reuses them only while three things stay the same: the model (by
+    /// its per-compile id, which clones share), the universe, and the
+    /// execution's [`ExecCore`] (the same [`Arc`], which the workspace
+    /// holds, so no other core can take its address). Any change restarts
+    /// from unset slots. Either way the verdict is exactly the one a fresh
+    /// workspace gives.
     ///
     /// Slot values are either *borrowed builtins* (references into the
     /// execution and its shared core — never copied) or computed
-    /// relations bump-allocated in the workspace arena; the arena's pool
-    /// is kept across calls, so steady-state evaluation performs no heap
-    /// allocation beyond the returned verdict's check names.
+    /// relations in the workspace arena, whose pool is kept across calls:
+    /// once warm, a call allocates only the returned verdict's `Vec`.
     pub fn check_in(&self, exec: &Execution, ws: &mut CatWorkspace) -> CatVerdict {
-        ws.begin(exec.len(), self.n_slots);
+        ws.begin(self, exec);
         for step in &self.prog {
             match step {
-                Step::Op(insn) => ws.run_insn(*insn, exec),
-                Step::Fixpoint { rec, results, body } => {
-                    for &r in rec {
-                        ws.slots[r] = Slot::Empty;
-                    }
-                    loop {
-                        ws.stats.fixpoint_iters += 1;
-                        for insn in body {
-                            ws.run_insn(*insn, exec);
-                        }
-                        let stable = rec
-                            .iter()
-                            .zip(results)
-                            .all(|(&r, &s)| r == s || ws.slots_equal(r, s, exec));
-                        for (&r, &s) in rec.iter().zip(results) {
-                            if r != s {
-                                ws.assign(r, s);
-                            }
-                        }
-                        if stable {
-                            break;
-                        }
-                    }
+                Step::Op(insn) => ws.update(*insn, exec),
+                Step::Fixpoint { rec, results, body, inputs } => {
+                    ws.fixpoint(rec, results, body, inputs, exec)
                 }
             }
         }
@@ -295,21 +343,21 @@ impl CompiledModel {
                 }
             }
         }
+        // A check is re-decided only when its relation changed.
         let checks = self
             .checks
             .iter()
-            .map(|c| {
-                let ok = match c.kind {
-                    CheckKind::Acyclic => {
-                        let src = resolve(&ws.slots, c.slot, exec);
-                        ws.arena.is_acyclic(src)
-                    }
-                    CheckKind::Irreflexive => {
-                        ws.arena.is_irreflexive(resolve(&ws.slots, c.slot, exec))
-                    }
-                    CheckKind::Empty => ws.arena.is_empty(resolve(&ws.slots, c.slot, exec)),
-                };
-                CheckOutcome { name: c.name.clone(), kind: c.kind, ok }
+            .zip(&mut ws.ok)
+            .map(|(c, ok)| {
+                if ws.changed[c.slot] {
+                    let src = resolve(&ws.slots, c.slot, exec);
+                    *ok = match c.kind {
+                        CheckKind::Acyclic => ws.arena.is_acyclic(src),
+                        CheckKind::Irreflexive => ws.arena.is_irreflexive(src),
+                        CheckKind::Empty => ws.arena.is_empty(src),
+                    };
+                }
+                CheckOutcome { name: Arc::clone(&c.name), kind: c.kind, ok: *ok }
             })
             .collect();
         CatVerdict { checks }
@@ -321,11 +369,15 @@ impl CompiledModel {
 /// workspace arena.
 #[derive(Clone, Copy, Debug)]
 enum Slot {
-    /// Not yet computed (program order guarantees no reads).
+    /// Not computed for the workspace's current model and core.
     Unset,
-    /// A builtin of the execution, held by name — resolved to a borrow at
-    /// each use, never copied.
+    /// A builtin of the shared core, held by name — resolved to a borrow
+    /// at each use, never copied.
     Builtin(BuiltinRel),
+    /// A builtin derived from `rf`/`co`, borrowed like [`Slot::Builtin`];
+    /// the arena slot keeps a copy of its value to compare the next
+    /// candidate's with.
+    Witness(BuiltinRel, RelId),
     /// The empty relation (resolved to the core's cached instance).
     Empty,
     /// A computed relation in the workspace arena.
@@ -335,22 +387,44 @@ enum Slot {
 /// Runtime statistics of one [`CompiledModel::check_in`] call.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EvalStats {
-    /// `Op::Builtin` instructions executed (slots bound by reference).
+    /// `Op::Builtin` instructions executed: slots bound by reference, or
+    /// an `rf`/`co`-derived builtin found changed.
     pub builtin_loads: u64,
     /// Builtin relations that were deep-copied into owned storage to
     /// satisfy a builtin load — **always 0** with the arena evaluator;
     /// the regression test in this crate asserts it stays that way.
     pub builtin_copies: u64,
-    /// Total `let rec` fixpoint iterations run.
+    /// `let rec` fixpoint iterations actually run. A group whose inputs
+    /// equal the previous candidate's is skipped and runs none, so over a
+    /// candidate stream this no longer scales with the candidate count.
     pub fixpoint_iters: u64,
+    /// Instructions executed, fixpoint bodies included (once per
+    /// iteration): 0 when the candidate equals the previous one.
+    pub insns_run: u64,
 }
 
-/// Reusable evaluation state for [`CompiledModel::check_in`]: the slot
-/// table and the relation arena, both of which keep their storage across
-/// candidates.
+/// Reusable evaluation state for [`CompiledModel::check_in`].
+///
+/// Between calls the workspace keeps the previous candidate's slot
+/// values, its check outcomes and arena copies of the `rf`/`co`-derived
+/// builtins, together with what they were computed for: the model's id,
+/// the universe and the [`ExecCore`]. A call that matches all three
+/// re-runs only what changed; any other starts fresh (see the
+/// [module docs](self)). The arena and every table keep their storage,
+/// so a warm workspace stops allocating.
 pub struct CatWorkspace {
     arena: RelArena,
     slots: Vec<Slot>,
+    /// Per slot: did its value change in the current call?
+    changed: Vec<bool>,
+    /// Per check: its outcome, kept until its relation changes.
+    ok: Vec<bool>,
+    /// Arena slots no value holds, reused before the arena grows.
+    spare: Vec<RelId>,
+    /// A re-running `let rec` group's previous values.
+    stash: Vec<Slot>,
+    /// The model id and the core the kept values belong to.
+    owner: Option<(u64, Arc<ExecCore>)>,
     stats: EvalStats,
 }
 
@@ -364,7 +438,16 @@ impl CatWorkspace {
     /// A fresh workspace (the arena grows to the model × execution
     /// high-water mark on first use and is then flat).
     pub fn new() -> Self {
-        CatWorkspace { arena: RelArena::new(0), slots: Vec::new(), stats: EvalStats::default() }
+        CatWorkspace {
+            arena: RelArena::new(0),
+            slots: Vec::new(),
+            changed: Vec::new(),
+            ok: Vec::new(),
+            spare: Vec::new(),
+            stash: Vec::new(),
+            owner: None,
+            stats: EvalStats::default(),
+        }
     }
 
     /// Statistics of the most recent [`CompiledModel::check_in`] call.
@@ -372,33 +455,156 @@ impl CatWorkspace {
         self.stats
     }
 
-    fn begin(&mut self, universe: usize, n_slots: usize) {
-        self.arena.reset(universe);
-        self.slots.clear();
-        self.slots.resize(n_slots, Slot::Unset);
+    /// Starts a call: the kept values stay when the model, the universe
+    /// and the core are the ones they were computed for; otherwise every
+    /// slot is unset, so every instruction runs.
+    fn begin(&mut self, model: &CompiledModel, x: &Execution) {
+        let same_owner = self
+            .owner
+            .as_ref()
+            .is_some_and(|(id, core)| *id == model.id && Arc::ptr_eq(core, x.core()));
+        if !same_owner || self.arena.universe() != x.len() {
+            self.arena.reset(x.len());
+            self.spare.clear();
+            self.slots.clear();
+            self.slots.resize(model.n_slots, Slot::Unset);
+            self.ok.clear();
+            self.ok.resize(model.checks.len(), false);
+            self.owner = Some((model.id, Arc::clone(x.core())));
+        }
+        self.changed.clear();
+        self.changed.resize(model.n_slots, false);
         self.stats = EvalStats::default();
     }
 
-    /// The arena slot backing `i`, allocated on first write.
-    fn owned(&mut self, i: usize) -> RelId {
-        if let Slot::Owned(id) = self.slots[i] {
-            return id;
-        }
-        let id = self.arena.alloc();
-        self.slots[i] = Slot::Owned(id);
-        id
+    /// An arena slot no value holds (contents unspecified).
+    fn take(&mut self) -> RelId {
+        self.spare.pop().unwrap_or_else(|| self.arena.alloc())
     }
 
-    /// `slots[r] = value of slots[s]` (fixpoint result propagation):
-    /// borrowed values propagate as borrows, owned ones copy rows in the
-    /// arena — never a heap allocation after warm-up.
-    fn assign(&mut self, r: usize, s: usize) {
-        match self.slots[s] {
-            Slot::Owned(sid) => {
-                let rid = self.owned(r);
-                self.arena.copy_into(rid, sid);
+    /// Brings `insn`'s slot up to date for the current candidate, marking
+    /// it changed when its value moved.
+    fn update(&mut self, insn: Insn, x: &Execution) {
+        let Insn { dst, op } = insn;
+        if let Op::Builtin(b) = op {
+            if b.reads_witness() {
+                return self.load_witness(dst, b, x);
             }
-            other => self.slots[r] = other,
+        }
+        // Everything else is a function of its operands and of the core,
+        // which stays the same while the slot is set.
+        if !matches!(self.slots[dst], Slot::Unset) && !op.operands().any(|s| self.changed[s]) {
+            return;
+        }
+        self.stats.insns_run += 1;
+        self.changed[dst] = match op {
+            Op::Builtin(b) => {
+                self.stats.builtin_loads += 1;
+                self.slots[dst] = Slot::Builtin(b);
+                true
+            }
+            Op::Empty => {
+                self.slots[dst] = Slot::Empty;
+                true
+            }
+            _ => {
+                let new = self.take();
+                self.compute(new, op, x);
+                self.replace(dst, new)
+            }
+        };
+    }
+
+    /// Compares an `rf`/`co`-derived builtin with the copy of its previous
+    /// value; only a changed one counts as run, and refreshes the copy.
+    fn load_witness(&mut self, dst: usize, b: BuiltinRel, x: &Execution) {
+        let now = b.fetch_ref(x);
+        let copy = match self.slots[dst] {
+            Slot::Witness(_, copy) if self.arena.eq(copy, now) => return,
+            Slot::Witness(_, copy) => copy,
+            _ => self.take(),
+        };
+        self.arena.copy_into(copy, now);
+        self.slots[dst] = Slot::Witness(b, copy);
+        self.stats.builtin_loads += 1;
+        self.stats.insns_run += 1;
+        self.changed[dst] = true;
+    }
+
+    /// Moves the freshly computed `new` into slot `dst` unless it equals
+    /// the old value, and keeps whichever arena slot is left over as a
+    /// spare. Returns whether the value changed.
+    fn replace(&mut self, dst: usize, new: RelId) -> bool {
+        if let Slot::Owned(old) = self.slots[dst] {
+            if self.arena.eq(old, new) {
+                self.spare.push(new);
+                return false;
+            }
+            self.spare.push(old);
+        }
+        self.slots[dst] = Slot::Owned(new);
+        true
+    }
+
+    /// Brings a `let rec` group up to date. While its inputs are unchanged
+    /// it keeps its values; otherwise it re-runs from ∅ to its least
+    /// fixpoint (never seeded with the previous result), and each of its
+    /// slots is compared with the value it replaces.
+    fn fixpoint(
+        &mut self,
+        rec: &[usize],
+        results: &[usize],
+        body: &[Insn],
+        inputs: &[usize],
+        x: &Execution,
+    ) {
+        let fresh = rec.iter().any(|&r| matches!(self.slots[r], Slot::Unset));
+        if !fresh && !inputs.iter().any(|&s| self.changed[s]) {
+            return;
+        }
+        let group = || rec.iter().copied().chain(body.iter().map(|i| i.dst));
+        self.stash.clear();
+        for s in group() {
+            self.stash.push(std::mem::replace(&mut self.slots[s], Slot::Unset));
+        }
+        for &r in rec {
+            let id = self.take();
+            self.arena.clear(id);
+            self.slots[r] = Slot::Owned(id);
+        }
+        loop {
+            self.stats.fixpoint_iters += 1;
+            self.stats.insns_run += body.len() as u64;
+            for insn in body {
+                let id = match self.slots[insn.dst] {
+                    Slot::Owned(id) => id,
+                    _ => {
+                        let id = self.take();
+                        self.slots[insn.dst] = Slot::Owned(id);
+                        id
+                    }
+                };
+                self.compute(id, insn.op, x);
+            }
+            let stable =
+                rec.iter().zip(results).all(|(&r, &s)| r == s || self.slots_equal(r, s, x));
+            for (&r, &s) in rec.iter().zip(results).filter(|(r, s)| r != s) {
+                let Slot::Owned(id) = self.slots[r] else { unreachable!("rec slots are owned") };
+                self.arena.copy_into(id, resolve(&self.slots, s, x));
+            }
+            if stable {
+                break;
+            }
+        }
+        for (k, s) in group().enumerate() {
+            self.changed[s] = match self.stash[k] {
+                Slot::Owned(old) => {
+                    let same = self.arena.eq(old, resolve(&self.slots, s, x));
+                    self.spare.push(old);
+                    !same
+                }
+                _ => true,
+            };
         }
     }
 
@@ -407,74 +613,36 @@ impl CatWorkspace {
         self.arena.eq(resolve(&self.slots, a, x), resolve(&self.slots, b, x))
     }
 
-    fn run_insn(&mut self, insn: Insn, x: &Execution) {
-        let Insn { dst, op } = insn;
+    /// Writes `op`'s value into arena slot `id`, which no slot holds.
+    fn compute(&mut self, id: RelId, op: Op, x: &Execution) {
+        let (arena, slots, core) = (&mut self.arena, &self.slots, x.core());
+        let src = |i: usize| resolve(slots, i, x);
         match op {
-            Op::Builtin(b) => {
-                self.stats.builtin_loads += 1;
-                self.slots[dst] = Slot::Builtin(b);
+            Op::DirId(d) => core.dir_restrict_arena(arena, id, core.id_rel(), d, d),
+            Op::Union(a, b) => {
+                arena.copy_into(id, src(a));
+                arena.union_into(id, src(b));
             }
-            Op::Empty => self.slots[dst] = Slot::Empty,
-            Op::DirId(d) => {
-                let id = self.owned(dst);
-                x.core().dir_restrict_arena(&mut self.arena, id, x.core().id_rel(), d, d);
+            Op::Inter(a, b) => {
+                arena.copy_into(id, src(a));
+                arena.intersect_into(id, src(b));
             }
-            Op::Union(a, b) => self.binop(dst, a, b, x, BinKind::Union),
-            Op::Inter(a, b) => self.binop(dst, a, b, x, BinKind::Inter),
-            Op::Diff(a, b) => self.binop(dst, a, b, x, BinKind::Diff),
-            Op::Seq(a, b) => {
-                let id = self.owned(dst);
-                let (sa, sb) = (resolve(&self.slots, a, x), resolve(&self.slots, b, x));
-                self.arena.seq_into(id, sa, sb);
+            Op::Diff(a, b) => {
+                arena.copy_into(id, src(a));
+                arena.minus_into(id, src(b));
             }
-            Op::TClosure(a) => {
-                let id = self.owned(dst);
-                let sa = resolve(&self.slots, a, x);
-                self.arena.tclosure_into(id, sa);
-            }
-            Op::RtClosure(a) => {
-                let id = self.owned(dst);
-                let sa = resolve(&self.slots, a, x);
-                self.arena.rtclosure_into(id, sa);
-            }
+            Op::Seq(a, b) => arena.seq_into(id, src(a), src(b)),
+            Op::TClosure(a) => arena.tclosure_into(id, src(a)),
+            Op::RtClosure(a) => arena.rtclosure_into(id, src(a)),
             Op::Opt(a) => {
-                let id = self.owned(dst);
-                let sa = resolve(&self.slots, a, x);
-                self.arena.copy_into(id, sa);
-                self.arena.union_id(id);
+                arena.copy_into(id, src(a));
+                arena.union_id(id);
             }
-            Op::Inverse(a) => {
-                let id = self.owned(dst);
-                let sa = resolve(&self.slots, a, x);
-                self.arena.transpose_into(id, sa);
-            }
-            Op::DirRestrict(a, src, tgt) => {
-                let id = self.owned(dst);
-                let sa = resolve(&self.slots, a, x);
-                x.core().dir_restrict_arena(&mut self.arena, id, sa, src, tgt);
-            }
+            Op::Inverse(a) => arena.transpose_into(id, src(a)),
+            Op::DirRestrict(a, s, t) => core.dir_restrict_arena(arena, id, src(a), s, t),
+            Op::Builtin(_) | Op::Empty => unreachable!("borrowed values are bound, not computed"),
         }
     }
-
-    /// `dst = a ⟨op⟩ b` for the copy-then-combine operators.
-    fn binop(&mut self, dst: usize, a: usize, b: usize, x: &Execution, kind: BinKind) {
-        let id = self.owned(dst);
-        let (sa, sb) = (resolve(&self.slots, a, x), resolve(&self.slots, b, x));
-        self.arena.copy_into(id, sa);
-        match kind {
-            BinKind::Union => self.arena.union_into(id, sb),
-            BinKind::Inter => self.arena.intersect_into(id, sb),
-            BinKind::Diff => self.arena.minus_into(id, sb),
-        }
-    }
-}
-
-/// The three copy-then-combine binary operators of [`CatWorkspace::binop`].
-#[derive(Clone, Copy)]
-enum BinKind {
-    Union,
-    Inter,
-    Diff,
 }
 
 /// Resolves a slot to an arena operand: owned slots by id, builtins and
@@ -482,7 +650,7 @@ enum BinKind {
 fn resolve<'x>(slots: &[Slot], i: usize, x: &'x Execution) -> RelSrc<'x> {
     match slots[i] {
         Slot::Owned(id) => RelSrc::Slot(id),
-        Slot::Builtin(b) => RelSrc::Ext(b.fetch_ref(x)),
+        Slot::Builtin(b) | Slot::Witness(b, _) => RelSrc::Ext(b.fetch_ref(x)),
         Slot::Empty => RelSrc::Ext(x.core().empty_rel()),
         Slot::Unset => unreachable!("slot {i} read before being computed"),
     }
@@ -507,12 +675,16 @@ pub fn compile(model: &Model) -> Result<CompiledModel, EvalError> {
             Stmt::Let { bindings, recursive: true } => c.lower_rec(bindings)?,
             Stmt::Check { kind, expr, name } => {
                 let slot = c.lower(expr)?;
-                let name = name.clone().unwrap_or_else(|| format!("{kind} {expr}"));
+                let name = match name {
+                    Some(n) => n.as_str().into(),
+                    None => format!("{kind} {expr}").into(),
+                };
                 c.checks.push(CompiledCheck { name, kind: *kind, slot });
             }
         }
     }
     Ok(CompiledModel {
+        id: NEXT_MODEL_ID.fetch_add(1, Ordering::Relaxed),
         name: model.name.clone(),
         prog: c.prog,
         checks: c.checks,
@@ -549,7 +721,7 @@ impl Compiler {
         if let Some(folded) = self.fold(op) {
             return folded;
         }
-        let variant = self.op_is_variant(op);
+        let variant = op.operands().any(|s| self.variant[s]);
         // CSE: reuse only when the cached slot is certain to hold the same
         // value here — invariant ops always do; variant ops only while the
         // same fixpoint body is being built (they are recomputed each
@@ -572,19 +744,6 @@ impl Compiler {
             self.empty_slot = Some(dst);
         }
         dst
-    }
-
-    fn op_is_variant(&self, op: Op) -> bool {
-        let v = |s: usize| self.variant[s];
-        match op {
-            Op::Builtin(_) | Op::Empty | Op::DirId(_) => false,
-            Op::Union(a, b) | Op::Inter(a, b) | Op::Diff(a, b) | Op::Seq(a, b) => v(a) || v(b),
-            Op::TClosure(a)
-            | Op::RtClosure(a)
-            | Op::Opt(a)
-            | Op::Inverse(a)
-            | Op::DirRestrict(a, _, _) => v(a),
-        }
     }
 
     /// Algebraic folds; returns the slot that already holds the result.
@@ -716,7 +875,16 @@ impl Compiler {
         for insn in &body {
             self.variant[insn.dst] = false;
         }
-        self.prog.push(Step::Fixpoint { rec, results, body });
+        let inside = |s: &usize| rec.contains(s) || body.iter().any(|i| i.dst == *s);
+        let mut inputs: Vec<usize> = body
+            .iter()
+            .flat_map(|i| i.op.operands())
+            .chain(results.iter().copied())
+            .filter(|s| !inside(s))
+            .collect();
+        inputs.sort_unstable();
+        inputs.dedup();
+        self.prog.push(Step::Fixpoint { rec, results, body, inputs });
         Ok(())
     }
 }
@@ -795,6 +963,114 @@ mod tests {
             compiled.check_in(&x, &mut ws);
         }
         assert_eq!(ws.arena.high_water_words(), hw, "workspace pool grew in steady state");
+    }
+
+    fn power() -> CompiledModel {
+        compile(&parse(crate::stock::POWER).unwrap()).unwrap()
+    }
+
+    /// `T0: W x=1; R x` against `T1: W x=2`: the read takes its value
+    /// from the initial write, from `T0` (an `rfi` edge) or from `T1`,
+    /// and each rf choice has both coherence orders of `x`. All
+    /// candidates share one core, in odometer order (co innermost).
+    fn detour_stream() -> Vec<Execution> {
+        let mut b = herd_core::enumerate::SkeletonBuilder::new();
+        b.write(0, "x", 1);
+        b.read(0, "x");
+        b.write(1, "x", 2);
+        b.build().candidates()
+    }
+
+    #[test]
+    fn rechecking_the_same_candidate_runs_nothing() {
+        for (name, src) in crate::stock::ALL {
+            let compiled = compile(&parse(src).unwrap()).unwrap();
+            let mut ws = CatWorkspace::new();
+            for x in [
+                fixtures::mp(Device::Addr, Device::None),
+                fixtures::iriw(Device::Addr, Device::Addr),
+            ] {
+                let first = compiled.check_in(&x, &mut ws);
+                assert!(ws.last_stats().insns_run > 0, "{name}: a new core starts fresh");
+                let again = compiled.check_in(&x, &mut ws);
+                assert_eq!(first, again, "{name}");
+                let stats = ws.last_stats();
+                assert_eq!((stats.insns_run, stats.fixpoint_iters), (0, 0), "{name}: {stats:?}");
+            }
+        }
+    }
+
+    /// Under Power, a coherence variant that leaves `rdw`, `detour` and
+    /// `rfi` as they were leaves every input of the `let rec` group as it
+    /// was, so the group is skipped; one that moves `detour` re-runs it.
+    #[test]
+    fn a_co_variant_with_unchanged_group_inputs_skips_the_fixpoint() {
+        let (compiled, stream) = (power(), detour_stream());
+        let mut ws = CatWorkspace::new();
+        let (mut skipped, mut rerun) = (0, 0);
+        let mut prev: Option<&Execution> = None;
+        for x in &stream {
+            let v = compiled.check_in(x, &mut ws);
+            assert_eq!(v, compiled.check(x), "incremental equals fresh");
+            let iters = ws.last_stats().fixpoint_iters;
+            let Some(p) = prev.filter(|p| p.rf() == x.rf()) else {
+                prev = Some(x);
+                continue;
+            };
+            if p.rdw() == x.rdw() && p.detour() == x.detour() && p.rfi() == x.rfi() {
+                assert_eq!(iters, 0, "a co variant with the same group inputs re-ran the group");
+                skipped += 1;
+            } else {
+                assert!(iters > 0, "a changed detour must re-run the group");
+                rerun += 1;
+            }
+            prev = Some(x);
+        }
+        assert!(skipped > 0 && rerun > 0, "both cases occur: {skipped} skipped, {rerun} re-run");
+    }
+
+    /// A `let rec` group re-runs from ∅, never from its previous result:
+    /// `t = po-loc | com | (t;t)` has fixpoints above its least one (a
+    /// self-loop sustains itself through `t;t`), so after a candidate
+    /// with a SC PER LOCATION cycle, a seeded re-run would keep the cycle.
+    #[test]
+    fn fixpoint_reruns_restart_from_empty() {
+        let model = parse("let rec t = po-loc | com | (t;t)\nirreflexive t as uniproc\n").unwrap();
+        let (compiled, stream) = (compile(&model).unwrap(), detour_stream());
+        let mut ws = CatWorkspace::new();
+        let mut seen = [false; 2];
+        for x in stream.iter().chain(stream.iter().rev()) {
+            let v = compiled.check_in(x, &mut ws);
+            assert_eq!(v, eval_tree(&model, x).unwrap());
+            seen[usize::from(v.allowed())] = true;
+        }
+        assert_eq!(seen, [true, true], "the stream mixes cyclic and acyclic candidates");
+    }
+
+    /// A long same-model stream whose every candidate re-runs the `let
+    /// rec` group keeps the arena at its warm-up high-water mark: the
+    /// group's previous values are recycled, never leaked.
+    #[test]
+    fn rerunning_the_fixpoint_keeps_the_arena_flat() {
+        let (compiled, stream) = (power(), detour_stream());
+        // The two co orders under the read from T1: they differ in detour.
+        let from_t1 = |x: &Execution| {
+            x.rf().iter_pairs().any(|(w, _)| x.event(w).thread.is_some_and(|t| t.0 == 1))
+        };
+        let pair: Vec<&Execution> = stream.iter().filter(|x| from_t1(x)).collect();
+        assert_eq!(pair.len(), 2);
+        assert_ne!(pair[0].detour(), pair[1].detour());
+        let mut ws = CatWorkspace::new();
+        for x in pair.iter().cycle().take(4) {
+            compiled.check_in(x, &mut ws);
+        }
+        let hw = ws.arena.high_water_words();
+        for x in pair.iter().cycle().take(1000) {
+            let v = compiled.check_in(x, &mut ws);
+            assert!(ws.last_stats().fixpoint_iters > 0, "every candidate re-runs the group");
+            assert_eq!(v, compiled.check(x));
+        }
+        assert_eq!(ws.arena.high_water_words(), hw, "re-running the group grew the arena");
     }
 
     #[test]

@@ -16,6 +16,7 @@ use herd_core::exec::Execution;
 use herd_core::relation::Relation;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// An evaluation failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -40,8 +41,9 @@ impl std::error::Error for EvalError {}
 /// The outcome of one constraint statement.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CheckOutcome {
-    /// The check's reporting name (`as` name, or `kind expr` rendering).
-    pub name: String,
+    /// The check's reporting name (`as` name, or `kind expr` rendering),
+    /// shared with the compiled check: a verdict copies no string.
+    pub name: Arc<str>,
     /// The constraint kind.
     pub kind: CheckKind,
     /// Did the candidate satisfy the constraint?
@@ -63,7 +65,7 @@ impl CatVerdict {
 
     /// Names of failed checks.
     pub fn failed(&self) -> Vec<&str> {
-        self.checks.iter().filter(|c| !c.ok).map(|c| c.name.as_str()).collect()
+        self.checks.iter().filter(|c| !c.ok).map(|c| &*c.name).collect()
     }
 }
 
@@ -75,8 +77,9 @@ impl CatVerdict {
 /// [`crate::compile::compile`] (or [`crate::CatModel::compile`]) and call
 /// [`crate::compile::CompiledModel::check_in`] per candidate with one
 /// reusable [`crate::compile::CatWorkspace`] — slots bind the execution's
-/// builtin relations by reference (never cloned) and computed relations
-/// live in a bump arena that stops allocating after the first candidate.
+/// builtin relations by reference (never cloned), computed relations live
+/// in a pooled arena, and each check re-runs only what changed since the
+/// previous candidate.
 ///
 /// # Errors
 ///
@@ -139,7 +142,7 @@ pub fn eval_tree(model: &Model, exec: &Execution) -> Result<CatVerdict, EvalErro
                     CheckKind::Irreflexive => r.is_irreflexive(),
                     CheckKind::Empty => r.is_empty(),
                 };
-                let name = name.clone().unwrap_or_else(|| format!("{kind} {expr}"));
+                let name = name.clone().unwrap_or_else(|| format!("{kind} {expr}")).into();
                 checks.push(CheckOutcome { name, kind: *kind, ok });
             }
         }

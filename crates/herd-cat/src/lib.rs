@@ -95,7 +95,8 @@ impl CatModel {
     /// Checks one candidate execution against the model.
     ///
     /// Compiles on every call; for candidate streams, [`CatModel::compile`]
-    /// once and use [`CompiledModel::check`] per candidate.
+    /// once and call [`CompiledModel::check_in`] per candidate with one
+    /// [`CatWorkspace`].
     ///
     /// # Errors
     ///

@@ -82,6 +82,12 @@
 //! | rf digit | one rf configuration | `rf`, `rf⁻¹`, `rfe`, `rfi` refreshed once, shared by every coherence choice below | [`crate::exec::ExecRels::derive_rf`] |
 //! | co digit | one coherence choice | `co`, `fr` (`rf⁻¹; co` reuses the scope above), `com`, `rdw`, `detour` | [`crate::exec::ExecRels::derive_co`] |
 //! | candidate check | one verdict | `ppo`/`fences`/`prop`, `hb`, closures, axiom compositions — released by one [`crate::arena::Mark`] | [`crate::model::ArenaChecker::check`] |
+//! | cat workspace | a compiled cat model's candidate stream, until the model id, universe or core changes | the model's slot values, reused at four levels: core builtins while the core is the same; `rf`/`co`-derived builtins while bitwise equal to a kept copy; an instruction's result while its operands are unchanged (a re-run result equal to the old one stops the change); a `let rec` group while its inputs are unchanged (else re-run from ∅) — and each check's outcome while its relation is unchanged | `herd_cat::CatWorkspace` |
+//!
+//! The last row applies the same observation to compiled cat models over
+//! owned candidates: with no odometer to follow, the workspace compares
+//! what changed instead of scoping it, and keeps every reused level in
+//! recycled arena slots (a warm check allocates only its verdict).
 //!
 //! The steady state allocates nothing per candidate (the `herd-bench`
 //! `alloc-count` smoke test asserts the zero), which is what lets

@@ -58,12 +58,13 @@ pub enum RegFinal {
 pub struct Candidate {
     /// The execution, ready for the axioms.
     pub exec: Execution,
-    /// Final register values, per `(thread, register)`.
-    pub final_regs: BTreeMap<(u16, Reg), RegFinal>,
+    /// Final register values, per `(thread, register)`: one map per value
+    /// concretisation, shared by all of its coherence choices.
+    pub final_regs: Arc<BTreeMap<(u16, Reg), RegFinal>>,
     /// Final memory values, by location name (the `co`-maximal writes).
     pub final_mem: BTreeMap<String, i64>,
-    /// Location names in `Loc` order (for rendering).
-    pub loc_names: Vec<String>,
+    /// Location names in `Loc` order (for rendering), one list per test.
+    pub loc_names: Arc<[String]>,
 }
 
 impl Candidate {
@@ -518,8 +519,9 @@ fn stream_impl(
 ) -> Result<EnumStats, CandidateError> {
     let ts = TestSpace::new(test, opts)?;
     let mut stats = EnumStats::default();
+    let loc_names: Arc<[String]> = ts.layout.locs().into();
     let failed = for_each_combo(&ts.paths, |combo| {
-        match assemble(&ts, combo, opts, prune, thin_air, &mut stats, sink) {
+        match assemble(&ts, &loc_names, combo, opts, prune, thin_air, &mut stats, sink) {
             Ok(()) => ControlFlow::Continue(()),
             Err(e) => ControlFlow::Break(e),
         }
@@ -888,8 +890,10 @@ impl Concretise for ComboValues<'_> {
 /// The owned reference odometer: assembles all candidates of one
 /// combination of thread paths, pushing them into the sink as the
 /// data-flow odometer advances.
+#[allow(clippy::too_many_arguments)] // private odometer of stream_impl
 fn assemble(
     ts: &TestSpace<'_>,
+    loc_names: &Arc<[String]>,
     combo: &[&ThreadPath],
     opts: &EnumOptions,
     prune: Prune,
@@ -925,6 +929,8 @@ fn assemble(
     let mut rf_src = vec![0usize; n];
     let mut rf_pick = vec![0usize; space.reads.len()];
     let rf_radices: Vec<usize> = space.rf_choices.iter().map(Vec::len).collect();
+    // Per location, its co-maximal write: the final memory.
+    let mut co_max: Vec<usize> = (0..ts.layout.locs().len()).collect();
     loop {
         let mut rf = Relation::empty(n);
         for (k, &r) in space.reads.iter().enumerate() {
@@ -980,8 +986,8 @@ fn assemble(
                 menus.as_ref().map(|m| m.iter().map(Vec::len).collect()).unwrap_or_default();
             for (k, evs) in values.concs.iter().enumerate() {
                 // The owned candidates' register file: one map per
-                // concretisation.
-                let final_regs = reg_map(&ts.layout, values.regs(k));
+                // concretisation, shared by its coherence choices.
+                let final_regs = Arc::new(reg_map(&ts.layout, values.regs(k)));
                 // Coherence odometer: in-place Heap's generators without
                 // pruning, the filtered menus with it.
                 let mut heaps: Vec<HeapPerm> = match &menus {
@@ -997,19 +1003,26 @@ fn assemble(
                             Some(menus) => &menus[li][menu_pick[li]],
                         };
                         build_co(&mut co, init, order);
+                        // Location `l`'s initial write is event `l`; a
+                        // written location ends with its co-last write.
+                        if let Some(&last) = order.last() {
+                            co_max[space.locs[li].0 as usize] = last;
+                        }
                     }
+                    let final_mem = ts
+                        .layout
+                        .locs()
+                        .iter()
+                        .zip(&co_max)
+                        .map(|(name, &w)| (name.clone(), evs[w].val.0))
+                        .collect();
                     let exec = Execution::with_core(evs.clone(), Arc::clone(&core), rf.clone(), co)
                         .expect("assembled candidates are well-formed");
-                    let final_mem = exec
-                        .final_memory()
-                        .into_iter()
-                        .map(|(l, v)| (ts.layout.loc_name(l).to_owned(), v.0))
-                        .collect();
                     sink(Candidate {
                         exec,
-                        final_regs: final_regs.clone(),
+                        final_regs: Arc::clone(&final_regs),
                         final_mem,
-                        loc_names: ts.layout.locs().to_vec(),
+                        loc_names: Arc::clone(loc_names),
                     });
                     stats.emitted += 1;
                     if stats.emitted > opts.max_candidates {
@@ -1087,6 +1100,28 @@ mod tests {
             seen.insert(format!("{regs:?}"));
         }
         assert_eq!(seen.len(), 4);
+    }
+
+    /// A candidate's final memory is its execution's: the value of each
+    /// location's `co`-maximal write. Per-test and per-concretisation
+    /// state is shared, not copied.
+    #[test]
+    fn final_state_is_the_executions_and_shared() {
+        let test = crate::corpus::s(Isa::Power, Dev::Po, Dev::Po);
+        let cands = enumerate(&test, &EnumOptions::default()).unwrap();
+        assert!(cands.len() > 1);
+        for c in &cands {
+            let expected: BTreeMap<String, i64> = c
+                .exec
+                .final_memory()
+                .into_iter()
+                .map(|(l, v)| (c.loc_names[l.0 as usize].clone(), v.0))
+                .collect();
+            assert_eq!(c.final_mem, expected);
+            assert!(Arc::ptr_eq(&c.loc_names, &cands[0].loc_names), "one name list per test");
+        }
+        let shared = cands.windows(2).filter(|w| Arc::ptr_eq(&w[0].final_regs, &w[1].final_regs));
+        assert!(shared.count() > 0, "coherence choices share their register file");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! model file as an input (Fig 38) — with output in herd's `Ok`/`No`
 //! format; the `--dot` diagrams mirror the execution figures (Fig 4).
 
-use herd_cat::CatModel;
+use herd_cat::{CatModel, CatWorkspace};
 use herd_litmus::candidates::{enumerate, EnumOptions};
 use herd_litmus::isa::Isa;
 use herd_litmus::parse::parse;
@@ -95,8 +95,11 @@ fn main() -> ExitCode {
     let mut negative = 0usize;
     let mut projections: BTreeSet<Vec<Slot>> = BTreeSet::new();
     let mut state = vec![Slot::Absent; layout.width()];
+    // One workspace for the whole candidate stream: its arena is pooled,
+    // and each check re-runs only what changed since the previous one.
+    let mut ws = CatWorkspace::new();
     for c in &cands {
-        if !compiled.check(&c.exec).allowed() {
+        if !compiled.check_in(&c.exec, &mut ws).allowed() {
             continue;
         }
         layout.fill_from_maps(&c.final_regs, &c.final_mem, Slot::Absent, &mut state);

@@ -182,3 +182,129 @@ fn editing_the_model_file_changes_the_model() {
     });
     assert!(weakened_allows_more, "removing OBSERVATION must permit the mp witness");
 }
+
+/// Incremental evaluation equals fresh evaluation: one shared
+/// `CatWorkspace` (which re-runs only what changed since its previous
+/// candidate) gives every stock model's verdict on every candidate of the
+/// shipped corpus and of a seeded diy batch exactly as a fresh workspace
+/// (`CompiledModel::check`) and the tree-walker give it — in enumeration
+/// order, in reverse, interleaving two models and two tests of one
+/// universe, and round-robin across universes.
+#[test]
+fn incremental_checking_equals_fresh_checking() {
+    use herd_cat::{CatVerdict, CatWorkspace, CompiledModel};
+    use herd_core::Execution;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    let mut tests: Vec<herd_litmus::LitmusTest> = corpus::power_corpus()
+        .into_iter()
+        .chain(corpus::arm_corpus())
+        .chain(corpus::x86_corpus())
+        .map(|e| e.test)
+        .collect();
+    let mut rng = StdRng::seed_from_u64(19);
+    for (pool, isa) in [
+        (herd_diy::power_pool(), herd_litmus::isa::Isa::Power),
+        (herd_diy::arm_pool(), herd_litmus::isa::Isa::Arm),
+        (herd_diy::x86_pool(), herd_litmus::isa::Isa::X86),
+    ] {
+        let mut batch = herd_diy::generate_tests(&pool, 5, isa, usize::MAX);
+        for _ in 0..12 {
+            tests.push(batch.swap_remove(rng.gen_range(0..batch.len())));
+        }
+    }
+    let opts = EnumOptions::default();
+    // Per test, its candidates in enumeration order.
+    let streams: Vec<(String, Vec<Execution>)> = tests
+        .iter()
+        .map(|t| {
+            let cands = enumerate(t, &opts).expect("enumeration succeeds");
+            (t.name.clone(), cands.into_iter().map(|c| c.exec).collect())
+        })
+        .collect();
+    let models: Vec<(&str, CompiledModel)> = stock::ALL
+        .iter()
+        .map(|(name, src)| (*name, herd_cat::compile(&herd_cat::parse(src).unwrap()).unwrap()))
+        .collect();
+    // The reference: per model, test and candidate, the tree-walker's
+    // verdict, which a fresh workspace must give too.
+    let expected: Vec<Vec<Vec<CatVerdict>>> = stock::ALL
+        .iter()
+        .zip(&models)
+        .map(|((name, src), (_, compiled))| {
+            let model = herd_cat::parse(src).unwrap();
+            streams
+                .iter()
+                .map(|(test, execs)| {
+                    execs
+                        .iter()
+                        .map(|x| {
+                            let tree = herd_cat::eval_tree(&model, x).unwrap();
+                            assert_eq!(compiled.check(x), tree, "{name} × {test}: fresh");
+                            tree
+                        })
+                        .collect()
+                })
+                .collect()
+        })
+        .collect();
+    let candidates: usize = streams.iter().map(|(_, x)| x.len()).sum();
+    assert!(candidates > 1000, "corpus plus diy batch, got {candidates}");
+
+    let check = |ws: &mut CatWorkspace, m: usize, t: usize, i: usize, order: &str| {
+        let (name, compiled) = &models[m];
+        let got = compiled.check_in(&streams[t].1[i], ws);
+        assert_eq!(got, expected[m][t][i], "{name} × {} #{i}, {order}", streams[t].0);
+    };
+    // Every (test, candidate) index, in enumeration order.
+    let order: Vec<(usize, usize)> = streams
+        .iter()
+        .enumerate()
+        .flat_map(|(t, (_, x))| (0..x.len()).map(move |i| (t, i)))
+        .collect();
+    for m in 0..models.len() {
+        let mut ws = CatWorkspace::new();
+        for &(t, i) in &order {
+            check(&mut ws, m, t, i, "enumeration order");
+        }
+        let mut ws = CatWorkspace::new();
+        for &(t, i) in order.iter().rev() {
+            check(&mut ws, m, t, i, "reverse order");
+        }
+    }
+
+    // Two models and two tests of one universe, interleaved candidate by
+    // candidate on one workspace.
+    let mut interleaved = 0;
+    for (t1, (_, a)) in streams.iter().enumerate() {
+        let Some(t2) = (t1 + 1..streams.len())
+            .find(|&t2| streams[t2].1.first().map(Execution::len) == a.first().map(Execution::len))
+        else {
+            continue;
+        };
+        let (m1, m2) = (t1 % models.len(), (t1 + 1) % models.len());
+        let mut ws = CatWorkspace::new();
+        for i in 0..a.len().max(streams[t2].1.len()) {
+            for (m, t) in [(m1, t1), (m2, t1), (m1, t2), (m2, t2)] {
+                if i < streams[t].1.len() {
+                    check(&mut ws, m, t, i, "interleaved");
+                    interleaved += 1;
+                }
+            }
+        }
+    }
+    assert!(interleaved > 100, "same-universe pairs exist: {interleaved} checks");
+
+    // Round-robin over every test: consecutive candidates come from
+    // different tests, most of them of different universes.
+    for (m, _) in models.iter().enumerate() {
+        let mut ws = CatWorkspace::new();
+        let longest = streams.iter().map(|(_, x)| x.len()).max().unwrap_or(0);
+        for i in 0..longest {
+            for t in (0..streams.len()).filter(|&t| i < streams[t].1.len()) {
+                check(&mut ws, m, t, i, "across universes");
+            }
+        }
+    }
+}

@@ -62,7 +62,7 @@ fn probes_for(cands: &[Candidate]) -> Vec<Outcome> {
     let mut seen = BTreeSet::new();
     let mut out = Vec::new();
     for c in cands {
-        let o = Outcome { regs: c.final_regs.clone(), mem: c.final_mem.clone() };
+        let o = Outcome { regs: (*c.final_regs).clone(), mem: c.final_mem.clone() };
         if !seen.insert(format!("{:?}|{:?}", o.regs, o.mem)) {
             continue;
         }
