@@ -211,8 +211,8 @@
 //! T?" — once per logged hardware row, per model revision, per machine.
 //! The query layer makes that workflow cheap by exploiting the two
 //! redundancies the workflow itself creates — rows of one log repeat and
-//! share screened rf classes (*batching*), and whole (test, model,
-//! outcome) questions recur across runs (*memoisation*):
+//! share a test's per-combination setup (*batching*), and whole (test,
+//! model, outcome) questions recur across runs (*memoisation*):
 //!
 //! | term | meaning | where |
 //! |---|---|---|
@@ -222,8 +222,8 @@
 //! | slot | one value of a final state over its layout: an integer, a location's address, `Absent` (a register the path leaves unset) or, in a query row, `Free` (the row does not mention it). Judged candidates, decided outcomes and parsed log rows are all slot vectors; a row is parsed once, straight into one, and rendered only for output | `herd_litmus::state::Slot`, `herd_litmus::decide::QueryRows` |
 //! | condition projection | a test's final proposition compiled against its layout: slot predicates plus the slots its atoms mention, in first-mention order. Simulation keeps each distinct projection once, as slot values, and renders it once (`1:r1=1; x=2;`) into `SimOutcome::states` | `herd_litmus::state::CondSlots` |
 //! | outcome fingerprint | the query fingerprint extended with one state row's canonical bytes (`0:r1=1; x=2`, as `render_state_row` and `StateLayout::row` print it): the full content address of a single verdict. A row already canonical is hashed as it stands, after one allocation-free scan; any other row is parsed and re-rendered first. Keys hash these bytes, not slot values, so they are unchanged by the slot layout: `outcome_fingerprint` has no test to lay a row out over | `herd_litmus::decide::outcome_fingerprint`, `herd_litmus::decide::row_fingerprint` |
-//! | batch judging | `decide_rows` takes rows parsed straight into the test's layout, deduplicates them by slot values, groups them by their screened rf class, and answers each class with one backend walk — co placements launched once per class, not once per row; `decide_log` maps `Outcome`s onto the layout and runs the same walk | `herd_litmus::decide::decide_rows`, `herd_litmus::decide::decide_log`, `herd_hw::judge_entries` |
-//! | batch stats | the accounting of a batch: rows in, distinct classes walked, co saturations launched, rows answered by another row's work (`reused`) | `herd_litmus::decide::BatchStats` |
+//! | batch judging | `decide_rows` takes rows parsed straight into the test's layout and answers literal repeats once; per control-flow combination it builds the parts, the co query setup and the value step once, and each distinct row that survives screening walks its own filtered rf configurations until a co query finds a witness — the one walk `allowed_full_outcomes` takes too; `decide_log` maps `Outcome`s onto the layout and runs the same walk | `herd_litmus::decide::decide_rows`, `herd_litmus::decide::decide_log`, `herd_hw::judge_entries` |
+//! | batch stats | the accounting of a batch: rows in, per-combination row walks (`classes`), co queries launched (`saturations`), literal repeats answered by an earlier row's verdict (`reused`) | `herd_litmus::decide::BatchStats` |
 //! | verdict cache | a sharded, bounded LRU keyed by outcome fingerprint; a warm `mcompare` pass over an unchanged log is pure lookups | the `herd-cache` crate, `herd_hw::judge_log_cached` |
 //!
 //! The same content-addressed store fronts the other expensive

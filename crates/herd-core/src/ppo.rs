@@ -310,8 +310,9 @@ pub fn compute_static_upper(core: &ExecCore, cfg: &PpoConfig) -> Relation {
 
 /// A two-sided, candidate-independent bound on the Fig 25 ppo:
 /// `lower ⊆ ppo(x) ⊆ upper` for every candidate `x` built on the core the
-/// envelope was computed from. Computed once per program (per screened rf
-/// class in `decide_log`) and reused across every coherence query on it.
+/// envelope was computed from. Computed once per control-flow
+/// combination, in `consistency::CoSetup`, and reused across every
+/// coherence query on it.
 ///
 /// The upper bound is materialised lazily: a query settled by the
 /// pessimistic pass alone — every definitively *forbidden* outcome —

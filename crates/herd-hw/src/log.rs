@@ -58,28 +58,31 @@ impl Log {
         s
     }
 
-    /// Parses the textual format back.
+    /// Parses the textual format back. Concatenated logs merge: a test
+    /// whose header repeats keeps the states of every histogram under it,
+    /// and a state listed twice sums its counts (saturating).
     ///
     /// # Errors
     ///
     /// Returns a message naming the first malformed line.
     pub fn parse(text: &str) -> Result<Log, String> {
         let mut log = Log::default();
-        let mut current: Option<LogEntry> = None;
+        let mut current: Option<&mut LogEntry> = None;
         for (lno, line) in text.lines().enumerate() {
             let line = line.trim();
             if line.is_empty() {
                 continue;
             }
             if let Some(rest) = line.strip_prefix("Test ") {
-                if let Some(e) = current.take() {
-                    log.entries.insert(e.name.clone(), e);
-                }
-                let name = rest.split_whitespace().next().unwrap_or("").to_owned();
+                let name = rest.split_whitespace().next().unwrap_or("");
                 if name.is_empty() {
                     return Err(format!("line {}: empty test name", lno + 1));
                 }
-                current = Some(LogEntry { name, states: BTreeMap::new() });
+                let entry = log.entries.entry(name.to_owned());
+                current = Some(entry.or_insert_with(|| LogEntry {
+                    name: name.to_owned(),
+                    states: BTreeMap::new(),
+                }));
             } else if line.starts_with("Histogram") || line == "Ok" || line == "No" {
                 // Informational lines.
             } else if let Some((count, state)) = line.split_once(":>") {
@@ -90,13 +93,11 @@ impl Log {
                     .trim()
                     .parse()
                     .map_err(|_| format!("line {}: bad count '{count}'", lno + 1))?;
-                entry.states.insert(state.trim().to_owned(), count);
+                let total = entry.states.entry(state.trim().to_owned()).or_insert(0);
+                *total = total.saturating_add(count);
             } else {
                 return Err(format!("line {}: unrecognised '{line}'", lno + 1));
             }
-        }
-        if let Some(e) = current.take() {
-            log.entries.insert(e.name.clone(), e);
         }
         Ok(log)
     }
@@ -284,10 +285,10 @@ pub fn judge_entry(
 }
 
 /// Judges a whole batch of log rows against one `(test, model)` pair
-/// through [`herd_litmus::decide::decide_log`]: repeated rows are
-/// answered once, and distinct rows sharing a screened rf class share
-/// one saturation. Returns per-row verdicts in input order plus the
-/// batch accounting.
+/// through [`herd_litmus::decide::decide_rows`]: repeated rows are
+/// answered once, and each distinct row walks its own rf configurations
+/// on per-combination setup the batch shares. Returns per-row verdicts in
+/// input order plus the batch accounting.
 ///
 /// # Errors
 ///
@@ -331,11 +332,11 @@ pub fn judge_entry_cached(
 /// identity) is computed once per call, not once per row; every row is
 /// probed in the content-addressed `cache`, and the misses are parsed
 /// straight into the test's state layout and decided *together* through
-/// [`herd_litmus::decide::decide_rows`]'s class grouping before being
-/// cached — a cold row is parsed once and never rendered. A warm
-/// re-query of a canonical row is one byte scan, one hash and one shard
-/// probe ([`herd_litmus::decide::row_fingerprint`]); a cold million-row
-/// log costs one saturation per distinct rf class.
+/// [`herd_litmus::decide::decide_rows`] before being cached — a cold row
+/// is parsed once and never rendered. A warm re-query of a canonical row
+/// is one byte scan, one hash and one shard probe
+/// ([`herd_litmus::decide::row_fingerprint`]); a cold million-row log
+/// costs one rf walk per distinct row, which stops at its first witness.
 ///
 /// # Errors
 ///
@@ -413,6 +414,29 @@ mod tests {
         log.insert("sb", BTreeMap::from([("0:r1=0; 1:r1=0;".to_owned(), 42)]));
         let text = log.render();
         assert_eq!(Log::parse(&text).unwrap(), log);
+    }
+
+    /// Concatenated litmus7 logs repeat headers and rows: nothing is
+    /// dropped, and equal rows sum their counts.
+    #[test]
+    fn parse_merges_repeated_tests_and_rows() {
+        let text = "Test mp Allowed\nHistogram (2 states)\n5:>1:r1=0; 1:r2=0;\n\
+                    3:>1:r1=1; 1:r2=1;\nOk\n\n\
+                    Test mp Allowed\nHistogram (1 states)\n7:>1:r1=1; 1:r2=0;\nOk\n\
+                    Test sb Allowed\n2:>0:r1=0; 1:r1=0;\n4:>0:r1=0; 1:r1=0;\n\
+                    Test mp Allowed\n1:>1:r1=0; 1:r2=0;\n";
+        let log = Log::parse(text).unwrap();
+        let mp = BTreeMap::from([
+            ("1:r1=0; 1:r2=0;".to_owned(), 6),
+            ("1:r1=1; 1:r2=1;".to_owned(), 3),
+            ("1:r1=1; 1:r2=0;".to_owned(), 7),
+        ]);
+        let sb = BTreeMap::from([("0:r1=0; 1:r1=0;".to_owned(), 6)]);
+        assert_eq!(log.entries.len(), 2);
+        assert_eq!(log.entries["mp"].states, mp);
+        assert_eq!(log.entries["sb"].states, sb);
+        let huge = Log::parse("Test t\n18446744073709551615:>x=1\n1:>x=1\n").unwrap();
+        assert_eq!(huge.entries["t"].states["x=1"], u64::MAX, "counts saturate");
     }
 
     #[test]

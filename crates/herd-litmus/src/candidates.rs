@@ -630,11 +630,6 @@ impl FinalRegs {
         FinalRegs { width: layout.regs().len(), values }
     }
 
-    /// Number of register slots.
-    pub(crate) fn width(&self) -> usize {
-        self.width
-    }
-
     /// Writes the register slots of the concretisation `asg`: `Absent`
     /// where the path holds no value.
     pub(crate) fn fill(&self, asg: &Assignment, out: &mut [Slot]) {
@@ -828,8 +823,10 @@ pub(crate) fn combo_parts(
 /// The value step of one control-flow combination: per rf configuration,
 /// solve the read equations over the test's value domain and keep every
 /// assignment under which each thread event's value resolves, with its
-/// final register slots.
-struct ComboValues<'a> {
+/// final register slots. The arena engine, the owned reference
+/// ([`assemble`]), [`count_candidates`] and both decide walks
+/// ([`crate::decide`]) concretise through it.
+pub(crate) struct ComboValues<'a> {
     domain: &'a [i64],
     events: &'a [Event],
     flow: &'a DataFlow,
@@ -842,7 +839,7 @@ struct ComboValues<'a> {
 }
 
 impl<'a> ComboValues<'a> {
-    fn new(
+    pub(crate) fn new(
         domain: &'a [i64],
         events: &'a [Event],
         flow: &'a DataFlow,
@@ -861,7 +858,7 @@ impl<'a> ComboValues<'a> {
     }
 
     /// The register slots of concretisation `k`.
-    fn regs(&self, k: usize) -> &[Slot] {
+    pub(crate) fn regs(&self, k: usize) -> &[Slot] {
         &self.reg_slots[k * self.regs.width..(k + 1) * self.regs.width]
     }
 }

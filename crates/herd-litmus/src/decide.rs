@@ -32,16 +32,21 @@
 //! The data-mining workflow (paper Sec 11, `mcompare`) does not ask one
 //! question — it judges every row of a hardware log, and hardware logs
 //! repeat themselves: a 100k-run campaign of a 2-thread test produces a
-//! handful of *distinct* final states. [`decide_log`] exploits that
-//! twice. Literal repeats are answered once and copied
-//! ([`BatchStats::reused`]); the remaining distinct rows are grouped
-//! *per control-flow combination* by their screened rf class — the
-//! filtered rf menus plus the memory constraints — and each class walks
-//! the rf odometer **once**, sharing every solve, concretisation and
-//! coherence saturation across its members, with only the final
-//! register probe checked per row. [`decide_outcome`] (and `herd-hw`'s
-//! `judge_entry`) are thin wrappers over the same machinery, so the
-//! single-row path cannot drift from the batch path.
+//! handful of *distinct* final states. [`decide_log`] answers each
+//! literal repeat once and copies the verdict ([`BatchStats::reused`]),
+//! and shares thread semantics, each combination's parts, its
+//! [`CoSetup`] and its value step across the batch. Each distinct row
+//! that survives a combination's screening then walks that
+//! combination's filtered rf configurations on its own, until one
+//! coherence query finds a witness. Log rows are full final states, so
+//! two distinct rows never share a walk. [`decide_outcome`] (and
+//! `herd-hw`'s `judge_entry`) are thin wrappers over the same machinery,
+//! so the single-row path cannot drift from the batch path.
+//!
+//! Both questions, a row's verdict ([`decide_rows`]) and the allowed
+//! full outcomes ([`allowed_full_outcomes`]), take one walk per
+//! combination: rf configuration, value concretisation (the value step
+//! the arena engine uses), co-maximal-write choice, then `co_exists`.
 //!
 //! Rows are slot vectors over the test's [`StateLayout`]
 //! ([`QueryRows`]): a log row parses straight into one, and
@@ -52,9 +57,9 @@
 
 use crate::candidates::{
     bump, combo_parts, for_each_combo, thread_paths, value_domain, CandidateError, ComboParts,
-    EnumOptions, RegFinal,
+    ComboValues, EnumOptions, RegFinal,
 };
-use crate::expr::{self, RVal, SymExpr, SymId};
+use crate::expr::{RVal, SymExpr};
 use crate::isa::Reg;
 use crate::program::{InitVal, LitmusTest};
 use crate::sem::ThreadPath;
@@ -63,6 +68,7 @@ use crate::state::{
 };
 use herd_core::arena::RelArena;
 use herd_core::consistency::{co_exists, CoQuery, CoSetup, ConsistencyStats};
+use herd_core::enumerate::{ChoiceSpace, Concretise};
 use herd_core::event::{Event, Loc, Val};
 use herd_core::fingerprint::{Fingerprint, FpHasher};
 use herd_core::model::Architecture;
@@ -211,18 +217,6 @@ impl QueryStats {
         self.matched += o.matched;
         self.backend.absorb(&o.backend);
     }
-
-    /// Coherence queries the ppo envelope decided definitively
-    /// ([`herd_core::model::Tractability::Conditional`] models only).
-    pub fn conditional_definitive(&self) -> usize {
-        self.backend.conditional_definitive
-    }
-
-    /// Coherence queries that took the enumeration fallback because the
-    /// ppo envelope genuinely disagreed.
-    pub fn envelope_fallbacks(&self) -> usize {
-        self.backend.envelope_fallbacks
-    }
 }
 
 /// The answer to one outcome query.
@@ -240,15 +234,14 @@ pub struct Decision {
 pub struct BatchStats {
     /// Rows in the input log, before deduplication.
     pub rows: u64,
-    /// Screened rf classes walked: groups of distinct rows sharing
-    /// filtered rf menus and memory constraints within one control-flow
-    /// combination. Each class walks its rf odometer once.
+    /// Per-combination row walks: one per distinct row that survives a
+    /// control-flow combination's screening, each walking that row's
+    /// filtered rf configurations.
     pub classes: u64,
-    /// Coherence placements launched (each shared by a whole class).
+    /// Coherence queries launched (`co_exists` calls).
     pub saturations: u64,
-    /// Rows answered without their own decision walk: literal duplicates
-    /// of an earlier row, plus class co-members settled by a witness
-    /// found once for the class.
+    /// Literal repeats: rows equal, slot for slot, to an earlier row,
+    /// answered by its verdict (`rows` minus the distinct rows).
     pub reused: u64,
     /// The underlying decision accounting.
     pub query: QueryStats,
@@ -306,19 +299,20 @@ pub fn decide_log<A: Architecture + ?Sized>(
 
 /// Judges a whole log of query rows against one `(test, model)` pair.
 ///
-/// Shares work three ways that row-at-a-time [`decide_outcome`] cannot:
-/// thread semantics and combination parts are computed once for the
-/// whole batch; literal repeat rows (equal slot vectors) are answered
-/// once and copied; and within each combination, rows are grouped by
-/// screened rf class — identical filtered menus plus identical memory
-/// constraints — so each class walks the rf odometer, the solver and the
-/// coherence saturation *once*, with only the per-row register probe
-/// distinguishing members. A witness found for a class settles every
-/// member whose registers match ([`BatchStats::reused`]). Rows naming
+/// Shares what row-at-a-time [`decide_outcome`] would rebuild: thread
+/// semantics for the whole batch, and per control-flow combination its
+/// parts, its [`CoSetup`] and its value step. Literal repeats (equal slot
+/// vectors) are answered once and copied ([`BatchStats::reused`]). Every
+/// other row is screened per combination ([`QueryStats::combos_pruned`]
+/// counts the combinations no row survives), and each survivor walks its
+/// own filtered rf configurations until a coherence query finds a
+/// witness; a row no combination witnesses is forbidden. Rows naming
 /// something the test lacks are forbidden outright, and count as one
 /// distinct row.
 ///
-/// Verdicts are bit-identical to calling [`decide_outcome`] per row.
+/// Each verdict equals its row's one-row batch, and the row walks' work
+/// (`classes`, `saturations`, `rf_configs`, `matched` and the backend's
+/// counters) is the sum of those batches' work.
 ///
 /// # Errors
 ///
@@ -341,75 +335,52 @@ pub fn decide_rows<A: Architecture + ?Sized>(
             distinct.len() - 1
         }));
     }
-    stats.reused += (rows.len() - distinct.len()) as u64;
+    stats.reused = (rows.len() - distinct.len()) as u64;
 
     // A row naming something the test lacks can never match any candidate.
     let mut dverdict: Vec<Option<bool>> =
         distinct.iter().map(|&i| rows.get(i).is_none().then_some(false)).collect();
     let live: Vec<usize> = (0..distinct.len()).filter(|&d| dverdict[d].is_none()).collect();
-    let row = |d: usize| rows.get(distinct[d]).expect("live rows are known");
-
-    // Distinct rows a multi-member class answered *forbidden*: they rode
-    // another member's exhaustive walk exactly as witness-settled members
-    // do, and count as reused (once per row) when they stay forbidden.
-    let mut shared_forbidden = vec![false; distinct.len()];
     if !live.is_empty() {
         let paths = thread_paths(test, opts, &layout.loc_map())?;
         let domain = value_domain(test);
         let mut arena = RelArena::new(0);
-        let nregs = layout.regs().len();
         for_each_combo(&paths, |combo| {
             stats.query.combos += 1;
             let parts = combo_parts(test, layout, combo);
             stats.query.rf_space = stats.query.rf_space.saturating_add(parts.space.rf_total());
-            // Screen every still-undecided row, grouping survivors by
-            // their screened rf class.
-            let mut groups: BTreeMap<u128, (Vec<Vec<usize>>, Vec<usize>)> = BTreeMap::new();
-            let mut screened = 0usize;
+            // Built for the first row the combination's screening keeps.
+            let mut walk = None;
             for &d in &live {
                 if dverdict[d].is_some() {
                     continue;
                 }
-                screened += 1;
-                if let Some(menus) = screen_combo(test, layout, combo, &parts, row(d)) {
-                    let key = class_fingerprint(&menus, &row(d)[nregs..]);
-                    groups.entry(key.0).or_insert_with(|| (menus, Vec::new())).1.push(d);
-                }
-            }
-            if groups.is_empty() {
-                // The combination is skipped whole, as in the single-row
-                // path: no surviving row can match it. (No verdict moved,
-                // so some live row is still undecided.)
-                if screened > 0 {
-                    stats.query.combos_pruned += 1;
-                }
-                return ControlFlow::Continue(());
-            }
-            // What coherence queries need beyond their rf and values —
-            // the checker, the write table, the po-loc seeds and a
-            // Conditional model's ppo envelope — depends only on the
-            // combination's core: build it once here and share it across
-            // every class and coherence query of the combo.
-            let setup = CoSetup::new(arch, &parts.core, &parts.space.events);
-            for (menus, members) in groups.values() {
+                let row = rows.get(distinct[d]).expect("live rows are known");
+                let Some(menus) = screen_combo(test, layout, combo, &parts, row) else { continue };
                 stats.classes += 1;
-                decide_class(
-                    arch,
-                    &domain,
-                    &parts,
-                    &setup,
-                    menus,
-                    members,
-                    &row,
-                    &mut dverdict,
+                let walk = walk.get_or_insert_with(|| ComboWalk::new(arch, &parts, &domain));
+                let found = walk.walk(
+                    &menus,
+                    Some(row),
                     &mut arena,
-                    &mut stats,
+                    &mut stats.query,
+                    &mut |_, _, _, q| {
+                        if q() {
+                            ControlFlow::Break(())
+                        } else {
+                            ControlFlow::Continue(())
+                        }
+                    },
                 );
-                for &d in members.iter().skip(1) {
-                    if dverdict[d].is_none() {
-                        shared_forbidden[d] = true;
-                    }
+                if found.is_break() {
+                    dverdict[d] = Some(true);
                 }
+            }
+            if walk.is_none() {
+                // No undecided row can match the combination: it is
+                // skipped whole.
+                stats.query.combos_pruned += 1;
+                return ControlFlow::Continue(());
             }
             if live.iter().all(|&d| dverdict[d].is_some()) {
                 ControlFlow::Break(())
@@ -418,131 +389,105 @@ pub fn decide_rows<A: Architecture + ?Sized>(
             }
         });
     }
-
-    // Rows the walk never settled have no witness in any combination;
-    // those that shared some class's walk are reused, not re-walked.
-    stats.reused += shared_forbidden
-        .iter()
-        .zip(&dverdict)
-        .filter(|&(&shared, v)| shared && v.is_none())
-        .count() as u64;
+    stats.saturations = stats.query.backend.queries as u64;
+    // Rows no combination witnessed are forbidden.
     let verdicts: Vec<bool> = owner.iter().map(|&d| dverdict[d].unwrap_or(false)).collect();
     Ok(BatchDecision { verdicts, stats })
 }
 
-/// Walks one screened rf class within one control-flow combination,
-/// settling every member a witness covers. Members share the rf
-/// odometer, the solver and the coherence queries; only the final
-/// register probe is per-row.
-#[allow(clippy::too_many_arguments)] // private odometer step of decide_rows
-fn decide_class<'r, A: Architecture + ?Sized>(
-    arch: &A,
-    domain: &[i64],
-    parts: &ComboParts,
-    setup: &CoSetup,
-    menus: &[Vec<usize>],
-    members: &[usize],
-    row: &impl Fn(usize) -> &'r [Slot],
-    dverdict: &mut [Option<bool>],
-    arena: &mut RelArena,
-    stats: &mut BatchStats,
-) {
-    let nregs = parts.regs.width();
-    // Memory constraints are part of the class key: identical across
-    // members, so any member stands for the class below.
-    let class_mem = &row(members[0])[nregs..];
-    let symbols: Vec<SymId> = parts.space.reads.iter().map(|&r| SymId(r)).collect();
-    let rf_radices: Vec<usize> = menus.iter().map(Vec::len).collect();
-    let mut rf_pick = vec![0usize; menus.len()];
-    let mut final_regs = vec![Slot::Absent; nregs];
-    loop {
-        stats.query.rf_configs += 1;
-        let rf_pairs: Vec<(usize, usize)> =
-            parts.space.reads.iter().enumerate().map(|(k, &r)| (menus[k][rf_pick[k]], r)).collect();
-        let equations = parts.flow.equations(rf_pairs.iter().copied());
-        for asg in expr::solve(&symbols, &equations, domain) {
-            let Some(evs) = parts.flow.concretise(&parts.space.events, &asg) else { continue };
-            parts.regs.fill(&asg, &mut final_regs);
-            // The per-row probe: which undecided members does this
-            // concretisation's register file satisfy?
-            let matching: Vec<usize> = members
-                .iter()
-                .copied()
-                .filter(|&d| dverdict[d].is_none())
-                .filter(|&d| matches(&row(d)[..nregs], &final_regs))
-                .collect();
-            if matching.is_empty() {
-                continue;
-            }
-            // The outcome's memory values pin per-location co-maximal
-            // writes: collect the candidate last writes of each
-            // constrained location (any one of them being co-maximal
-            // yields the required value — they are tried in turn).
-            let Some((constrained, last_menus)) = last_write_menus(parts, class_mem, &evs) else {
-                continue;
-            };
-            stats.query.matched += matching.len() as u64;
-            let lw_radices: Vec<usize> = last_menus.iter().map(Vec::len).collect();
-            let mut lw_pick = vec![0usize; last_menus.len()];
-            loop {
-                let last_writes: Vec<(Loc, usize)> = constrained
-                    .iter()
-                    .zip(&lw_pick)
-                    .enumerate()
-                    .map(|(j, (&l, &i))| (l, last_menus[j][i]))
-                    .collect();
-                let q = CoQuery {
-                    core: &parts.core,
-                    events: &evs,
-                    rf: &rf_pairs,
-                    last_writes: &last_writes,
-                };
-                stats.saturations += 1;
-                if co_exists(arch, setup, &q, arena, &mut stats.query.backend) {
-                    // One witness settles every matching member.
-                    for (extra, &d) in matching.iter().enumerate() {
-                        dverdict[d] = Some(true);
-                        stats.reused += (extra > 0) as u64;
-                    }
-                    break;
-                }
-                if !bump(&mut lw_pick, &lw_radices) {
-                    break;
-                }
-            }
-            if members.iter().all(|&d| dverdict[d].is_some()) {
-                return;
-            }
-        }
-        if !bump(&mut rf_pick, &rf_radices) {
-            break;
-        }
-    }
+/// A walk's visitor, called per co-maximal-write choice with the
+/// concretisation's register slots and events, the chosen last writes and
+/// the choice's `co_exists` query, which it may run. `Break` ends the walk.
+type Visit<'v, B> =
+    dyn FnMut(&[Slot], &[Event], &[(Loc, usize)], &mut dyn FnMut() -> bool) -> ControlFlow<B> + 'v;
+
+/// What every walk over one control-flow combination shares: its parts,
+/// its coherence query setup and its value step.
+struct ComboWalk<'p, A: ?Sized> {
+    arch: &'p A,
+    parts: &'p ComboParts,
+    setup: CoSetup,
+    values: ComboValues<'p>,
 }
 
-/// The identity of one screened rf class: the filtered menus plus the
-/// row's memory constraints — everything the shared walk depends on.
-fn class_fingerprint(menus: &[Vec<usize>], mem: &[Slot]) -> Fingerprint {
-    let mut h = FpHasher::new("rf-class/v2");
-    h.tag("menus");
-    h.write_len(menus.len());
-    for m in menus {
-        h.write_len(m.len());
-        for &w in m {
-            h.write_u64(w as u64);
+impl<'p, A: Architecture + ?Sized> ComboWalk<'p, A> {
+    fn new(arch: &'p A, parts: &'p ComboParts, domain: &'p [i64]) -> Self {
+        let events = &parts.space.events;
+        ComboWalk {
+            arch,
+            parts,
+            setup: CoSetup::new(arch, &parts.core, events),
+            values: ComboValues::new(domain, events, &parts.flow, &parts.regs),
         }
     }
-    h.tag("mem");
-    for s in mem {
-        match *s {
-            Slot::Int(v) => {
-                h.write_u64(1);
-                h.write_i64(v);
+
+    /// The one walk both decide questions take: per rf configuration of
+    /// `rf_menus`, per value concretisation, per choice of co-maximal
+    /// writes, `visit` is offered that choice's `co_exists` query. With a
+    /// `row`, a concretisation must match the row's registers, and only
+    /// the locations the row pins take a last write, one of the pinned
+    /// value. Without one, every written location takes each of its
+    /// writes in turn: the full outcomes.
+    fn walk<B>(
+        &mut self,
+        rf_menus: &[Vec<usize>],
+        row: Option<&[Slot]>,
+        arena: &mut RelArena,
+        stats: &mut QueryStats,
+        visit: &mut Visit<'_, B>,
+    ) -> ControlFlow<B> {
+        let space = &self.parts.space;
+        let mut pins: Vec<(Loc, Vec<usize>)> = match row {
+            Some(_) => Vec::new(),
+            None => space.locs.iter().copied().zip(space.loc_writes.iter().cloned()).collect(),
+        };
+        let rf_radices: Vec<usize> = rf_menus.iter().map(Vec::len).collect();
+        let mut rf_pick = vec![0usize; rf_menus.len()];
+        let mut rf_src = vec![0usize; space.events.len()];
+        let mut rf: Vec<(usize, usize)> = Vec::with_capacity(space.reads.len());
+        let (mut lw_radices, mut lw_pick, mut last_writes) = (Vec::new(), Vec::new(), Vec::new());
+        loop {
+            stats.rf_configs += 1;
+            rf.clear();
+            for (k, &r) in space.reads.iter().enumerate() {
+                rf_src[r] = rf_menus[k][rf_pick[k]];
+                rf.push((rf_src[r], r));
             }
-            _ => h.write_u64(0),
+            for k in 0..self.values.concretise(space, &rf_src) {
+                let (regs, evs) = (self.values.regs(k), self.values.events(k));
+                if let Some(row) = row {
+                    let (want, mem) = row.split_at(regs.len());
+                    if !matches(want, regs) || !last_write_menus(space, mem, evs, &mut pins) {
+                        continue;
+                    }
+                }
+                stats.matched += 1;
+                lw_radices.clear();
+                lw_radices.extend(pins.iter().map(|(_, m)| m.len()));
+                lw_pick.clear();
+                lw_pick.resize(pins.len(), 0);
+                loop {
+                    last_writes.clear();
+                    last_writes.extend(pins.iter().zip(&lw_pick).map(|((l, m), &i)| (*l, m[i])));
+                    let q = CoQuery {
+                        core: &self.parts.core,
+                        events: evs,
+                        rf: &rf,
+                        last_writes: &last_writes,
+                    };
+                    visit(regs, evs, &last_writes, &mut || {
+                        co_exists(self.arch, &self.setup, &q, arena, &mut stats.backend)
+                    })?;
+                    if !bump(&mut lw_pick, &lw_radices) {
+                        break;
+                    }
+                }
+            }
+            if !bump(&mut rf_pick, &rf_radices) {
+                return ControlFlow::Continue(());
+            }
         }
     }
-    h.finish()
 }
 
 /// Stable content key of one `(test, model, opts)` query context — the
@@ -812,41 +757,41 @@ fn screen_combo(
     Some(menus)
 }
 
-/// The candidate co-maximal writes of each memory-constrained location
-/// (`mem` holds the row's location slots); `None` when some required
-/// value is unproducible in this concretisation.
+/// Into `pins`, the candidate co-maximal writes of each location `mem`
+/// (a row's location slots) pins: any one of them ending the location's
+/// coherence order yields the pinned value. `false` when some pinned value
+/// is unproducible in the concretisation `evs`.
 fn last_write_menus(
-    parts: &ComboParts,
+    space: &ChoiceSpace,
     mem: &[Slot],
     evs: &[Event],
-) -> Option<(Vec<Loc>, Vec<Vec<usize>>)> {
-    let mut constrained: Vec<Loc> = Vec::new();
-    let mut menus: Vec<Vec<usize>> = Vec::new();
+    pins: &mut Vec<(Loc, Vec<usize>)>,
+) -> bool {
+    pins.clear();
     for (i, &want) in mem.iter().enumerate() {
         let Slot::Int(v) = want else { continue };
         let loc = Loc(i as u32);
-        match parts.space.locs.iter().position(|&l| l == loc) {
+        match space.locs.iter().position(|&l| l == loc) {
             Some(li) => {
-                let cands: Vec<usize> = parts.space.loc_writes[li]
+                let cands: Vec<usize> = space.loc_writes[li]
                     .iter()
                     .copied()
                     .filter(|&w| evs[w].val == Val(v))
                     .collect();
                 if cands.is_empty() {
-                    return None;
+                    return false;
                 }
-                constrained.push(loc);
-                menus.push(cands);
+                pins.push((loc, cands));
             }
             // Only the initial write: the final value is fixed.
             None => {
                 if evs[i].val != Val(v) {
-                    return None;
+                    return false;
                 }
             }
         }
     }
-    Some((constrained, menus))
+    true
 }
 
 /// A consumer of full final states, over the test's layout.
@@ -873,69 +818,35 @@ pub fn allowed_full_outcomes<A: Architecture + ?Sized>(
     let domain = value_domain(test);
     let mut arena = RelArena::new(0);
     let nregs = layout.regs().len();
-    let nlocs = layout.locs().len();
     let mut state = vec![Slot::Absent; layout.width()];
     let mut seen_allowed: HashSet<Box<[Slot]>> = HashSet::new();
     for_each_combo(&paths, |combo| {
         stats.combos += 1;
         let parts = combo_parts(test, &layout, combo);
-        let space = &parts.space;
-        stats.rf_space = stats.rf_space.saturating_add(space.rf_total());
-        // One query setup per combination, shared by every query on it.
-        let setup = CoSetup::new(arch, &parts.core, &space.events);
-        let symbols: Vec<SymId> = space.reads.iter().map(|&r| SymId(r)).collect();
-        let rf_radices: Vec<usize> = space.rf_choices.iter().map(Vec::len).collect();
-        let mut rf_pick = vec![0usize; space.rf_choices.len()];
-        loop {
-            stats.rf_configs += 1;
-            let rf_pairs: Vec<(usize, usize)> = space
-                .reads
-                .iter()
-                .enumerate()
-                .map(|(k, &r)| (space.rf_choices[k][rf_pick[k]], r))
-                .collect();
-            let equations = parts.flow.equations(rf_pairs.iter().copied());
-            for asg in expr::solve(&symbols, &equations, &domain) {
-                let Some(evs) = parts.flow.concretise(&space.events, &asg) else { continue };
-                parts.regs.fill(&asg, &mut state[..nregs]);
-                stats.matched += 1;
-                // Full final memory: one co-maximal write choice per
-                // location with thread writes, the initial value
-                // elsewhere.
-                let lw_radices: Vec<usize> = space.loc_writes.iter().map(Vec::len).collect();
-                let mut lw_pick = vec![0usize; space.loc_writes.len()];
-                loop {
-                    for (i, e) in evs[..nlocs].iter().enumerate() {
-                        state[nregs + i] = Slot::Int(e.val.0);
-                    }
-                    let mut last_writes: Vec<(Loc, usize)> = Vec::with_capacity(space.locs.len());
-                    for (li, &loc) in space.locs.iter().enumerate() {
-                        let w = space.loc_writes[li][lw_pick[li]];
-                        state[layout.loc_slot(loc)] = Slot::Int(evs[w].val.0);
-                        last_writes.push((loc, w));
-                    }
-                    if !seen_allowed.contains(&state[..]) {
-                        let q = CoQuery {
-                            core: &parts.core,
-                            events: &evs,
-                            rf: &rf_pairs,
-                            last_writes: &last_writes,
-                        };
-                        if co_exists(arch, &setup, &q, &mut arena, &mut stats.backend) {
-                            seen_allowed.insert(state.clone().into_boxed_slice());
-                            emit(&layout, &state);
-                        }
-                    }
-                    if !bump(&mut lw_pick, &lw_radices) {
-                        break;
-                    }
+        stats.rf_space = stats.rf_space.saturating_add(parts.space.rf_total());
+        let mut walk = ComboWalk::new(arch, &parts, &domain);
+        walk.walk(
+            &parts.space.rf_choices,
+            None,
+            &mut arena,
+            stats,
+            &mut |regs, evs, last_writes, q| {
+                // The full final state: the registers, then each location's
+                // initial value, overwritten by its chosen last write.
+                state[..nregs].copy_from_slice(regs);
+                for (slot, e) in state[nregs..].iter_mut().zip(evs) {
+                    *slot = Slot::Int(e.val.0);
                 }
-            }
-            if !bump(&mut rf_pick, &rf_radices) {
-                break;
-            }
-        }
-        ControlFlow::<()>::Continue(())
+                for &(loc, w) in last_writes {
+                    state[layout.loc_slot(loc)] = Slot::Int(evs[w].val.0);
+                }
+                if !seen_allowed.contains(&state[..]) && q() {
+                    seen_allowed.insert(state.as_slice().into());
+                    emit(&layout, &state);
+                }
+                ControlFlow::<()>::Continue(())
+            },
+        )
     });
     Ok(())
 }
@@ -1008,7 +919,7 @@ mod tests {
             decide_outcome(&test, &Power::new(), &EnumOptions::default(), &witness).unwrap();
         assert!(power.allowed, "Power allows bare mp");
         assert!(
-            power.stats.conditional_definitive() > 0,
+            power.stats.backend.conditional_definitive > 0,
             "the ppo envelope settles bare mp without enumeration"
         );
         assert_eq!(power.stats.backend.fallbacks, 0, "no envelope fallback on bare mp");
@@ -1024,27 +935,111 @@ mod tests {
         assert!(!sc.allowed);
     }
 
+    /// sb rows under SC and TSO: allowed, forbidden, a literal repeat,
+    /// a memory-only row and a row naming a location the test lacks.
+    const SB_ROWS: [&str; 7] = [
+        "0:r1=0; 1:r1=0",
+        "0:r1=1; 1:r1=0",
+        "0:r1=0; 1:r1=1",
+        "0:r1=1; 1:r1=1",
+        "0:r1=0; 1:r1=0", // literal repeat
+        "x=1; y=1",
+        "zz=3", // unknown location
+    ];
+
+    /// What a batch's row walks cost: `classes`, `saturations`,
+    /// `rf_configs`, `matched` and backend queries.
+    fn walk_work(s: &BatchStats) -> [u64; 5] {
+        let q = &s.query;
+        [s.classes, s.saturations, q.rf_configs, q.matched, q.backend.queries as u64]
+    }
+
     #[test]
-    fn forbidden_class_co_members_share_the_walk_and_count_reused() {
-        // Two rows that differ only in a never-written register pinned to
-        // its initial value screen to identical rf menus, so they land in
-        // the same class. mp+sync+addr forbids the relaxed outcome on
-        // Power: the class is walked once and the co-member is `reused`,
-        // not silently answered by a second enumeration.
-        // Thread 1 reads into r1 and r3 (r2 is the xor temp of the addr
-        // dependency).
-        let mut test = corpus::mp(Isa::Power, Dev::F(Isa::Power.full_fence()), Dev::Addr);
-        test.reg_init.insert((0, Reg(5)), InitVal::Int(0));
-        let rows = vec![outcome("1:r1=1; 1:r3=0"), outcome("1:r1=1; 1:r3=0; 0:r5=0")];
-        let arch = Power::new();
-        let batch = decide_log(&test, &arch, &EnumOptions::default(), &rows).unwrap();
-        assert_eq!(batch.verdicts, vec![false, false], "mp+sync+addr forbids the outcome");
-        let single = decide_log(&test, &arch, &EnumOptions::default(), &rows[..1]).unwrap();
-        assert_eq!(
-            batch.stats.saturations, single.stats.saturations,
-            "class co-members share one decision walk"
-        );
-        assert_eq!(batch.stats.reused, 1, "the forbidden co-member is accounted as reused");
+    fn batch_work_is_the_sum_of_its_distinct_rows() {
+        // mp+sync+addr with a never-written register pinned to its
+        // initial value: the pair's rows screen to identical rf menus and
+        // memory pins, and Power forbids both. Each still walks on its
+        // own. (Thread 1 reads into r1 and r3; r2 is the xor temp of the
+        // addr dependency.)
+        let mut mp = corpus::mp(Isa::Power, Dev::F(Isa::Power.full_fence()), Dev::Addr);
+        mp.reg_init.insert((0, Reg(5)), InitVal::Int(0));
+        let pair = ["1:r1=1; 1:r3=0", "1:r1=1; 1:r3=0; 0:r5=0"];
+        let sb = corpus::sb(Isa::X86, Dev::Po, Dev::Po);
+        let power = Power::new();
+        let cases: [(&LitmusTest, &dyn Architecture, &[&str]); 3] =
+            [(&mp, &power, &pair), (&sb, &Sc, &SB_ROWS), (&sb, &Tso, &SB_ROWS)];
+        let opts = EnumOptions::default();
+        for (test, arch, rows) in cases {
+            let what = format!("{} under {}", test.name, arch.name());
+            let rows: Vec<Outcome> = rows.iter().map(|r| outcome(r)).collect();
+            let batch = decide_log(test, arch, &opts, &rows).unwrap();
+            let mut distinct: Vec<&Outcome> = Vec::new();
+            let mut sum = [0; 5];
+            for (i, row) in rows.iter().enumerate() {
+                let one = decide_log(test, arch, &opts, std::slice::from_ref(row)).unwrap();
+                assert_eq!(batch.verdicts[i], one.verdicts[0], "{what}: row {i}");
+                if !distinct.contains(&row) {
+                    distinct.push(row);
+                    for (s, w) in sum.iter_mut().zip(walk_work(&one.stats)) {
+                        *s += w;
+                    }
+                }
+            }
+            assert_eq!(walk_work(&batch.stats), sum, "{what}: one walk per distinct row");
+            assert_eq!(batch.stats.reused, (rows.len() - distinct.len()) as u64, "{what}");
+        }
+    }
+
+    /// Rows that pin only the registers or only the memory of some
+    /// candidate, across the shipped corpora: the one row shape that
+    /// shares rf menus and memory pins between distinct rows, and where
+    /// the walk reuses its value step and query setup across rows. Each
+    /// test's rows are one batch (with a literal repeat), and every
+    /// verdict must equal the row's own decision and enumeration: a row
+    /// is allowed when some allowed candidate has every value it pins.
+    #[test]
+    fn partial_rows_across_the_corpora_match_enumeration() {
+        use herd_core::arch::{Arm, ArmVariant};
+        let opts = EnumOptions::default();
+        let (power, arm) = (Power::new(), Arm::new(ArmVariant::Proposed));
+        for (corpus, arch) in [
+            (corpus::power_corpus(), &power as &dyn Architecture),
+            (corpus::arm_corpus(), &arm),
+            (corpus::x86_corpus(), &Tso),
+        ] {
+            for e in corpus {
+                let test = &e.test;
+                let cands = crate::candidates::enumerate(test, &opts).unwrap();
+                let mut rows: Vec<Outcome> = Vec::new();
+                for c in &cands {
+                    for row in [
+                        Outcome { regs: (*c.final_regs).clone(), mem: BTreeMap::new() },
+                        Outcome { regs: BTreeMap::new(), mem: c.final_mem.clone() },
+                    ] {
+                        if !rows.contains(&row) {
+                            rows.push(row);
+                        }
+                    }
+                }
+                rows.push(rows[0].clone()); // a literal repeat
+                let allowed: Vec<_> = cands
+                    .iter()
+                    .filter(|c| herd_core::model::check(arch, &c.exec).allowed())
+                    .collect();
+                let batch = decide_log(test, arch, &opts, &rows).unwrap();
+                assert_eq!(batch.stats.reused, 1, "{}", test.name);
+                for (row, &verdict) in rows.iter().zip(&batch.verdicts) {
+                    let reference = allowed.iter().any(|c| {
+                        row.regs.iter().all(|(k, v)| c.final_regs.get(k) == Some(v))
+                            && row.mem.iter().all(|(l, v)| c.final_mem.get(l) == Some(v))
+                    });
+                    let what = format!("{} under {}: {row:?}", test.name, arch.name());
+                    assert_eq!(verdict, reference, "{what}: batch and enumeration disagree");
+                    let single = decide_outcome(test, arch, &opts, row).unwrap();
+                    assert_eq!(verdict, single.allowed, "{what}: batch and single disagree");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1113,18 +1108,7 @@ mod tests {
 
     #[test]
     fn batch_verdicts_match_row_at_a_time() {
-        let rows: Vec<Outcome> = [
-            "0:r1=0; 1:r1=0",
-            "0:r1=1; 1:r1=0",
-            "0:r1=0; 1:r1=1",
-            "0:r1=1; 1:r1=1",
-            "0:r1=0; 1:r1=0", // literal repeat
-            "x=1; y=1",
-            "zz=3", // unknown location
-        ]
-        .iter()
-        .map(|r| outcome(r))
-        .collect();
+        let rows: Vec<Outcome> = SB_ROWS.iter().map(|r| outcome(r)).collect();
         let test = corpus::sb(Isa::X86, Dev::Po, Dev::Po);
         for arch in [&Sc as &dyn herd_core::model::Architecture, &Tso] {
             let batch = decide_log(&test, arch, &EnumOptions::default(), &rows).unwrap();

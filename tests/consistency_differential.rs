@@ -452,7 +452,7 @@ fn scaled_family_counts_stay_exact_and_the_backend_saturates() {
     // enumeration fallback — 21! completions would never terminate.
     let d = decide_outcome(&test, &Power::new(), &EnumOptions::default(), &probe).unwrap();
     assert!(d.allowed, "what SC allows, Power allows");
-    assert!(d.stats.conditional_definitive() >= 1, "the envelope settles the witness");
+    assert!(d.stats.backend.conditional_definitive >= 1, "the envelope settles the witness");
     assert_eq!(d.stats.backend.fallbacks, 0, "no enumeration over 21! coherence orders");
 
     // Forbidden: the family's writes store 1..=21, never 99.

@@ -209,8 +209,15 @@ fn batched_judging_matches_row_at_a_time_and_enumeration() {
     // PR 9: the batch API is the same judge, faster. For every test in a
     // seeded x86 campaign log, `judge_entries` over the whole row set
     // must agree row for row with (a) single-row `judge_entry` calls and
-    // (b) the enumerate-every-candidate reference.
+    // (b) the enumerate-every-candidate reference, and (c) do exactly the
+    // work of its rows judged one at a time: a log's distinct rows share
+    // no walk.
+    use herd_litmus::decide::BatchStats;
     use std::collections::BTreeSet;
+    fn walk_work(s: &BatchStats) -> [u64; 5] {
+        let q = &s.query;
+        [s.classes, s.saturations, q.rf_configs, q.matched, q.backend.queries as u64]
+    }
 
     let tests: Vec<LitmusTest> = corpus::x86_corpus().into_iter().map(|e| e.test).collect();
     let machine = &x86_machines()[0];
@@ -233,7 +240,12 @@ fn batched_judging_matches_row_at_a_time_and_enumeration() {
                 .map(render_full_state)
                 .collect();
 
+            let mut sum = [0; 5];
             for (state, &verdict) in rows.iter().zip(&batch) {
+                let (_, one) = herd_hw::judge_entries(test, model, &[state]).unwrap();
+                for (s, w) in sum.iter_mut().zip(walk_work(&one)) {
+                    *s += w;
+                }
                 let single = herd_hw::judge_entry(test, model, state).unwrap();
                 assert_eq!(
                     verdict,
@@ -248,6 +260,9 @@ fn batched_judging_matches_row_at_a_time_and_enumeration() {
                     model.name()
                 );
             }
+            // Log rows are distinct: none is a literal repeat.
+            assert_eq!(walk_work(&stats), sum, "{name} under {}: shared work", model.name());
+            assert_eq!(stats.reused, 0, "{name} under {}", model.name());
         }
     }
 }
