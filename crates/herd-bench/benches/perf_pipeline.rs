@@ -18,7 +18,7 @@
 //! * **batch** — `decide_log` vs row-at-a-time judging of a 100k-row log,
 //!   and warm vs cold verdict-cache lookups;
 //! * **frontier**, **frontier_speed** — conditional saturation on the
-//!   Power/ARM corpus, and the ppo envelope vs the pure enumeration
+//!   Power/ARM corpus, and the ppo lower bound vs the pure enumeration
 //!   fallback;
 //! * **corpus** — the work-stealing corpus simulation.
 //!
@@ -660,10 +660,10 @@ fn bench_batches(reps: usize) -> Vec<Row> {
 
 /// The pure-counted-fallback baseline for the frontier rows (PR 10): the
 /// Power model verbatim, minus its `Tractability::Conditional`
-/// declaration and ppo envelope — i.e. exactly the pre-envelope routing,
-/// where every Power query takes the enumeration fallback. Delegates
-/// every relation to the real model so the two paths answer the same
-/// question; only the saturation strategy differs.
+/// declaration and ppo lower bound — i.e. exactly the routing before
+/// conditional saturation, where every Power query takes the enumeration
+/// fallback. Delegates every relation to the real model so the two
+/// paths answer the same question; only the saturation strategy differs.
 struct FallbackPower(Power);
 
 impl Architecture for FallbackPower {
@@ -698,8 +698,9 @@ impl Architecture for FallbackPower {
 
 /// Corpus-wide conditional-saturation accounting per architecture: every
 /// checked-in corpus test's distinct final states decided through
-/// `simulate_decided`, with the backend's envelope counters accumulated
-/// (`definitive`: the queries the envelope settled without enumeration).
+/// `simulate_decided`, with the backend's conditional counters accumulated
+/// (`definitive`: the queries the ppo lower bound settled without
+/// enumeration).
 fn bench_frontier_corpus(reps: usize) -> Vec<Row> {
     let power_suite: Vec<LitmusTest> = corpus::power_corpus().into_iter().map(|e| e.test).collect();
     let arm_suite: Vec<LitmusTest> = corpus::arm_corpus().into_iter().map(|e| e.test).collect();
@@ -738,8 +739,8 @@ fn bench_frontier_corpus(reps: usize) -> Vec<Row> {
 
 /// `iriw+3w` with `sync` between each reader's two loads — the classic
 /// `iriw+syncs` shape the paper forbids on Power (Fig 20), scaled to 3
-/// writes per location. The envelope's frozen lower bound already carries
-/// the fences, so the pessimistic pass contradicts on its base check; the
+/// writes per location. The frozen ppo lower bound already carries the
+/// fences, so saturation contradicts on its base check; the
 /// fallback baseline grinds through every coherence completion of the
 /// 3-write chains (po-loc seeding is part of the saturation path it
 /// skipped) before conceding.
@@ -764,7 +765,7 @@ fn query_iriw_3w_syncs() -> (LitmusTest, Outcome) {
 
 /// `wrc+6w` with the 6 ballast writes po-ordered on one thread and a
 /// probe pinning the po-earliest of them coherence-last — forbidden by
-/// SC PER LOCATION alone. The envelope path's po-loc write seeding makes
+/// SC PER LOCATION alone. The conditional path's po-loc write seeding makes
 /// the forced order cyclic, so the frozen base check contradicts
 /// immediately; the fallback baseline (no seeding) enumerates the
 /// remaining writes' 6! completions and checks every one.

@@ -279,23 +279,6 @@ impl CompiledModel {
         self.name.as_deref()
     }
 
-    /// Number of result slots (compile-time statistic).
-    pub fn slot_count(&self) -> usize {
-        self.n_slots
-    }
-
-    /// Number of straight-line instructions plus fixpoint-body
-    /// instructions (compile-time statistic).
-    pub fn insn_count(&self) -> usize {
-        self.prog
-            .iter()
-            .map(|s| match s {
-                Step::Op(_) => 1,
-                Step::Fixpoint { body, .. } => body.len(),
-            })
-            .sum()
-    }
-
     /// Checks one candidate execution against the compiled model.
     ///
     /// Infallible: every name was resolved at compile time. Convenience

@@ -63,6 +63,10 @@ enum Tok {
     RBracket,
 }
 
+/// Names are ASCII; any other character outside a comment is an error.
+/// Comments may hold any UTF-8 text: they are skipped byte by byte, and
+/// their `*)` end is ASCII, so the lexer only ever stops on a character
+/// boundary.
 struct Lexer<'a> {
     src: &'a [u8],
     pos: usize,
@@ -70,8 +74,9 @@ struct Lexer<'a> {
 }
 
 impl<'a> Lexer<'a> {
-    fn new(src: &'a str) -> Self {
-        Lexer { src: src.as_bytes(), pos: 0, line: 1 }
+    /// Lexes `src`, whose first character sits on source line `line`.
+    fn new(src: &'a str, line: usize) -> Self {
+        Lexer { src: src.as_bytes(), pos: 0, line }
     }
 
     fn error(&self, message: impl Into<String>) -> CatParseError {
@@ -109,11 +114,15 @@ impl<'a> Lexer<'a> {
                         return Err(self.error("expected '^-1'"));
                     }
                 }
-                c if c.is_alphanumeric() || c == '_' => {
+                c if c.is_ascii_alphanumeric() || c == '_' => {
                     let t = self.name();
                     out.push((self.line, t));
                 }
-                other => return Err(self.error(format!("unexpected character '{other}'"))),
+                _ => {
+                    let rest = String::from_utf8_lossy(&self.src[self.pos..]);
+                    let other = rest.chars().next().unwrap_or_default();
+                    return Err(self.error(format!("unexpected character '{other}'")));
+                }
             }
         }
         Ok(out)
@@ -147,7 +156,7 @@ impl<'a> Lexer<'a> {
         let start = self.pos;
         while self.pos < self.src.len() {
             let c = self.src[self.pos] as char;
-            if c.is_alphanumeric() || c == '_' || c == '-' || c == '.' {
+            if c.is_ascii_alphanumeric() || c == '_' || c == '-' || c == '.' {
                 self.pos += 1;
             } else {
                 break;
@@ -385,8 +394,8 @@ pub fn parse(src: &str) -> Result<Model, CatParseError> {
     // Header: if the first non-comment, non-empty line is a single bare
     // word that is not a statement keyword, treat it as the model name.
     let mut name = None;
-    let mut body = src;
-    for line in src.lines() {
+    let (mut body, mut body_line) = (src, 1);
+    for (i, line) in src.lines().enumerate() {
         let t = line.trim();
         if t.is_empty() || t.starts_with("(*") {
             continue;
@@ -398,11 +407,12 @@ pub fn parse(src: &str) -> Result<Model, CatParseError> {
         {
             name = Some(t.to_owned());
             let off = line.as_ptr() as usize - src.as_ptr() as usize + line.len();
-            body = &src[off..];
+            // The body starts at the end of the header line.
+            (body, body_line) = (&src[off..], i + 1);
         }
         break;
     }
-    let toks = Lexer::new(body).tokens()?;
+    let toks = Lexer::new(body, body_line).tokens()?;
     let mut p = Parser { toks, pos: 0 };
     p.model(name)
 }
@@ -494,6 +504,23 @@ mod tests {
     fn comments_are_skipped() {
         let m = parse("(* sc per location *) acyclic po-loc|com\n").unwrap();
         assert_eq!(m.stmts.len(), 1);
+    }
+
+    #[test]
+    fn non_ascii_outside_comments_is_an_error() {
+        for (src, bad) in [
+            ("acyclic é", 'é'),
+            ("let x = po ∩ rf", '∩'),
+            ("let é = po", 'é'),
+            ("acyclic po ∪ com", '∪'),
+        ] {
+            let err = parse(&format!("(* ∩ and ∪ *)\nlet y = po\n{src}\n")).unwrap_err();
+            assert_eq!(err.line, 3, "{src}: {err}");
+            assert_eq!(err.message, format!("unexpected character '{bad}'"), "{src}");
+            // Lines count from the top of the file past a header name too.
+            let err = parse(&format!("(* ∩ *)\nName\nlet y = po\n{src}\n")).unwrap_err();
+            assert_eq!(err.line, 4, "{src} after a header: {err}");
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::event::{Dir, Fence};
 use crate::exec::{ExecCore, ExecFrame, Execution};
 use crate::fingerprint::FpHasher;
 use crate::model::{Architecture, ArenaArchRels, Tractability};
-use crate::ppo::{self, PpoConfig, PpoEnvelope};
+use crate::ppo::{self, PpoConfig};
 use crate::relation::Relation;
 
 use super::power::{prop_power_arm, prop_power_arm_arena};
@@ -177,8 +177,8 @@ impl Architecture for Arm {
         Tractability::Conditional
     }
 
-    fn ppo_envelope(&self, core: &ExecCore) -> Option<PpoEnvelope> {
-        Some(PpoEnvelope::compute(core, &self.ppo_config()))
+    fn ppo_lower_bound(&self, core: &ExecCore) -> Option<Relation> {
+        Some(ppo::compute_static(core, &self.ppo_config()))
     }
 
     fn arch_rels_arena(&self, fx: &ExecFrame<'_>, arena: &mut RelArena) -> ArenaArchRels {

@@ -16,7 +16,7 @@ use crate::event::{Dir, Fence};
 use crate::exec::{ExecCore, ExecFrame, Execution};
 use crate::fingerprint::FpHasher;
 use crate::model::{Architecture, ArenaArchRels, Tractability};
-use crate::ppo::{self, PpoConfig, PpoEnvelope};
+use crate::ppo::{self, PpoConfig};
 use crate::relation::Relation;
 
 /// The Power architecture.
@@ -133,8 +133,8 @@ impl Architecture for Power {
         Tractability::Conditional
     }
 
-    fn ppo_envelope(&self, core: &ExecCore) -> Option<PpoEnvelope> {
-        Some(PpoEnvelope::compute(core, &self.ppo_cfg))
+    fn ppo_lower_bound(&self, core: &ExecCore) -> Option<Relation> {
+        Some(ppo::compute_static(core, &self.ppo_cfg))
     }
 
     fn arch_rels_arena(&self, fx: &ExecFrame<'_>, arena: &mut RelArena) -> ArenaArchRels {

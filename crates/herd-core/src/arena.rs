@@ -122,11 +122,6 @@ impl<'a> RelView<'a> {
     pub fn to_relation(&self) -> Relation {
         Relation::from_raw(self.n, self.bits.to_vec())
     }
-
-    /// Bitwise equality against an owned relation of the same universe.
-    pub fn eq_rel(&self, r: &Relation) -> bool {
-        self.n == r.universe() && self.bits == r.bits()
-    }
 }
 
 impl std::fmt::Debug for RelView<'_> {

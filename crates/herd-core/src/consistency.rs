@@ -28,32 +28,32 @@
 //! [`Tractability::Conditional`] models (Power/ARM) sit in between:
 //! their ppo is candidate-dependent, but *frozen* to any fixed bound the
 //! remaining axioms are monotone in `co` again. Saturation therefore runs
-//! against a two-sided [`PpoEnvelope`] (`lower ⊆ ppo(x) ⊆ upper` for
-//! every candidate): a contradiction under the pessimistic lower bound is
-//! definitively forbidden (the exact model has *more* ppo edges, so the
-//! violating cycle persists), hypothesis edges forced under the lower
-//! bound are constraints every exact witness obeys, and any completed
-//! coherence order — found under either bound — that re-checks clean
-//! under the exact per-candidate ppo is definitively allowed. Only when
-//! the envelope genuinely disagrees (lower finds no contradiction, upper
-//! guides to no exact-clean witness) does the query take the counted
-//! fallback, recorded per query in
-//! [`ConsistencyStats::envelope_fallbacks`].
+//! with ppo frozen to a candidate-independent lower bound
+//! ([`Architecture::ppo_lower_bound`], `lower ⊆ ppo(x)` for every
+//! candidate): a contradiction under it is definitively forbidden (the
+//! exact model has *more* ppo edges, so the violating cycle persists), the
+//! hypothesis edges it forces are constraints every exact witness obeys,
+//! and the greedy completion is re-checked under the exact per-candidate
+//! ppo, so a clean completion is definitively allowed. A query the bound
+//! settles neither way takes the counted fallback, recorded in
+//! [`ConsistencyStats::envelope_fallbacks`]. Both saturating routes run
+//! the same sequence — saturate, complete and re-check, else fall back —
+//! and differ only in the frozen bound.
 //!
 //! What a query needs beyond its rf and values depends only on its core:
 //! the [`ArenaChecker`], the per-location write table, the po-loc write
-//! seeds and the envelope. [`CoSetup`] builds them once per control-flow
-//! combination, and every query on it runs on the arena engine:
-//! relations live in [`RelArena`] slots, candidates are checked as
+//! seeds and the ppo lower bound. [`CoSetup`] builds them once per
+//! control-flow combination, and every query on it runs on the arena
+//! engine: relations live in [`RelArena`] slots, candidates are checked as
 //! borrowed [`ExecFrame`]s, and once the arena is warm a query that
 //! saturates performs no heap allocation at all.
 
 use crate::arena::{RelArena, RelId};
-use crate::enumerate::{build_co_arena, HeapPerm};
+use crate::enumerate::{build_co_arena, bump, HeapPerm};
 use crate::event::{Dir, Event, Loc};
 use crate::exec::{ExecCore, ExecFrame, ExecRels};
 use crate::model::{Architecture, ArenaChecker, Tractability};
-use crate::ppo::PpoEnvelope;
+use crate::relation::Relation;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -76,12 +76,12 @@ pub struct ConsistencyStats {
     pub fallbacks: usize,
     /// Coherence choices the fallback actually checked, across queries.
     pub fallback_candidates: u128,
-    /// [`Tractability::Conditional`] queries the ppo envelope decided
-    /// definitively (either direction) — also counted in
-    /// `contradictions`/`witnesses`, never in `fallbacks`.
+    /// [`Tractability::Conditional`] queries saturation under the ppo
+    /// lower bound decided definitively (either direction) — also counted
+    /// in `contradictions`/`witnesses`, never in `fallbacks`.
     pub conditional_definitive: usize,
-    /// [`Tractability::Conditional`] queries where the envelope genuinely
-    /// disagreed — each also counts once in `fallbacks`.
+    /// [`Tractability::Conditional`] queries the lower bound settled
+    /// neither way — each also counts once in `fallbacks`.
     pub envelope_fallbacks: usize,
 }
 
@@ -149,11 +149,11 @@ fn loc_writes(events: &[Event]) -> Vec<LocWrites> {
 enum Route {
     /// Exact saturation ([`Tractability::Monotone`]).
     Monotone,
-    /// Saturation against the ppo envelope
+    /// Saturation with ppo frozen to this lower bound
     /// ([`Tractability::Conditional`]).
-    Conditional(PpoEnvelope),
+    Conditional(Relation),
     /// The counted fallback alone ([`Tractability::Frontier`], and a
-    /// `Conditional` model that vouches for no envelope — a contract
+    /// `Conditional` model that vouches for no lower bound — a contract
     /// violation, slower, never unsound).
     Frontier,
 }
@@ -161,7 +161,7 @@ enum Route {
 /// Everything the coherence queries on one core share: the axiom
 /// checker, the per-location write table, the SC PER LOCATION po-loc
 /// write seeds and, for a [`Tractability::Conditional`] model, its ppo
-/// envelope. Batch drivers (`herd_litmus::decide`) build one per
+/// lower bound. Batch drivers (`herd_litmus::decide`) build one per
 /// control-flow combination and pass it to every [`co_exists`] query on
 /// that combination, each of which then allocates nothing once the arena
 /// is warm, unless it takes the counted fallback.
@@ -185,7 +185,7 @@ impl CoSetup {
         let route = match arch.tractability() {
             Tractability::Monotone => Route::Monotone,
             Tractability::Conditional => {
-                arch.ppo_envelope(core).map_or(Route::Frontier, Route::Conditional)
+                arch.ppo_lower_bound(core).map_or(Route::Frontier, Route::Conditional)
             }
             Tractability::Frontier => Route::Frontier,
         };
@@ -209,12 +209,13 @@ impl CoSetup {
 /// four axioms of `arch` (and respect the queried co-maximal writes)?
 ///
 /// `setup` must have been built by [`CoSetup::new`] for the same `arch`
-/// and the query's core. Decided by saturation for
-/// [`Tractability::Monotone`] models, by envelope saturation plus exact
-/// re-validation for [`Tractability::Conditional`] ones, and by counted
-/// enumeration when saturation cannot decide — all paths agree exactly;
-/// only the cost differs. `arena` is scratch space reused across queries
-/// (it is reset to the query's universe).
+/// and the query's core. [`Tractability::Monotone`] models saturate
+/// against their exact relations, [`Tractability::Conditional`] ones with
+/// ppo frozen to the lower bound; either way the greedy completion is
+/// re-checked under the exact model, and a query saturation cannot decide
+/// takes the counted enumeration fallback — all paths agree exactly; only
+/// the cost differs. `arena` is scratch space reused across queries (it
+/// is reset to the query's universe).
 pub fn co_exists<A: Architecture + ?Sized>(
     arch: &A,
     setup: &CoSetup,
@@ -257,74 +258,35 @@ pub fn co_exists<A: Architecture + ?Sized>(
     }
     close(arena, forced);
 
-    match &setup.route {
-        Route::Monotone => {
-            // Exact saturation: the per-candidate relations are
-            // themselves monotone in co, so every probe checks the exact
-            // model.
-            if let SatResult::Contradiction = saturate(arch, setup, q, &rels, arena, forced, None) {
-                stats.contradictions += 1;
-                return false;
-            }
-            if complete_and_check(arch, setup, q, &rels, arena, forced) {
-                stats.witnesses += 1;
-                return true;
-            }
-            // Saturation incomplete: the greedy witness failed
-            // (independent pair orientations interact) — fall back,
-            // counted.
+    // Monotone models saturate against their exact relations; a
+    // conditional model freezes ppo to its lower bound. Under the bound
+    // every violation is definitive for the exact model too (exact ppo ⊇
+    // lower only adds hb/prop edges, so the violating cycle persists), and
+    // the forced edges are constraints every exact witness obeys.
+    let frozen = match &setup.route {
+        Route::Monotone => None,
+        Route::Conditional(lower) => Some(arena.alloc_from(lower)),
+        Route::Frontier => {
+            stats.fallbacks += 1;
+            return fallback(arch, setup, q, &rels, arena, forced, stats);
         }
-        Route::Conditional(env) => {
-            let lower = arena.alloc_from(&env.lower);
-
-            // Pessimistic pass: with ppo frozen to the lower bound every
-            // violation is definitive for the exact model too (exact ppo
-            // ⊇ lower only adds hb/prop edges, so the violating cycle
-            // persists) — a contradiction is definitively forbidden, and
-            // the forced edges are constraints every exact witness obeys.
-            if let SatResult::Contradiction =
-                saturate(arch, setup, q, &rels, arena, forced, Some(lower))
-            {
-                stats.contradictions += 1;
-                stats.conditional_definitive += 1;
-                return false;
-            }
-            // A completed order is a real candidate: the *exact* check
-            // decides it, bounds no longer needed.
-            if complete_and_check(arch, setup, q, &rels, arena, forced) {
-                stats.witnesses += 1;
-                stats.conditional_definitive += 1;
-                return true;
-            }
-
-            // Optimistic pass, on a copy of the forced order (its forced
-            // edges are only sound for upper-frozen witnesses, so they
-            // must not leak into the fallback): saturating under the
-            // upper bound steers the greedy completion toward an order
-            // passing the *stricter* frozen model — and any such order
-            // passes the exact model by monotonicity (exact ppo ⊆
-            // upper). The exact re-check is what certifies the verdict
-            // either way. Only now does the envelope's lazily-materialised
-            // upper fixpoint get paid — queries the pessimistic pass
-            // settles never reach this line.
-            let upper = arena.alloc_from(env.upper(core));
-            let forced_up = arena.alloc_from(forced);
-            if let SatResult::Fixpoint =
-                saturate(arch, setup, q, &rels, arena, forced_up, Some(upper))
-            {
-                if complete_and_check(arch, setup, q, &rels, arena, forced_up) {
-                    stats.witnesses += 1;
-                    stats.conditional_definitive += 1;
-                    return true;
-                }
-            }
-            // The envelope genuinely disagreed: no lower contradiction,
-            // no exact-clean witness under either bound's guidance.
-            stats.envelope_fallbacks += 1;
-        }
-        Route::Frontier => {}
+    };
+    let conditional = usize::from(frozen.is_some());
+    if let SatResult::Contradiction = saturate(arch, setup, q, &rels, arena, forced, frozen) {
+        stats.contradictions += 1;
+        stats.conditional_definitive += conditional;
+        return false;
     }
-
+    // A completed order is a real candidate: the *exact* check decides it.
+    if complete_and_check(arch, setup, q, &rels, arena, forced) {
+        stats.witnesses += 1;
+        stats.conditional_definitive += conditional;
+        return true;
+    }
+    // Saturation incomplete: the greedy witness failed (independent pair
+    // orientations interact, or the bound missed a dynamic ppo edge) —
+    // fall back, counted.
+    stats.envelope_fallbacks += conditional;
     stats.fallbacks += 1;
     fallback(arch, setup, q, &rels, arena, forced, stats)
 }
@@ -567,17 +529,6 @@ fn fallback<A: Architecture + ?Sized>(
     }
 }
 
-fn bump(digits: &mut [usize], radices: &[usize]) -> bool {
-    for (d, &r) in digits.iter_mut().zip(radices) {
-        if *d + 1 < r {
-            *d += 1;
-            return true;
-        }
-        *d = 0;
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -659,13 +610,13 @@ mod tests {
             }
         }
         assert_eq!(stats.queries, archs.len() * fixtures.len());
-        // Power is conditional-side: the ppo envelope decides (nearly)
+        // Power is conditional-side: the ppo lower bound decides (nearly)
         // every fixture definitively, and whatever residue remains is a
-        // counted envelope fallback — never a silent one.
-        assert!(stats.conditional_definitive > 0, "the envelope must decide some queries");
+        // counted conditional fallback — never a silent one.
+        assert!(stats.conditional_definitive > 0, "the lower bound must decide some queries");
         assert_eq!(
             stats.fallbacks, stats.envelope_fallbacks,
-            "every fallback must come from a counted envelope disagreement"
+            "every fallback must come from a counted conditional query"
         );
         assert!(
             stats.fallbacks < fixtures.len(),

@@ -1430,7 +1430,7 @@ fn factorial_saturating(k: usize) -> u128 {
 }
 
 /// Advances a mixed-radix odometer; returns false on wrap-around to zero.
-fn bump(digits: &mut [usize], radices: &[usize]) -> bool {
+pub(crate) fn bump(digits: &mut [usize], radices: &[usize]) -> bool {
     for (d, &r) in digits.iter_mut().zip(radices) {
         if *d + 1 < r {
             *d += 1;

@@ -139,12 +139,6 @@ impl FpHasher {
         self.raw(&v.to_le_bytes());
     }
 
-    /// Mixes an unsigned 128-bit integer (e.g. another fingerprint).
-    pub fn write_u128(&mut self, v: u128) {
-        self.step(T_U128);
-        self.raw(&v.to_le_bytes());
-    }
-
     /// Mixes a signed 64-bit integer.
     pub fn write_i64(&mut self, v: i64) {
         self.step(T_I64);
@@ -180,7 +174,6 @@ const T_TAG: u8 = 0x7a;
 const T_BYTES: u8 = 0xb1;
 const T_STR: u8 = 0x51;
 const T_U64: u8 = 0x64;
-const T_U128: u8 = 0x12;
 const T_I64: u8 = 0x69;
 const T_BOOL: u8 = 0xb0;
 const T_LEN: u8 = 0x1e;

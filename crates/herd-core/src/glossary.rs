@@ -164,11 +164,11 @@
 //! |---|---|---|
 //! | co-placement | the queried outcome fixes rf and the per-location *last* writes; deciding it means placing one coherence order around those constraints, never enumerating `Π |writes(l)|!` of them | [`crate::consistency::CoQuery`], [`crate::consistency::co_exists`] |
 //! | forced order | the partial co every witness must extend: init writes first, all other writes before the queried last write, and — on the saturating routes only — the architecture's static po-loc on same-location write pairs (orienting co against one closes a 2-cycle in `po-loc ∪ com`), transitively closed | the `forced` slot in [`crate::consistency::co_exists`] |
-//! | per-core setup | what every coherence query on one core shares, built once per control-flow combination: the axiom checker, the per-location write table, the po-loc write seeds and a `Conditional` model's ppo envelope; a warm query on it allocates nothing | [`crate::consistency::CoSetup`] |
+//! | per-core setup | what every coherence query on one core shares, built once per control-flow combination: the axiom checker, the per-location write table, the po-loc write seeds and a `Conditional` model's ppo lower bound; a warm query on it allocates nothing | [`crate::consistency::CoSetup`] |
 //! | saturation | the co-placement fixpoint: each unordered same-location write pair is hypothesised both ways against the axioms — both orientations definitively violating ⇒ forbidden, one ⇒ force the other, neither ⇒ leave free — then the forced order is completed greedily into a witness | the hypothesis loop in [`crate::consistency::co_exists`] |
 //! | monotonicity | why a *partial*-co violation is definitive: on SC/TSO/PSO/RMO every axiom input grows monotonically with co (`fr = rf⁻¹; co`, `prop` built from `com`), and on C++RA `ppo = po` and `prop = (po ∪ rfe)+` ignore co, so both PROPAGATION forms only grow with it; adding edges never un-violates an axiom. It makes contradictions definitive, not completion greedy: the greedy witness may still fail into the counted fallback | [`crate::model::Tractability::Monotone`] |
 //! | tractability frontier | where monotone saturation stops being sound as-is: dynamic ppo (Power/ARM's `rdw`/`detour` react to the coherence choice), crossed by conditional saturation; a model vouching for neither skips saturation and takes the counted fallback — no stock model does | [`crate::model::Tractability::Frontier`] |
-//! | conditional saturation | the frontier-crossing middle ground: a *ppo envelope* — a static lower bound (rdw/rfi/detour emptied) and upper bound (the same fixpoint with them saturated to same-location/same-thread supersets) sandwiching every candidate's exact ppo — restores monotonicity per bound; a lower-bound contradiction is definitively forbidden (axioms are monotone in ppo edges too), a completed order re-checked clean under the *exact* per-candidate ppo is definitively allowed, and only genuine envelope disagreement falls back | [`crate::model::Tractability::Conditional`], [`crate::ppo::PpoEnvelope`], [`crate::consistency::ConsistencyStats::conditional_definitive`] |
+//! | conditional saturation | the frontier-crossing middle ground: ppo frozen to a static *lower bound* (the Fig 25 fixpoint with rdw/rfi/detour emptied, contained in every candidate's exact ppo) restores monotonicity; a contradiction under it is definitively forbidden (axioms are monotone in ppo edges too), the greedy completion re-checked clean under the *exact* per-candidate ppo is definitively allowed, and a query it settles neither way takes the counted fallback | [`crate::model::Tractability::Conditional`], [`crate::model::Architecture::ppo_lower_bound`], [`crate::consistency::ConsistencyStats::conditional_definitive`] |
 //! | counted fallback | exact enumeration of the forced order's per-location linear extensions when saturation is incomplete or unsound — always visible in the stats, never silent | [`crate::consistency::ConsistencyStats::fallbacks`], [`crate::consistency::ConsistencyStats::envelope_fallbacks`] |
 //!
 //! The litmus layer (`herd_litmus::decide`) adds register screening (a

@@ -18,7 +18,6 @@ use crate::arena::{RelArena, RelId};
 use crate::event::Dir;
 use crate::exec::{ExecCore, ExecFrame, Execution};
 use crate::fingerprint::FpHasher;
-use crate::ppo::PpoEnvelope;
 use crate::relation::Relation;
 use std::fmt;
 
@@ -52,9 +51,9 @@ pub enum PropagationCheck {
 /// with co. Power/ARM's `ppo` is *dynamic* (`rdw`/`rfi`/`detour` feed the
 /// Fig 25 fixpoint), but once ppo is frozen to a candidate-independent
 /// bound their remaining axioms are monotone in co again — that is the
-/// [`Tractability::Conditional`] mode, which saturates against a sound
-/// two-sided [`crate::ppo::PpoEnvelope`] and only falls back to (counted)
-/// enumeration when the bounds genuinely disagree.
+/// [`Tractability::Conditional`] mode, which saturates with ppo frozen to
+/// a sound lower bound and falls back to (counted) enumeration when that
+/// saturation does not settle the query.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Tractability {
     /// Every axiom is monotone in `co`, and
@@ -66,15 +65,15 @@ pub enum Tractability {
     /// query takes the counted fallback, never a silent guess.
     Monotone,
     /// Monotone once ppo is frozen: the axioms are monotone in co *given*
-    /// a frozen ppo, and the architecture vouches for a sound envelope
-    /// `lower ⊆ ppo(x) ⊆ upper` via [`Architecture::ppo_envelope`] plus a
+    /// a frozen ppo, and the architecture vouches for a sound lower bound
+    /// `lower ⊆ ppo(x)` via [`Architecture::ppo_lower_bound`] plus a
     /// frozen-ppo relation hook
-    /// ([`Architecture::arch_rels_arena_frozen`]). Saturation runs once
-    /// per bound: a lower-bound contradiction is definitively forbidden
-    /// (fewer ppo edges can only *miss* violations), an upper-bound
-    /// witness that re-checks clean under the exact per-candidate ppo is
-    /// definitively allowed, and only a genuine disagreement falls back —
-    /// counted in [`crate::consistency::ConsistencyStats`], never silent.
+    /// ([`Architecture::arch_rels_arena_frozen`]). Saturation runs with
+    /// ppo frozen to the bound: a contradiction is definitively forbidden
+    /// (fewer ppo edges can only *miss* violations), a greedy completion
+    /// that re-checks clean under the exact per-candidate ppo is
+    /// definitively allowed, and anything else falls back — counted in
+    /// [`crate::consistency::ConsistencyStats`], never silent.
     Conditional,
     /// Nothing vouched for: single-execution queries skip saturation and
     /// enumerate coherence orders, and the fallback is counted in
@@ -172,13 +171,13 @@ pub trait Architecture {
         Tractability::Frontier
     }
 
-    /// The candidate-independent ppo envelope backing
-    /// [`Tractability::Conditional`]: `lower ⊆ ppo(x) ⊆ upper` for every
+    /// The candidate-independent ppo lower bound backing
+    /// [`Tractability::Conditional`]: contained in `ppo(x)` for every
     /// candidate `x` built on `core`. Architectures declaring
     /// `Conditional` **must** override this (returning `Some`); the
     /// default `None` matches the static-ppo and frontier models, for
-    /// which no envelope is needed or none is sound.
-    fn ppo_envelope(&self, core: &ExecCore) -> Option<PpoEnvelope> {
+    /// which no bound is needed or none is sound.
+    fn ppo_lower_bound(&self, core: &ExecCore) -> Option<Relation> {
         let _ = core;
         None
     }
@@ -306,8 +305,8 @@ impl<A: Architecture + ?Sized> Architecture for &A {
     fn tractability(&self) -> Tractability {
         (**self).tractability()
     }
-    fn ppo_envelope(&self, core: &ExecCore) -> Option<PpoEnvelope> {
-        (**self).ppo_envelope(core)
+    fn ppo_lower_bound(&self, core: &ExecCore) -> Option<Relation> {
+        (**self).ppo_lower_bound(core)
     }
     fn arch_rels_arena_frozen(
         &self,

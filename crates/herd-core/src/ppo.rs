@@ -242,7 +242,9 @@ pub fn compute_arena(fx: &ExecFrame<'_>, cfg: &PpoConfig, arena: &mut RelArena) 
 /// The fixpoint equations are monotone, so the result is contained in
 /// `compute(x, cfg).ppo` for *every* candidate `x` built on `core` — the
 /// underapproximation that makes generation-time NO THIN AIR pruning
-/// sound ([`crate::model::Architecture::thin_air_base`]).
+/// sound ([`crate::model::Architecture::thin_air_base`]) and the frozen
+/// ppo of [`crate::model::Tractability::Conditional`] saturation
+/// ([`crate::model::Architecture::ppo_lower_bound`]).
 pub fn compute_static(core: &ExecCore, cfg: &PpoConfig) -> Relation {
     let n = core.universe();
     let dp = core.deps().addr.union(&core.deps().data);
@@ -260,95 +262,6 @@ pub fn compute_static(core: &ExecCore, cfg: &PpoConfig) -> Relation {
 
     let (ii, ic, _, _) = fixpoint(&ii0, &ic0, &ci0, &cc0);
     ii.restrict(core.reads(), core.reads()).union(&ic.restrict(core.reads(), core.writes()))
-}
-
-/// The matching *over*approximation: the same fixpoint with the dynamic
-/// ingredients saturated to static supersets that hold for every
-/// candidate built on `core`:
-///
-/// * `rfi = rf ∩ internal` ⊆ `(same-loc ∩ internal) ∩ W×R` — rf edges are
-///   same-location write→read by construction;
-/// * `rdw = po-loc ∩ (fre; rfe)` ⊆ `po-loc ∩ R×R` — `fre` leaves a read
-///   and `rfe` arrives at one (Fig 27);
-/// * `detour = po-loc ∩ (coe; rfe)` ⊆ `po-loc ∩ W×R` (Fig 28).
-///
-/// Monotonicity of the Fig 25 equations lifts ingredient containment to
-/// the result: `compute(x, cfg).ppo ⊆ compute_static_upper(core, cfg)`
-/// for every candidate `x` on `core`. Together with [`compute_static`]
-/// this sandwiches the exact ppo — the envelope behind
-/// [`crate::model::Tractability::Conditional`].
-pub fn compute_static_upper(core: &ExecCore, cfg: &PpoConfig) -> Relation {
-    let n = core.universe();
-    let dp = core.deps().addr.union(&core.deps().data);
-
-    let mut ii0 = dp.clone();
-    ii0.union_with(
-        &core.same_loc().intersect(core.internal()).restrict(core.writes(), core.reads()),
-    );
-    if cfg.rdw_in_ii0 {
-        ii0.union_with(&core.po_loc().restrict(core.reads(), core.reads()));
-    }
-
-    let ic0 = Relation::empty(n);
-
-    let mut ci0 =
-        if cfg.ctrl_cfence_in_ci0 { core.deps().ctrl_cfence.clone() } else { Relation::empty(n) };
-    if cfg.detour_in_ci0 {
-        ci0.union_with(&core.po_loc().restrict(core.writes(), core.reads()));
-    }
-
-    let mut cc0 = dp;
-    if cfg.po_loc_in_cc0 {
-        cc0.union_with(core.po_loc());
-    }
-    cc0.union_with(&core.deps().ctrl);
-    cc0.union_with(&core.deps().addr.seq(core.po()));
-
-    let (ii, ic, _, _) = fixpoint(&ii0, &ic0, &ci0, &cc0);
-    ii.restrict(core.reads(), core.reads()).union(&ic.restrict(core.reads(), core.writes()))
-}
-
-/// A two-sided, candidate-independent bound on the Fig 25 ppo:
-/// `lower ⊆ ppo(x) ⊆ upper` for every candidate `x` built on the core the
-/// envelope was computed from. Computed once per control-flow
-/// combination, in `consistency::CoSetup`, and reused across every
-/// coherence query on it.
-///
-/// The upper bound is materialised lazily: a query settled by the
-/// pessimistic pass alone — every definitively *forbidden* outcome —
-/// never pays the [`compute_static_upper`] fixpoint, which on small
-/// programs is a sizable share of the whole envelope-path cost.
-#[derive(Clone, Debug)]
-pub struct PpoEnvelope {
-    /// [`compute_static`]: the dynamic unknowns emptied.
-    pub lower: Relation,
-    /// [`compute_static_upper`], on first demand.
-    upper: std::sync::OnceLock<Relation>,
-    cfg: PpoConfig,
-}
-
-impl PpoEnvelope {
-    /// Computes the lower bound from the rf/co-independent core; the
-    /// upper bound waits for the first [`PpoEnvelope::upper`] call.
-    pub fn compute(core: &ExecCore, cfg: &PpoConfig) -> Self {
-        PpoEnvelope {
-            lower: compute_static(core, cfg),
-            upper: std::sync::OnceLock::new(),
-            cfg: *cfg,
-        }
-    }
-
-    /// The upper bound, computed on first use. `core` must be the core
-    /// the envelope was built from.
-    pub fn upper(&self, core: &ExecCore) -> &Relation {
-        self.upper.get_or_init(|| compute_static_upper(core, &self.cfg))
-    }
-
-    /// True when the bounds coincide — the dynamic ingredients cannot
-    /// affect ppo on this program, so the envelope is exact.
-    pub fn tight(&self, core: &ExecCore) -> bool {
-        self.lower == *self.upper(core)
-    }
 }
 
 #[cfg(test)]
@@ -419,32 +332,13 @@ mod tests {
             fixtures::lb(Device::Data, Device::Ctrl),
             fixtures::s(Device::None, Device::Addr),
             fixtures::co_rr(),
+            fixtures::wrc(Device::Fence(crate::event::Fence::Lwsync), Device::Addr),
+            fixtures::iriw(Device::Fence(crate::event::Fence::Sync), Device::Addr),
         ] {
             for cfg in [PpoConfig::power(), PpoConfig::arm()] {
                 let full = compute(&x, &cfg).ppo;
                 let fixed = compute_static(x.core(), &cfg);
                 assert!(fixed.is_subset(&full), "static ppo must be ⊆ the candidate's ppo");
-            }
-        }
-    }
-
-    #[test]
-    fn envelope_sandwiches_every_candidate() {
-        for x in [
-            fixtures::mp(Device::Fence(crate::event::Fence::Lwsync), Device::Addr),
-            fixtures::lb(Device::Data, Device::Ctrl),
-            fixtures::s(Device::None, Device::Addr),
-            fixtures::co_rr(),
-            fixtures::wrc(Device::Fence(crate::event::Fence::Lwsync), Device::Addr),
-            fixtures::iriw(Device::Fence(crate::event::Fence::Sync), Device::Addr),
-        ] {
-            for cfg in [PpoConfig::power(), PpoConfig::arm()] {
-                let exact = compute(&x, &cfg).ppo;
-                let env = PpoEnvelope::compute(x.core(), &cfg);
-                let upper = env.upper(x.core());
-                assert!(env.lower.is_subset(&exact), "lower bound must be ⊆ exact ppo");
-                assert!(exact.is_subset(upper), "exact ppo must be ⊆ upper bound");
-                assert!(env.lower.is_subset(upper), "the envelope must be ordered");
             }
         }
     }

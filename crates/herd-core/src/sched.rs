@@ -148,11 +148,6 @@ impl Budget {
         self
     }
 
-    /// Is this the no-op budget?
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none() && self.max_candidates.is_none() && self.cancel.is_none()
-    }
-
     /// The cheap per-candidate check: candidate bound and cancel flag
     /// only (no clock read).
     #[inline]
@@ -456,14 +451,6 @@ impl<R> UnitResult<R> {
     /// Did the unit panic?
     pub fn is_poisoned(&self) -> bool {
         matches!(self, UnitResult::Poisoned { .. })
-    }
-
-    /// The panic payload, if the unit was poisoned.
-    pub fn poison_payload(&self) -> Option<&str> {
-        match self {
-            UnitResult::Done(_) => None,
-            UnitResult::Poisoned { payload } => Some(payload),
-        }
     }
 }
 

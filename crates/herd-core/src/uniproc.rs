@@ -291,11 +291,6 @@ impl CoMenus {
         }
     }
 
-    /// Number of locations carrying a menu.
-    pub fn loc_count(&self) -> usize {
-        self.per_loc.len()
-    }
-
     /// Number of valid orders of location `li` under the current refill.
     pub fn radix(&self, li: usize) -> usize {
         self.per_loc[li].len

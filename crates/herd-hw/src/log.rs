@@ -175,7 +175,7 @@ pub fn compare(model: &Log, hardware: &Log) -> Comparison {
 ///
 /// Models monotone in co ([`Tractability::Monotone`]: SC, TSO, PSO, RMO
 /// and C++RA) and the conditional ones ([`Tractability::Conditional`],
-/// Power/ARM with their ppo envelopes) are judged through the
+/// Power/ARM with their ppo lower bounds) are judged through the
 /// consistency backend (`herd_litmus::decide::allowed_full_outcomes`) —
 /// one witness query per distinct final state instead of a full (rf, co)
 /// enumeration. A model that vouches for neither

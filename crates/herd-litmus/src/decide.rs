@@ -920,9 +920,9 @@ mod tests {
         assert!(power.allowed, "Power allows bare mp");
         assert!(
             power.stats.backend.conditional_definitive > 0,
-            "the ppo envelope settles bare mp without enumeration"
+            "the ppo lower bound settles bare mp without enumeration"
         );
-        assert_eq!(power.stats.backend.fallbacks, 0, "no envelope fallback on bare mp");
+        assert_eq!(power.stats.backend.fallbacks, 0, "no conditional fallback on bare mp");
     }
 
     #[test]

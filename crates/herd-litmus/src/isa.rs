@@ -210,11 +210,6 @@ pub enum Instr {
 }
 
 impl Instr {
-    /// Does the instruction access memory?
-    pub fn is_memory_access(&self) -> bool {
-        matches!(self, Instr::Load { .. } | Instr::Store { .. } | Instr::StoreImm { .. })
-    }
-
     /// Renders the instruction in the given dialect's assembly syntax
     /// (parsable back by [`crate::parse::parse`] under that ISA).
     pub fn render(&self, isa: Isa) -> String {

@@ -251,6 +251,9 @@ fn parse_instr(isa: Isa, text: &str) -> Result<Instr, String> {
         return Ok(Instr::Fence(f));
     }
     let args: Vec<String> = split_args(rest);
+    let arg = |i: usize| -> Result<&str, String> {
+        args.get(i).map(String::as_str).ok_or_else(|| format!("missing operand in '{t}'"))
+    };
     let reg = |i: usize| -> Result<Reg, String> {
         args.get(i)
             .and_then(|a| parse_reg(a))
@@ -259,16 +262,16 @@ fn parse_instr(isa: Isa, text: &str) -> Result<Instr, String> {
     match (isa, op_l.as_str()) {
         (Isa::Power, "li") => Ok(Instr::MoveImm {
             dst: reg(0)?,
-            val: parse_imm(&args[1]).ok_or_else(|| format!("bad immediate in '{t}'"))?,
+            val: parse_imm(arg(1)?).ok_or_else(|| format!("bad immediate in '{t}'"))?,
         }),
         (Isa::Power, "lwz" | "ld") => {
-            Ok(Instr::Load { dst: reg(0)?, addr: parse_power_mem(&args[1])? })
+            Ok(Instr::Load { dst: reg(0)?, addr: parse_power_mem(arg(1)?)? })
         }
         (Isa::Power, "lwzx" | "ldx") => {
             Ok(Instr::Load { dst: reg(0)?, addr: Addr::Indexed { base: reg(2)?, index: reg(1)? } })
         }
         (Isa::Power, "stw" | "std") => {
-            Ok(Instr::Store { src: reg(0)?, addr: parse_power_mem(&args[1])? })
+            Ok(Instr::Store { src: reg(0)?, addr: parse_power_mem(arg(1)?)? })
         }
         (Isa::Power, "stwx" | "stdx") => {
             Ok(Instr::Store { src: reg(0)?, addr: Addr::Indexed { base: reg(2)?, index: reg(1)? } })
@@ -280,26 +283,29 @@ fn parse_instr(isa: Isa, text: &str) -> Result<Instr, String> {
         (Isa::Power | Isa::Arm, "add") => Ok(Instr::Add { dst: reg(0)?, a: reg(1)?, b: reg(2)? }),
         (Isa::Power, "cmpwi") => Ok(Instr::CmpImm {
             src: reg(0)?,
-            val: parse_imm(&args[1]).ok_or_else(|| format!("bad immediate in '{t}'"))?,
+            val: parse_imm(arg(1)?).ok_or_else(|| format!("bad immediate in '{t}'"))?,
         }),
         (Isa::Power, "cmpw") => Ok(Instr::CmpReg { a: reg(0)?, b: reg(1)? }),
-        (Isa::Arm, "cmp") => match parse_imm(&args[1]) {
-            Some(v) if args[1].trim().starts_with('#') => {
-                Ok(Instr::CmpImm { src: reg(0)?, val: v })
+        (Isa::Arm, "cmp") => {
+            let rhs = arg(1)?;
+            match parse_imm(rhs) {
+                Some(v) if rhs.trim().starts_with('#') => {
+                    Ok(Instr::CmpImm { src: reg(0)?, val: v })
+                }
+                _ => Ok(Instr::CmpReg { a: reg(0)?, b: reg(1)? }),
             }
-            _ => Ok(Instr::CmpReg { a: reg(0)?, b: reg(1)? }),
-        },
-        (Isa::Arm, "mov") => match parse_imm(&args[1]) {
+        }
+        (Isa::Arm, "mov") => match parse_imm(arg(1)?) {
             Some(v) => Ok(Instr::MoveImm { dst: reg(0)?, val: v }),
             None => Ok(Instr::Move { dst: reg(0)?, src: reg(1)? }),
         },
         (Isa::Arm, "ldr") => Ok(Instr::Load { dst: reg(0)?, addr: parse_arm_mem(&args[1..])? }),
         (Isa::Arm, "str") => Ok(Instr::Store { src: reg(0)?, addr: parse_arm_mem(&args[1..])? }),
         (Isa::X86, "mov") => parse_x86_mov(&args, t),
-        (_, "beq") => Ok(Instr::Branch { cond: BranchCond::Eq, label: args[0].trim().to_owned() }),
-        (_, "bne") => Ok(Instr::Branch { cond: BranchCond::Ne, label: args[0].trim().to_owned() }),
+        (_, "beq") => Ok(Instr::Branch { cond: BranchCond::Eq, label: arg(0)?.trim().to_owned() }),
+        (_, "bne") => Ok(Instr::Branch { cond: BranchCond::Ne, label: arg(0)?.trim().to_owned() }),
         (_, "b" | "jmp") => {
-            Ok(Instr::Branch { cond: BranchCond::Always, label: args[0].trim().to_owned() })
+            Ok(Instr::Branch { cond: BranchCond::Always, label: arg(0)?.trim().to_owned() })
         }
         _ => Err(format!("unknown {isa} instruction '{t}'")),
     }
@@ -654,6 +660,16 @@ exists (0:eax=0 /\ 1:eax=0)
         match c.prop {
             Prop::And(_, rhs) => assert!(matches!(*rhs, Prop::Not(_))),
             other => panic!("bad parse: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn missing_operands_are_errors() {
+        for (isa, instr) in [("PPC", "lwz r3,"), ("PPC", "stw r1"), ("ARM", "mov"), ("ARM", "b")] {
+            let src = format!("{isa} t\n{{\n}}\n P0 ;\n {instr} ;\nexists (x=1)\n");
+            let err = parse(&src).unwrap_err();
+            assert_eq!(err.line, Some(5), "{isa} '{instr}': {err}");
+            assert!(err.message.starts_with("missing operand"), "{isa} '{instr}': {err}");
         }
     }
 

@@ -69,9 +69,9 @@ pub fn verify_axiomatic(
 /// [`herd_core::model::Tractability::Monotone`]) the per-outcome cost
 /// drops from `Π |writes(l)|!` coherence checks to a saturation pass,
 /// Power/ARM-class models
-/// ([`herd_core::model::Tractability::Conditional`]) resolve most
-/// outcomes through their ppo-envelope bounds, and the residue takes the
-/// backend's counted fallback, which keeps the answer exact.
+/// ([`herd_core::model::Tractability::Conditional`]) saturate with ppo
+/// frozen to its static lower bound, and any residue takes the backend's
+/// counted fallback, which keeps the answer exact.
 ///
 /// Returns the same `reachable` bit as [`verify_axiomatic`] (whose
 /// candidate accounting it deliberately does not reproduce — outcomes,

@@ -17,12 +17,16 @@
 //! * a C++RA query whose pinned write contradicts po-loc is decided by
 //!   contradiction, not by permuting (N−1)! coherence orders;
 //! * past the old frontier (Power/ARM, now `Conditional`) most queries
-//!   must resolve definitively through the ppo-envelope bounds, the
-//!   small residue through the counted fallback — exact by enumeration
-//!   of the forced order's completions, never a silent guess;
-//! * the envelope itself must sandwich the exact per-candidate ppo
-//!   (`lower ⊆ ppo(c) ⊆ upper`) on every candidate of every random
-//!   program, for Power and ARM alike;
+//!   must resolve definitively by saturation with ppo frozen to its
+//!   static lower bound, any residue through the counted fallback —
+//!   exact by enumeration of the forced order's completions, never a
+//!   silent guess;
+//! * on the shipped corpora and a diy batch the lower bound settles every
+//!   full-outcome query of Power, the three ARM variants and static-ppo
+//!   Power, pinning the measured traffic: no conditional query falls back;
+//! * the lower bound itself must sit inside the exact per-candidate ppo
+//!   (`lower ⊆ ppo(c)`) on every candidate of every random program, for
+//!   Power and ARM alike;
 //! * randomised programs ([`ProgramShape`]) and randomised outcomes —
 //!   including outcomes no interleaving can reach — agree the same way;
 //! * the decided simulation driver reproduces the streamed driver's
@@ -40,7 +44,7 @@ use herd_core::fixtures::{probe_value, ProgramShape, ShapeOp};
 use herd_core::model::{check, Architecture, Tractability};
 use herd_litmus::candidates::{enumerate, Candidate, EnumOptions, RegFinal};
 use herd_litmus::corpus::{self, Dev, Op, TestBuilder};
-use herd_litmus::decide::{decide_outcome, Outcome, QueryStats};
+use herd_litmus::decide::{allowed_full_outcomes, decide_outcome, Outcome, QueryStats};
 use herd_litmus::isa::{Isa, Reg};
 use herd_litmus::program::{LitmusTest, Prop, Quantifier};
 use herd_litmus::simulate::{simulate_decided, simulate_with};
@@ -201,14 +205,14 @@ fn corpus_verdicts_match_enumeration_past_the_frontier() {
     ] {
         differential(&t, &power, &mut stats);
     }
-    // Past the old frontier the ppo envelope settles most queries without
-    // enumeration: the fallback is a small *counted* residue, and every
-    // definitive verdict above was pinned against enumeration probe by
-    // probe by `differential`.
+    // Past the old frontier the ppo lower bound settles most queries
+    // without enumeration: the fallback is a small *counted* residue, and
+    // every definitive verdict above was pinned against enumeration probe
+    // by probe by `differential`.
     assert!(stats.backend.queries > 0);
     assert!(
         stats.backend.fallbacks < stats.backend.queries,
-        "the envelope must settle queries the old frontier routing enumerated"
+        "the lower bound must settle queries the old frontier routing enumerated"
     );
     assert!(
         stats.backend.conditional_definitive * 5 >= stats.backend.queries * 4,
@@ -218,7 +222,7 @@ fn corpus_verdicts_match_enumeration_past_the_frontier() {
     );
     assert_eq!(
         stats.backend.fallbacks, stats.backend.envelope_fallbacks,
-        "every fallback is an envelope disagreement, never a silent skip"
+        "every fallback is a counted conditional query, never a silent skip"
     );
     assert_eq!(
         stats.backend.queries,
@@ -245,8 +249,8 @@ fn decided_simulation_matches_streamed_simulation_corpus_wide() {
         assert_eq!(decided.validated, e.allowed, "{} under TSO", e.test.name);
     }
     // And past the frontier the decided driver still matches — now mostly
-    // through the envelope's definitive verdicts rather than the counted
-    // fallback.
+    // through the lower bound's definitive verdicts rather than the
+    // counted fallback.
     let power = Power::new();
     let mut stats = QueryStats::default();
     for t in [
@@ -262,9 +266,47 @@ fn decided_simulation_matches_streamed_simulation_corpus_wide() {
     assert!(stats.backend.queries > 0);
     assert!(
         stats.backend.conditional_definitive > 0,
-        "the envelope settles queries on the decided Power path"
+        "the lower bound settles queries on the decided Power path"
     );
     assert!(stats.backend.fallbacks < stats.backend.queries);
+}
+
+/// Every full-outcome query of the shipped corpora and of the diy tests
+/// over the Power and ARM pools with cycles of length at most 4, under
+/// each conditional stock model, is settled by saturation with ppo
+/// frozen to the static lower bound: a contradiction or a witness that
+/// re-checks clean, never the counted fallback.
+#[test]
+fn lower_bound_settles_every_conditional_query() {
+    let mut tests: Vec<LitmusTest> =
+        [corpus::power_corpus(), corpus::arm_corpus(), corpus::x86_corpus()]
+            .into_iter()
+            .flatten()
+            .map(|e| e.test)
+            .collect();
+    let corpora = tests.len();
+    tests.extend(herd_diy::generate_tests(&herd_diy::power_pool(), 4, Isa::Power, usize::MAX));
+    tests.extend(herd_diy::generate_tests(&herd_diy::arm_pool(), 4, Isa::Arm, usize::MAX));
+    assert_eq!(tests.len() - corpora, 93 + 57, "the diy batch");
+    let models: [&dyn Architecture; 5] = [
+        &Power::new(),
+        &Arm::new(ArmVariant::PowerArm),
+        &Arm::new(ArmVariant::Proposed),
+        &Arm::new(ArmVariant::ProposedLlh),
+        &Power::without_dynamic_ppo(),
+    ];
+    for arch in models {
+        assert_eq!(arch.tractability(), Tractability::Conditional, "{}", arch.name());
+        let mut stats = QueryStats::default();
+        for t in &tests {
+            allowed_full_outcomes(t, arch, &EnumOptions::default(), &mut stats, &mut |_, _| {})
+                .expect("the test decides");
+        }
+        let b = stats.backend;
+        assert!(b.queries > 0, "{}", arch.name());
+        assert_eq!(b.conditional_definitive, b.queries, "{}: {b:?}", arch.name());
+        assert_eq!((b.envelope_fallbacks, b.fallbacks), (0, 0), "{}: {b:?}", arch.name());
+    }
 }
 
 /// Location names for [`ProgramShape`] indices.
@@ -364,12 +406,12 @@ proptest! {
         }
     }
 
-    /// The ppo envelope's defining property, on random bounded programs:
-    /// for Power and ARM, the static lower bound is contained in every
-    /// candidate's exact ppo, which is contained in the static upper
-    /// bound. This is what makes the conditional verdicts sound.
+    /// The ppo lower bound's defining property, on random bounded
+    /// programs: for Power and ARM, the static lower bound is contained in
+    /// every candidate's exact ppo. This is what makes the conditional
+    /// verdicts sound.
     #[test]
-    fn envelope_sandwiches_random_programs(
+    fn ppo_lower_bound_underapproximates_random_programs(
         bytes in proptest::collection::vec(any::<u8>(), 0..16),
     ) {
         let shape = ProgramShape::decode(&bytes);
@@ -379,21 +421,12 @@ proptest! {
         let arm = Arm::new(ArmVariant::Proposed);
         for arch in [&power as &dyn Architecture, &arm] {
             for c in &cands {
-                let env = arch
-                    .ppo_envelope(c.exec.core())
-                    .expect("conditional models expose an envelope");
-                let upper = env.upper(c.exec.core());
-                prop_assert!(env.lower.is_subset(upper), "{:?} on {}", shape, arch.name());
-                let exact = arch.ppo(&c.exec);
+                let lower = arch
+                    .ppo_lower_bound(c.exec.core())
+                    .expect("conditional models expose a lower bound");
                 prop_assert!(
-                    env.lower.is_subset(&exact),
+                    lower.is_subset(&arch.ppo(&c.exec)),
                     "lower bound exceeds exact ppo: {:?} on {}",
-                    shape,
-                    arch.name()
-                );
-                prop_assert!(
-                    exact.is_subset(upper),
-                    "exact ppo exceeds upper bound: {:?} on {}",
                     shape,
                     arch.name()
                 );
@@ -448,11 +481,11 @@ fn scaled_family_counts_stay_exact_and_the_backend_saturates() {
     assert_eq!(d.stats.rf_configs, 1);
 
     // Past the frontier, the same 2 · 21! family answers through the
-    // envelope: Power settles the witness definitively, without a single
-    // enumeration fallback — 21! completions would never terminate.
+    // ppo lower bound: Power settles the witness definitively, without a
+    // single enumeration fallback — 21! completions would never terminate.
     let d = decide_outcome(&test, &Power::new(), &EnumOptions::default(), &probe).unwrap();
     assert!(d.allowed, "what SC allows, Power allows");
-    assert!(d.stats.backend.conditional_definitive >= 1, "the envelope settles the witness");
+    assert!(d.stats.backend.conditional_definitive >= 1, "the lower bound settles the witness");
     assert_eq!(d.stats.backend.fallbacks, 0, "no enumeration over 21! coherence orders");
 
     // Forbidden: the family's writes store 1..=21, never 99.

@@ -154,7 +154,7 @@ fn backend_model_log_matches_the_enumeration_reference() {
         );
     }
 
-    // The conditional models (Power/ARM with ppo envelopes) route
+    // The conditional models (Power/ARM with ppo lower bounds) route
     // through the backend too, and their logs must be indistinguishable
     // from enumerate-and-check as well.
     for (tests, model) in [

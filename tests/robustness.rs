@@ -255,6 +255,104 @@ fn litmus_partial_outcomes_account_for_the_whole_space() {
     }
 }
 
+/// Applies 1–4 random edits to `src`: byte replacements, byte insertions
+/// and range deletions. A new byte is half the time copied from elsewhere
+/// in the input (so edits reuse the format's own punctuation), half the
+/// time arbitrary; invalid UTF-8 becomes U+FFFD.
+fn mutate(src: &[u8], rng: &mut rand::rngs::StdRng) -> String {
+    use rand::Rng;
+    let mut b = src.to_vec();
+    for _ in 0..rng.gen_range(1..5) {
+        let byte = if rng.gen_bool(0.5) { src[rng.gen_range(0..src.len())] } else { rng.gen() };
+        let at = rng.gen_range(0..b.len() + 1);
+        match rng.gen_range(0..3) {
+            0 if at < b.len() => b[at] = byte,
+            1 if at < b.len() => {
+                let end = (at + rng.gen_range(1..9)).min(b.len());
+                b.drain(at..end);
+            }
+            _ => b.insert(at, byte),
+        }
+    }
+    String::from_utf8_lossy(&b).into_owned()
+}
+
+/// The shipped inputs of one kind, sorted by file name.
+fn shipped(dir: &str, ext: &str) -> Vec<(String, Vec<u8>)> {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(dir);
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&dir)
+        .expect("shipped input directory")
+        .map(|e| e.expect("directory entry").path())
+        .filter(|p| p.extension().is_some_and(|e| e == ext))
+        .map(|p| (p.display().to_string(), std::fs::read(&p).expect("shipped input")))
+        .collect();
+    files.sort();
+    files
+}
+
+/// Mutated shipped inputs never panic: every mutant of the corpus litmus
+/// files and the stock cat models parses to `Ok` or `Err`. An accepted
+/// litmus mutant is also simulated under Power, and an accepted cat
+/// mutant compiled and checked on `mp`'s candidates, with no panic
+/// either.
+#[test]
+fn mutated_shipped_inputs_never_panic() {
+    use herd_litmus::candidates::{enumerate, EnumOptions};
+    use herd_litmus::simulate::simulate_with;
+    use rand::SeedableRng;
+
+    let opts = EnumOptions { fuel: 64, max_candidates: 64 };
+    let litmus = |text: &str| {
+        let test = herd_litmus::parse::parse(text).ok()?;
+        // Thread semantics may still refuse a malformed program.
+        let _ = simulate_with(&test, &Power::new(), &opts);
+        Some(())
+    };
+    let mp = herd_litmus::corpus::mp(
+        herd_litmus::isa::Isa::Power,
+        herd_litmus::corpus::Dev::Po,
+        herd_litmus::corpus::Dev::Po,
+    );
+    let mp = enumerate(&mp, &EnumOptions::default()).expect("mp enumerates");
+    let cat = |text: &str| {
+        let model = herd_cat::parse(text).ok()?;
+        if let Ok(compiled) = herd_cat::compile(&model) {
+            for c in &mp {
+                compiled.check(&c.exec);
+            }
+        }
+        Some(())
+    };
+    let mut rng = rand::rngs::StdRng::seed_from_u64(21);
+    fuzz(shipped("crates/herd-litmus/corpus", "litmus"), 10, 8_000, &mut rng, &litmus);
+    fuzz(shipped("models", "cat"), 7, 4_000, &mut rng, &cat);
+}
+
+/// Runs `run` on `mutants` mutants of `inputs` (there must be `files` of
+/// them), round-robin, failing on the first panic. `run` returns `None`
+/// when the parser rejects the mutant; both outcomes must occur, so the
+/// loop reaches past the parser.
+fn fuzz(
+    inputs: Vec<(String, Vec<u8>)>,
+    files: usize,
+    mutants: usize,
+    rng: &mut rand::rngs::StdRng,
+    run: &dyn Fn(&str) -> Option<()>,
+) {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    assert_eq!(inputs.len(), files, "shipped inputs");
+    let mut accepted = 0;
+    for i in 0..mutants {
+        let (name, src) = &inputs[i % inputs.len()];
+        let text = mutate(src, rng);
+        match catch_unwind(AssertUnwindSafe(|| run(&text))) {
+            Ok(parsed) => accepted += usize::from(parsed.is_some()),
+            Err(_) => panic!("a mutant of {name} panicked:\n{text}"),
+        }
+    }
+    assert!(0 < accepted && accepted < mutants, "{accepted} of {mutants} accepted");
+}
+
 #[cfg(feature = "fault-injection")]
 mod fault_injection {
     use super::*;
