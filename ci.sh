@@ -25,11 +25,14 @@
 #                                     delays, and spurious cancels must
 #                                     each degrade to partial results with
 #                                     exact candidate accounting
-#   5. alloc_smoke (alloc-count)    — the zero-allocation contract of the
-#                                     arena-backed relation engine: a
-#                                     counting global allocator asserts 0
+#   5. alloc_smoke (alloc-count)    — the allocation contracts, under a
+#                                     counting global allocator: 0
 #                                     steady-state heap allocations per
-#                                     candidate on iriw+2w
+#                                     candidate on iriw+2w, none for a
+#                                     log-row key, a warm judged litmus
+#                                     candidate or a warm coherence query
+#                                     (TSO, C++RA, Power, ARM), and one
+#                                     (the verdict) per warm cat check
 #   6. perf_pipeline --quick --gate — the tracked perf bench, one timed
 #                                     section per layer; writes
 #                                     BENCH_pr<N>.json so every PR leaves

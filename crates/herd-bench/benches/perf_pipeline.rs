@@ -44,7 +44,7 @@ use herd_bench::{
     iriw_scaled, lb_ballast_scaled, lb_datas_scaled, power_tests, two_plus_two_w_scaled, wrc_scaled,
 };
 use herd_core::arch::{Arm, ArmVariant, CppRa, Power, Sc, Tso};
-use herd_core::arena::RelArena;
+use herd_core::arena::{RelArena, RelId};
 use herd_core::enumerate::{CheckedStats, Skeleton};
 use herd_core::event::Fence;
 use herd_core::exec::{ExecCore, ExecFrame, Execution};
@@ -660,10 +660,11 @@ fn bench_batches(reps: usize) -> Vec<Row> {
 
 /// The pure-counted-fallback baseline for the frontier rows (PR 10): the
 /// Power model verbatim, minus its `Tractability::Conditional`
-/// declaration and ppo lower bound — i.e. exactly the routing before
-/// conditional saturation, where every Power query takes the enumeration
-/// fallback. Delegates every relation to the real model so the two
-/// paths answer the same question; only the saturation strategy differs.
+/// declaration — i.e. exactly the routing before conditional saturation,
+/// where every Power query takes the enumeration fallback. Delegates
+/// every relation, and the ppo lower bound (so thin-air pruning stays
+/// on), to the real model, so the two paths answer the same question;
+/// only the saturation strategy differs.
 struct FallbackPower(Power);
 
 impl Architecture for FallbackPower {
@@ -673,8 +674,8 @@ impl Architecture for FallbackPower {
     fn ppo(&self, x: &Execution) -> Relation {
         self.0.ppo(x)
     }
-    fn fences(&self, x: &Execution) -> Relation {
-        self.0.fences(x)
+    fn fences(&self, core: &ExecCore) -> Relation {
+        self.0.fences(core)
     }
     fn prop(&self, x: &Execution) -> Relation {
         self.0.prop(x)
@@ -685,14 +686,16 @@ impl Architecture for FallbackPower {
     fn propagation_check(&self) -> PropagationCheck {
         self.0.propagation_check()
     }
-    fn thin_air_fences(&self, core: &ExecCore) -> Relation {
-        self.0.thin_air_fences(core)
+    fn ppo_lower_bound(&self, core: &ExecCore) -> Option<Relation> {
+        self.0.ppo_lower_bound(core)
     }
-    fn thin_air_base(&self, core: &ExecCore) -> Option<Relation> {
-        self.0.thin_air_base(core)
-    }
-    fn arch_rels_arena(&self, fx: &ExecFrame<'_>, arena: &mut RelArena) -> ArenaArchRels {
-        self.0.arch_rels_arena(fx, arena)
+    fn arch_rels_arena(
+        &self,
+        fx: &ExecFrame<'_>,
+        ppo: Option<RelId>,
+        arena: &mut RelArena,
+    ) -> ArenaArchRels {
+        self.0.arch_rels_arena(fx, ppo, arena)
     }
 }
 

@@ -31,8 +31,9 @@ use herd_bench::iriw_scaled;
 use herd_core::arch::{Arm, ArmVariant, CppRa, Power, Tso};
 use herd_core::arena::RelArena;
 use herd_core::consistency::{co_exists, CoQuery, CoSetup, ConsistencyStats};
+use herd_core::event::Fence;
 use herd_core::fixtures::{self, Device};
-use herd_core::model::Architecture;
+use herd_core::model::{Architecture, Tractability};
 use herd_core::sched::Budget;
 use herd_litmus::candidates::{enumerate, stream_verdicts, EnumOptions};
 use herd_litmus::corpus::{self, Dev, Op, TestBuilder};
@@ -204,17 +205,24 @@ fn litmus_judged_candidates_allocate_zero_in_the_steady_state() {
 /// needs beyond its rf and values lives in a [`CoSetup`] built once per
 /// core, so once the arena is warm a query allocates nothing — whether
 /// saturation ends in a witness (greedy completion included) or in a
-/// contradiction, under TSO and under C++RA alike.
+/// contradiction, under TSO and C++RA (exact relations) and under Power
+/// and ARM (ppo frozen to the lower bound) alike.
 #[test]
 fn warm_coherence_queries_on_a_prebuilt_setup_allocate_nothing() {
     let ra = CppRa::default();
+    let power = Power::new();
+    let arm = Arm::new(ArmVariant::Proposed);
     let mut arena = RelArena::new(0);
-    for arch in [&Tso as &dyn Architecture, &ra] {
+    for arch in [&Tso as &dyn Architecture, &ra, &power, &arm] {
         let mut decided = ConsistencyStats::default();
         for (name, x) in [
             ("iriw", fixtures::iriw(Device::None, Device::None)),
             ("sb", fixtures::sb(Device::None, Device::None)),
             ("mp", fixtures::mp(Device::None, Device::None)),
+            // Forbidden on Power and on ARM respectively: the frozen
+            // route's contradictions.
+            ("mp+lwsync+addr", fixtures::mp(Device::Fence(Fence::Lwsync), Device::Addr)),
+            ("mp+dmb+addr", fixtures::mp(Device::Fence(Fence::Dmb), Device::Addr)),
         ] {
             let rf: Vec<(usize, usize)> = x.rf().iter_pairs().collect();
             let setup = CoSetup::new(arch, x.core(), x.events());
@@ -234,6 +242,14 @@ fn warm_coherence_queries_on_a_prebuilt_setup_allocate_nothing() {
             "{}: both answers are pinned: {decided:?}",
             arch.name()
         );
+        if arch.tractability() == Tractability::Conditional {
+            assert_eq!(
+                decided.conditional_definitive,
+                decided.queries,
+                "{}: the lower bound settles every query: {decided:?}",
+                arch.name()
+            );
+        }
     }
 }
 

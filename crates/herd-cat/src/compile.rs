@@ -644,7 +644,8 @@ fn resolve<'x>(slots: &[Slot], i: usize, x: &'x Execution) -> RelSrc<'x> {
 /// # Errors
 ///
 /// Returns the same [`EvalError`]s the tree-walking evaluator would raise
-/// lazily: unknown names and unknown combinators.
+/// lazily: unknown names, unknown combinators and `let rec` groups that
+/// are not monotone.
 pub fn compile(model: &Model) -> Result<CompiledModel, EvalError> {
     let mut c = Compiler::default();
     for stmt in &model.stmts {
@@ -830,6 +831,7 @@ impl Compiler {
     }
 
     fn lower_rec(&mut self, bindings: &[(String, Expr)]) -> Result<(), EvalError> {
+        crate::eval::check_monotone(bindings)?;
         // Allocate the recursion slots first: every binding sees every
         // other (and itself) while lowering, as in the Fig 25 equations.
         let rec: Vec<usize> = bindings

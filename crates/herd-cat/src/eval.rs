@@ -25,6 +25,10 @@ pub enum EvalError {
     UnknownName(String),
     /// A function application with an unknown combinator.
     UnknownFunction(String),
+    /// A `let rec` group reaches this name of its own under the right
+    /// operand of `\`: the group is not monotone, so its fixpoint
+    /// iteration may never converge.
+    NonMonotone(String),
 }
 
 impl fmt::Display for EvalError {
@@ -32,6 +36,7 @@ impl fmt::Display for EvalError {
         match self {
             EvalError::UnknownName(n) => write!(f, "unknown relation '{n}'"),
             EvalError::UnknownFunction(n) => write!(f, "unknown function '{n}'"),
+            EvalError::NonMonotone(n) => write!(f, "let rec '{n}' occurs under the right of '\\'"),
         }
     }
 }
@@ -111,8 +116,10 @@ pub fn eval_tree(model: &Model, exec: &Execution) -> Result<CatVerdict, EvalErro
             }
             Stmt::Let { bindings, recursive: true } => {
                 // Least fixpoint: start all bindings at empty, iterate the
-                // equations until stable. Monotonicity of the operators
-                // (no complement in the language) guarantees convergence.
+                // equations until stable. The polarity check makes every
+                // equation monotone in the group, which guarantees
+                // convergence.
+                check_monotone(bindings)?;
                 let n = exec.len();
                 for (name, _) in bindings {
                     env.insert(name.clone(), Relation::empty(n));
@@ -148,6 +155,32 @@ pub fn eval_tree(model: &Model, exec: &Execution) -> Result<CatVerdict, EvalErro
         }
     }
     Ok(CatVerdict { checks })
+}
+
+/// Rejects a `let rec` group with a group name under negative polarity.
+/// The right operand of `\` flips polarity; every other operator keeps
+/// it. A group whose names all occur positively has monotone equations,
+/// so iterating them from the empty relations reaches the least fixpoint.
+/// Both evaluators run this before anything else of the group.
+pub(crate) fn check_monotone(bindings: &[(String, Expr)]) -> Result<(), EvalError> {
+    fn walk(e: &Expr, group: &[(String, Expr)], pos: bool) -> Result<(), EvalError> {
+        match e {
+            Expr::Name(n) if !pos && group.iter().any(|(g, _)| g == n) => {
+                Err(EvalError::NonMonotone(n.clone()))
+            }
+            Expr::Name(_) | Expr::Empty | Expr::IdSet(_) => Ok(()),
+            Expr::Union(a, b) | Expr::Inter(a, b) | Expr::Seq(a, b) => {
+                walk(a, group, pos).and_then(|()| walk(b, group, pos))
+            }
+            Expr::Diff(a, b) => walk(a, group, pos).and_then(|()| walk(b, group, !pos)),
+            Expr::TClosure(a)
+            | Expr::RtClosure(a)
+            | Expr::Opt(a)
+            | Expr::Inverse(a)
+            | Expr::App(_, a) => walk(a, group, pos),
+        }
+    }
+    bindings.iter().try_for_each(|(_, e)| walk(e, bindings, true))
 }
 
 fn eval_expr(
@@ -266,6 +299,30 @@ mod tests {
         // [M] is the full identity over events.
         let model = parse("empty [M] \\ id as m-is-id\nempty id \\ [M] as id-is-m\n").unwrap();
         assert!(eval(&model, &mp).unwrap().allowed());
+    }
+
+    /// A group name under the right of `\` makes its equation antitone:
+    /// `po \ x` alternates between `po` and ∅ and never settles, so both
+    /// evaluators reject such a group before iterating it. Double
+    /// negation is monotone again and stays accepted.
+    #[test]
+    fn non_monotone_let_rec_groups_are_rejected() {
+        let mp = fixtures::mp(Device::None, Device::None);
+        for src in
+            ["let rec x = po \\ x\nacyclic x\n", "let rec x = y | po\nand y = po \\ x\nacyclic x\n"]
+        {
+            let model = parse(src).unwrap();
+            let want = EvalError::NonMonotone("x".into());
+            assert_eq!(crate::compile::compile(&model).unwrap_err(), want, "{src}");
+            assert_eq!(eval_tree(&model, &mp).unwrap_err(), want, "{src}");
+        }
+        for src in
+            ["let rec x = po \\ (po \\ x)\nacyclic x\n", "let rec x = po | (x;x)\nacyclic x\n"]
+        {
+            let model = parse(src).unwrap();
+            let compiled = crate::compile::compile(&model).unwrap().check(&mp);
+            assert_eq!(compiled, eval_tree(&model, &mp).unwrap(), "{src}");
+        }
     }
 
     #[test]

@@ -63,26 +63,26 @@ impl Arm {
         self.variant
     }
 
-    fn st_ww(&self, x: &Execution) -> Relation {
-        let st = x.fence(Fence::DmbSt).union(&x.fence(Fence::DsbSt));
-        x.dir_restrict(&st, Some(Dir::W), Some(Dir::W))
+    fn st_ww(&self, core: &ExecCore) -> Relation {
+        let st = core.fence(Fence::DmbSt).union(&core.fence(Fence::DsbSt));
+        core.dir_restrict(&st, Some(Dir::W), Some(Dir::W))
     }
 
     /// `ffence = dmb ∪ dsb (∪ .st ∩ WW when .st fences are full)`.
-    pub fn ffence(&self, x: &Execution) -> Relation {
-        let mut ff = x.fence(Fence::Dmb).union(&x.fence(Fence::Dsb));
+    pub fn ffence(&self, core: &ExecCore) -> Relation {
+        let mut ff = core.fence(Fence::Dmb).union(&core.fence(Fence::Dsb));
         if !self.st_fences_lightweight {
-            ff.union_with(&self.st_ww(x));
+            ff.union_with(&self.st_ww(core));
         }
         ff
     }
 
     /// `lwfence = ∅`, or `.st ∩ WW` under the lightweight alternative.
-    pub fn lwfence(&self, x: &Execution) -> Relation {
+    pub fn lwfence(&self, core: &ExecCore) -> Relation {
         if self.st_fences_lightweight {
-            self.st_ww(x)
+            self.st_ww(core)
         } else {
-            Relation::empty(x.len())
+            Relation::empty(core.universe())
         }
     }
 
@@ -91,40 +91,6 @@ impl Arm {
             ArmVariant::PowerArm => PpoConfig::power(),
             ArmVariant::Proposed | ArmVariant::ProposedLlh => PpoConfig::arm(),
         }
-    }
-
-    /// The fence relation from a core alone: directions and fence
-    /// placement are skeleton-invariant, so this equals
-    /// [`Arm::fences`](Architecture::fences) on every candidate.
-    fn fences_static(&self, core: &ExecCore) -> Relation {
-        let st = core.fence(Fence::DmbSt).union(&core.fence(Fence::DsbSt));
-        let st_ww = core.dir_restrict(&st, Some(Dir::W), Some(Dir::W));
-        // Full or lightweight, .st ∩ WW ends up in fences either way.
-        core.fence(Fence::Dmb).union(&core.fence(Fence::Dsb)).union(&st_ww)
-    }
-
-    /// Arena `(fences, ffence)` pair for one candidate — skeleton
-    /// -invariant, shared by the exact and frozen-ppo relation
-    /// evaluators.
-    fn fences_arena(&self, core: &ExecCore, arena: &mut RelArena) -> (RelId, RelId) {
-        // st_ww = (dmb.st ∪ dsb.st) ∩ WW.
-        let st_ww = arena.alloc_from(core.fence_ref(Fence::DmbSt));
-        arena.union_into(st_ww, core.fence_ref(Fence::DsbSt));
-        let t = arena.alloc();
-        core.dir_restrict_arena(arena, t, st_ww, Some(Dir::W), Some(Dir::W));
-        arena.copy_into(st_ww, t);
-        // ffence = dmb ∪ dsb (∪ st_ww unless .st is lightweight);
-        // fences = lwfence ∪ ffence with lwfence = st_ww when lightweight.
-        let ffence = arena.alloc_from(core.fence_ref(Fence::Dmb));
-        arena.union_into(ffence, core.fence_ref(Fence::Dsb));
-        if !self.st_fences_lightweight {
-            arena.union_into(ffence, st_ww);
-        }
-        let fences = arena.alloc_from(ffence);
-        if self.st_fences_lightweight {
-            arena.union_into(fences, st_ww);
-        }
-        (fences, ffence)
     }
 }
 
@@ -153,24 +119,16 @@ impl Architecture for Arm {
         ppo::compute(x, &self.ppo_config()).ppo
     }
 
-    fn fences(&self, x: &Execution) -> Relation {
-        self.lwfence(x).union(&self.ffence(x))
+    fn fences(&self, core: &ExecCore) -> Relation {
+        self.lwfence(core).union(&self.ffence(core))
     }
 
     fn prop(&self, x: &Execution) -> Relation {
-        prop_power_arm(x, &self.ppo(x), &self.fences(x), &self.ffence(x))
+        prop_power_arm(x, &self.ppo(x), &self.fences(x.core()), &self.ffence(x.core()))
     }
 
     fn tolerates_load_load_hazards(&self) -> bool {
         self.variant == ArmVariant::ProposedLlh
-    }
-
-    fn thin_air_fences(&self, core: &ExecCore) -> Relation {
-        self.fences_static(core)
-    }
-
-    fn thin_air_base(&self, core: &ExecCore) -> Option<Relation> {
-        Some(ppo::compute_static(core, &self.ppo_config()).union(&self.thin_air_fences(core)))
     }
 
     fn tractability(&self) -> Tractability {
@@ -181,24 +139,34 @@ impl Architecture for Arm {
         Some(ppo::compute_static(core, &self.ppo_config()))
     }
 
-    fn arch_rels_arena(&self, fx: &ExecFrame<'_>, arena: &mut RelArena) -> ArenaArchRels {
-        let ppo = ppo::compute_arena(fx, &self.ppo_config(), arena);
-        let (fences, ffence) = self.fences_arena(fx.core.as_ref(), arena);
-        let prop = prop_power_arm_arena(fx, ppo, fences, ffence, arena);
-        ArenaArchRels { ppo, fences, prop }
-    }
-
-    fn arch_rels_arena_frozen(
+    fn arch_rels_arena(
         &self,
         fx: &ExecFrame<'_>,
-        ppo_bound: RelId,
+        ppo: Option<RelId>,
         arena: &mut RelArena,
     ) -> ArenaArchRels {
-        // Fences are skeleton-invariant; prop is rebuilt from the frozen
-        // bound so nothing depends on the candidate's rdw/rfi/detour.
-        let (fences, ffence) = self.fences_arena(fx.core.as_ref(), arena);
-        let prop = prop_power_arm_arena(fx, ppo_bound, fences, ffence, arena);
-        ArenaArchRels { ppo: ppo_bound, fences, prop }
+        let core = fx.core.as_ref();
+        let ppo = ppo.unwrap_or_else(|| ppo::compute_arena(fx, &self.ppo_config(), arena));
+        // st_ww = (dmb.st ∪ dsb.st) ∩ WW.
+        let st_ww = arena.alloc_from(core.fence_ref(Fence::DmbSt));
+        arena.union_into(st_ww, core.fence_ref(Fence::DsbSt));
+        let t = arena.alloc();
+        core.dir_restrict_arena(arena, t, st_ww, Some(Dir::W), Some(Dir::W));
+        arena.copy_into(st_ww, t);
+        // ffence = dmb ∪ dsb (∪ st_ww unless .st is lightweight);
+        // fences = lwfence ∪ ffence with lwfence = st_ww when lightweight.
+        let ffence = arena.alloc_from(core.fence_ref(Fence::Dmb));
+        arena.union_into(ffence, core.fence_ref(Fence::Dsb));
+        if !self.st_fences_lightweight {
+            arena.union_into(ffence, st_ww);
+        }
+        let fences = arena.alloc_from(ffence);
+        if self.st_fences_lightweight {
+            arena.union_into(fences, st_ww);
+        }
+        // prop sequences through hb ⊇ ppo, so a frozen ppo freezes it too.
+        let prop = prop_power_arm_arena(fx, ppo, fences, ffence, arena);
+        ArenaArchRels { ppo, fences, prop }
     }
 }
 

@@ -5,7 +5,7 @@
 //! axiom (`acyclic(co ∪ prop)`) is slightly *stronger* than the standard's
 //! `HBVSMO` (`irreflexive(hb⁺; mo)`); [`CppRaStrength`] selects either.
 
-use crate::arena::RelArena;
+use crate::arena::{RelArena, RelId};
 use crate::exec::{ExecCore, ExecFrame, Execution};
 use crate::model::{Architecture, ArenaArchRels, PropagationCheck, Tractability};
 use crate::relation::Relation;
@@ -50,8 +50,8 @@ impl Architecture for CppRa {
         x.po().clone()
     }
 
-    fn fences(&self, x: &Execution) -> Relation {
-        Relation::empty(x.len())
+    fn fences(&self, core: &ExecCore) -> Relation {
+        Relation::empty(core.universe())
     }
 
     fn prop(&self, x: &Execution) -> Relation {
@@ -74,14 +74,19 @@ impl Architecture for CppRa {
         Tractability::Monotone
     }
 
-    fn thin_air_base(&self, core: &ExecCore) -> Option<Relation> {
-        // ppo = sb = po and no fences (empty static fence suffix).
-        Some(core.po().union(&self.thin_air_fences(core)))
+    fn ppo_lower_bound(&self, core: &ExecCore) -> Option<Relation> {
+        // ppo = sb = po is static: the bound is the ppo itself.
+        Some(core.po().clone())
     }
 
-    fn arch_rels_arena(&self, fx: &ExecFrame<'_>, arena: &mut RelArena) -> ArenaArchRels {
+    fn arch_rels_arena(
+        &self,
+        fx: &ExecFrame<'_>,
+        ppo: Option<RelId>,
+        arena: &mut RelArena,
+    ) -> ArenaArchRels {
         let core = fx.core.as_ref();
-        let ppo = arena.alloc_from(core.po());
+        let ppo = ppo.unwrap_or_else(|| arena.alloc_from(core.po()));
         let fences = arena.alloc();
         // prop = (ppo ∪ rfe)+.
         let t = arena.alloc_from(ppo);

@@ -43,42 +43,17 @@ impl Power {
     }
 
     /// `ffence = sync`.
-    pub fn ffence(&self, x: &Execution) -> Relation {
-        x.fence(Fence::Sync)
+    pub fn ffence(&self, core: &ExecCore) -> Relation {
+        core.fence(Fence::Sync)
     }
 
     /// `lwfence = (lwsync \ WR) ∪ (eieio ∩ WW)` (Fig 17 plus the `eieio`
     /// discussion of Sec 4.7).
-    pub fn lwfence(&self, x: &Execution) -> Relation {
-        let lw = x.fence(Fence::Lwsync);
-        let lw_wr = x.dir_restrict(&lw, Some(Dir::W), Some(Dir::R));
-        let eieio_ww = x.dir_restrict(&x.fence(Fence::Eieio), Some(Dir::W), Some(Dir::W));
-        lw.minus(&lw_wr).union(&eieio_ww)
-    }
-
-    /// The fence relation computed from a core alone: directions and fence
-    /// placement are skeleton-invariant, so this equals
-    /// [`Power::fences`](Architecture::fences) on every candidate.
-    fn fences_static(core: &ExecCore) -> Relation {
+    pub fn lwfence(&self, core: &ExecCore) -> Relation {
         let lw = core.fence(Fence::Lwsync);
         let lw_wr = core.dir_restrict(&lw, Some(Dir::W), Some(Dir::R));
         let eieio_ww = core.dir_restrict(&core.fence(Fence::Eieio), Some(Dir::W), Some(Dir::W));
-        lw.minus(&lw_wr).union(&eieio_ww).union(&core.fence(Fence::Sync))
-    }
-
-    /// Arena twin of [`Power::fences_static`]: computes the
-    /// `(fences, ffence)` slot pair for one candidate. Shared by the
-    /// exact and frozen-ppo relation evaluators.
-    fn fences_arena(core: &ExecCore, arena: &mut RelArena) -> (RelId, RelId) {
-        let fences = arena.alloc_from(core.fence_ref(Fence::Lwsync));
-        let t = arena.alloc();
-        core.dir_restrict_arena(arena, t, fences, Some(Dir::W), Some(Dir::R));
-        arena.minus_into(fences, t);
-        core.dir_restrict_arena(arena, t, core.fence_ref(Fence::Eieio), Some(Dir::W), Some(Dir::W));
-        arena.union_into(fences, t);
-        arena.union_into(fences, core.fence_ref(Fence::Sync));
-        let ffence = arena.alloc_from(core.fence_ref(Fence::Sync));
-        (fences, ffence)
+        lw.minus(&lw_wr).union(&eieio_ww)
     }
 }
 
@@ -110,23 +85,12 @@ impl Architecture for Power {
         ppo::compute(x, &self.ppo_cfg).ppo
     }
 
-    fn fences(&self, x: &Execution) -> Relation {
-        self.lwfence(x).union(&self.ffence(x))
+    fn fences(&self, core: &ExecCore) -> Relation {
+        self.lwfence(core).union(&self.ffence(core))
     }
 
     fn prop(&self, x: &Execution) -> Relation {
-        prop_power_arm(x, &self.ppo(x), &self.fences(x), &self.ffence(x))
-    }
-
-    fn thin_air_fences(&self, core: &ExecCore) -> Relation {
-        Power::fences_static(core)
-    }
-
-    fn thin_air_base(&self, core: &ExecCore) -> Option<Relation> {
-        // The static ppo fixpoint (rdw/rfi/detour emptied) is ⊆ ppo on
-        // every candidate; the static fence suffix covers the fence part
-        // of hb and, compositionally, the A-cumulativity pairs.
-        Some(ppo::compute_static(core, &self.ppo_cfg).union(&self.thin_air_fences(core)))
+        prop_power_arm(x, &self.ppo(x), &self.fences(x.core()), &self.ffence(x.core()))
     }
 
     fn tractability(&self) -> Tractability {
@@ -134,30 +98,31 @@ impl Architecture for Power {
     }
 
     fn ppo_lower_bound(&self, core: &ExecCore) -> Option<Relation> {
+        // The static ppo fixpoint (rdw/rfi/detour emptied) is ⊆ ppo on
+        // every candidate.
         Some(ppo::compute_static(core, &self.ppo_cfg))
     }
 
-    fn arch_rels_arena(&self, fx: &ExecFrame<'_>, arena: &mut RelArena) -> ArenaArchRels {
-        let core = fx.core.as_ref();
-        let ppo = ppo::compute_arena(fx, &self.ppo_cfg, arena);
-        // fences = lwfence ∪ ffence = ((lwsync \ WR) ∪ (eieio ∩ WW)) ∪ sync.
-        let (fences, ffence) = Power::fences_arena(core, arena);
-        let prop = prop_power_arm_arena(fx, ppo, fences, ffence, arena);
-        ArenaArchRels { ppo, fences, prop }
-    }
-
-    fn arch_rels_arena_frozen(
+    fn arch_rels_arena(
         &self,
         fx: &ExecFrame<'_>,
-        ppo_bound: RelId,
+        ppo: Option<RelId>,
         arena: &mut RelArena,
     ) -> ArenaArchRels {
-        // Fences are skeleton-invariant; prop is rebuilt from the frozen
-        // bound (its hb* sequences through ppo), so every returned
-        // relation is independent of the candidate's rdw/rfi/detour.
-        let (fences, ffence) = Power::fences_arena(fx.core.as_ref(), arena);
-        let prop = prop_power_arm_arena(fx, ppo_bound, fences, ffence, arena);
-        ArenaArchRels { ppo: ppo_bound, fences, prop }
+        let core = fx.core.as_ref();
+        let ppo = ppo.unwrap_or_else(|| ppo::compute_arena(fx, &self.ppo_cfg, arena));
+        // fences = lwfence ∪ ffence = ((lwsync \ WR) ∪ (eieio ∩ WW)) ∪ sync.
+        let fences = arena.alloc_from(core.fence_ref(Fence::Lwsync));
+        let t = arena.alloc();
+        core.dir_restrict_arena(arena, t, fences, Some(Dir::W), Some(Dir::R));
+        arena.minus_into(fences, t);
+        core.dir_restrict_arena(arena, t, core.fence_ref(Fence::Eieio), Some(Dir::W), Some(Dir::W));
+        arena.union_into(fences, t);
+        arena.union_into(fences, core.fence_ref(Fence::Sync));
+        let ffence = arena.alloc_from(core.fence_ref(Fence::Sync));
+        // prop sequences through hb ⊇ ppo, so a frozen ppo freezes it too.
+        let prop = prop_power_arm_arena(fx, ppo, fences, ffence, arena);
+        ArenaArchRels { ppo, fences, prop }
     }
 }
 

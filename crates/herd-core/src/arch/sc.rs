@@ -5,7 +5,7 @@
 //! `acyclic(po ∪ com)`; `tests/lemma_4_1.rs` checks that equivalence over
 //! the corpus and under proptest.
 
-use crate::arena::RelArena;
+use crate::arena::{RelArena, RelId};
 use crate::exec::{ExecCore, ExecFrame, Execution};
 use crate::model::{Architecture, ArenaArchRels, Tractability};
 use crate::relation::Relation;
@@ -23,18 +23,12 @@ impl Architecture for Sc {
         x.po().clone()
     }
 
-    fn fences(&self, x: &Execution) -> Relation {
-        Relation::empty(x.len())
+    fn fences(&self, core: &ExecCore) -> Relation {
+        Relation::empty(core.universe())
     }
 
     fn prop(&self, x: &Execution) -> Relation {
-        self.ppo(x).union(&self.fences(x)).union(x.rf()).union(x.fr())
-    }
-
-    fn thin_air_base(&self, core: &ExecCore) -> Option<Relation> {
-        // ppo = po and no fences: the whole of hb \ rfe is static (the
-        // fence suffix of the default hook is empty here).
-        Some(core.po().union(&self.thin_air_fences(core)))
+        self.ppo(x).union(&self.fences(x.core())).union(x.rf()).union(x.fr())
     }
 
     fn tractability(&self) -> Tractability {
@@ -43,9 +37,19 @@ impl Architecture for Sc {
         Tractability::Monotone
     }
 
-    fn arch_rels_arena(&self, fx: &ExecFrame<'_>, arena: &mut RelArena) -> ArenaArchRels {
+    fn ppo_lower_bound(&self, core: &ExecCore) -> Option<Relation> {
+        // ppo = po is static: the bound is the ppo itself.
+        Some(core.po().clone())
+    }
+
+    fn arch_rels_arena(
+        &self,
+        fx: &ExecFrame<'_>,
+        ppo: Option<RelId>,
+        arena: &mut RelArena,
+    ) -> ArenaArchRels {
         let core = fx.core.as_ref();
-        let ppo = arena.alloc_from(core.po());
+        let ppo = ppo.unwrap_or_else(|| arena.alloc_from(core.po()));
         let fences = arena.alloc();
         // prop = ppo ∪ fences ∪ rf ∪ fr.
         let prop = arena.alloc_from(ppo);

@@ -11,7 +11,7 @@
 //! Both use `mfence` (standing in for the `membar` family) as their full
 //! fence and keep the TSO-style propagation `ppo ∪ fences ∪ rfe ∪ fr`.
 
-use crate::arena::RelArena;
+use crate::arena::{RelArena, RelId};
 use crate::event::{Dir, Fence};
 use crate::exec::{ExecCore, ExecFrame, Execution};
 use crate::model::{Architecture, ArenaArchRels, Tractability};
@@ -32,23 +32,12 @@ impl Architecture for Pso {
         x.po().minus(&wr).minus(&ww)
     }
 
-    fn fences(&self, x: &Execution) -> Relation {
-        x.fence(Fence::Mfence)
-    }
-
-    fn prop(&self, x: &Execution) -> Relation {
-        self.ppo(x).union(&self.fences(x)).union(x.rfe()).union(x.fr())
-    }
-
-    fn thin_air_fences(&self, core: &ExecCore) -> Relation {
+    fn fences(&self, core: &ExecCore) -> Relation {
         core.fence(Fence::Mfence)
     }
 
-    fn thin_air_base(&self, core: &ExecCore) -> Option<Relation> {
-        // ppo = po \ (WR ∪ WW) and the mfence suffix are skeleton-invariant.
-        let wr = core.dir_restrict(core.po(), Some(Dir::W), Some(Dir::R));
-        let ww = core.dir_restrict(core.po(), Some(Dir::W), Some(Dir::W));
-        Some(core.po().minus(&wr).minus(&ww).union(&self.thin_air_fences(core)))
+    fn prop(&self, x: &Execution) -> Relation {
+        self.ppo(x).union(&self.fences(x.core())).union(x.rfe()).union(x.fr())
     }
 
     fn tractability(&self) -> Tractability {
@@ -56,14 +45,29 @@ impl Architecture for Pso {
         Tractability::Monotone
     }
 
-    fn arch_rels_arena(&self, fx: &ExecFrame<'_>, arena: &mut RelArena) -> ArenaArchRels {
+    fn ppo_lower_bound(&self, core: &ExecCore) -> Option<Relation> {
+        // ppo = po \ (WR ∪ WW) is static: the bound is the ppo itself.
+        let wr = core.dir_restrict(core.po(), Some(Dir::W), Some(Dir::R));
+        let ww = core.dir_restrict(core.po(), Some(Dir::W), Some(Dir::W));
+        Some(core.po().minus(&wr).minus(&ww))
+    }
+
+    fn arch_rels_arena(
+        &self,
+        fx: &ExecFrame<'_>,
+        ppo: Option<RelId>,
+        arena: &mut RelArena,
+    ) -> ArenaArchRels {
         let core = fx.core.as_ref();
-        let ppo = arena.alloc_from(core.po());
-        let t = arena.alloc();
-        core.dir_restrict_arena(arena, t, core.po(), Some(Dir::W), Some(Dir::R));
-        arena.minus_into(ppo, t);
-        core.dir_restrict_arena(arena, t, core.po(), Some(Dir::W), Some(Dir::W));
-        arena.minus_into(ppo, t);
+        let ppo = ppo.unwrap_or_else(|| {
+            let ppo = arena.alloc_from(core.po());
+            let t = arena.alloc();
+            core.dir_restrict_arena(arena, t, core.po(), Some(Dir::W), Some(Dir::R));
+            arena.minus_into(ppo, t);
+            core.dir_restrict_arena(arena, t, core.po(), Some(Dir::W), Some(Dir::W));
+            arena.minus_into(ppo, t);
+            ppo
+        });
         let fences = arena.alloc_from(core.fence_ref(Fence::Mfence));
         let prop = arena.alloc_from(ppo);
         arena.union_into(prop, fences);
@@ -86,12 +90,12 @@ impl Architecture for Rmo {
         x.deps().addr.union(&x.deps().data).union(&x.deps().ctrl)
     }
 
-    fn fences(&self, x: &Execution) -> Relation {
-        x.fence(Fence::Mfence)
+    fn fences(&self, core: &ExecCore) -> Relation {
+        core.fence(Fence::Mfence)
     }
 
     fn prop(&self, x: &Execution) -> Relation {
-        self.ppo(x).union(&self.fences(x)).union(x.rfe()).union(x.fr())
+        self.ppo(x).union(&self.fences(x.core())).union(x.rfe()).union(x.fr())
     }
 
     fn tolerates_load_load_hazards(&self) -> bool {
@@ -99,29 +103,33 @@ impl Architecture for Rmo {
         true
     }
 
-    fn thin_air_fences(&self, core: &ExecCore) -> Relation {
-        core.fence(Fence::Mfence)
-    }
-
-    fn thin_air_base(&self, core: &ExecCore) -> Option<Relation> {
-        // ppo = addr ∪ data ∪ ctrl and the mfence suffix: all static.
-        let deps = core.deps();
-        Some(deps.addr.union(&deps.data).union(&deps.ctrl).union(&self.thin_air_fences(core)))
-    }
-
     fn tractability(&self) -> Tractability {
         // Dependency-only ppo is static; prop is the TSO shape. The llh
         // weakening only shrinks the static po-loc, which saturation
-        // reads through `sc_per_location_po_loc_static`.
+        // reads through `model::sc_po_loc`.
         Tractability::Monotone
     }
 
-    fn arch_rels_arena(&self, fx: &ExecFrame<'_>, arena: &mut RelArena) -> ArenaArchRels {
-        let core = fx.core.as_ref();
+    fn ppo_lower_bound(&self, core: &ExecCore) -> Option<Relation> {
+        // ppo = addr ∪ data ∪ ctrl is static: the bound is the ppo itself.
         let deps = core.deps();
-        let ppo = arena.alloc_from(&deps.addr);
-        arena.union_into(ppo, &deps.data);
-        arena.union_into(ppo, &deps.ctrl);
+        Some(deps.addr.union(&deps.data).union(&deps.ctrl))
+    }
+
+    fn arch_rels_arena(
+        &self,
+        fx: &ExecFrame<'_>,
+        ppo: Option<RelId>,
+        arena: &mut RelArena,
+    ) -> ArenaArchRels {
+        let core = fx.core.as_ref();
+        let ppo = ppo.unwrap_or_else(|| {
+            let deps = core.deps();
+            let ppo = arena.alloc_from(&deps.addr);
+            arena.union_into(ppo, &deps.data);
+            arena.union_into(ppo, &deps.ctrl);
+            ppo
+        });
         let fences = arena.alloc_from(core.fence_ref(Fence::Mfence));
         let prop = arena.alloc_from(ppo);
         arena.union_into(prop, fences);

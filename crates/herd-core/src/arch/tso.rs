@@ -2,7 +2,7 @@
 //! (Fig 21): `ppo = po \ WR`, the only fence is `mfence` (full), and
 //! `prop = ppo ∪ fences ∪ rfe ∪ fr`.
 
-use crate::arena::RelArena;
+use crate::arena::{RelArena, RelId};
 use crate::event::{Dir, Fence};
 use crate::exec::{ExecCore, ExecFrame, Execution};
 use crate::model::{Architecture, ArenaArchRels, Tractability};
@@ -23,22 +23,12 @@ impl Architecture for Tso {
         x.po().minus(&wr)
     }
 
-    fn fences(&self, x: &Execution) -> Relation {
-        x.fence(Fence::Mfence)
-    }
-
-    fn prop(&self, x: &Execution) -> Relation {
-        self.ppo(x).union(&self.fences(x)).union(x.rfe()).union(x.fr())
-    }
-
-    fn thin_air_fences(&self, core: &ExecCore) -> Relation {
+    fn fences(&self, core: &ExecCore) -> Relation {
         core.fence(Fence::Mfence)
     }
 
-    fn thin_air_base(&self, core: &ExecCore) -> Option<Relation> {
-        // ppo = po \ WR and the mfence suffix are both skeleton-invariant.
-        let wr = core.dir_restrict(core.po(), Some(Dir::W), Some(Dir::R));
-        Some(core.po().minus(&wr).union(&self.thin_air_fences(core)))
+    fn prop(&self, x: &Execution) -> Relation {
+        self.ppo(x).union(&self.fences(x.core())).union(x.rfe()).union(x.fr())
     }
 
     fn tractability(&self) -> Tractability {
@@ -47,12 +37,26 @@ impl Architecture for Tso {
         Tractability::Monotone
     }
 
-    fn arch_rels_arena(&self, fx: &ExecFrame<'_>, arena: &mut RelArena) -> ArenaArchRels {
+    fn ppo_lower_bound(&self, core: &ExecCore) -> Option<Relation> {
+        // ppo = po \ WR is static: the bound is the ppo itself.
+        let wr = core.dir_restrict(core.po(), Some(Dir::W), Some(Dir::R));
+        Some(core.po().minus(&wr))
+    }
+
+    fn arch_rels_arena(
+        &self,
+        fx: &ExecFrame<'_>,
+        ppo: Option<RelId>,
+        arena: &mut RelArena,
+    ) -> ArenaArchRels {
         let core = fx.core.as_ref();
-        let ppo = arena.alloc_from(core.po());
-        let t = arena.alloc();
-        core.dir_restrict_arena(arena, t, core.po(), Some(Dir::W), Some(Dir::R));
-        arena.minus_into(ppo, t);
+        let ppo = ppo.unwrap_or_else(|| {
+            let ppo = arena.alloc_from(core.po());
+            let t = arena.alloc();
+            core.dir_restrict_arena(arena, t, core.po(), Some(Dir::W), Some(Dir::R));
+            arena.minus_into(ppo, t);
+            ppo
+        });
         let fences = arena.alloc_from(core.fence_ref(Fence::Mfence));
         // prop = ppo ∪ fences ∪ rfe ∪ fr.
         let prop = arena.alloc_from(ppo);
@@ -115,7 +119,7 @@ mod tests {
                 .union(x.co())
                 .union(x.rfe())
                 .union(x.fr())
-                .union(&tso.fences(&x))
+                .union(&tso.fences(x.core()))
                 .is_acyclic();
             let sparc = crate::model::sc_per_location(&x) && global;
             assert_eq!(ours, sparc);

@@ -379,7 +379,7 @@ fn complete_and_check<A: Architecture + ?Sized>(
     }
     rels.derive_co(q.core.as_ref(), arena);
     let fx = ExecFrame { core: q.core, events: q.events, rels };
-    setup.checker.check(arch, &fx, arena).allowed()
+    setup.checker.check(arch, &fx, arena, None).allowed()
 }
 
 /// Builds into `co` one location's greedy completion: a topological
@@ -429,7 +429,7 @@ fn force(arena: &mut RelArena, rel: RelId, a: usize, b: usize) {
 
 /// Do the four axioms reject this (possibly partial) coherence order?
 /// With `frozen` the architecture's ppo is pinned to that bound
-/// ([`ArenaChecker::check_frozen`]); either way, for relations monotone
+/// ([`ArenaChecker::check`]); either way, for relations monotone
 /// in `co` a `true` here is definitive for every extension of `co_slot`
 /// under the same (frozen or exact) ppo.
 fn violates<A: Architecture + ?Sized>(
@@ -444,11 +444,7 @@ fn violates<A: Architecture + ?Sized>(
     arena.copy_into(rels.co, co_slot);
     rels.derive_co(q.core.as_ref(), arena);
     let fx = ExecFrame { core: q.core, events: q.events, rels };
-    let v = match frozen {
-        None => setup.checker.check(arch, &fx, arena),
-        Some(bound) => setup.checker.check_frozen(arch, &fx, arena, bound),
-    };
-    !v.allowed()
+    !setup.checker.check(arch, &fx, arena, frozen).allowed()
 }
 
 /// Tests the hypothesis `forced ∪ {(a, b)}` against the axioms.
@@ -520,7 +516,7 @@ fn fallback<A: Architecture + ?Sized>(
         rels.derive_co(q.core.as_ref(), arena);
         let fx = ExecFrame { core: q.core, events: q.events, rels };
         stats.fallback_candidates += 1;
-        if setup.checker.check(arch, &fx, arena).allowed() {
+        if setup.checker.check(arch, &fx, arena, None).allowed() {
             return true;
         }
         if !bump(&mut pick, &radices) {

@@ -21,7 +21,7 @@
 //! architecture-driven [`Skeleton::stream_pruned_for`]):
 //!
 //! * **NO THIN AIR pruning** — with a sound static base from
-//!   [`crate::model::Architecture::thin_air_base`], an incremental
+//!   [`crate::model::thin_air_base`], an incremental
 //!   [`ThinAirTracker`] follows the rf odometer digit by digit and skips
 //!   every rf subtree whose partial happens-before graph is already
 //!   cyclic, before any coherence permutation is visited.
@@ -40,7 +40,7 @@ use crate::arena::RelArena;
 use crate::event::{Dir, Event, Fence, Loc, ThreadId, Val};
 use crate::exec::{Deps, ExecCore, ExecFrame, ExecRels, Execution};
 use crate::faultpoint::{self, FaultPoint};
-use crate::model::{Architecture, ArenaChecker, Verdict};
+use crate::model::{thin_air_base, Architecture, ArenaChecker, Verdict};
 use crate::relation::Relation;
 use crate::sched::{Budget, StopReason};
 use crate::thinair::ThinAirTracker;
@@ -106,7 +106,7 @@ impl Skeleton {
     /// Streams with every generation-time pruning axis that is sound for
     /// `arch`: uniproc masks (load-load-hazard-weakened when the
     /// architecture asks for it) plus incremental NO THIN AIR pruning when
-    /// [`Architecture::thin_air_base`] vouches for a static base.
+    /// the architecture declares a ppo lower bound ([`thin_air_base`]).
     ///
     /// # Panics
     ///
@@ -134,7 +134,7 @@ impl Skeleton {
         let opts = StreamOpts {
             uniproc: true,
             llh: arch.tolerates_load_load_hazards(),
-            thin_air: arch.thin_air_base(&core),
+            thin_air: thin_air_base(arch, &core),
             shard: Some((shard, nshards)),
         };
         CandidateIter::new(self, space, core, opts)
@@ -426,10 +426,10 @@ pub struct StreamOpts {
     /// pairs) — only meaningful with `uniproc`.
     pub llh: bool,
     /// Static `ppo ∪ fences` underapproximation enabling incremental
-    /// NO THIN AIR pruning; must satisfy the
-    /// [`Architecture::thin_air_base`] soundness contract. The tracker's
-    /// reachability rows are width-generic, so the axis stays active at
-    /// any universe size (it used to fall back past 64 events).
+    /// NO THIN AIR pruning; like [`thin_air_base`], it must be contained
+    /// in every candidate's `ppo ∪ fences`. The tracker's reachability
+    /// rows are width-generic, so the axis stays active at any universe
+    /// size (it used to fall back past 64 events).
     pub thin_air: Option<Relation>,
     /// Restrict the iterator to one contiguous shard `(index, count)` of
     /// the rf odometer's linear index range.
@@ -684,8 +684,8 @@ impl<'m, A: Architecture + ?Sized> ArenaEngine<'m, A> {
     /// masks tolerate load-load hazards as soon as one model does (the
     /// weakened graph prunes less, and whatever it prunes violates every
     /// model's SC PER LOCATION), and NO THIN AIR prunes only for a single
-    /// model vouching for a static base ([`Architecture::thin_air_base`]),
-    /// since the base is per model.
+    /// model declaring a ppo lower bound ([`thin_air_base`]), since the
+    /// base is per model.
     pub fn new(space: ChoiceSpace, core: Arc<ExecCore>, models: &'m [&'m A]) -> Self {
         let shape: Vec<EventShape> = space
             .events
@@ -695,7 +695,7 @@ impl<'m, A: Architecture + ?Sized> ArenaEngine<'m, A> {
         let llh = models.iter().any(|m| m.tolerates_load_load_hazards());
         let graphs = LocGraphs::new(&shape, core.po(), llh);
         let thin_air = match models {
-            [m] => m.thin_air_base(&core),
+            [m] => thin_air_base(*m, &core),
             _ => None,
         };
         let co_total = space.co_total();
@@ -891,7 +891,7 @@ impl<'m, A: Architecture + ?Sized> ArenaEngine<'m, A> {
                         ExecFrame { core: &self.core, events: w.values.events(0), rels: &w.rels };
                     w.verdicts.clear();
                     for (ck, m) in w.checkers.iter().zip(self.models) {
-                        w.verdicts.push(ck.check(*m, &fx, arena));
+                        w.verdicts.push(ck.check(*m, &fx, arena, None));
                     }
                     for conc in 0..concs {
                         let frame = ExecFrame {
@@ -1751,7 +1751,8 @@ mod tests {
 
     #[test]
     fn architectures_without_a_base_never_thin_air_prune() {
-        /// Power's axioms but no static-base vouching (the default hook).
+        /// Power's axioms but no ppo lower bound (the default), hence no
+        /// static thin-air base.
         struct NoHook(Power);
         impl crate::model::Architecture for NoHook {
             fn name(&self) -> &str {
@@ -1760,8 +1761,8 @@ mod tests {
             fn ppo(&self, x: &Execution) -> Relation {
                 self.0.ppo(x)
             }
-            fn fences(&self, x: &Execution) -> Relation {
-                self.0.fences(x)
+            fn fences(&self, core: &ExecCore) -> Relation {
+                self.0.fences(core)
             }
             fn prop(&self, x: &Execution) -> Relation {
                 self.0.prop(x)
@@ -1771,7 +1772,7 @@ mod tests {
         let hookless: usize = sk.stream_pruned_for(&NoHook(Power::new())).count();
         let uniproc: usize = sk.stream_pruned().count();
         assert_eq!(hookless, uniproc, "no base ⇒ uniproc-only pruning");
-        assert!(sk.stream_pruned_for(&Power::new()).count() < uniproc, "the hook does prune");
+        assert!(sk.stream_pruned_for(&Power::new()).count() < uniproc, "the bound does prune");
     }
 
     /// Contiguous rf-prefix shards must cover the stream exactly, with

@@ -47,16 +47,17 @@
 //! | axis | cuts on | when it fires | where |
 //! |---|---|---|---|
 //! | uniproc pruning | SC PER LOCATION | per location, once its rf sources and coherence order are fixed; whole rf×co subtrees die pre-materialisation | [`crate::uniproc::LocGraphs`] |
-//! | thin-air pruning | NO THIN AIR | per *read*, as the rf odometer picks sources: `hb = ppo ∪ fences ∪ rfe` never mentions `co`, so a static `ppo ∪ fences` base ([`crate::model::Architecture::thin_air_base`]) plus the partial rfe edges refutes entire rf subtrees before any coherence permutation | [`crate::thinair::ThinAirTracker`] |
+//! | thin-air pruning | NO THIN AIR | per *read*, as the rf odometer picks sources: `hb = ppo ∪ fences ∪ rfe` never mentions `co`, so a static base `ppo_lower_bound ∪ fences` ([`crate::model::thin_air_base`]) plus the partial rfe edges refutes entire rf subtrees before any coherence permutation | [`crate::thinair::ThinAirTracker`] |
 //! | rf-odometer ranges | — | the rf configuration index range splits into contiguous ranges, one per work unit, per-range `emitted`/`pruned` merging exactly to the candidate count — each configuration weighted by its value-concretisation multiplicity | [`crate::enumerate::ArenaEngine::run`] |
 //!
-//! Both pruning axes are *sound per architecture*: the llh hook
+//! Both pruning axes are *sound per architecture*: the llh flag
 //! ([`crate::model::Architecture::tolerates_load_load_hazards`]) weakens
 //! the uniproc graphs, and thin-air pruning only fires when the
-//! architecture vouches for an underapproximating static base (`None`
-//! disables it — e.g. for models without the NO THIN AIR axiom). The
-//! base is uniformly `static ppo ∪ thin_air_fences`; keeping the static
-//! *fence suffix* in it means the A-cumulativity pairs `rfe; fences`
+//! architecture declares a ppo lower bound
+//! ([`crate::model::Architecture::ppo_lower_bound`]; `None` disables it
+//! — e.g. for models without the NO THIN AIR axiom). The base is
+//! derived, uniformly `ppo_lower_bound ∪ fences`, never declared;
+//! fences are core data, and keeping them in it means the A-cumulativity pairs `rfe; fences`
 //! (Fig 18) fall out of the tracker's closure compositionally — the
 //! `rfe` prefix is the pushed edge, the suffix is already closed. Entry
 //! points: the one arena engine ([`crate::enumerate::ArenaEngine`],

@@ -10,9 +10,9 @@
 //! 3. **OBSERVATION** — `irreflexive(fre; prop; hb*)`
 //! 4. **PROPAGATION** — `acyclic(co ∪ prop)`
 //!
-//! Two hooks cover the paper's documented deviations: ARM-with-load-load
-//! -hazards weakens `po-loc` in axiom 1 (Tab VII), and exact C++ R-A
-//! weakens axiom 4 to `irreflexive(prop; co)` (Sec 4.8).
+//! Two flags cover the paper's documented deviations: ARM-with-load-load
+//! -hazards weakens `po-loc` in axiom 1 (Tab VII, [`sc_po_loc`]), and
+//! exact C++ R-A weakens axiom 4 to `irreflexive(prop; co)` (Sec 4.8).
 
 use crate::arena::{RelArena, RelId};
 use crate::event::Dir;
@@ -65,11 +65,11 @@ pub enum Tractability {
     /// query takes the counted fallback, never a silent guess.
     Monotone,
     /// Monotone once ppo is frozen: the axioms are monotone in co *given*
-    /// a frozen ppo, and the architecture vouches for a sound lower bound
-    /// `lower ⊆ ppo(x)` via [`Architecture::ppo_lower_bound`] plus a
-    /// frozen-ppo relation hook
-    /// ([`Architecture::arch_rels_arena_frozen`]). Saturation runs with
-    /// ppo frozen to the bound: a contradiction is definitively forbidden
+    /// a frozen ppo, the architecture vouches for a sound lower bound
+    /// `lower ⊆ ppo(x)` via [`Architecture::ppo_lower_bound`], and its
+    /// [`Architecture::arch_rels_arena`] derives fences and prop from a
+    /// frozen ppo slot when given one. Saturation runs with ppo frozen to
+    /// the bound: a contradiction is definitively forbidden
     /// (fewer ppo edges can only *miss* violations), a greedy completion
     /// that re-checks clean under the exact per-candidate ppo is
     /// definitively allowed, and anything else falls back — counted in
@@ -83,10 +83,13 @@ pub enum Tractability {
     Frontier,
 }
 
-/// An instance of the generic framework.
-///
-/// Implementations provide the three architecture functions; the default
-/// hook methods reproduce the paper's standard axioms.
+/// An instance of the generic framework: the paper's triple
+/// `(ppo, fences, prop)` plus the few facts the engine and the
+/// saturation backend ask for. Everything else the checker needs is
+/// derived from these: the SC PER LOCATION `po-loc` ([`sc_po_loc`]) from
+/// [`Architecture::tolerates_load_load_hazards`], and the static NO THIN
+/// AIR base ([`thin_air_base`]) from [`Architecture::ppo_lower_bound`]
+/// and [`Architecture::fences`].
 pub trait Architecture {
     /// Human-readable architecture name (e.g. `"Power"`).
     fn name(&self) -> &str;
@@ -110,48 +113,22 @@ pub trait Architecture {
     fn ppo(&self, x: &Execution) -> Relation;
 
     /// The ordering contributed by fences (direction-filtered; e.g. on
-    /// Power `lwfence = lwsync \ WR`, Fig 17).
-    fn fences(&self, x: &Execution) -> Relation;
+    /// Power `lwfence = lwsync \ WR`, Fig 17). Fence placement and event
+    /// directions are core data, so this is the same relation on every
+    /// candidate built on `core` — which is what lets it join the static
+    /// thin-air base ([`thin_air_base`]).
+    fn fences(&self, core: &ExecCore) -> Relation;
 
     /// The propagation order (Fig 18 for Power/ARM, Fig 21 for SC/TSO).
     fn prop(&self, x: &Execution) -> Relation;
 
     /// Does this architecture tolerate load-load hazards, i.e. does its SC
     /// PER LOCATION axiom drop read-read `po-loc` pairs (Tab VII for
-    /// ARM-llh, Sec 4.9 for Sparc RMO)? Drives the default
-    /// [`Architecture::sc_per_location_po_loc`] and tells enumeration-time
-    /// uniproc pruning which per-location graph is sound for this
-    /// architecture.
+    /// ARM-llh, Sec 4.9 for Sparc RMO)? The checker's `po-loc`
+    /// ([`sc_po_loc`]) and enumeration-time uniproc pruning both read
+    /// this one flag, so they cannot disagree.
     fn tolerates_load_load_hazards(&self) -> bool {
         false
-    }
-
-    /// The `po-loc` used by SC PER LOCATION. Architectures tolerating
-    /// load-load hazards drop read-read pairs
-    /// (`po-loc-llh = po-loc \ RR`, Tab VII).
-    ///
-    /// The default delegates to the skeleton-invariant
-    /// [`Architecture::sc_per_location_po_loc_static`] — directions and
-    /// locations never depend on the witness — so overriding the static
-    /// hook adjusts both the owned and the arena checking paths at once.
-    fn sc_per_location_po_loc(&self, x: &Execution) -> Relation {
-        self.sc_per_location_po_loc_static(x.core())
-    }
-
-    /// Skeleton-invariant twin of
-    /// [`Architecture::sc_per_location_po_loc`], computed from the core
-    /// before any data-flow choice. [`ArenaChecker::new`] caches it once
-    /// per enumeration, so architectures customising their SC PER
-    /// LOCATION `po-loc` should override *this* hook (a per-candidate
-    /// override of the dynamic method alone would only affect the owned
-    /// path).
-    fn sc_per_location_po_loc_static(&self, core: &ExecCore) -> Relation {
-        if self.tolerates_load_load_hazards() {
-            let rr = core.dir_restrict(core.po_loc(), Some(Dir::R), Some(Dir::R));
-            core.po_loc().minus(&rr)
-        } else {
-            core.po_loc().clone()
-        }
     }
 
     /// Which form of the PROPAGATION axiom applies.
@@ -171,79 +148,19 @@ pub trait Architecture {
         Tractability::Frontier
     }
 
-    /// The candidate-independent ppo lower bound backing
-    /// [`Tractability::Conditional`]: contained in `ppo(x)` for every
-    /// candidate `x` built on `core`. Architectures declaring
-    /// `Conditional` **must** override this (returning `Some`); the
-    /// default `None` matches the static-ppo and frontier models, for
-    /// which no bound is needed or none is sound.
+    /// A candidate-independent lower bound of the preserved program
+    /// order: contained in `ppo(x)` for every candidate `x` built on
+    /// `core`. For a static-ppo model (SC, TSO, PSO, RMO, C++ R-A) it is
+    /// the ppo itself; for Power/ARM it is the Fig 25 fixpoint with the
+    /// dynamic ingredients emptied ([`crate::ppo::compute_static`]).
+    ///
+    /// Declaring a bound opts the model into two uses of it: NO THIN AIR
+    /// pruning at generation time, whose static base is the bound plus
+    /// the fences ([`thin_air_base`]), and, for a
+    /// [`Tractability::Conditional`] model, saturation with ppo frozen to
+    /// it. The default `None` vouches for nothing and disables both;
+    /// nothing is pruned unless a model declares a bound.
     fn ppo_lower_bound(&self, core: &ExecCore) -> Option<Relation> {
-        let _ = core;
-        None
-    }
-
-    /// [`Architecture::arch_rels_arena`] with the ppo *frozen* to a
-    /// caller-supplied bound instead of the candidate's exact Fig 25
-    /// fixpoint — the relation evaluator behind
-    /// [`Tractability::Conditional`] saturation.
-    ///
-    /// The default substitutes the frozen slot and recomputes nothing
-    /// else, which is exact for architectures whose `fences`/`prop` do
-    /// not consume ppo. Power/ARM's `prop` sequences through `hb` (which
-    /// contains ppo), so their overrides rebuild `prop` from the frozen
-    /// slot — a `Conditional` architecture must guarantee every returned
-    /// relation is computed from `ppo_bound`, not from the candidate's
-    /// dynamic ingredients.
-    fn arch_rels_arena_frozen(
-        &self,
-        fx: &ExecFrame<'_>,
-        ppo_bound: RelId,
-        arena: &mut RelArena,
-    ) -> ArenaArchRels {
-        let rels = self.arch_rels_arena(fx, arena);
-        ArenaArchRels { ppo: ppo_bound, ..rels }
-    }
-
-    /// The skeleton-invariant part of this architecture's `fences`
-    /// relation — the *static fence suffix* of the cumulativity edges.
-    ///
-    /// `A-cumul = rfe; fences` (Fig 18) is rf-dependent, but its `fences`
-    /// suffix is not: fence placement and event directions are fixed by
-    /// the skeleton. Putting this static suffix into the thin-air base
-    /// makes every cumulativity composition fall out of the incremental
-    /// closure for free — when the tracker pushes an rfe edge `(w, r)`
-    /// and the base holds `(r, c) ∈ fences`, the closed graph contains
-    /// `(w, c)` without any per-candidate work (the `rfe; fences` pair).
-    /// `tests/thin_air.rs` checks both halves of the contract: the base
-    /// stays under every candidate's `hb`, and the cumulativity pairs are
-    /// reachable in the tracked closure.
-    ///
-    /// The default is empty (sound for every architecture); stock
-    /// instances with fences override it and their
-    /// [`Architecture::thin_air_base`] unions it into the static base.
-    fn thin_air_fences(&self, core: &ExecCore) -> Relation {
-        Relation::empty(core.universe())
-    }
-
-    /// A skeleton-invariant underapproximation of `ppo ∪ fences`, enabling
-    /// generation-time NO THIN AIR pruning (Sec 8.3, the `-speedcheck`
-    /// strategy).
-    ///
-    /// The contract: the returned relation must be contained in
-    /// `ppo(x) ∪ fences(x)` for **every** candidate execution `x` built on
-    /// `core`, so that a cycle in `base ∪ rfe` implies a cycle in `hb` and
-    /// the candidate is forbidden by NO THIN AIR whatever its coherence
-    /// order. Architectures whose model does not enforce NO THIN AIR (or
-    /// that cannot offer a sound static base) return `None` — the default
-    /// — which disables this pruning axis entirely; pruning never happens
-    /// unless an architecture explicitly vouches for it.
-    ///
-    /// Stock instances override it: SC/C++RA return `po`, TSO/PSO/RMO
-    /// their static `ppo`, Power/ARM the [`crate::ppo::compute_static`]
-    /// fixpoint — each unioned with the static fence suffix
-    /// ([`Architecture::thin_air_fences`]), which also covers the
-    /// cumulativity edges compositionally.
-    fn thin_air_base(&self, core: &ExecCore) -> Option<Relation> {
         let _ = core;
         None
     }
@@ -251,20 +168,33 @@ pub trait Architecture {
     /// Evaluates the three architecture functions for one arena-backed
     /// candidate, returning arena slots instead of owned relations.
     ///
+    /// With `ppo = Some(slot)` the model takes that slot as its ppo — a
+    /// frozen bound, as [`Tractability::Conditional`] saturation passes
+    /// — and derives fences and prop from it, never from the
+    /// candidate's dynamic ppo ingredients. With `None` it computes its
+    /// exact ppo.
+    ///
     /// The default implementation materialises an owned [`Execution`]
     /// from the frame and copies `ppo`/`fences`/`prop` into the arena —
-    /// always correct, but it allocates; every stock architecture
-    /// overrides it with a pure-arena computation so the hot checking
-    /// path performs zero heap allocations in the steady state.
+    /// always correct for the exact relations, but it allocates, and
+    /// with a frozen slot it recomputes nothing else (exact only when
+    /// `prop` does not consume ppo). Every stock architecture overrides
+    /// it with a pure-arena computation so the hot checking path
+    /// performs zero heap allocations in the steady state.
     ///
     /// Slots are allocated under the caller's current mark; the caller
     /// (normally [`ArenaChecker::check`]) releases them after the axioms
     /// are evaluated.
-    fn arch_rels_arena(&self, fx: &ExecFrame<'_>, arena: &mut RelArena) -> ArenaArchRels {
+    fn arch_rels_arena(
+        &self,
+        fx: &ExecFrame<'_>,
+        ppo: Option<RelId>,
+        arena: &mut RelArena,
+    ) -> ArenaArchRels {
         let x = fx.to_execution(arena);
         ArenaArchRels {
-            ppo: arena.alloc_from(&self.ppo(&x)),
-            fences: arena.alloc_from(&self.fences(&x)),
+            ppo: ppo.unwrap_or_else(|| arena.alloc_from(&self.ppo(&x))),
+            fences: arena.alloc_from(&self.fences(x.core())),
             prop: arena.alloc_from(&self.prop(&x)),
         }
     }
@@ -284,20 +214,14 @@ impl<A: Architecture + ?Sized> Architecture for &A {
     fn ppo(&self, x: &Execution) -> Relation {
         (**self).ppo(x)
     }
-    fn fences(&self, x: &Execution) -> Relation {
-        (**self).fences(x)
+    fn fences(&self, core: &ExecCore) -> Relation {
+        (**self).fences(core)
     }
     fn prop(&self, x: &Execution) -> Relation {
         (**self).prop(x)
     }
     fn tolerates_load_load_hazards(&self) -> bool {
         (**self).tolerates_load_load_hazards()
-    }
-    fn sc_per_location_po_loc(&self, x: &Execution) -> Relation {
-        (**self).sc_per_location_po_loc(x)
-    }
-    fn sc_per_location_po_loc_static(&self, core: &ExecCore) -> Relation {
-        (**self).sc_per_location_po_loc_static(core)
     }
     fn propagation_check(&self) -> PropagationCheck {
         (**self).propagation_check()
@@ -308,23 +232,46 @@ impl<A: Architecture + ?Sized> Architecture for &A {
     fn ppo_lower_bound(&self, core: &ExecCore) -> Option<Relation> {
         (**self).ppo_lower_bound(core)
     }
-    fn arch_rels_arena_frozen(
+    fn arch_rels_arena(
         &self,
         fx: &ExecFrame<'_>,
-        ppo_bound: RelId,
+        ppo: Option<RelId>,
         arena: &mut RelArena,
     ) -> ArenaArchRels {
-        (**self).arch_rels_arena_frozen(fx, ppo_bound, arena)
+        (**self).arch_rels_arena(fx, ppo, arena)
     }
-    fn thin_air_fences(&self, core: &ExecCore) -> Relation {
-        (**self).thin_air_fences(core)
+}
+
+/// The `po-loc` of `arch`'s SC PER LOCATION axiom on `core`: `po-loc`,
+/// minus its read-read pairs when the architecture tolerates load-load
+/// hazards (`po-loc-llh = po-loc \ RR`, Tab VII) — the same weakening
+/// enumeration-time uniproc pruning applies
+/// ([`crate::uniproc::LocGraphs::new`] with `drop_rr`). Directions and
+/// locations never depend on the witness, so it is computed from the
+/// core alone.
+pub fn sc_po_loc<A: Architecture + ?Sized>(arch: &A, core: &ExecCore) -> Relation {
+    if arch.tolerates_load_load_hazards() {
+        let rr = core.dir_restrict(core.po_loc(), Some(Dir::R), Some(Dir::R));
+        core.po_loc().minus(&rr)
+    } else {
+        core.po_loc().clone()
     }
-    fn thin_air_base(&self, core: &ExecCore) -> Option<Relation> {
-        (**self).thin_air_base(core)
-    }
-    fn arch_rels_arena(&self, fx: &ExecFrame<'_>, arena: &mut RelArena) -> ArenaArchRels {
-        (**self).arch_rels_arena(fx, arena)
-    }
+}
+
+/// The static NO THIN AIR base of `arch` on `core`:
+/// `ppo_lower_bound(core) ∪ fences(core)`, or `None` when the model
+/// declares no lower bound — which disables generation-time thin-air
+/// pruning (Sec 8.3, the `-speedcheck` strategy).
+///
+/// Both parts sit inside every candidate's `ppo ∪ fences`, so a cycle in
+/// `base ∪ rfe` is a cycle in `hb` and the candidate is forbidden by NO
+/// THIN AIR whatever its coherence order. Keeping the fences in the base
+/// also covers the cumulativity edges compositionally: `A-cumul = rfe;
+/// fences` (Fig 18) is rf-dependent, but once the tracker pushes an rfe
+/// edge `(w, r)` and the base holds `(r, c) ∈ fences`, the closed graph
+/// contains `(w, c)` without any per-candidate work.
+pub fn thin_air_base<A: Architecture + ?Sized>(arch: &A, core: &ExecCore) -> Option<Relation> {
+    arch.ppo_lower_bound(core).map(|lower| lower.union(&arch.fences(core)))
 }
 
 /// The three architecture relations of one arena-backed candidate, as
@@ -364,7 +311,7 @@ impl ArchRelations {
     /// Evaluates the architecture functions on a candidate.
     pub fn compute<A: Architecture + ?Sized>(arch: &A, x: &Execution) -> Self {
         let ppo = arch.ppo(x);
-        let fences = arch.fences(x);
+        let fences = arch.fences(x.core());
         let prop = arch.prop(x);
         let hb = ppo.union(&fences).union(x.rfe());
         let hb_plus = hb.tclosure();
@@ -440,7 +387,7 @@ pub fn check_with<A: Architecture + ?Sized>(
     x: &Execution,
     rels: &ArchRelations,
 ) -> Verdict {
-    let po_loc = arch.sc_per_location_po_loc(x);
+    let po_loc = sc_po_loc(arch, x.core());
     let sc_per_location = po_loc.union(x.com()).is_acyclic();
 
     let no_thin_air = rels.hb_plus.is_irreflexive();
@@ -465,18 +412,16 @@ pub fn sc_per_location(x: &Execution) -> bool {
 /// allocation per candidate.
 ///
 /// Construct once per enumeration ([`ArenaChecker::new`] precomputes the
-/// skeleton-invariant `po-loc` the SC PER LOCATION axiom uses, load-load
-/// -hazard-weakened when the architecture asks for it), then call
-/// [`ArenaChecker::check`] per candidate frame. All per-candidate
-/// temporaries — the architecture relations, `hb` and its closures, the
-/// axiom compositions — live above one arena mark that is released before
-/// returning, so the arena's footprint stays at its high-water mark.
+/// skeleton-invariant `po-loc` the SC PER LOCATION axiom uses,
+/// [`sc_po_loc`]), then call [`ArenaChecker::check`] per candidate frame.
+/// All per-candidate temporaries — the architecture relations, `hb` and
+/// its closures, the axiom compositions — live above one arena mark that
+/// is released before returning, so the arena's footprint stays at its
+/// high-water mark.
 ///
 /// Equivalence with the owned path ([`check`] / [`check_with`]) is pinned
-/// down by the corpus-wide equivalence suites; architectures customising
-/// SC PER LOCATION do so through
-/// [`Architecture::sc_per_location_po_loc_static`], which both paths
-/// consume.
+/// down by the corpus-wide equivalence suites; both paths take their
+/// `po-loc` from [`sc_po_loc`].
 #[derive(Debug)]
 pub struct ArenaChecker {
     sc_po_loc: Relation,
@@ -485,51 +430,26 @@ pub struct ArenaChecker {
 impl ArenaChecker {
     /// Precomputes the static per-architecture inputs for `core`.
     pub fn new<A: Architecture + ?Sized>(arch: &A, core: &ExecCore) -> Self {
-        ArenaChecker { sc_po_loc: arch.sc_per_location_po_loc_static(core) }
+        ArenaChecker { sc_po_loc: sc_po_loc(arch, core) }
     }
 
-    /// The `po-loc` this checker's SC PER LOCATION uses
-    /// ([`Architecture::sc_per_location_po_loc_static`]).
+    /// The `po-loc` this checker's SC PER LOCATION uses ([`sc_po_loc`]).
     pub fn sc_po_loc(&self) -> &Relation {
         &self.sc_po_loc
     }
 
     /// Checks the four axioms of Fig 5 on one arena-backed candidate.
+    /// `ppo` is handed to [`Architecture::arch_rels_arena`]: `None` checks
+    /// the exact model, `Some(bound)` the model with ppo frozen to that
+    /// slot — the axiom evaluator conditional saturation probes co
+    /// hypotheses with. The bound slot must outlive the call; everything
+    /// else is released before returning.
     pub fn check<A: Architecture + ?Sized>(
         &self,
         arch: &A,
         fx: &ExecFrame<'_>,
         arena: &mut RelArena,
-    ) -> Verdict {
-        self.axioms(arch, fx, arena, |arena| arch.arch_rels_arena(fx, arena))
-    }
-
-    /// [`ArenaChecker::check`] with the architecture's ppo frozen to
-    /// `ppo_bound` ([`Architecture::arch_rels_arena_frozen`]): the axiom
-    /// evaluator conditional saturation probes co hypotheses with. The
-    /// bound slot must outlive the call; everything else is released
-    /// before returning, as in `check`.
-    pub fn check_frozen<A: Architecture + ?Sized>(
-        &self,
-        arch: &A,
-        fx: &ExecFrame<'_>,
-        arena: &mut RelArena,
-        ppo_bound: RelId,
-    ) -> Verdict {
-        self.axioms(arch, fx, arena, |arena| arch.arch_rels_arena_frozen(fx, ppo_bound, arena))
-    }
-
-    /// The four axioms over the relations `arch_rels` derives. Generic in
-    /// the relation step, so each caller gets its own monomorphised body,
-    /// and inlined into both: left to the inliner, it measured slower on
-    /// the decide backend's saturation loops.
-    #[inline(always)]
-    fn axioms<A: Architecture + ?Sized>(
-        &self,
-        arch: &A,
-        fx: &ExecFrame<'_>,
-        arena: &mut RelArena,
-        arch_rels: impl FnOnce(&mut RelArena) -> ArenaArchRels,
+        ppo: Option<RelId>,
     ) -> Verdict {
         let m = arena.mark();
 
@@ -538,7 +458,7 @@ impl ArenaChecker {
         arena.union_into(t, fx.rels.com);
         let sc_per_location = arena.is_acyclic(t);
 
-        let ar = arch_rels(arena);
+        let ar = arch.arch_rels_arena(fx, ppo, arena);
 
         // hb = ppo ∪ fences ∪ rfe; NO THIN AIR is acyclic(hb).
         let hb = arena.alloc_from(ar.ppo);
@@ -588,8 +508,8 @@ mod tests {
         fn ppo(&self, x: &Execution) -> Relation {
             Relation::empty(x.len())
         }
-        fn fences(&self, x: &Execution) -> Relation {
-            Relation::empty(x.len())
+        fn fences(&self, core: &ExecCore) -> Relation {
+            Relation::empty(core.universe())
         }
         fn prop(&self, x: &Execution) -> Relation {
             Relation::empty(x.len())
@@ -640,7 +560,7 @@ mod tests {
                 let rels = ExecRels::from_execution(x, &mut arena);
                 let fx = ExecFrame { core: x.core(), events: x.events(), rels: &rels };
                 let checker = ArenaChecker::new(arch.as_ref(), x.core());
-                let arena_v = checker.check(arch.as_ref(), &fx, &mut arena);
+                let arena_v = checker.check(arch.as_ref(), &fx, &mut arena, None);
                 let owned_v = check(arch.as_ref(), x);
                 assert_eq!(arena_v, owned_v, "{} disagrees", arch.name());
             }
@@ -652,6 +572,6 @@ mod tests {
         let rels = ExecRels::from_execution(&x, &mut arena);
         let fx = ExecFrame { core: x.core(), events: x.events(), rels: &rels };
         let checker = ArenaChecker::new(&Null, x.core());
-        assert_eq!(checker.check(&Null, &fx, &mut arena), check(&Null, &x));
+        assert_eq!(checker.check(&Null, &fx, &mut arena, None), check(&Null, &x));
     }
 }

@@ -241,10 +241,11 @@ pub fn compute_arena(fx: &ExecFrame<'_>, cfg: &PpoConfig, arena: &mut RelArena) 
 ///
 /// The fixpoint equations are monotone, so the result is contained in
 /// `compute(x, cfg).ppo` for *every* candidate `x` built on `core` — the
-/// underapproximation that makes generation-time NO THIN AIR pruning
-/// sound ([`crate::model::Architecture::thin_air_base`]) and the frozen
-/// ppo of [`crate::model::Tractability::Conditional`] saturation
-/// ([`crate::model::Architecture::ppo_lower_bound`]).
+/// underapproximation Power and ARM declare as their
+/// [`crate::model::Architecture::ppo_lower_bound`], which makes
+/// generation-time NO THIN AIR pruning sound
+/// ([`crate::model::thin_air_base`]) and is the frozen ppo of
+/// [`crate::model::Tractability::Conditional`] saturation.
 pub fn compute_static(core: &ExecCore, cfg: &PpoConfig) -> Relation {
     let n = core.universe();
     let dp = core.deps().addr.union(&core.deps().data);

@@ -3,7 +3,7 @@
 //! The second axiom of Fig 5, `acyclic(hb)` with `hb = ppo ∪ fences ∪
 //! rfe`, never mentions the coherence order: once the rf/co-independent
 //! part of an architecture's `ppo ∪ fences` is known (a *static base*,
-//! [`crate::model::Architecture::thin_air_base`]), the axiom's fate is
+//! [`crate::model::thin_air_base`]), the axiom's fate is
 //! sealed by the rf choice alone. herd's `-speedcheck` strategy exploits
 //! this: as the rf odometer picks a source for each read, the external
 //! read-from edges are added to the base incrementally, and the moment

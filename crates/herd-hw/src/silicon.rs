@@ -19,7 +19,7 @@
 
 use herd_core::arch::{prop_power_arm, Arm, ArmVariant, Power};
 use herd_core::event::{Dir, Fence};
-use herd_core::exec::Execution;
+use herd_core::exec::{ExecCore, Execution};
 use herd_core::fingerprint::FpHasher;
 use herd_core::model::Architecture;
 use herd_core::ppo::{self, PpoConfig};
@@ -42,12 +42,12 @@ impl Architecture for PowerSilicon {
         Power::new().ppo(x).union(&rw)
     }
 
-    fn fences(&self, x: &Execution) -> Relation {
-        Power::new().fences(x)
+    fn fences(&self, core: &ExecCore) -> Relation {
+        Power::new().fences(core)
     }
 
     fn prop(&self, x: &Execution) -> Relation {
-        prop_power_arm(x, &self.ppo(x), &self.fences(x), &x.fence(Fence::Sync))
+        prop_power_arm(x, &self.ppo(x), &self.fences(x.core()), &x.fence(Fence::Sync))
     }
 }
 
@@ -117,17 +117,17 @@ impl Architecture for ArmSilicon {
         ppo::compute(x, &self.ppo_config()).ppo.union(&rw)
     }
 
-    fn fences(&self, x: &Execution) -> Relation {
-        Arm::new(ArmVariant::Proposed).fences(x)
+    fn fences(&self, core: &ExecCore) -> Relation {
+        Arm::new(ArmVariant::Proposed).fences(core)
     }
 
     fn prop(&self, x: &Execution) -> Relation {
         let arm = Arm::new(ArmVariant::Proposed);
-        prop_power_arm(x, &self.ppo(x), &self.fences(x), &arm.ffence(x))
+        prop_power_arm(x, &self.ppo(x), &self.fences(x.core()), &arm.ffence(x.core()))
     }
 
     fn tolerates_load_load_hazards(&self) -> bool {
-        // Routes both the default sc_per_location_po_loc and the driver's
+        // Routes both the checker's po-loc (model::sc_po_loc) and the
         // generation-time pruning mode (Prune::for_arch) through the
         // erratum, so hazard candidates survive enumeration on parts that
         // exhibit them.

@@ -3,7 +3,7 @@
 //! the control case for the campaign machinery.
 
 use herd_core::arch::Tso;
-use herd_core::exec::Execution;
+use herd_core::exec::{ExecCore, Execution};
 use herd_core::model::Architecture;
 use herd_core::relation::Relation;
 
@@ -20,8 +20,8 @@ impl Architecture for TsoSilicon {
         Tso.ppo(x)
     }
 
-    fn fences(&self, x: &Execution) -> Relation {
-        Tso.fences(x)
+    fn fences(&self, core: &ExecCore) -> Relation {
+        Tso.fences(core)
     }
 
     fn prop(&self, x: &Execution) -> Relation {

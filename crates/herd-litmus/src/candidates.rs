@@ -33,7 +33,7 @@ use herd_core::enumerate::{
 };
 use herd_core::event::{Dir, Event, Fence, Loc, ThreadId, Val};
 use herd_core::exec::{Deps, ExecCore, Execution};
-use herd_core::model::{Architecture, Verdict};
+use herd_core::model::{self, Architecture, Verdict};
 use herd_core::relation::Relation;
 use herd_core::sched::Budget;
 use herd_core::thinair::ThinAirTracker;
@@ -188,7 +188,7 @@ impl EnumStats {
 
 /// Callback computing an architecture's static NO THIN AIR base for the
 /// core of one control-flow combination (see
-/// [`Architecture::thin_air_base`]); `None` disables thin-air pruning.
+/// [`herd_core::model::thin_air_base`]); `None` disables thin-air pruning.
 type ThinAirHook<'a> = &'a dyn Fn(&ExecCore) -> Option<Relation>;
 
 /// One judged candidate of the arena verdict stream: the verdicts of
@@ -233,8 +233,9 @@ pub fn stream(
 
 /// Streams with every pruning axis that is sound for `arch`: the
 /// architecture's uniproc mode ([`Prune::for_arch`]) plus generation-time
-/// NO THIN AIR pruning whenever [`Architecture::thin_air_base`] vouches
-/// for a static base — herd's full `-speedcheck` (paper, Sec 8.3).
+/// NO THIN AIR pruning whenever the architecture declares a ppo lower
+/// bound ([`Architecture::ppo_lower_bound`], the static base
+/// [`model::thin_air_base`]) — herd's full `-speedcheck` (paper, Sec 8.3).
 ///
 /// # Errors
 ///
@@ -246,7 +247,7 @@ pub fn stream_arch<A: Architecture + ?Sized>(
     arch: &A,
     sink: &mut dyn FnMut(Candidate),
 ) -> Result<EnumStats, CandidateError> {
-    let hook = |core: &ExecCore| arch.thin_air_base(core);
+    let hook = |core: &ExecCore| model::thin_air_base(arch, core);
     stream_impl(test, opts, Prune::for_arch(arch), Some(&hook), sink)
 }
 

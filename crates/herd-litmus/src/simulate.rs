@@ -7,8 +7,8 @@
 //! [`crate::candidates::stream_verdicts`]'s driver) applies both
 //! `-speedcheck` axes at the generator — SC-PER-LOCATION-violating
 //! subtrees (forbidden by every architecture's first axiom) and, when the
-//! architecture vouches for a static base
-//! ([`Architecture::thin_air_base`]), NO-THIN-AIR-violating rf subtrees;
+//! architecture declares a ppo lower bound (the static base
+//! [`model::thin_air_base`]), NO-THIN-AIR-violating rf subtrees;
 //! only their counts are kept — and judges each surviving `(rf, co)`
 //! witness once, in place, for all of its value concretisations. One
 //! driver serves both entry points: [`simulate_with`] is its one-worker
@@ -171,7 +171,7 @@ pub fn simulate<A: Architecture + ?Sized>(
 
 /// Simulates with explicit enumeration options, streaming candidates with
 /// every generation-time pruning axis sound for the architecture (uniproc
-/// masks plus NO THIN AIR when [`Architecture::thin_air_base`] provides a
+/// masks plus NO THIN AIR when [`model::thin_air_base`] provides a
 /// static base).
 ///
 /// The one-worker case of [`simulate_sharded`]'s driver, run inline on

@@ -19,9 +19,9 @@
 //!   order). It therefore forbids `mp+lwsync+addr-bigdetour-addr`, the
 //!   counter-example to the CAV/PLDI equivalence proof.
 
-use herd_core::arch::Power;
+use herd_core::arch::{prop_power_arm, Power};
 use herd_core::event::Dir;
-use herd_core::exec::Execution;
+use herd_core::exec::{ExecCore, Execution};
 use herd_core::model::Architecture;
 use herd_core::relation::Relation;
 use herd_litmus::candidates::{self, CandidateError, EnumOptions};
@@ -154,13 +154,14 @@ impl Architecture for PldiFlawed {
         self.inner.ppo(x).union(&extra)
     }
 
-    fn fences(&self, x: &Execution) -> Relation {
-        self.inner.fences(x)
+    fn fences(&self, core: &ExecCore) -> Relation {
+        self.inner.fences(core)
     }
 
     fn prop(&self, x: &Execution) -> Relation {
         // Fig 18's prop, but over this model's (stronger) ppo.
-        herd_core::arch::prop_power_arm(x, &self.ppo(x), &self.fences(x), &self.inner.ffence(x))
+        let core = x.core();
+        prop_power_arm(x, &self.ppo(x), &self.fences(core), &self.inner.ffence(core))
     }
 }
 
@@ -189,7 +190,7 @@ impl Architecture for MadorHaim {
         // fence-ordered (prop-base) before the second's source (rfe):
         // po ∩ (fre; prop-base; rfe).
         let base_ppo = self.inner.ppo(x);
-        let fences = self.inner.fences(x);
+        let fences = self.inner.fences(x.core());
         let hb = base_ppo.union(&fences).union(x.rfe());
         let a_cumul = x.rfe().seq(&fences);
         let prop_base = fences.union(&a_cumul).seq(&hb.rtclosure());
@@ -197,12 +198,13 @@ impl Architecture for MadorHaim {
         base_ppo.union(&x.po().intersect(&chain))
     }
 
-    fn fences(&self, x: &Execution) -> Relation {
-        self.inner.fences(x)
+    fn fences(&self, core: &ExecCore) -> Relation {
+        self.inner.fences(core)
     }
 
     fn prop(&self, x: &Execution) -> Relation {
-        herd_core::arch::prop_power_arm(x, &self.ppo(x), &self.fences(x), &self.inner.ffence(x))
+        let core = x.core();
+        prop_power_arm(x, &self.ppo(x), &self.fences(core), &self.inner.ffence(core))
     }
 }
 

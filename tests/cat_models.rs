@@ -2,7 +2,7 @@
 //! every candidate execution of every corpus test — this is the paper's
 //! genericity claim: the model file *is* the model (Sec 8.3, Fig 38).
 
-use herd_cat::{stock, CatModel};
+use herd_cat::{stock, CatModel, EvalError};
 use herd_core::arch::{Arm, ArmVariant, Power, Sc, Tso};
 use herd_core::model::{check, Architecture};
 use herd_litmus::candidates::{enumerate, EnumOptions};
@@ -161,6 +161,41 @@ fn compiled_models_agree_with_tree_walker_on_full_corpus() {
         }
     }
     assert!(checked >= 7 * 400, "7 models × the whole corpus, got {checked}");
+}
+
+/// Turning one `|` of a stock `let rec` group into `\` puts a group name
+/// under the right of `\`: the equation is no longer monotone and its
+/// fixpoint iteration may never converge, so the compiler and the
+/// tree-walker must both reject the model instead of hanging a check.
+/// Each of the 11 `|` of the Fig 25 group of power.cat, arm.cat and
+/// arm-llh.cat is mutated in turn.
+#[test]
+fn non_monotone_mutants_of_the_stock_ppo_groups_are_rejected() {
+    let mp = herd_core::fixtures::mp(
+        herd_core::fixtures::Device::None,
+        herd_core::fixtures::Device::None,
+    );
+    let mut rejected = 0;
+    for (name, src) in
+        [("power.cat", stock::POWER), ("arm.cat", stock::ARM), ("arm-llh.cat", stock::ARM_LLH)]
+    {
+        let start = src.find("let rec").expect("a let rec group");
+        let end = start + src[start..].find("\n\n").expect("the group ends at a blank line");
+        let bars: Vec<usize> = src[start..end].match_indices('|').map(|(i, _)| start + i).collect();
+        assert_eq!(bars.len(), 11, "{name}");
+        for at in bars {
+            let mutant = format!("{}\\{}", &src[..at], &src[at + 1..]);
+            let model = herd_cat::parse(&mutant).expect("the mutant parses");
+            let compiled = herd_cat::compile(&model).map(|_| ()).unwrap_err();
+            assert!(
+                matches!(compiled, EvalError::NonMonotone(_)),
+                "{name} at byte {at}: {compiled}"
+            );
+            assert_eq!(herd_cat::eval_tree(&model, &mp).unwrap_err(), compiled, "{name} at {at}");
+            rejected += 1;
+        }
+    }
+    assert_eq!(rejected, 33);
 }
 
 /// A user-modified model: dropping the OBSERVATION axiom from the Power

@@ -26,7 +26,8 @@
 //!   Power, pinning the measured traffic: no conditional query falls back;
 //! * the lower bound itself must sit inside the exact per-candidate ppo
 //!   (`lower ⊆ ppo(c)`) on every candidate of every random program, for
-//!   Power and ARM alike;
+//!   all eleven stock configurations, and equal it for the static-ppo
+//!   (monotone) ones;
 //! * randomised programs ([`ProgramShape`]) and randomised outcomes —
 //!   including outcomes no interleaving can reach — agree the same way;
 //! * the decided simulation driver reproduces the streamed driver's
@@ -38,7 +39,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
-use herd_core::arch::{Arm, ArmVariant, CppRa, CppRaStrength, Power, Pso, Sc, Tso};
+use herd_core::arch::{Arm, ArmVariant, CppRa, CppRaStrength, Power, Pso, Rmo, Sc, Tso};
 use herd_core::event::Fence;
 use herd_core::fixtures::{probe_value, ProgramShape, ShapeOp};
 use herd_core::model::{check, Architecture, Tractability};
@@ -407,9 +408,10 @@ proptest! {
     }
 
     /// The ppo lower bound's defining property, on random bounded
-    /// programs: for Power and ARM, the static lower bound is contained in
-    /// every candidate's exact ppo. This is what makes the conditional
-    /// verdicts sound.
+    /// programs: for every stock configuration, the lower bound is
+    /// contained in every candidate's exact ppo. This is what makes the
+    /// conditional verdicts and the thin-air base sound. A static-ppo
+    /// (monotone) model's bound is its ppo itself.
     #[test]
     fn ppo_lower_bound_underapproximates_random_programs(
         bytes in proptest::collection::vec(any::<u8>(), 0..16),
@@ -417,16 +419,35 @@ proptest! {
         let shape = ProgramShape::decode(&bytes);
         let (test, _) = shape_to_test(&shape);
         let cands = enumerate(&test, &EnumOptions::default()).unwrap();
-        let power = Power::new();
-        let arm = Arm::new(ArmVariant::Proposed);
-        for arch in [&power as &dyn Architecture, &arm] {
+        let models: [&dyn Architecture; 11] = [
+            &Sc,
+            &Tso,
+            &Pso,
+            &Rmo,
+            &Power::new(),
+            &Power::without_dynamic_ppo(),
+            &Arm::new(ArmVariant::PowerArm),
+            &Arm::new(ArmVariant::Proposed),
+            &Arm::new(ArmVariant::ProposedLlh),
+            &CppRa::new(CppRaStrength::PaperStrong),
+            &CppRa::new(CppRaStrength::StandardExact),
+        ];
+        for arch in models {
+            let static_ppo = arch.tractability() == Tractability::Monotone;
             for c in &cands {
                 let lower = arch
                     .ppo_lower_bound(c.exec.core())
-                    .expect("conditional models expose a lower bound");
+                    .expect("stock models declare a lower bound");
+                let exact = arch.ppo(&c.exec);
                 prop_assert!(
-                    lower.is_subset(&arch.ppo(&c.exec)),
+                    lower.is_subset(&exact),
                     "lower bound exceeds exact ppo: {:?} on {}",
+                    shape,
+                    arch.name()
+                );
+                prop_assert!(
+                    !static_ppo || lower == exact,
+                    "static ppo differs from its bound: {:?} on {}",
                     shape,
                     arch.name()
                 );

@@ -9,7 +9,7 @@
 //! indistinguishable from the enumerate-and-check reference, row by row.
 
 use herd_core::arch::{Arm, ArmVariant, CppRa, CppRaStrength, Power, Sc, Tso};
-use herd_core::arena::RelArena;
+use herd_core::arena::{RelArena, RelId};
 use herd_core::exec::{ExecCore, ExecFrame, Execution};
 use herd_core::model::{check, Architecture, ArenaArchRels, PropagationCheck, Tractability};
 use herd_core::relation::Relation;
@@ -94,8 +94,8 @@ impl Architecture for Unvouched<'_> {
     fn ppo(&self, x: &Execution) -> Relation {
         self.0.ppo(x)
     }
-    fn fences(&self, x: &Execution) -> Relation {
-        self.0.fences(x)
+    fn fences(&self, core: &ExecCore) -> Relation {
+        self.0.fences(core)
     }
     fn prop(&self, x: &Execution) -> Relation {
         self.0.prop(x)
@@ -103,20 +103,19 @@ impl Architecture for Unvouched<'_> {
     fn tolerates_load_load_hazards(&self) -> bool {
         self.0.tolerates_load_load_hazards()
     }
-    fn sc_per_location_po_loc_static(&self, core: &ExecCore) -> Relation {
-        self.0.sc_per_location_po_loc_static(core)
-    }
     fn propagation_check(&self) -> PropagationCheck {
         self.0.propagation_check()
     }
-    fn thin_air_fences(&self, core: &ExecCore) -> Relation {
-        self.0.thin_air_fences(core)
+    fn ppo_lower_bound(&self, core: &ExecCore) -> Option<Relation> {
+        self.0.ppo_lower_bound(core)
     }
-    fn thin_air_base(&self, core: &ExecCore) -> Option<Relation> {
-        self.0.thin_air_base(core)
-    }
-    fn arch_rels_arena(&self, fx: &ExecFrame<'_>, arena: &mut RelArena) -> ArenaArchRels {
-        self.0.arch_rels_arena(fx, arena)
+    fn arch_rels_arena(
+        &self,
+        fx: &ExecFrame<'_>,
+        ppo: Option<RelId>,
+        arena: &mut RelArena,
+    ) -> ArenaArchRels {
+        self.0.arch_rels_arena(fx, ppo, arena)
     }
 }
 

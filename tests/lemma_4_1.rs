@@ -18,8 +18,13 @@ fn sparc_tso(x: &herd_core::Execution) -> bool {
     // Uniproc plus the global axiom acyclic(ppo ∪ co ∪ rfe ∪ fr ∪ fences)
     // ([Alglave 2012, Def 23]).
     let tso = Tso;
-    let global =
-        tso.ppo(x).union(x.co()).union(x.rfe()).union(x.fr()).union(&tso.fences(x)).is_acyclic();
+    let global = tso
+        .ppo(x)
+        .union(x.co())
+        .union(x.rfe())
+        .union(x.fr())
+        .union(&tso.fences(x.core()))
+        .is_acyclic();
     sc_per_location(x) && global
 }
 

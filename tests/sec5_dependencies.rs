@@ -145,7 +145,7 @@ fn footnote_2_fence_relations_are_raw() {
         assert_eq!(lws.len(), 1, "the raw relation holds the WR pair");
         let power = herd_core::arch::Power::new();
         assert!(
-            power.lwfence(&c.exec).is_empty(),
+            power.lwfence(c.exec.core()).is_empty(),
             "Power's lwfence drops write-read pairs (Fig 17)"
         );
     }

@@ -6,7 +6,7 @@
 //! * uniproc pruning is *exact* — `emitted + pruned == candidate_count()`
 //!   — and *sound*: the emitted set is precisely the SC-PER-LOCATION
 //!   -consistent subset, in both the strict and load-load-hazard variants;
-//! * thin-air pruning ([`Architecture::thin_air_base`]) keeps exactly the
+//! * thin-air pruning ([`herd_core::model::thin_air_base`]) keeps exactly the
 //!   model-allowed multiset on architectures vouching for a static base,
 //!   and never fires on architectures without one;
 //! * sharded enumeration partitions the stream exactly, with merged
@@ -17,7 +17,7 @@
 use herd_core::arch::Power;
 use herd_core::enumerate::{Skeleton, SkeletonBuilder};
 use herd_core::event::{Dir, Fence};
-use herd_core::exec::Execution;
+use herd_core::exec::{ExecCore, Execution};
 use herd_core::model::{check, sc_per_location, Architecture};
 use herd_core::relation::Relation;
 use herd_litmus::candidates::{enumerate, EnumOptions};
@@ -25,8 +25,9 @@ use herd_litmus::corpus::CorpusEntry;
 use herd_litmus::simulate::{judge, simulate_sharded, simulate_with};
 use proptest::prelude::*;
 
-/// Power's axioms without the static-base hook: the default
-/// [`Architecture::thin_air_base`] returns `None`, modelling an
+/// Power's axioms without a ppo lower bound: the default
+/// [`Architecture::ppo_lower_bound`] returns `None`, so there is no static
+/// thin-air base ([`herd_core::model::thin_air_base`]), modelling an
 /// architecture that does not (or cannot soundly) declare NO THIN AIR for
 /// generation-time pruning.
 struct NoThinAirHook(Power);
@@ -38,8 +39,8 @@ impl Architecture for NoThinAirHook {
     fn ppo(&self, x: &Execution) -> Relation {
         self.0.ppo(x)
     }
-    fn fences(&self, x: &Execution) -> Relation {
-        self.0.fences(x)
+    fn fences(&self, core: &ExecCore) -> Relation {
+        self.0.fences(core)
     }
     fn prop(&self, x: &Execution) -> Relation {
         self.0.prop(x)
