@@ -4,6 +4,10 @@
 # Mirrors the tier-1 verify command (ROADMAP.md) and adds the
 # documentation and hygiene gates:
 #
+#   0. non-test line count          — reporting only, fails nothing: the
+#                                     lines of crates/*/src/*.rs, each
+#                                     file counted up to its first
+#                                     `#[cfg(test)]` line
 #   1. cargo build --release        — the whole workspace, optimised
 #   2. cargo build --examples       — every paper-reproduction example
 #   3. cargo bench --no-run         — the 9 harness=false bench targets
@@ -87,6 +91,9 @@ if [[ -z "$PR" ]]; then
     PR=$(( ${last:-0} + 1 ))
 fi
 
+echo "==> non-test lines under crates/*/src"
+find crates -path '*/src/*.rs' -print0 | sort -z |
+    xargs -0 awk 'FNR == 1 {skip = 0} /^#\[cfg\(test\)\]/ {skip = 1} !skip {n++} END {print n}'
 run cargo build --release --workspace
 run cargo build --examples
 run cargo bench --no-run --workspace

@@ -45,16 +45,16 @@ use herd_bench::{
 };
 use herd_core::arch::{Arm, ArmVariant, CppRa, Power, Sc, Tso};
 use herd_core::arena::{RelArena, RelId};
-use herd_core::enumerate::{CheckedStats, Skeleton};
+use herd_core::enumerate::{CheckedStats, Prune, Skeleton};
 use herd_core::event::Fence;
 use herd_core::exec::{ExecCore, ExecFrame, Execution};
 use herd_core::model::{check, Architecture, ArenaArchRels, PropagationCheck, Verdict};
 use herd_core::relation::Relation;
-use herd_core::sched::{Budget, CancelToken, PlanOpts, WorkPlan};
+use herd_core::sched::{rf_ranges, Budget, CancelToken, WorkPlan};
 use herd_core::uniproc::{EventShape, LocGraphs};
 use herd_litmus::candidates::{stream_verdicts, EnumOptions, RegFinal};
 use herd_litmus::corpus::{self, Dev, Op, TestBuilder};
-use herd_litmus::decide::{decide_outcome, Outcome, QueryStats};
+use herd_litmus::decide::{decide_log, Outcome, QueryStats};
 use herd_litmus::isa::Isa;
 use herd_litmus::program::{LitmusTest, Prop, Quantifier};
 use herd_litmus::simulate::{simulate_corpus, simulate_decided, simulate_with};
@@ -90,11 +90,11 @@ fn bench_pipeline(name: &str, sk: &Skeleton, reps: usize) -> Row {
         sk.candidates_eager().iter().filter(|x| check(&power, x).allowed()).count()
     });
     let (stream_ns, stream_allowed) =
-        best_of(reps, || sk.stream().filter(|x| check(&power, x).allowed()).count());
+        best_of(reps, || sk.stream(Prune::None).filter(|x| check(&power, x).allowed()).count());
     let mut emitted = 0;
     let mut pruned = 0;
     let (pruned_ns, pruned_allowed) = best_of(reps, || {
-        let mut it = sk.stream_pruned();
+        let mut it = sk.stream(Prune::Uniproc);
         let allowed = it.by_ref().filter(|x| check(&power, x).allowed()).count();
         emitted = it.emitted();
         pruned = it.pruned();
@@ -104,8 +104,9 @@ fn bench_pipeline(name: &str, sk: &Skeleton, reps: usize) -> Row {
     // in place (no Execution materialisation, no per-candidate allocs).
     let mut arena = RelArena::new(0);
     let unlimited = Budget::unlimited();
-    let (arena_ns, arena_stats) =
-        best_of(reps, || sk.check_stream_arena(&power, &mut arena, &unlimited, &mut |_, _, _| {}));
+    let (arena_ns, arena_stats) = best_of(reps, || {
+        sk.check_stream_arena(&power, &mut arena, .., None, &unlimited, &mut |_, _, _| {})
+    });
     assert_eq!(eager_allowed, stream_allowed, "{name}: streaming changed the verdict");
     assert_eq!(eager_allowed, pruned_allowed, "{name}: pruning changed the verdict");
     assert_eq!(
@@ -134,7 +135,7 @@ fn bench_thinair(name: &str, sk: &Skeleton, reps: usize) -> Row {
     let power = Power::new();
     let mut emitted_uniproc = 0;
     let (uniproc_ns, uniproc_allowed) = best_of(reps, || {
-        let mut it = sk.stream_pruned();
+        let mut it = sk.stream(Prune::Uniproc);
         let allowed = it.by_ref().filter(|x| check(&power, x).allowed()).count();
         emitted_uniproc = it.emitted();
         allowed
@@ -142,7 +143,7 @@ fn bench_thinair(name: &str, sk: &Skeleton, reps: usize) -> Row {
     let mut emitted_thinair = 0;
     let mut pruned_thinair = 0;
     let (thinair_ns, thinair_allowed) = best_of(reps, || {
-        let mut it = sk.stream_pruned_for(&power);
+        let mut it = sk.stream_arch(&power, ..);
         let allowed = it.by_ref().filter(|x| check(&power, x).allowed()).count();
         emitted_thinair = it.emitted();
         pruned_thinair = it.pruned();
@@ -192,7 +193,7 @@ fn bench_wide(name: &str, sk: &Skeleton, reps: usize) -> Row {
     let candidates = sk.candidate_count().expect("bench skeletons count in u128");
     let mut emitted_uniproc = 0;
     let (uniproc_ns, _) = best_of(reps, || {
-        let mut it = sk.stream_pruned();
+        let mut it = sk.stream(Prune::Uniproc);
         let drained = it.by_ref().count();
         emitted_uniproc = it.emitted();
         assert_eq!(emitted_uniproc, drained as u128, "{name}: uniproc emitted count drifts");
@@ -204,8 +205,9 @@ fn bench_wide(name: &str, sk: &Skeleton, reps: usize) -> Row {
     // impossible past 64 events).
     let mut arena = RelArena::new(0);
     let unlimited = Budget::unlimited();
-    let (arena_ns, stats) =
-        best_of(reps, || sk.check_stream_arena(&power, &mut arena, &unlimited, &mut |_, _, _| {}));
+    let (arena_ns, stats) = best_of(reps, || {
+        sk.check_stream_arena(&power, &mut arena, .., None, &unlimited, &mut |_, _, _| {})
+    });
     assert_eq!(stats.emitted + stats.pruned, candidates, "{name}: arena accounting is exact");
     assert!(
         stats.emitted < emitted_uniproc,
@@ -228,7 +230,7 @@ fn bench_sharded(name: &str, sk: &Skeleton, reps: usize) -> Row {
     let candidates = sk.candidate_count().expect("bench skeletons count in u128");
 
     let (single_ns, single_allowed) = best_of(reps, || {
-        let mut it = sk.stream_pruned_for(&power);
+        let mut it = sk.stream_arch(&power, ..);
         let allowed = it.by_ref().filter(|x| check(&power, x).allowed()).count();
         assert_eq!(it.emitted() + it.pruned(), candidates, "{name}: single-shard accounting");
         allowed
@@ -237,13 +239,15 @@ fn bench_sharded(name: &str, sk: &Skeleton, reps: usize) -> Row {
     // Run the sharded drain at least once (2 shards even on one core) to
     // hold the exact-merge invariant; only time it when >1 worker exists.
     let nshards = workers.max(2);
+    let shards = rf_ranges(sk.rf_total(), nshards as u128);
     let drain = || {
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..nshards)
-                .map(|s| {
+            let handles: Vec<_> = shards
+                .iter()
+                .map(|&(start, end)| {
                     let (sk, power) = (&sk, &power);
                     scope.spawn(move || {
-                        let mut it = sk.stream_pruned_for_shard(power, s, nshards);
+                        let mut it = sk.stream_arch(power, start..end);
                         let allowed = it.by_ref().filter(|x| check(power, x).allowed()).count();
                         (allowed, it.emitted(), it.pruned())
                     })
@@ -288,11 +292,20 @@ fn bench_sched(name: &str, sk: &Skeleton, reps: usize) -> Row {
     // The static rf-prefix split (the PR 4 scheme): per-shard check
     // counts give its balance; the biggest shard is its makespan.
     let mut arena = RelArena::new(0);
+    let unlimited = Budget::unlimited();
     let mut shard_emitted = Vec::new();
     let mut whole = CheckedStats::default();
+    let shards = rf_ranges(sk.rf_total(), plan_workers as u128);
     for s in 0..plan_workers {
-        let st =
-            sk.check_stream_arena_shard(&power, &mut arena, s, plan_workers, &mut |_, _, _| {});
+        let (start, end) = shards.get(s).copied().unwrap_or((0, 0));
+        let st = sk.check_stream_arena(
+            &power,
+            &mut arena,
+            start..end,
+            None,
+            &unlimited,
+            &mut |_, _, _| {},
+        );
         shard_emitted.push(st.emitted);
         whole.emitted += st.emitted;
         whole.pruned += st.pruned;
@@ -301,8 +314,7 @@ fn bench_sched(name: &str, sk: &Skeleton, reps: usize) -> Row {
     assert_eq!(whole.emitted + whole.pruned, candidates, "{name}: static shard accounting");
 
     // The hierarchical plan: per-unit stats give the stealing balance.
-    let plan = WorkPlan::for_skeleton(sk, &power, &PlanOpts::for_workers(plan_workers));
-    let unlimited = Budget::unlimited();
+    let plan = WorkPlan::for_skeleton(sk, &power, plan_workers);
     let out = sk.check_stream_sched(&power, &plan, cores, &unlimited, null_sink);
     assert_eq!(out.stats, whole, "{name}: the scheduler changed the workload");
 
@@ -322,18 +334,21 @@ fn bench_sched(name: &str, sk: &Skeleton, reps: usize) -> Row {
 
     // Measured wall-clock only with real parallelism.
     let (static_ns, sched_ns) = if cores > 1 {
+        let shards = rf_ranges(sk.rf_total(), cores as u128);
         let (s_ns, static_emitted) = best_of(reps, || {
             std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..cores)
                     .map(|s| {
-                        let (sk, power) = (&sk, &power);
+                        let (sk, power, unlimited) = (&sk, &power, &unlimited);
+                        let (start, end) = shards.get(s).copied().unwrap_or((0, 0));
                         scope.spawn(move || {
                             let mut arena = RelArena::new(0);
-                            sk.check_stream_arena_shard(
+                            sk.check_stream_arena(
                                 power,
                                 &mut arena,
-                                s,
-                                cores,
+                                start..end,
+                                None,
+                                unlimited,
                                 &mut |_, _, _| {},
                             )
                             .emitted
@@ -343,7 +358,7 @@ fn bench_sched(name: &str, sk: &Skeleton, reps: usize) -> Row {
                 handles.into_iter().map(|h| h.join().expect("shard worker panicked")).sum::<u128>()
             })
         });
-        let run_plan = WorkPlan::for_skeleton(sk, &power, &PlanOpts::for_workers(cores));
+        let run_plan = WorkPlan::for_skeleton(sk, &power, cores);
         let (w_ns, sched_emitted) = best_of(reps, || {
             sk.check_stream_sched(&power, &run_plan, cores, &unlimited, null_sink).stats.emitted
         });
@@ -446,12 +461,14 @@ fn bench_robust(name: &str, sk: &Skeleton, reps: usize) -> Row {
     let mut plain_stats = None;
     let mut budgeted_stats = None;
     for _ in 0..rounds {
-        let (ns, stats) =
-            best_of(1, || sk.check_stream_arena(&power, &mut arena, &unlimited, &mut |_, _, _| {}));
+        let (ns, stats) = best_of(1, || {
+            sk.check_stream_arena(&power, &mut arena, .., None, &unlimited, &mut |_, _, _| {})
+        });
         plain_ns = plain_ns.min(ns);
         plain_stats = Some(stats);
-        let (ns, stats) =
-            best_of(1, || sk.check_stream_arena(&power, &mut arena, &budget, &mut |_, _, _| {}));
+        let (ns, stats) = best_of(1, || {
+            sk.check_stream_arena(&power, &mut arena, .., None, &budget, &mut |_, _, _| {})
+        });
         budgeted_ns = budgeted_ns.min(ns);
         budgeted_stats = Some(stats);
     }
@@ -538,22 +555,24 @@ fn bench_query(
         .expect("query family streams");
         hit
     });
+    let rows = std::slice::from_ref(probe);
     let (backend_ns, decision) =
-        best_of(reps, || decide_outcome(test, arch, &opts, probe).expect("query family decides"));
+        best_of(reps, || decide_log(test, arch, &opts, rows).expect("query family decides"));
+    let (allowed, stats) = (decision.verdicts[0], decision.stats.query);
     assert_eq!(
-        decision.allowed,
+        allowed,
         enum_reachable,
         "{family} on {}: backend and enumeration disagree",
         arch.name()
     );
-    let name = format!("{family}/{}", if decision.allowed { "allowed" } else { "forbidden" });
+    let name = format!("{family}/{}", if allowed { "allowed" } else { "forbidden" });
     // The rf configurations of the whole space against the ones the
     // backend's register screening actually probed.
     row! {
-        "name": name.as_str(), "arch": arch.name(), "allowed": decision.allowed, "enum_ns": enum_ns,
+        "name": name.as_str(), "arch": arch.name(), "allowed": allowed, "enum_ns": enum_ns,
         "backend_ns": backend_ns, "speedup": Value::Fixed(ratio(enum_ns, backend_ns), 2),
-        "rf_space": decision.stats.rf_space, "rf_configs": decision.stats.rf_configs,
-        "fallbacks": decision.stats.backend.fallbacks,
+        "rf_space": stats.rf_space, "rf_configs": stats.rf_configs,
+        "fallbacks": stats.backend.fallbacks,
     }
 }
 
@@ -584,20 +603,16 @@ fn bench_batch(
     let log: Vec<String> = (0..nrows).map(|i| distinct[i % distinct.len()].clone()).collect();
     let (batch_ns, (verdicts, stats)) =
         best_of(reps, || herd_hw::judge_entries(test, arch, &log).expect("batch judges"));
+    // One row judged as a one-row batch.
+    let judge_one =
+        |row: &String| herd_hw::judge_entries(test, arch, &[row]).expect("row judges").0[0];
     // Differential pin: batch ≡ per-row on every distinct outcome.
     for (i, d) in distinct.iter().enumerate() {
-        let single = herd_hw::judge_entry(test, arch, d).expect("row judges");
-        assert_eq!(verdicts[i], single, "{name}: batch and per-row disagree on '{d}'");
+        assert_eq!(verdicts[i], judge_one(d), "{name}: batch and per-row disagree on '{d}'");
     }
-    let perrow_ns = measure_perrow.then(|| {
-        best_of(reps, || {
-            log.iter().filter(|s| herd_hw::judge_entry(test, arch, s).expect("row judges")).count()
-        })
-        .0
-    });
-    let (cold_ns, _) = best_of(reps, || {
-        distinct.iter().filter(|s| herd_hw::judge_entry(test, arch, s).expect("row judges")).count()
-    });
+    let perrow_ns =
+        measure_perrow.then(|| best_of(reps, || log.iter().filter(|s| judge_one(s)).count()).0);
+    let (cold_ns, _) = best_of(reps, || distinct.iter().filter(|s| judge_one(s)).count());
     let cache = herd_hw::VerdictCache::new(4096);
     let primed = herd_hw::judge_log_cached(test, arch, &log, &cache).expect("cold pass judges");
     assert_eq!(primed, verdicts, "{name}: the cached path changed a verdict");
@@ -805,25 +820,27 @@ fn bench_frontier_speed(
     let opts = EnumOptions::default();
     let power = Power::new();
     let baseline = FallbackPower(Power::new());
+    let rows = std::slice::from_ref(probe);
     let (fallback_ns, base) =
-        best_of(reps, || decide_outcome(test, &baseline, &opts, probe).expect("baseline decides"));
+        best_of(reps, || decide_log(test, &baseline, &opts, rows).expect("baseline decides"));
     let (envelope_ns, decision) =
-        best_of(reps, || decide_outcome(test, &power, &opts, probe).expect("envelope decides"));
+        best_of(reps, || decide_log(test, &power, &opts, rows).expect("envelope decides"));
+    let (allowed, backend) = (decision.verdicts[0], decision.stats.query.backend);
     // Differential pin: the envelope never changes an answer, and the
     // baseline really took the enumeration road.
-    assert_eq!(decision.allowed, base.allowed, "{name}: envelope changed the verdict");
-    assert!(base.stats.backend.fallbacks > 0, "{name}: the baseline never fell back");
+    assert_eq!(allowed, base.verdicts[0], "{name}: envelope changed the verdict");
+    assert!(base.stats.query.backend.fallbacks > 0, "{name}: the baseline never fell back");
     assert_eq!(
-        base.stats.backend.conditional_definitive, 0,
+        base.stats.query.backend.conditional_definitive, 0,
         "{name}: the baseline has no envelope"
     );
     // Whether the 5x gate applies: the forbidden probes, where the
     // baseline must exhaust every coherence completion.
     row! {
-        "name": name, "allowed": decision.allowed, "fallback_ns": fallback_ns,
+        "name": name, "allowed": allowed, "fallback_ns": fallback_ns,
         "envelope_ns": envelope_ns, "speedup": Value::Fixed(ratio(fallback_ns, envelope_ns), 2),
-        "definitive": decision.stats.backend.conditional_definitive,
-        "residue_fallbacks": decision.stats.backend.fallbacks, "gated": gated,
+        "definitive": backend.conditional_definitive,
+        "residue_fallbacks": backend.fallbacks, "gated": gated,
     }
 }
 

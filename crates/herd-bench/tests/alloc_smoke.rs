@@ -53,7 +53,8 @@ fn iriw_2w_steady_state_allocates_zero_per_candidate() {
 
     // Pre-size the observation buffer so the sink itself cannot allocate.
     let mut counts: Vec<u64> = Vec::with_capacity(4096);
-    let stats = sk.check_stream_arena(&power, &mut arena, &Budget::unlimited(), &mut |_, _, _| {
+    let unlimited = Budget::unlimited();
+    let stats = sk.check_stream_arena(&power, &mut arena, .., None, &unlimited, &mut |_, _, _| {
         counts.push(allocation_count());
     });
     assert!(stats.emitted > 16, "iriw+2w must stream a meaningful candidate count");
@@ -89,9 +90,10 @@ fn second_pass_over_iriw_2w_allocates_nothing_in_the_arena() {
     let sk = iriw_scaled(2);
     let power = Power::new();
     let mut arena = RelArena::new(0);
-    sk.check_stream_arena(&power, &mut arena, &Budget::unlimited(), &mut |_, _, _| {});
+    let unlimited = Budget::unlimited();
+    sk.check_stream_arena(&power, &mut arena, .., None, &unlimited, &mut |_, _, _| {});
     let high_water = arena.high_water_words();
-    sk.check_stream_arena(&power, &mut arena, &Budget::unlimited(), &mut |_, _, _| {});
+    sk.check_stream_arena(&power, &mut arena, .., None, &unlimited, &mut |_, _, _| {});
     assert_eq!(
         arena.high_water_words(),
         high_water,

@@ -963,7 +963,7 @@ mod tests {
         b.write(0, "x", 1);
         b.read(0, "x");
         b.write(1, "x", 2);
-        b.build().candidates()
+        b.build().stream(herd_core::enumerate::Prune::None).collect()
     }
 
     #[test]

@@ -12,24 +12,29 @@
 //! Heap's-algorithm coherence permutations, sharing one `Arc`'d
 //! [`ExecCore`] (po, deps, fences and the skeleton-invariant derived
 //! relations) across every candidate instead of deep-cloning per candidate.
-//! [`Skeleton::stream_pruned`] additionally checks SC PER LOCATION
+//! With [`Prune::Uniproc`] it additionally checks SC PER LOCATION
 //! incrementally, location by location, as each coherence order is fixed —
 //! the uniproc-first pruning of Sec 8.3 — so entire rf×co subtrees are
 //! skipped before an [`Execution`] is ever built.
 //!
-//! Two further `-speedcheck` axes compose via [`StreamOpts`] (or the
-//! architecture-driven [`Skeleton::stream_pruned_for`]):
+//! [`Skeleton::stream_arch`] composes every `-speedcheck` axis sound for an
+//! architecture over one range of the rf odometer:
 //!
 //! * **NO THIN AIR pruning** — with a sound static base from
 //!   [`crate::model::thin_air_base`], an incremental
 //!   [`ThinAirTracker`] follows the rf odometer digit by digit and skips
 //!   every rf subtree whose partial happens-before graph is already
 //!   cyclic, before any coherence permutation is visited.
-//! * **Sharding** — the rf odometer's linear index range splits into
-//!   contiguous shards ([`StreamOpts::shard`]), so the rf×co space of a
-//!   *single* test fans out across threads; per-shard
+//! * **Ranges** — the rf odometer's linear index space
+//!   ([`Skeleton::rf_total`]) splits into contiguous ranges
+//!   ([`crate::sched::rf_ranges`]), so the rf×co space of a *single* test
+//!   fans out across threads; per-range
 //!   [`CandidateIter::emitted`]/[`CandidateIter::pruned`] counters sum to
 //!   exactly [`Skeleton::candidate_count`].
+//!
+//! [`Skeleton::check_stream_arena`] judges the same ranges in place on the
+//! [`ArenaEngine`], and [`Skeleton::check_stream_sched`] runs it over a
+//! [`crate::sched::WorkPlan`].
 //!
 //! Front ends whose write values depend on read values (genuine data flow
 //! through registers) perform their own symbolic enumeration and lower to
@@ -46,6 +51,7 @@ use crate::sched::{Budget, StopReason};
 use crate::thinair::ThinAirTracker;
 use crate::uniproc::{CoMenus, EventShape, LocGraphs};
 use std::collections::BTreeMap;
+use std::ops::{Bound, RangeBounds};
 use std::sync::Arc;
 
 /// One event of a skeleton: a write with a fixed value, or a read whose
@@ -78,81 +84,49 @@ pub struct Skeleton {
 }
 
 impl Skeleton {
-    /// Streams every candidate execution of the skeleton lazily.
+    /// Streams every candidate execution of the skeleton lazily, pruned
+    /// at generation time as `prune` says (paper, Sec 8.3); the discarded
+    /// candidates are counted by [`CandidateIter::pruned`].
     ///
     /// # Panics
     ///
     /// Panics if the relations' universe does not match the event count
     /// (a front-end bug, not an input error).
-    pub fn stream(&self) -> CandidateIter {
-        self.stream_with(StreamOpts::default())
+    pub fn stream(&self, prune: Prune) -> CandidateIter {
+        let (space, core) = self.space_core();
+        CandidateIter::new(space, core, prune, None, (0, u128::MAX))
     }
 
-    /// Streams only the candidates satisfying SC PER LOCATION, pruning
-    /// whole rf×co subtrees at generation time (paper, Sec 8.3). The
-    /// discarded candidates — all of them uniproc-forbidden — are counted
-    /// by [`CandidateIter::pruned`].
-    pub fn stream_pruned(&self) -> CandidateIter {
-        self.stream_with(StreamOpts { uniproc: true, ..StreamOpts::default() })
-    }
-
-    /// Like [`Skeleton::stream_pruned`], but tolerating load-load hazards
-    /// (read-read `po-loc` pairs dropped), matching architectures whose SC
-    /// PER LOCATION axiom is weakened that way (ARM-llh, Sparc RMO).
-    pub fn stream_pruned_llh(&self) -> CandidateIter {
-        self.stream_with(StreamOpts { uniproc: true, llh: true, ..StreamOpts::default() })
-    }
-
-    /// Streams with every generation-time pruning axis that is sound for
-    /// `arch`: uniproc masks (load-load-hazard-weakened when the
-    /// architecture asks for it) plus incremental NO THIN AIR pruning when
-    /// the architecture declares a ppo lower bound ([`thin_air_base`]).
+    /// Streams the candidates of the rf configurations in `rf_range`
+    /// (indices below [`Skeleton::rf_total`], `..` for all of them) with
+    /// every generation-time pruning axis that is sound for `arch`:
+    /// uniproc masks ([`Prune::for_arch`]) plus incremental NO THIN AIR
+    /// pruning when the architecture declares a ppo lower bound
+    /// ([`thin_air_base`]). Over any partition of the rf index space,
+    /// `emitted + pruned` sums to [`Skeleton::candidate_count`].
     ///
     /// # Panics
     ///
     /// Panics on a universe mismatch (a front-end bug).
-    pub fn stream_pruned_for<A: Architecture + ?Sized>(&self, arch: &A) -> CandidateIter {
-        self.stream_pruned_for_shard(arch, 0, 1)
-    }
-
-    /// One shard of [`Skeleton::stream_pruned_for`]: covers the
-    /// `shard`-th of `nshards` contiguous slices of the rf odometer, so a
-    /// single test's rf×co space fans out across threads. Per-shard
-    /// `emitted + pruned` counters sum to exactly
-    /// [`Skeleton::candidate_count`] over all shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a universe mismatch or `shard >= nshards`.
-    pub fn stream_pruned_for_shard<A: Architecture + ?Sized>(
+    pub fn stream_arch<A: Architecture + ?Sized>(
         &self,
         arch: &A,
-        shard: usize,
-        nshards: usize,
+        rf_range: impl RangeBounds<u128>,
     ) -> CandidateIter {
         let (space, core) = self.space_core();
-        let opts = StreamOpts {
-            uniproc: true,
-            llh: arch.tolerates_load_load_hazards(),
-            thin_air: thin_air_base(arch, &core),
-            shard: Some((shard, nshards)),
-        };
-        CandidateIter::new(self, space, core, opts)
+        let thin_air = thin_air_base(arch, &core);
+        CandidateIter::new(space, core, Prune::for_arch(arch), thin_air, bounds(rf_range))
     }
 
-    /// Streams with explicit [`StreamOpts`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on a universe mismatch or an out-of-range shard index.
-    pub fn stream_with(&self, opts: StreamOpts) -> CandidateIter {
-        let (space, core) = self.space_core();
-        CandidateIter::new(self, space, core, opts)
+    /// Number of rf configurations (saturating): the linear index space
+    /// of [`Skeleton::stream_arch`]'s and
+    /// [`Skeleton::check_stream_arena`]'s ranges.
+    pub fn rf_total(&self) -> u128 {
+        self.space().rf_total()
     }
 
-    fn space_core(&self) -> (ChoiceSpace, Arc<ExecCore>) {
-        let n = self.events.len();
-        assert_eq!(self.po.universe(), n, "po universe mismatch");
+    /// The skeleton's rf×co choice space.
+    fn space(&self) -> ChoiceSpace {
         let events: Vec<Event> = self
             .events
             .iter()
@@ -166,11 +140,17 @@ impl Skeleton {
                 val: e.val,
             })
             .collect();
+        ChoiceSpace::new(events)
+    }
+
+    fn space_core(&self) -> (ChoiceSpace, Arc<ExecCore>) {
+        assert_eq!(self.po.universe(), self.events.len(), "po universe mismatch");
+        let space = self.space();
         let core = Arc::new(
-            ExecCore::new(&events, self.po.clone(), self.deps.clone(), self.fences.clone())
+            ExecCore::new(&space.events, self.po.clone(), self.deps.clone(), self.fences.clone())
                 .expect("skeleton relations are well-formed"),
         );
-        (ChoiceSpace::new(events), core)
+        (space, core)
     }
 
     /// The arena engine over this skeleton's choice space, judging `models`.
@@ -182,11 +162,16 @@ impl Skeleton {
         ArenaEngine::new(space, core, models)
     }
 
-    /// The arena-backed checked stream: enumerates with every pruning
+    /// The arena-backed checked stream: enumerates the rf configurations
+    /// in `rf_range` (as for [`Skeleton::stream_arch`]) with every pruning
     /// axis sound for `arch` (uniproc masks, llh weakening, thin air) and
     /// checks each surviving candidate against the four axioms — **zero
     /// heap allocations per candidate** once `arena` has warmed to its
     /// high-water mark.
+    ///
+    /// `co_range`, when given, restricts the run to that coherence-menu
+    /// odometer sub-range of a *single* rf configuration — the shape of a
+    /// co-level [`crate::sched::WorkUnit`] (see [`ArenaEngine::run`]).
     ///
     /// Candidates are never materialised as owned [`Execution`]s: the
     /// witness and all derived relations live in `arena` slots addressed
@@ -200,9 +185,10 @@ impl Skeleton {
     /// A deadline, candidate bound, or cooperative cancellation in
     /// `budget` stops enumeration mid-odometer ([`Budget::unlimited`]
     /// never does), and the returned stats report the cut exactly —
-    /// `emitted + pruned + remaining == candidate_count`, with a
-    /// [`ResumePoint`] that [`Skeleton::check_stream_arena_resume`] can
-    /// complete from.
+    /// `emitted + pruned + remaining` is the range's candidate count, with
+    /// a [`ResumePoint`] to complete from in two calls: its configuration
+    /// `rf_pos..=rf_pos` from coherence ordinal `co_next` on, then
+    /// `rf_pos + 1..`.
     ///
     /// # Panics
     ///
@@ -211,103 +197,15 @@ impl Skeleton {
         &self,
         arch: &A,
         arena: &mut RelArena,
+        rf_range: impl RangeBounds<u128>,
+        co_range: Option<(u128, u128)>,
         budget: &Budget,
         sink: &mut dyn FnMut(&ExecFrame<'_>, &RelArena, Verdict),
     ) -> CheckedStats {
         let models = [arch];
         let engine = self.engine(&models);
         let mut w = engine.skeleton_worker(arena);
-        let range = (0, engine.rf_total());
-        engine.run_skeleton(arena, &mut w, range, None, budget, sink)
-    }
-
-    /// One shard of [`Skeleton::check_stream_arena`], covering the
-    /// `shard`-th of `nshards` contiguous slices of the rf odometer (the
-    /// same partition as [`Skeleton::stream_pruned_for_shard`], so
-    /// per-shard `emitted + pruned` sum to [`Skeleton::candidate_count`]).
-    /// Each worker thread owns its own [`RelArena`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on a universe mismatch or `shard >= nshards`.
-    pub fn check_stream_arena_shard<A: Architecture + ?Sized>(
-        &self,
-        arch: &A,
-        arena: &mut RelArena,
-        shard: usize,
-        nshards: usize,
-        sink: &mut dyn FnMut(&ExecFrame<'_>, &RelArena, Verdict),
-    ) -> CheckedStats {
-        let models = [arch];
-        let engine = self.engine(&models);
-        let mut w = engine.skeleton_worker(arena);
-        let range = shard_range(engine.rf_total(), shard, nshards);
-        engine.run_skeleton(arena, &mut w, range, None, &Budget::unlimited(), sink)
-    }
-
-    /// Completes an interrupted [`Skeleton::check_stream_arena`]
-    /// run from its [`ResumePoint`]: first the unchecked tail of the cut
-    /// configuration's coherence odometer, then every following rf
-    /// configuration. The merged stats of the interrupted run and this one
-    /// reproduce an uninterrupted run exactly — same verdict stream, same
-    /// accounting.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a universe mismatch (a front-end bug).
-    pub fn check_stream_arena_resume<A: Architecture + ?Sized>(
-        &self,
-        arch: &A,
-        arena: &mut RelArena,
-        resume: ResumePoint,
-        sink: &mut dyn FnMut(&ExecFrame<'_>, &RelArena, Verdict),
-    ) -> CheckedStats {
-        let models = [arch];
-        let engine = self.engine(&models);
-        let mut w = engine.skeleton_worker(arena);
-        let end = engine.rf_total();
-        let unlimited = Budget::unlimited();
-        let mut stats = CheckedStats::default();
-        let tail_start = if resume.co_next > 0 {
-            // Finish the cut configuration's coherence tail; `u128::MAX`
-            // clamps to the menu count, and a non-zero start means the
-            // configuration's generation-time prunes stay with the
-            // interrupted run that already claimed them.
-            stats.absorb(&engine.run_skeleton(
-                arena,
-                &mut w,
-                (resume.rf_pos, resume.rf_pos + 1),
-                Some((resume.co_next, u128::MAX)),
-                &unlimited,
-                sink,
-            ));
-            resume.rf_pos + 1
-        } else {
-            resume.rf_pos
-        };
-        if tail_start < end {
-            stats.absorb(&engine.run_skeleton(
-                arena,
-                &mut w,
-                (tail_start, end),
-                None,
-                &unlimited,
-                sink,
-            ));
-        }
-        stats
-    }
-
-    /// Enumerates every candidate execution into a vector.
-    ///
-    /// Equivalent to `self.stream().collect()`; prefer [`Skeleton::stream`]
-    /// when the candidates are consumed once.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a universe mismatch (a front-end bug).
-    pub fn candidates(&self) -> Vec<Execution> {
-        self.stream().collect()
+        engine.run_skeleton(arena, &mut w, bounds(rf_range), co_range, budget, sink)
     }
 
     /// The seed's eager generate-then-filter enumeration, kept as the
@@ -408,32 +306,49 @@ impl Skeleton {
         }
         Some(count)
     }
+}
 
-    /// [`Skeleton::candidate_count`], saturating at `u128::MAX` instead of
-    /// returning `None` — convenient for size guards in tests.
-    pub fn candidate_count_saturating(&self) -> u128 {
-        self.candidate_count().unwrap_or(u128::MAX)
+/// How streaming enumeration prunes at generation time (paper, Sec 8.3).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Prune {
+    /// Yield every candidate.
+    #[default]
+    None,
+    /// Skip candidates violating SC PER LOCATION: as soon as one
+    /// location's `po-loc ∪ com` subgraph is cyclic under the current
+    /// rf/co choice, the whole subtree is dropped unmaterialised.
+    Uniproc,
+    /// Uniproc pruning with read-read `po-loc` pairs dropped, for
+    /// architectures tolerating load-load hazards (ARM-llh, Sparc RMO).
+    UniprocLlh,
+}
+
+impl Prune {
+    /// The sound pruning mode for an architecture.
+    pub fn for_arch<A: Architecture + ?Sized>(arch: &A) -> Prune {
+        if arch.tolerates_load_load_hazards() {
+            Prune::UniprocLlh
+        } else {
+            Prune::Uniproc
+        }
     }
 }
 
-/// Options for [`Skeleton::stream_with`]: which generation-time pruning
-/// axes are active, and which rf-odometer shard to cover.
-#[derive(Clone, Debug, Default)]
-pub struct StreamOpts {
-    /// Prune SC-PER-LOCATION-violating subtrees at generation time.
-    pub uniproc: bool,
-    /// Tolerate load-load hazards in the uniproc graphs (drop RR `po-loc`
-    /// pairs) — only meaningful with `uniproc`.
-    pub llh: bool,
-    /// Static `ppo ∪ fences` underapproximation enabling incremental
-    /// NO THIN AIR pruning; like [`thin_air_base`], it must be contained
-    /// in every candidate's `ppo ∪ fences`. The tracker's reachability
-    /// rows are width-generic, so the axis stays active at any universe
-    /// size (it used to fall back past 64 events).
-    pub thin_air: Option<Relation>,
-    /// Restrict the iterator to one contiguous shard `(index, count)` of
-    /// the rf odometer's linear index range.
-    pub shard: Option<(usize, usize)>,
+/// The half-open `[start, end)` form of an index range (`..` is
+/// `[0, u128::MAX)`; ranges past the space are clamped where they are
+/// walked).
+pub fn bounds(range: impl RangeBounds<u128>) -> (u128, u128) {
+    let start = match range.start_bound() {
+        Bound::Included(&s) => s,
+        Bound::Excluded(&s) => s.saturating_add(1),
+        Bound::Unbounded => 0,
+    };
+    let end = match range.end_bound() {
+        Bound::Included(&e) => e.saturating_add(1),
+        Bound::Excluded(&e) => e,
+        Bound::Unbounded => u128::MAX,
+    };
+    (start, end)
 }
 
 /// The rf×co choice space of one control-flow semantics — a skeleton, or
@@ -537,7 +452,7 @@ pub struct CheckedStats {
     /// Why the run stopped early, if it did.
     pub stopped: Option<StopReason>,
     /// Where to pick the enumeration back up
-    /// ([`Skeleton::check_stream_arena_resume`]); `None` when the run
+    /// ([`Skeleton::check_stream_arena`]); `None` when the run
     /// completed or when per-unit cut points make a single linear resume
     /// point meaningless (the scheduler path).
     pub resume: Option<ResumePoint>,
@@ -563,8 +478,8 @@ impl CheckedStats {
 }
 
 /// An exact enumeration cut point: the rf configuration and the coherence
-/// ordinal within it where a budgeted run stopped. Feeding it back to
-/// [`Skeleton::check_stream_arena_resume`] completes the stream with the
+/// ordinal within it where a budgeted run stopped. Resuming from it
+/// through [`Skeleton::check_stream_arena`] completes the stream with the
 /// same verdicts an uninterrupted run would have produced.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ResumePoint {
@@ -1171,12 +1086,11 @@ impl RfDriver {
 
 /// A lazy, pruning iterator over the candidate executions of a skeleton.
 ///
-/// Created by [`Skeleton::stream`] / [`Skeleton::stream_pruned`] /
-/// [`Skeleton::stream_pruned_for`]. All yielded executions share one
-/// [`ExecCore`] via `Arc`; [`pruned`] (and [`emitted`]) expose the
-/// generation-time pruning statistics, with
+/// Created by [`Skeleton::stream`] / [`Skeleton::stream_arch`]. All
+/// yielded executions share one [`ExecCore`] via `Arc`; [`pruned`] (and
+/// [`emitted`]) expose the generation-time pruning statistics, with
 /// `emitted + pruned == candidate_count()` once exhausted (summed over
-/// all shards when sharded).
+/// the ranges of a partition).
 ///
 /// [`pruned`]: CandidateIter::pruned
 /// [`emitted`]: CandidateIter::emitted
@@ -1198,25 +1112,26 @@ pub struct CandidateIter {
 }
 
 impl CandidateIter {
-    fn new(sk: &Skeleton, parts: ChoiceSpace, core: Arc<ExecCore>, opts: StreamOpts) -> Self {
-        let n = sk.events.len();
-        let graphs = if opts.uniproc {
+    fn new(
+        parts: ChoiceSpace,
+        core: Arc<ExecCore>,
+        prune: Prune,
+        thin_air: Option<Relation>,
+        (start, end): (u128, u128),
+    ) -> Self {
+        let n = parts.events.len();
+        let graphs = (prune != Prune::None).then(|| {
             let shape: Vec<EventShape> = parts
                 .events
                 .iter()
                 .map(|e| EventShape { dir: e.dir, loc: e.loc, init: e.thread.is_none() })
                 .collect();
-            Some(LocGraphs::new(&shape, &sk.po, opts.llh))
-        } else {
-            None
-        };
+            LocGraphs::new(&shape, core.po(), prune == Prune::UniprocLlh)
+        });
         let co_total = parts.co_total();
-        let (shard, nshards) = opts.shard.unwrap_or((0, 1));
-        let (start, end) = shard_range(parts.rf_total(), shard, nshards);
-        let driver =
-            RfDriver::new_range(&parts, opts.thin_air.as_ref(), start, end, &mut |s, e| {
-                (e - s).saturating_mul(co_total)
-            });
+        let driver = RfDriver::new_range(&parts, thin_air.as_ref(), start, end, &mut |s, e| {
+            (e - s).saturating_mul(co_total)
+        });
         CandidateIter {
             core,
             parts,
@@ -1237,7 +1152,7 @@ impl CandidateIter {
     }
 
     /// Candidates pruned (skipped before materialisation) so far. Always 0
-    /// for [`Skeleton::stream`].
+    /// under [`Prune::None`].
     pub fn pruned(&self) -> u128 {
         self.driver.pruned
     }
@@ -1399,21 +1314,6 @@ impl HeapPerm {
     }
 }
 
-/// The contiguous range of shard `shard` of `nshards` over a space of
-/// `total` linear indices — the one place the static shard arithmetic
-/// lives, shared by [`CandidateIter`] and the checked-stream shard entry
-/// points so partitions can never drift apart.
-///
-/// # Panics
-///
-/// Panics when `shard >= nshards` or `nshards == 0`.
-pub(crate) fn shard_range(total: u128, shard: usize, nshards: usize) -> (u128, u128) {
-    assert!(nshards > 0 && shard < nshards, "shard index out of range");
-    let chunk = total.div_ceil(nshards as u128);
-    let start = chunk.saturating_mul(shard as u128).min(total);
-    (start, start.saturating_add(chunk).min(total))
-}
-
 /// `k!` in `u128`, `None` on overflow (first at `k = 35`). The previous
 /// `usize` version overflowed silently at `k ≥ 21`.
 fn factorial_checked(k: usize) -> Option<u128> {
@@ -1430,7 +1330,9 @@ fn factorial_saturating(k: usize) -> u128 {
 }
 
 /// Advances a mixed-radix odometer; returns false on wrap-around to zero.
-pub(crate) fn bump(digits: &mut [usize], radices: &[usize]) -> bool {
+/// The one odometer step of every enumerator, here and in the front ends.
+#[inline]
+pub fn bump(digits: &mut [usize], radices: &[usize]) -> bool {
     for (d, &r) in digits.iter_mut().zip(radices) {
         if *d + 1 < r {
             *d += 1;
@@ -1588,6 +1490,7 @@ mod tests {
     use super::*;
     use crate::arch::{Power, Sc};
     use crate::model::{check, sc_per_location};
+    use crate::sched::rf_ranges;
 
     fn mp_skeleton(with_fence: bool, with_addr: bool) -> Skeleton {
         let mut b = SkeletonBuilder::new();
@@ -1609,7 +1512,7 @@ mod tests {
         // Each read has 2 possible sources; 1 non-init write per location.
         let sk = mp_skeleton(false, false);
         assert_eq!(sk.candidate_count(), Some(4));
-        assert_eq!(sk.candidates().len(), 4);
+        assert_eq!(sk.stream(Prune::None).count(), 4);
         assert_eq!(sk.candidates_eager().len(), 4);
     }
 
@@ -1624,7 +1527,6 @@ mod tests {
         }
         let sk = b.build();
         assert_eq!(sk.candidate_count(), None, "40!^2 exceeds u128");
-        assert_eq!(sk.candidate_count_saturating(), u128::MAX);
         // A merely-large skeleton still counts exactly: 21 writes at one
         // location is 21! — past the old usize-factorial overflow.
         let mut b = SkeletonBuilder::new();
@@ -1638,7 +1540,7 @@ mod tests {
     #[test]
     fn sc_rules_out_exactly_the_mp_violation() {
         let sk = mp_skeleton(false, false);
-        let allowed: Vec<bool> = sk.candidates().iter().map(|x| check(&Sc, x).allowed()).collect();
+        let allowed: Vec<bool> = sk.stream(Prune::None).map(|x| check(&Sc, &x).allowed()).collect();
         assert_eq!(allowed.iter().filter(|&&a| a).count(), 3, "Fig 3: one of four is non-SC");
     }
 
@@ -1647,7 +1549,7 @@ mod tests {
         let plain = mp_skeleton(false, false);
         let fenced = mp_skeleton(true, true);
         let count_allowed = |sk: &Skeleton| {
-            sk.candidates().iter().filter(|x| check(&Power::new(), x).allowed()).count()
+            sk.stream(Prune::None).filter(|x| check(&Power::new(), x).allowed()).count()
         };
         assert_eq!(count_allowed(&plain), 4);
         assert_eq!(count_allowed(&fenced), 3);
@@ -1660,7 +1562,7 @@ mod tests {
         b.write(1, "x", 2);
         let sk = b.build();
         // 2 writes, no reads: 2 candidate coherence orders.
-        assert_eq!(sk.candidates().len(), 2);
+        assert_eq!(sk.stream(Prune::None).count(), 2);
     }
 
     #[test]
@@ -1675,7 +1577,7 @@ mod tests {
             )
         };
         let mut eager: Vec<String> = sk.candidates_eager().iter().map(key).collect();
-        let mut lazy: Vec<String> = sk.stream().map(|x| key(&x)).collect();
+        let mut lazy: Vec<String> = sk.stream(Prune::None).map(|x| key(&x)).collect();
         eager.sort();
         lazy.sort();
         assert_eq!(eager, lazy);
@@ -1684,7 +1586,7 @@ mod tests {
     #[test]
     fn streamed_candidates_share_one_core() {
         let sk = mp_skeleton(false, false);
-        let xs: Vec<Execution> = sk.stream().collect();
+        let xs: Vec<Execution> = sk.stream(Prune::None).collect();
         assert!(xs.windows(2).all(|w| Arc::ptr_eq(w[0].core(), w[1].core())));
     }
 
@@ -1700,10 +1602,10 @@ mod tests {
         let _ = r;
         let sk = b.build();
         let total = sk.candidate_count().unwrap();
-        let all: Vec<Execution> = sk.stream().collect();
+        let all: Vec<Execution> = sk.stream(Prune::None).collect();
         let ok_eager = all.iter().filter(|x| sc_per_location(x)).count();
 
-        let mut it = sk.stream_pruned();
+        let mut it = sk.stream(Prune::Uniproc);
         let kept: Vec<Execution> = it.by_ref().collect();
         assert!(kept.iter().all(sc_per_location));
         assert_eq!(kept.len(), ok_eager, "pruning keeps exactly the uniproc-consistent ones");
@@ -1734,10 +1636,10 @@ mod tests {
         let power = Power::new();
         let total = sk.candidate_count().unwrap();
 
-        let all: Vec<Execution> = sk.stream().collect();
+        let all: Vec<Execution> = sk.stream(Prune::None).collect();
         let allowed_eager = all.iter().filter(|x| check(&power, x).allowed()).count();
 
-        let mut it = sk.stream_pruned_for(&power);
+        let mut it = sk.stream_arch(&power, ..);
         let kept: Vec<Execution> = it.by_ref().collect();
         assert_eq!(it.emitted() + it.pruned(), total, "thin-air accounting is exact");
         assert!(it.pruned() > 0, "the cyclic rf choice must be pruned at generation");
@@ -1769,10 +1671,10 @@ mod tests {
             }
         }
         let sk = lb_ring(2);
-        let hookless: usize = sk.stream_pruned_for(&NoHook(Power::new())).count();
-        let uniproc: usize = sk.stream_pruned().count();
+        let hookless: usize = sk.stream_arch(&NoHook(Power::new()), ..).count();
+        let uniproc: usize = sk.stream(Prune::Uniproc).count();
         assert_eq!(hookless, uniproc, "no base ⇒ uniproc-only pruning");
-        assert!(sk.stream_pruned_for(&Power::new()).count() < uniproc, "the bound does prune");
+        assert!(sk.stream_arch(&Power::new(), ..).count() < uniproc, "the bound does prune");
     }
 
     /// Contiguous rf-prefix shards must cover the stream exactly, with
@@ -1782,13 +1684,13 @@ mod tests {
         let key = |x: &Execution| format!("{:?}|{:?}", x.rf(), x.co());
         for sk in [mp_skeleton(true, true), lb_ring(3)] {
             let power = Power::new();
-            let mut whole: Vec<String> = sk.stream_pruned_for(&power).map(|x| key(&x)).collect();
+            let mut whole: Vec<String> = sk.stream_arch(&power, ..).map(|x| key(&x)).collect();
             whole.sort();
-            for nshards in [1usize, 2, 3, 7] {
+            for nshards in [1, 2, 3, 7] {
                 let mut merged = Vec::new();
                 let (mut emitted, mut pruned) = (0u128, 0u128);
-                for s in 0..nshards {
-                    let mut it = sk.stream_pruned_for_shard(&power, s, nshards);
+                for (a, b) in rf_ranges(sk.rf_total(), nshards) {
+                    let mut it = sk.stream_arch(&power, a..b);
                     merged.extend(it.by_ref().map(|x| key(&x)));
                     emitted += it.emitted();
                     pruned += it.pruned();
@@ -1812,7 +1714,7 @@ mod tests {
         use crate::arena::RelArena;
         let power = Power::new();
         for sk in [mp_skeleton(true, true), lb_ring(2), lb_ring(3)] {
-            let mut it = sk.stream_pruned_for(&power);
+            let mut it = sk.stream_arch(&power, ..);
             let mut owned_keys: Vec<String> = Vec::new();
             let mut owned_allowed = 0u128;
             for x in it.by_ref() {
@@ -1825,8 +1727,9 @@ mod tests {
 
             let mut arena = RelArena::new(0);
             let mut keys = Vec::new();
+            let unlimited = Budget::unlimited();
             let stats =
-                sk.check_stream_arena(&power, &mut arena, &Budget::unlimited(), &mut |fx, a, v| {
+                sk.check_stream_arena(&power, &mut arena, .., None, &unlimited, &mut |fx, a, v| {
                     assert_eq!(
                         v,
                         check(&power, &fx.to_execution(a)),
@@ -1860,13 +1763,20 @@ mod tests {
         let power = Power::new();
         let sk = lb_ring(3);
         let mut arena = RelArena::new(0);
+        let unlimited = Budget::unlimited();
         let whole =
-            sk.check_stream_arena(&power, &mut arena, &Budget::unlimited(), &mut |_, _, _| {});
-        for nshards in [2usize, 3, 5] {
+            sk.check_stream_arena(&power, &mut arena, .., None, &unlimited, &mut |_, _, _| {});
+        for nshards in [2, 3, 5] {
             let mut merged = CheckedStats::default();
-            for s in 0..nshards {
-                let part =
-                    sk.check_stream_arena_shard(&power, &mut arena, s, nshards, &mut |_, _, _| {});
+            for (a, b) in rf_ranges(sk.rf_total(), nshards) {
+                let part = sk.check_stream_arena(
+                    &power,
+                    &mut arena,
+                    a..b,
+                    None,
+                    &unlimited,
+                    &mut |_, _, _| {},
+                );
                 merged.emitted += part.emitted;
                 merged.pruned += part.pruned;
                 merged.allowed += part.allowed;
@@ -1884,9 +1794,16 @@ mod tests {
         let sk = mp_skeleton(true, true);
         let mut arena = RelArena::new(0);
         let mut waters: Vec<usize> = Vec::new();
-        sk.check_stream_arena(&power, &mut arena, &Budget::unlimited(), &mut |_, a, _| {
-            waters.push(a.high_water_words());
-        });
+        sk.check_stream_arena(
+            &power,
+            &mut arena,
+            ..,
+            None,
+            &Budget::unlimited(),
+            &mut |_, a, _| {
+                waters.push(a.high_water_words());
+            },
+        );
         assert!(waters.len() > 2);
         let settled = waters[0];
         assert!(

@@ -63,8 +63,8 @@
 //! points: the one arena engine ([`crate::enumerate::ArenaEngine`],
 //! behind every checked skeleton stream and the litmus driver's
 //! `stream_verdicts`/`simulate_with`/`simulate_sharded`), plus the owned
-//! reference streams [`crate::enumerate::Skeleton::stream_pruned_for`]
-//! and the litmus `stream_arch`.
+//! reference streams [`crate::enumerate::Skeleton::stream_arch`] and the
+//! litmus `stream_arch`.
 //!
 //! # Arena scopes — incremental candidates without allocation (Sec 8.3)
 //!
@@ -134,7 +134,7 @@
 //!
 //! | unit | odometer level | seek cost | when the planner emits it |
 //! |---|---|---|---|
-//! | rf range | a contiguous slice of rf-configuration indices | O(digits) decode (the crate-internal `RfDriver` seek) | rf space alone ≥ workers × units/worker |
+//! | rf range | a contiguous slice of rf-configuration indices | O(digits) decode (the crate-internal `RfDriver` seek) | rf space alone ≥ workers × [`crate::sched::UNITS_PER_WORKER`] |
 //! | co sub-range | a slice of *one* configuration's surviving coherence-menu odometer | the rf-scope replay: refill `rf`/`rf⁻¹`/`rfe`/`rfi` and the menus once, then decode the menu odometer | a configuration's menu dwarfs the rf space (co-heavy tests — `wrc+Nw`) |
 //!
 //! A co unit is exactly one "rf digit" scope entered once plus a
@@ -194,8 +194,8 @@
 //! | budget | the load-shedding knobs of a bounded experiment — an optional deadline, emitted-candidate cap, and cooperative cancel token — checked per candidate (compare + relaxed load) and on unit/rf boundaries (the clock read) | [`crate::sched::Budget`], [`crate::sched::CancelToken`] |
 //! | stop reason | *why* a run degraded: deadline, cancellation, or candidate budget | [`crate::sched::StopReason`], [`crate::enumerate::CheckedStats::stopped`] |
 //! | partition identity | the invariant every partial result keeps: `emitted + pruned + remaining == candidate_count()`, with `remaining` recovered in O(digits) from the odometer position | [`crate::enumerate::CheckedStats::remaining`] |
-//! | resume point | the cut position a stopped run names, so a later call finishes exactly the tail the budget cut off | [`crate::enumerate::ResumePoint`], [`crate::enumerate::Skeleton::check_stream_arena_resume`] |
-//! | poisoned unit | a work unit whose worker panicked: the executor catches it, repairs the worker, keeps stealing — callers salvage every other unit and measure the lost sub-range as remaining | [`crate::sched::UnitResult`], [`crate::sched::SchedOutcome`] |
+//! | resume point | the cut position a stopped run names, so two later calls (the cut configuration's co tail, then the rest) finish exactly the tail the budget cut off | [`crate::enumerate::ResumePoint`], [`crate::enumerate::Skeleton::check_stream_arena`] |
+//! | poisoned unit | a work unit whose worker panicked: the executor catches it, repairs the worker, keeps stealing — callers salvage every other unit and measure the lost sub-range as remaining | [`crate::sched::UnitResult`], [`crate::sched::PoisonedUnit`] |
 //! | fault point | a named seam of the engine (unit claim, arena checkpoint, co-menu build, candidate check) where the cfg-gated harness can deterministically inject a panic, delay, or spurious cancel, keyed by enumeration position so faults land on the same logical work whatever the worker count | [`crate::faultpoint`] |
 //!
 //! Downstream, the litmus driver folds all of this into `PartialSim`

@@ -29,9 +29,8 @@
 //! * [`execute_units`] is the lock-light work-stealing executor: one
 //!   atomic unit cursor, per-worker owned state (a [`RelArena`], an
 //!   engine state, a caller sink), units handed out in plan order —
-//!   priority-first ([`WorkPlan::prioritise`]), largest-first within a
-//!   priority band — so urgent units start early and the tail stays
-//!   short. Every parallel entry point of the workspace —
+//!   largest first — so the tail stays short. Every parallel entry point
+//!   of the workspace —
 //!   [`Skeleton::check_stream_sched`] here, `simulate_sharded` /
 //!   `simulate_corpus` in `herd-litmus`, the `herd-hw` campaign drivers —
 //!   runs on this executor instead of hand-rolled scoped-thread loops.
@@ -194,44 +193,16 @@ pub struct WorkUnit {
     /// Estimated candidate count of the unit (drives largest-first
     /// execution order; not part of the accounting contract).
     pub weight: u128,
-    /// Caller-assigned scheduling priority: higher-priority units are
-    /// stolen first, with `weight` breaking ties (largest first). Plans
-    /// are born with every unit at priority 0 — assign via
-    /// [`WorkPlan::prioritise`]. Like `weight`, this steers execution
-    /// order only; it is not part of the accounting contract.
-    pub priority: u32,
 }
 
-/// Knobs for [`WorkPlan::for_skeleton`].
-#[derive(Clone, Copy, Debug)]
-pub struct PlanOpts {
-    /// Worker threads the plan should feed.
-    pub workers: usize,
-    /// Target units per worker: more units → better stealing balance,
-    /// more per-unit seek overhead. 4 is plenty for litmus-scale tests.
-    pub units_per_worker: usize,
-    /// Allow co-level splitting (sub-ranges of one rf configuration's
-    /// coherence menu). Disabled, the plan degrades to rf-range chunks —
-    /// the static sharding of earlier revisions, kept for comparison.
-    pub co_split: bool,
-}
-
-impl PlanOpts {
-    /// A plan sized for `workers` threads with default granularity.
-    pub fn for_workers(workers: usize) -> Self {
-        PlanOpts { workers, units_per_worker: 4, co_split: true }
-    }
-}
-
-impl Default for PlanOpts {
-    fn default() -> Self {
-        PlanOpts::for_workers(std::thread::available_parallelism().map_or(1, |p| p.get()))
-    }
-}
+/// Units per worker every planner targets: enough granularity for the
+/// stealing executor to rebalance, little enough that the per-unit seek
+/// stays negligible.
+pub const UNITS_PER_WORKER: usize = 4;
 
 /// The decomposition of one skeleton's enumeration space into
-/// [`WorkUnit`]s, held in steal order (priority descending, then
-/// largest-first) for the stealing executor.
+/// [`WorkUnit`]s, held in steal order (largest first) for the stealing
+/// executor.
 #[derive(Clone, Debug)]
 pub struct WorkPlan {
     units: Vec<WorkUnit>,
@@ -242,30 +213,28 @@ impl WorkPlan {
     /// pruning axes decide how much coherence work each rf configuration
     /// actually carries).
     ///
-    /// When the rf space alone has at least `workers × units_per_worker`
-    /// configurations, the plan is plain rf-range chunking. Otherwise the
-    /// planner evaluates every rf configuration's surviving coherence
-    /// menu (the same uniproc filtering and thin-air check the engine
-    /// performs — the evaluation is the engine's own rf scope, so plan
-    /// and execution can never disagree) and splits configurations whose
-    /// menus dominate the total into co-level units.
+    /// When the rf space alone has at least `workers ×`
+    /// [`UNITS_PER_WORKER`] configurations, the plan is plain rf-range
+    /// chunking. Otherwise the planner evaluates every rf configuration's
+    /// surviving coherence menu (the same uniproc filtering and thin-air
+    /// check the engine performs — the evaluation is the engine's own rf
+    /// scope, so plan and execution can never disagree) and splits
+    /// configurations whose menus dominate the total into co-level units.
     pub fn for_skeleton<A: Architecture + ?Sized>(
         sk: &Skeleton,
         arch: &A,
-        opts: &PlanOpts,
+        workers: usize,
     ) -> WorkPlan {
         let models = [arch];
         let engine = sk.engine(&models);
         let rf_total = engine.rf_total();
-        let target = (opts.workers.max(1) as u128)
-            .saturating_mul(opts.units_per_worker.max(1) as u128)
-            .max(1);
+        let target = (workers.max(1) as u128).saturating_mul(UNITS_PER_WORKER as u128);
         if rf_total == 0 {
             return WorkPlan { units: Vec::new() };
         }
 
         let mut units: Vec<WorkUnit>;
-        if !opts.co_split || rf_total >= target {
+        if rf_total >= target {
             units = rf_range_units(rf_total, target);
         } else {
             // Co-heavy: few rf configurations, so probing each one's
@@ -304,13 +273,7 @@ impl WorkPlan {
             let mut run_weight = 0u128;
             let flush = |units: &mut Vec<WorkUnit>, start: &mut Option<u128>, end, w: &mut u128| {
                 if let Some(s) = start.take() {
-                    units.push(WorkUnit {
-                        rf_start: s,
-                        rf_end: end,
-                        co: None,
-                        weight: *w,
-                        priority: 0,
-                    });
+                    units.push(WorkUnit { rf_start: s, rf_end: end, co: None, weight: *w });
                     *w = 0;
                 }
             };
@@ -326,7 +289,6 @@ impl WorkPlan {
                             rf_end: i + 1,
                             co: Some((s, e)),
                             weight: e - s,
-                            priority: 0,
                         });
                         s = e;
                     }
@@ -340,29 +302,14 @@ impl WorkPlan {
             flush(&mut units, &mut run_start, rf_total, &mut run_weight);
         }
 
-        // Largest first (every fresh unit has priority 0): the stealing
-        // executor then finishes with small units, keeping the makespan
-        // tail short.
-        units.sort_by(steal_order);
+        // Largest first, by a stable sort: the stealing executor, whose
+        // cursor hands units out in plan order, then finishes with small
+        // units, keeping the makespan tail short.
+        units.sort_by_key(|u| std::cmp::Reverse(u.weight));
         WorkPlan { units }
     }
 
-    /// Assigns each unit the priority `f` computes for it, then re-sorts
-    /// into steal order: priority descending, `weight` descending within
-    /// a priority band. The sort is stable, so units tied on both keys
-    /// keep their current relative order — two `prioritise` calls with
-    /// the same function yield the same unit sequence, and since
-    /// [`execute_units`]' atomic cursor hands units out in plan order,
-    /// that sequence *is* the steal order, independent of worker count.
-    pub fn prioritise(&mut self, mut f: impl FnMut(&WorkUnit) -> u32) {
-        for u in &mut self.units {
-            u.priority = f(u);
-        }
-        self.units.sort_by(steal_order);
-    }
-
-    /// The planned units, in execution (steal) order: priority
-    /// descending, then largest-first.
+    /// The planned units, in execution (steal) order: largest first.
     pub fn units(&self) -> &[WorkUnit] {
         &self.units
     }
@@ -385,8 +332,9 @@ impl WorkPlan {
 }
 
 /// Splits `[0, total)` into at most `target` contiguous ranges of equal
-/// size (the last may be shorter). Shared by the skeleton planner and the
-/// litmus-level rf-configuration planner.
+/// size (the last may be shorter): the one partitioner of the workspace,
+/// shared by the skeleton planner, the litmus-level rf-configuration
+/// planner and range-sharded streams.
 pub fn rf_ranges(total: u128, target: u128) -> Vec<(u128, u128)> {
     if total == 0 {
         return Vec::new();
@@ -403,17 +351,10 @@ pub fn rf_ranges(total: u128, target: u128) -> Vec<(u128, u128)> {
     out
 }
 
-/// The executor's claim order: priority descending, then weight
-/// descending. Used as a *stable* sort key, so the full order is
-/// deterministic for any fixed plan.
-fn steal_order(a: &WorkUnit, b: &WorkUnit) -> std::cmp::Ordering {
-    b.priority.cmp(&a.priority).then(b.weight.cmp(&a.weight))
-}
-
 fn rf_range_units(total: u128, target: u128) -> Vec<WorkUnit> {
     rf_ranges(total, target)
         .into_iter()
-        .map(|(s, e)| WorkUnit { rf_start: s, rf_end: e, co: None, weight: e - s, priority: 0 })
+        .map(|(s, e)| WorkUnit { rf_start: s, rf_end: e, co: None, weight: e - s })
         .collect()
 }
 
@@ -558,10 +499,12 @@ where
 }
 
 /// One unit lost to a panic, as reported by
-/// [`Skeleton::check_stream_sched`] and its litmus-level callers.
+/// [`Skeleton::check_stream_sched`] and the parallel litmus drivers.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PoisonedUnit {
-    /// Index into [`WorkPlan::units`] of the unit that panicked.
+    /// Index of the unit in its driver's unit order: into
+    /// [`WorkPlan::units`] here, an rf-range unit of `simulate_sharded`,
+    /// or a test of `simulate_corpus`.
     pub unit: usize,
     /// The stringified panic payload.
     pub payload: String,
@@ -731,7 +674,7 @@ mod tests {
 
     #[test]
     fn rf_heavy_plans_stay_rf_level() {
-        let plan = WorkPlan::for_skeleton(&rf_heavy(), &Power::new(), &PlanOpts::for_workers(2));
+        let plan = WorkPlan::for_skeleton(&rf_heavy(), &Power::new(), 2);
         assert!(!plan.is_empty());
         assert_eq!(plan.co_units(), 0, "enough rf configurations: no co splitting");
     }
@@ -739,13 +682,10 @@ mod tests {
     #[test]
     fn co_heavy_plans_split_within_one_rf_configuration() {
         let sk = co_heavy(4);
-        let opts = PlanOpts::for_workers(4);
-        let plan = WorkPlan::for_skeleton(&sk, &Power::new(), &opts);
+        let workers = 4;
+        let plan = WorkPlan::for_skeleton(&sk, &Power::new(), workers);
         assert!(plan.co_units() >= 4, "the co odometer must be split: {:?}", plan.units());
-        assert!(
-            plan.len() >= opts.workers,
-            "a 2-rf-config test must still yield one unit per worker"
-        );
+        assert!(plan.len() >= workers, "a 2-rf-config test must still yield one unit per worker");
     }
 
     #[test]
@@ -754,10 +694,16 @@ mod tests {
         let power = Power::new();
         for sk in [co_heavy(3), rf_heavy()] {
             let mut arena = RelArena::new(0);
-            let whole =
-                sk.check_stream_arena(&power, &mut arena, &Budget::unlimited(), &mut |_, _, _| {});
+            let whole = sk.check_stream_arena(
+                &power,
+                &mut arena,
+                ..,
+                None,
+                &Budget::unlimited(),
+                &mut |_, _, _| {},
+            );
             for workers in [1usize, 3] {
-                let plan = WorkPlan::for_skeleton(&sk, &power, &PlanOpts::for_workers(workers));
+                let plan = WorkPlan::for_skeleton(&sk, &power, workers);
                 let out =
                     sk.check_stream_sched(&power, &plan, workers, &Budget::unlimited(), |_| {
                         |_: &_, _: &_, _| {}
@@ -800,7 +746,7 @@ mod tests {
     }
 
     #[test]
-    fn priority_drives_the_steal_order_deterministically() {
+    fn mixed_plans_steal_largest_first_and_merge_exactly() {
         // co_heavy plus a coRR observer: doomed rf configurations
         // coalesce into rf units, live menus split into co units.
         let mut b = SkeletonBuilder::new();
@@ -814,31 +760,11 @@ mod tests {
         b.read(5, "x");
         let sk = b.build();
         let power = Power::new();
-        let opts = PlanOpts { workers: 16, units_per_worker: 4, co_split: true };
-        let mut plan = WorkPlan::for_skeleton(&sk, &power, &opts);
+        let plan = WorkPlan::for_skeleton(&sk, &power, 16);
         assert!(plan.co_units() >= 1 && plan.co_units() < plan.len(), "mixed plan");
-
-        // Promote co units above the (heavier) rf units.
-        let promote = |u: &WorkUnit| u32::from(u.co.is_some());
-        plan.prioritise(promote);
-        let first = plan.units().to_vec();
-        let boundary = first.iter().position(|u| u.co.is_none()).expect("an rf unit survives");
-        assert!(
-            first[..boundary].iter().all(|u| u.co.is_some())
-                && first[boundary..].iter().all(|u| u.co.is_none()),
-            "all co units precede all rf units: {first:?}"
-        );
-        for w in first.windows(2) {
-            assert!(
-                (w[0].priority, w[0].weight) >= (w[1].priority, w[1].weight),
-                "priority desc, weight desc within a band: {w:?}"
-            );
+        for w in plan.units().windows(2) {
+            assert!(w[0].weight >= w[1].weight, "weight descending: {w:?}");
         }
-
-        // Re-prioritising with the same function is a fixed point, so the
-        // order is reproducible run to run.
-        plan.prioritise(promote);
-        assert_eq!(plan.units(), &first[..], "prioritise is deterministic");
 
         // Plan order is the claim order: the executor's cursor hands
         // units out in sequence (trivially visible with one worker).
@@ -854,16 +780,20 @@ mod tests {
         );
         let claimed: Vec<WorkUnit> =
             results.into_iter().map(|r| r.done().expect("unit completed")).collect();
-        assert_eq!(claimed, first, "steal order equals plan order");
+        assert_eq!(claimed, plan.units(), "steal order equals plan order");
 
-        // The schedule steers execution order only — verdict accounting
-        // is untouched by prioritisation.
         let mut arena = RelArena::new(0);
-        let whole =
-            sk.check_stream_arena(&power, &mut arena, &Budget::unlimited(), &mut |_, _, _| {});
+        let whole = sk.check_stream_arena(
+            &power,
+            &mut arena,
+            ..,
+            None,
+            &Budget::unlimited(),
+            &mut |_, _, _| {},
+        );
         let out =
             sk.check_stream_sched(&power, &plan, 3, &Budget::unlimited(), |_| |_: &_, _: &_, _| {});
-        assert_eq!(out.stats, whole, "prioritised plan merges exactly");
+        assert_eq!(out.stats, whole, "a mixed plan merges exactly");
     }
 
     #[test]

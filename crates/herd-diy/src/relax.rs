@@ -87,7 +87,7 @@ impl Relax {
             _ => None,
         };
         let b = s.as_bytes();
-        if b.len() < 3 {
+        if b.len() < 3 || !s.is_ascii() {
             return None;
         }
         // Dependencies carry a single (target) direction — their source is

@@ -52,9 +52,22 @@ fn dev_of(kind: PoKind) -> Dev {
 ///
 /// Rejects malformed cycles (direction mismatches, too few program-order
 /// or communication edges, coherence constraints that cannot be ordered,
-/// or more locations than the name pool supports).
+/// or more locations than the name pool supports), and cycles with a
+/// device `isa` lacks: a fence of another ISA, or a control fence on an
+/// ISA without one.
 pub fn synthesize(cycle: &[Relax], isa: Isa) -> Result<LitmusTest, String> {
     validate_cycle(cycle)?;
+    for &r in cycle {
+        match r {
+            Relax::Po { kind: PoKind::Fence(f), .. } if !isa.fences().contains(&f) => {
+                return Err(format!("{f} is not a {isa} fence"));
+            }
+            Relax::Po { kind: PoKind::CtrlCfence, .. } if isa.control_fence().is_none() => {
+                return Err(format!("{isa} has no control fence"));
+            }
+            _ => {}
+        }
+    }
     let n = cycle.len();
 
     // Rotate so the final (wrapping) edge is external: threads then form
@@ -288,5 +301,21 @@ mod tests {
     fn rejects_single_po_edge_cycles() {
         let err = synthesize_str("Rfe PodRW", Isa::Power).unwrap_err();
         assert!(err.contains("two program-order"), "{err}");
+    }
+
+    /// A device the ISA lacks, or a name that is not ASCII, is an error,
+    /// never a panic.
+    #[test]
+    fn rejects_devices_the_isa_lacks() {
+        for (spec, isa, err) in [
+            ("LwSyncdWW Rfe DpAddrdR Fre", Isa::Arm, "lwsync is not a ARM fence"),
+            ("LwSyncdWW Rfe DpAddrdR Fre", Isa::X86, "lwsync is not a X86 fence"),
+            ("DmbdWW Rfe DpAddrdR Fre", Isa::Power, "dmb is not a PPC fence"),
+            ("PodWW Rfe DpCtrlIsyncdR Fre", Isa::X86, "X86 has no control fence"),
+            ("Podé", Isa::Power, "unknown relaxation 'Podé'"),
+        ] {
+            assert_eq!(synthesize_str(spec, isa).unwrap_err(), err, "{spec} on {isa}");
+        }
+        assert!(synthesize_str("DmbdWW Rfe DpCtrlIsbdR Fre", Isa::Arm).is_ok());
     }
 }

@@ -25,8 +25,8 @@ pub use campaign::{
 };
 pub use flaky::{Flake, FlakyMachine};
 pub use log::{
-    compare, hardware_log, judge_entries, judge_entry, judge_entry_cached, judge_log_cached,
-    model_log, model_log_cached, Comparison, Log, ModelLogCache, VerdictCache,
+    compare, hardware_log, judge_entries, judge_log_cached, model_log, model_log_cached,
+    Comparison, Log, ModelLogCache, VerdictCache,
 };
 pub use silicon::{
     arm_machines, power_machines, x86_machines, ArmErrata, ArmSilicon, Machine, PowerSilicon,

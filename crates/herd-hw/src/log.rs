@@ -14,6 +14,10 @@
 //! 153:>1:r1=1; 1:r2=0;
 //! Ok
 //! ```
+//!
+//! [`hardware_log`] and [`model_log`] build the two sides and [`compare`]
+//! diffs them. Row by row, [`judge_entries`] decides a batch of states
+//! and [`judge_log_cached`] memoises it; one row is a one-row batch.
 
 use herd_litmus::decide::canonical_row;
 use herd_litmus::state::Slot;
@@ -262,33 +266,18 @@ fn query_key(
 
 /// A content-addressed store of per-row verdicts, keyed by
 /// `(test, model, opts, state row)` fingerprints — see
-/// [`judge_entry_cached`].
+/// [`judge_log_cached`].
 pub type VerdictCache = herd_cache::ShardedLru<bool>;
 
-/// Judges one log row — a full final state like `0:r1=1; x=2` — against a
-/// model through the single-outcome backend: `Ok(true)` iff some
-/// consistent execution of `test` produces the state. This is the
-/// per-row form of the [`compare`] "invalid" set: a hardware state is
-/// invalid exactly when `judge_entry` says `false`. A thin wrapper over
-/// the batch machinery of [`judge_entries`] with a one-row log.
-///
-/// # Errors
-///
-/// Returns the parse error for a malformed state row, or the enumeration
-/// error message for a program thread semantics rejects.
-pub fn judge_entry(
-    test: &herd_litmus::program::LitmusTest,
-    model: &dyn herd_core::model::Architecture,
-    state: &str,
-) -> Result<bool, String> {
-    judge_entries(test, model, std::slice::from_ref(&state)).map(|(v, _)| v[0])
-}
-
-/// Judges a whole batch of log rows against one `(test, model)` pair
-/// through [`herd_litmus::decide::decide_rows`]: repeated rows are
-/// answered once, and each distinct row walks its own rf configurations
-/// on per-combination setup the batch shares. Returns per-row verdicts in
-/// input order plus the batch accounting.
+/// Judges a batch of log rows — full final states like `0:r1=1; x=2` —
+/// against one `(test, model)` pair through
+/// [`herd_litmus::decide::decide_rows`]: a row's verdict is `true` iff
+/// some consistent execution of `test` produces the state, so a hardware
+/// state is in the [`compare`] "invalid" set exactly when it judges
+/// `false`. Repeated rows are answered once, and each distinct row walks
+/// its own rf configurations on per-combination setup the batch shares;
+/// a single row is a one-row batch. Returns per-row verdicts in input
+/// order plus the batch accounting.
 ///
 /// # Errors
 ///
@@ -310,25 +299,8 @@ pub fn judge_entries<S: AsRef<str>>(
     Ok((batch.verdicts, batch.stats))
 }
 
-/// The memoised variant of [`judge_entry`]: the verdict is stored in the
-/// content-addressed `cache` under the `(test, model identity, opts,
-/// row)` fingerprint, so a warm re-query never re-runs the decision: a
-/// one-row [`judge_log_cached`].
-///
-/// # Errors
-///
-/// As [`judge_entry`].
-pub fn judge_entry_cached(
-    test: &herd_litmus::program::LitmusTest,
-    model: &dyn herd_core::model::Architecture,
-    state: &str,
-    cache: &VerdictCache,
-) -> Result<bool, String> {
-    judge_log_cached(test, model, std::slice::from_ref(&state), cache).map(|v| v[0])
-}
-
-/// The batched, memoised form of [`judge_entry`] — the Sec 11 `mcompare`
-/// inner loop at full speed. The query key (test structure plus model
+/// The memoised form of [`judge_entries`] — the Sec 11 `mcompare` inner
+/// loop at full speed. The query key (test structure plus model
 /// identity) is computed once per call, not once per row; every row is
 /// probed in the content-addressed `cache`, and the misses are parsed
 /// straight into the test's state layout and decided *together* through
@@ -340,7 +312,7 @@ pub fn judge_entry_cached(
 ///
 /// # Errors
 ///
-/// As [`judge_entry`]; a parse error names the first malformed row and
+/// As [`judge_entries`]; a parse error names the first malformed row and
 /// caches nothing.
 pub fn judge_log_cached<S: AsRef<str>>(
     test: &herd_litmus::program::LitmusTest,
@@ -459,14 +431,14 @@ mod tests {
         assert!(stats.reused >= 1, "the literal repeat is answered once");
         let cache = VerdictCache::new(1024);
         for (i, row) in rows.iter().enumerate() {
-            let plain = judge_entry(&test, &Tso, row).unwrap();
+            let plain = judge_entries(&test, &Tso, &[row]).unwrap().0[0];
             assert_eq!(batch[i], plain, "row {i}");
-            assert_eq!(judge_entry_cached(&test, &Tso, row, &cache).unwrap(), plain);
-            assert_eq!(judge_entry_cached(&test, &Tso, row, &cache).unwrap(), plain, "warm");
+            assert_eq!(judge_log_cached(&test, &Tso, &[row], &cache).unwrap(), [plain]);
+            assert_eq!(judge_log_cached(&test, &Tso, &[row], &cache).unwrap(), [plain], "warm");
         }
         let s = cache.stats();
         assert!(s.hits >= rows.len() as u64 - 1, "second pass hits: {s:?}");
-        assert!(judge_entry(&test, &Tso, "not a state").is_err());
+        assert!(judge_entries(&test, &Tso, &["not a state"]).is_err());
 
         // The batched cached path: cold agrees with the batch verdicts,
         // warm is all hits and agrees again.

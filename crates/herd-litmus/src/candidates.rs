@@ -28,8 +28,9 @@ use crate::program::{InitVal, LitmusTest};
 use crate::sem::{self, SemError, ThreadPath};
 use crate::state::{Slot, StateLayout};
 use herd_core::arena::RelArena;
+pub use herd_core::enumerate::Prune;
 use herd_core::enumerate::{
-    build_co, ArenaEngine, CheckedStats, ChoiceSpace, Concretise, HeapPerm,
+    bounds, build_co, bump, ArenaEngine, CheckedStats, ChoiceSpace, Concretise, HeapPerm,
 };
 use herd_core::event::{Dir, Event, Fence, Loc, ThreadId, Val};
 use herd_core::exec::{Deps, ExecCore, Execution};
@@ -40,7 +41,7 @@ use herd_core::thinair::ThinAirTracker;
 use herd_core::uniproc::{EventShape, LocGraphs};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::ops::{Bound, ControlFlow, RangeBounds};
+use std::ops::{ControlFlow, RangeBounds};
 use std::sync::Arc;
 
 /// The final value of a register, for condition checking.
@@ -132,32 +133,6 @@ pub struct EnumOptions {
 impl Default for EnumOptions {
     fn default() -> Self {
         EnumOptions { fuel: 4096, max_candidates: 1 << 20 }
-    }
-}
-
-/// How streaming enumeration prunes at generation time (paper, Sec 8.3).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Prune {
-    /// Yield every candidate.
-    #[default]
-    None,
-    /// Skip candidates violating SC PER LOCATION: as soon as one
-    /// location's `po-loc ∪ com` subgraph is cyclic under the current
-    /// rf/co choice, the whole subtree is dropped unmaterialised.
-    Uniproc,
-    /// Uniproc pruning with read-read `po-loc` pairs dropped, for
-    /// architectures tolerating load-load hazards (ARM-llh, Sparc RMO).
-    UniprocLlh,
-}
-
-impl Prune {
-    /// The sound pruning mode for an architecture.
-    pub fn for_arch<A: herd_core::model::Architecture + ?Sized>(arch: &A) -> Prune {
-        if arch.tolerates_load_load_hazards() {
-            Prune::UniprocLlh
-        } else {
-            Prune::Uniproc
-        }
     }
 }
 
@@ -275,20 +250,10 @@ pub fn stream_verdicts<A: Architecture + ?Sized>(
     rf_range: impl RangeBounds<u128>,
     sink: &mut dyn FnMut(&MultiVerdictCandidate<'_>),
 ) -> Result<EnumStats, CandidateError> {
-    let start = match rf_range.start_bound() {
-        Bound::Included(&s) => s,
-        Bound::Excluded(&s) => s.saturating_add(1),
-        Bound::Unbounded => 0,
-    };
-    let end = match rf_range.end_bound() {
-        Bound::Included(&e) => e.saturating_add(1),
-        Bound::Excluded(&e) => e,
-        Bound::Unbounded => u128::MAX,
-    };
     let space = TestSpace::new(test, opts)?;
     let bound = opts.max_candidates;
     let (stats, unpruned_locations) =
-        space.judge(models, (start, end), bound as u128 + 1, &mut RelArena::new(0), sink);
+        space.judge(models, bounds(rf_range), bound as u128 + 1, &mut RelArena::new(0), sink);
     if stats.stopped.is_some() {
         return Err(CandidateError::TooManyCandidates {
             bound,
@@ -963,7 +928,7 @@ fn assemble(
             // digit — an empty menu or a failed rf-only location kills the
             // whole rf subtree before any execution is built (shared
             // helpers in herd_core::uniproc, same logic as
-            // Skeleton::stream_pruned).
+            // Skeleton::stream).
             let menus: Option<Vec<Vec<Vec<usize>>>> =
                 graphs.as_ref().map(|g| g.co_menus(&space.locs, &space.loc_writes, &rf_src));
             let rf_only_ok =
@@ -1060,17 +1025,6 @@ fn reg_map(layout: &StateLayout, regs: &[Slot]) -> BTreeMap<(u16, Reg), RegFinal
             Slot::Free | Slot::Absent => None,
         })
         .collect()
-}
-
-pub(crate) fn bump(digits: &mut [usize], radices: &[usize]) -> bool {
-    for (d, &r) in digits.iter_mut().zip(radices) {
-        if *d + 1 < r {
-            *d += 1;
-            return true;
-        }
-        *d = 0;
-    }
-    false
 }
 
 #[cfg(test)]

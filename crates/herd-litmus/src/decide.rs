@@ -1,10 +1,10 @@
 //! Single-outcome decisions: is *this* final state allowed, without
 //! enumerating every witness?
 //!
-//! [`decide_outcome`] answers the question the enumeration pipeline
+//! [`decide_log`] answers the question the enumeration pipeline
 //! ([`mod@crate::simulate`]) answers only as a by-product: given a litmus
-//! test, a model, and one candidate outcome (a final-state assignment —
-//! e.g. a row of an `herd-hw` campaign log), allowed or forbidden. It
+//! test, a model, and candidate outcomes (final-state assignments — e.g.
+//! the rows of an `herd-hw` campaign log), allowed or forbidden. It
 //! shares the control-flow and data-flow front end with the enumerator
 //! (`combo_parts` in [`mod@crate::candidates`]) but replaces the coherence
 //! odometer with the saturation backend
@@ -39,9 +39,8 @@
 //! that survives a combination's screening then walks that
 //! combination's filtered rf configurations on its own, until one
 //! coherence query finds a witness. Log rows are full final states, so
-//! two distinct rows never share a walk. [`decide_outcome`] (and
-//! `herd-hw`'s `judge_entry`) are thin wrappers over the same machinery,
-//! so the single-row path cannot drift from the batch path.
+//! two distinct rows never share a walk. A single row is a one-row log,
+//! so there is no separate single-row path to drift from the batch path.
 //!
 //! Both questions, a row's verdict ([`decide_rows`]) and the allowed
 //! full outcomes ([`allowed_full_outcomes`]), take one walk per
@@ -56,7 +55,7 @@
 //! [`decide_log`].
 
 use crate::candidates::{
-    bump, combo_parts, for_each_combo, thread_paths, value_domain, CandidateError, ComboParts,
+    combo_parts, for_each_combo, thread_paths, value_domain, CandidateError, ComboParts,
     ComboValues, EnumOptions, RegFinal,
 };
 use crate::expr::{RVal, SymExpr};
@@ -68,7 +67,7 @@ use crate::state::{
 };
 use herd_core::arena::RelArena;
 use herd_core::consistency::{co_exists, CoQuery, CoSetup, ConsistencyStats};
-use herd_core::enumerate::{ChoiceSpace, Concretise};
+use herd_core::enumerate::{bump, ChoiceSpace, Concretise};
 use herd_core::event::{Event, Loc, Val};
 use herd_core::fingerprint::{Fingerprint, FpHasher};
 use herd_core::model::Architecture;
@@ -219,15 +218,6 @@ impl QueryStats {
     }
 }
 
-/// The answer to one outcome query.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Decision {
-    /// Does some consistent execution of the test produce the outcome?
-    pub allowed: bool,
-    /// What it cost to find out.
-    pub stats: QueryStats,
-}
-
 /// Work accounting of one batched decision ([`decide_log`]), on top of
 /// the underlying [`QueryStats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -257,29 +247,10 @@ pub struct BatchDecision {
     pub stats: BatchStats,
 }
 
-/// Decides whether `outcome` is allowed for `test` under `arch`.
-///
-/// Exact for every architecture; one saturation pass per rf
-/// configuration for models monotone in co
-/// ([`herd_core::model::Tractability::Monotone`]).
-/// A thin wrapper over the batch engine ([`decide_log`]) with a
-/// single-row log — identical control flow and accounting.
-///
-/// # Errors
-///
-/// Propagates [`CandidateError`] from thread semantics.
-pub fn decide_outcome<A: Architecture + ?Sized>(
-    test: &LitmusTest,
-    arch: &A,
-    opts: &EnumOptions,
-    outcome: &Outcome,
-) -> Result<Decision, CandidateError> {
-    let batch = decide_log(test, arch, opts, std::slice::from_ref(outcome))?;
-    Ok(Decision { allowed: batch.verdicts[0], stats: batch.stats.query })
-}
-
 /// Judges a whole log of outcome rows against one `(test, model)` pair:
-/// [`decide_rows`] over the rows mapped onto the test's layout.
+/// [`decide_rows`] over the rows mapped onto the test's layout. Exact for
+/// every architecture; one saturation pass per rf configuration for
+/// models monotone in co ([`herd_core::model::Tractability::Monotone`]).
 ///
 /// # Errors
 ///
@@ -299,7 +270,7 @@ pub fn decide_log<A: Architecture + ?Sized>(
 
 /// Judges a whole log of query rows against one `(test, model)` pair.
 ///
-/// Shares what row-at-a-time [`decide_outcome`] would rebuild: thread
+/// Shares what one-row batches would each rebuild: thread
 /// semantics for the whole batch, and per control-flow combination its
 /// parts, its [`CoSetup`] and its value step. Literal repeats (equal slot
 /// vectors) are answered once and copied ([`BatchStats::reused`]). Every
@@ -801,7 +772,7 @@ type StateSink<'a> = dyn FnMut(&StateLayout, &[Slot]) + 'a;
 /// `emit`: the complete final register file plus one value per location —
 /// the states an `herd-hw` model log lists. Each distinct outcome is
 /// emitted exactly once. Decisions run on the same backend as
-/// [`decide_outcome`]; the work lands in `stats`.
+/// [`decide_log`]; the work lands in `stats`.
 ///
 /// # Errors
 ///
@@ -881,6 +852,12 @@ mod tests {
         Outcome::from_state_row(row).unwrap()
     }
 
+    /// A one-row [`decide_log`]: the row's verdict and its query work.
+    fn decide_one(test: &LitmusTest, arch: &dyn Architecture, row: &Outcome) -> (bool, QueryStats) {
+        let d = decide_log(test, arch, &EnumOptions::default(), std::slice::from_ref(row)).unwrap();
+        (d.verdicts[0], d.stats.query)
+    }
+
     #[test]
     fn parses_state_rows() {
         let o = outcome("0:r1=1; 1:r2=0; x=2");
@@ -912,27 +889,24 @@ mod tests {
     fn mp_outcome_forbidden_on_sc_allowed_on_power() {
         let test = corpus::mp(Isa::Power, Dev::Po, Dev::Po);
         let witness = outcome("1:r1=1; 1:r2=0");
-        let sc = decide_outcome(&test, &Sc, &EnumOptions::default(), &witness).unwrap();
-        assert!(!sc.allowed, "SC forbids the mp relaxed outcome");
-        assert_eq!(sc.stats.backend.fallbacks, 0, "SC stays on the saturation path");
-        let power =
-            decide_outcome(&test, &Power::new(), &EnumOptions::default(), &witness).unwrap();
-        assert!(power.allowed, "Power allows bare mp");
+        let (sc, sc_stats) = decide_one(&test, &Sc, &witness);
+        assert!(!sc, "SC forbids the mp relaxed outcome");
+        assert_eq!(sc_stats.backend.fallbacks, 0, "SC stays on the saturation path");
+        let (power, power_stats) = decide_one(&test, &Power::new(), &witness);
+        assert!(power, "Power allows bare mp");
         assert!(
-            power.stats.backend.conditional_definitive > 0,
+            power_stats.backend.conditional_definitive > 0,
             "the ppo lower bound settles bare mp without enumeration"
         );
-        assert_eq!(power.stats.backend.fallbacks, 0, "no conditional fallback on bare mp");
+        assert_eq!(power_stats.backend.fallbacks, 0, "no conditional fallback on bare mp");
     }
 
     #[test]
     fn sb_outcome_allowed_on_tso() {
         let test = corpus::sb(Isa::X86, Dev::Po, Dev::Po);
         let witness = outcome("0:r1=0; 1:r1=0");
-        let d = decide_outcome(&test, &Tso, &EnumOptions::default(), &witness).unwrap();
-        assert!(d.allowed, "store buffering is THE tso behaviour");
-        let sc = decide_outcome(&test, &Sc, &EnumOptions::default(), &witness).unwrap();
-        assert!(!sc.allowed);
+        assert!(decide_one(&test, &Tso, &witness).0, "store buffering is THE tso behaviour");
+        assert!(!decide_one(&test, &Sc, &witness).0);
     }
 
     /// sb rows under SC and TSO: allowed, forbidden, a literal repeat,
@@ -1035,8 +1009,8 @@ mod tests {
                     });
                     let what = format!("{} under {}: {row:?}", test.name, arch.name());
                     assert_eq!(verdict, reference, "{what}: batch and enumeration disagree");
-                    let single = decide_outcome(test, arch, &opts, row).unwrap();
-                    assert_eq!(verdict, single.allowed, "{what}: batch and single disagree");
+                    let (single, _) = decide_one(test, arch, row);
+                    assert_eq!(verdict, single, "{what}: batch and single disagree");
                 }
             }
         }
@@ -1047,13 +1021,12 @@ mod tests {
         // mp's writer publishes x=1 then y=1: final x=1 is mandatory,
         // final x=0 impossible.
         let test = corpus::mp(Isa::Power, Dev::Po, Dev::Po);
-        let opts = EnumOptions::default();
-        assert!(decide_outcome(&test, &Tso, &opts, &outcome("x=1; y=1")).unwrap().allowed);
-        assert!(!decide_outcome(&test, &Tso, &opts, &outcome("x=0")).unwrap().allowed);
+        assert!(decide_one(&test, &Tso, &outcome("x=1; y=1")).0);
+        assert!(!decide_one(&test, &Tso, &outcome("x=0")).0);
         // A value no write produces is unreachable whatever the model.
-        assert!(!decide_outcome(&test, &Power::new(), &opts, &outcome("x=9")).unwrap().allowed);
+        assert!(!decide_one(&test, &Power::new(), &outcome("x=9")).0);
         // Unknown locations are trivially forbidden, not an error.
-        assert!(!decide_outcome(&test, &Tso, &opts, &outcome("zz=0")).unwrap().allowed);
+        assert!(!decide_one(&test, &Tso, &outcome("zz=0")).0);
     }
 
     #[test]
@@ -1062,10 +1035,10 @@ mod tests {
         // four read registers leaves exactly one viable configuration.
         let test = corpus::iriw(Isa::X86, Dev::Po, Dev::Po);
         let witness = outcome("1:r1=1; 1:r2=0; 3:r1=1; 3:r2=0");
-        let d = decide_outcome(&test, &Tso, &EnumOptions::default(), &witness).unwrap();
-        assert!(!d.allowed, "iriw is forbidden on TSO");
-        assert_eq!(d.stats.rf_space, 16);
-        assert_eq!(d.stats.rf_configs, 1, "pinned reads collapse the rf odometer");
+        let (allowed, stats) = decide_one(&test, &Tso, &witness);
+        assert!(!allowed, "iriw is forbidden on TSO");
+        assert_eq!(stats.rf_space, 16);
+        assert_eq!(stats.rf_configs, 1, "pinned reads collapse the rf odometer");
     }
 
     /// 81 loads of a location written twice: the rf space is 3^81, past
@@ -1100,10 +1073,10 @@ mod tests {
             ..Outcome::default()
         };
         let arm = herd_core::arch::Arm::new(herd_core::arch::ArmVariant::Proposed);
-        let d = decide_outcome(&test, &arm, &EnumOptions::default(), &zeros).unwrap();
-        assert!(d.allowed, "every load reading the initial value is allowed");
-        assert_eq!(d.stats.rf_configs, 1, "pinned reads collapse the rf odometer");
-        assert_eq!(d.stats.rf_space, u128::MAX, "3^81 saturates");
+        let (allowed, stats) = decide_one(&test, &arm, &zeros);
+        assert!(allowed, "every load reading the initial value is allowed");
+        assert_eq!(stats.rf_configs, 1, "pinned reads collapse the rf odometer");
+        assert_eq!(stats.rf_space, u128::MAX, "3^81 saturates");
     }
 
     #[test]
@@ -1114,11 +1087,8 @@ mod tests {
             let batch = decide_log(&test, arch, &EnumOptions::default(), &rows).unwrap();
             assert_eq!(batch.stats.rows, rows.len() as u64);
             for (i, row) in rows.iter().enumerate() {
-                let single = decide_outcome(&test, arch, &EnumOptions::default(), row).unwrap();
-                assert_eq!(
-                    batch.verdicts[i], single.allowed,
-                    "row {i} diverged between batch and single"
-                );
+                let (single, _) = decide_one(&test, arch, row);
+                assert_eq!(batch.verdicts[i], single, "row {i} diverged between batch and single");
             }
         }
     }
@@ -1143,15 +1113,16 @@ mod tests {
 
     #[test]
     fn single_row_batch_reproduces_wrapper_stats() {
-        // The decide_outcome wrapper and a 1-row decide_log are the same
-        // machinery; their accounting must agree exactly.
+        // A one-row log is the single-row query: it walks its row once,
+        // reuses nothing and still counts its class.
         let test = corpus::iriw(Isa::X86, Dev::Po, Dev::Po);
         let witness = outcome("1:r1=1; 1:r2=0; 3:r1=1; 3:r2=0");
-        let single = decide_outcome(&test, &Tso, &EnumOptions::default(), &witness).unwrap();
         let batch =
             decide_log(&test, &Tso, &EnumOptions::default(), std::slice::from_ref(&witness))
                 .unwrap();
-        assert_eq!(single.stats, batch.stats.query);
+        assert_eq!(batch.stats.rows, 1);
+        assert_eq!(batch.stats.query.rf_space, 16);
+        assert_eq!(batch.stats.query.rf_configs, 1);
         assert_eq!(batch.stats.reused, 0);
         assert!(batch.stats.classes >= 1);
     }

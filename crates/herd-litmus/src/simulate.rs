@@ -14,9 +14,10 @@
 //! driver serves both entry points: [`simulate_with`] is its one-worker
 //! case, run inline, and [`simulate_sharded`] fans the rf×co space of a
 //! *single* test out over the [`herd_core::sched`] work-stealing executor
-//! (contiguous rf-configuration range units, exactly merged accounting).
-//! [`simulate_corpus`] distributes a whole corpus over every core through
-//! the same executor (no static split, no idle workers). [`judge`] keeps
+//! ([`sched::UNITS_PER_WORKER`] contiguous rf-range units per worker,
+//! exactly merged accounting). [`simulate_corpus`] distributes a whole
+//! corpus over every core through the same executor; both report a unit
+//! lost to a panic as the scheduler's [`PoisonedUnit`]. [`judge`] keeps
 //! the owned path — [`herd_core::model::check_with`] on pre-enumerated
 //! candidates — as the reference.
 
@@ -27,7 +28,7 @@ use crate::state::{CondSlots, Slot, StateLayout};
 use herd_core::arena::RelArena;
 use herd_core::enumerate::CheckedStats;
 use herd_core::model::{self, ArchRelations, Architecture};
-use herd_core::sched;
+use herd_core::sched::{self, PoisonedUnit};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
 
@@ -49,17 +50,6 @@ impl fmt::Display for SimStop {
     }
 }
 
-/// One work unit lost to a panic during a parallel simulation: an
-/// rf-range unit for [`simulate_sharded`], a whole test for
-/// [`simulate_corpus`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LostUnit {
-    /// Index of the lost unit in its driver's unit order.
-    pub unit: usize,
-    /// The stringified panic payload.
-    pub payload: String,
-}
-
 /// The degradation record of a partial [`SimOutcome`]: what stopped the
 /// run and exactly how much of the candidate space was never classified.
 ///
@@ -74,7 +64,7 @@ pub struct PartialSim {
     /// The budget that stopped enumeration, if one tripped.
     pub stopped: Option<SimStop>,
     /// Work units lost to panics (their siblings' verdicts all survive).
-    pub poisoned: Vec<LostUnit>,
+    pub poisoned: Vec<PoisonedUnit>,
     /// Candidates neither judged nor pruned — exact.
     pub remaining: u128,
 }
@@ -228,20 +218,16 @@ fn warn_unpruned(test: &LitmusTest, unpruned_locations: usize) {
     }
 }
 
-/// Units per worker the rf-configuration planner targets: enough
-/// granularity for the stealing executor to rebalance, little enough that
-/// the per-unit seek stays negligible.
-const UNITS_PER_WORKER: usize = 4;
-
 /// Simulates one test with its rf×co space fanned out over `workers`
 /// threads on the [`herd_core::sched`] work-stealing executor: thread
 /// semantics runs once, then the rf-configuration index space
-/// ([`crate::candidates::count_rf_configs`]) is cut into `workers × 4`
-/// contiguous units that workers steal from a shared cursor — no static
-/// split, no idle workers when the odometer's weight is lopsided. Per-unit
-/// judgements and `emitted`/`pruned` counters merge into exact totals, so
-/// the outcome is identical to [`simulate_with`] — including the
-/// candidate accounting. `workers <= 1` is [`simulate_with`].
+/// ([`crate::candidates::count_rf_configs`]) is cut into `workers ×`
+/// [`sched::UNITS_PER_WORKER`] contiguous units that workers steal from a
+/// shared cursor — no static split, no idle workers when the odometer's
+/// weight is lopsided. Per-unit judgements and `emitted`/`pruned`
+/// counters merge into exact totals, so the outcome is identical to
+/// [`simulate_with`] — including the candidate accounting.
+/// `workers <= 1` is [`simulate_with`].
 ///
 /// # Errors
 ///
@@ -263,7 +249,7 @@ pub fn simulate_sharded<A: Architecture + Sync + ?Sized>(
     if workers <= 1 {
         return Ok(simulate_inline(&space, arch, opts));
     }
-    let units = sched::rf_ranges(space.rf_total(), (workers * UNITS_PER_WORKER) as u128);
+    let units = sched::rf_ranges(space.rf_total(), (workers * sched::UNITS_PER_WORKER) as u128);
     if units.len() <= 1 {
         return Ok(simulate_inline(&space, arch, opts));
     }
@@ -296,7 +282,7 @@ pub fn simulate_sharded<A: Architecture + Sync + ?Sized>(
                     .stats
                     .remaining
                     .saturating_add(lost.pruned.saturating_add(lost.remaining));
-                tally.poisoned.push(LostUnit { unit: u, payload });
+                tally.poisoned.push(PoisonedUnit { unit: u, payload });
             }
         }
     }
@@ -326,7 +312,7 @@ fn judge_unit<A: Architecture + ?Sized>(
 struct Tally {
     stats: CheckedStats,
     unpruned_locations: usize,
-    poisoned: Vec<LostUnit>,
+    poisoned: Vec<PoisonedUnit>,
 }
 
 impl Tally {
@@ -501,10 +487,10 @@ impl<'c> Judgement<'c> {
 #[derive(Clone, Debug)]
 pub struct CorpusOutcome {
     /// Outcomes of the tests that ran, in input order with lost tests
-    /// removed ([`LostUnit::unit`] indexes into the input slice).
+    /// removed ([`PoisonedUnit::unit`] indexes into the input slice).
     pub outcomes: Vec<SimOutcome>,
     /// Tests lost to worker panics: input index + payload.
-    pub poisoned: Vec<LostUnit>,
+    pub poisoned: Vec<PoisonedUnit>,
 }
 
 impl CorpusOutcome {
@@ -558,7 +544,7 @@ pub fn simulate_corpus<A: Architecture + Sync + ?Sized>(
         match r {
             sched::UnitResult::Done(res) => outcomes.push(res?),
             sched::UnitResult::Poisoned { payload } => {
-                poisoned.push(LostUnit { unit: i, payload });
+                poisoned.push(PoisonedUnit { unit: i, payload });
             }
         }
     }
@@ -596,7 +582,7 @@ pub fn simulate_corpus_cached<A: Architecture + Sync + ?Sized>(
         .collect();
     let mut slots: Vec<Option<SimOutcome>> = keys.iter().map(|&k| cache.get(k)).collect();
     let missing: Vec<usize> = (0..tests.len()).filter(|&i| slots[i].is_none()).collect();
-    let mut poisoned: Vec<LostUnit> = Vec::new();
+    let mut poisoned: Vec<PoisonedUnit> = Vec::new();
     if !missing.is_empty() {
         let subset: Vec<LitmusTest> = missing.iter().map(|&i| tests[i].clone()).collect();
         let fresh = simulate_corpus(&subset, arch, opts)?;
@@ -604,7 +590,7 @@ pub fn simulate_corpus_cached<A: Architecture + Sync + ?Sized>(
         poisoned = fresh
             .poisoned
             .into_iter()
-            .map(|l| LostUnit { unit: missing[l.unit], payload: l.payload })
+            .map(|l| PoisonedUnit { unit: missing[l.unit], payload: l.payload })
             .collect();
         let lost: BTreeSet<usize> = poisoned.iter().map(|l| l.unit).collect();
         let mut fresh_outcomes = fresh.outcomes.into_iter();

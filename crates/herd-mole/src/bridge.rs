@@ -109,6 +109,20 @@ mod tests {
         }
     }
 
+    /// Every corpus program mines witnesses on every ISA without a panic:
+    /// a cycle whose fence the ISA lacks is skipped, not synthesised.
+    #[test]
+    fn corpus_witnesses_build_on_every_isa() {
+        for program in corpus::all() {
+            let analysis = analyze(&program, &MoleOptions::default());
+            for isa in [Isa::Power, Isa::Arm, Isa::X86] {
+                for (_, t) in witnesses(&analysis, isa) {
+                    assert_eq!(t.isa, isa, "{}: {}", program.name, t.name);
+                }
+            }
+        }
+    }
+
     #[test]
     fn scpl_cycles_do_not_bridge() {
         let p = crate::ir::Program::new("hammer")

@@ -53,10 +53,12 @@ fn err(line: usize, message: impl Into<String>) -> MoleParseError {
 ///
 /// # Errors
 ///
-/// Returns the first malformed line.
+/// Returns the first malformed line: for an unclosed function, its `fn`
+/// line; for a function defined twice, the second definition.
 pub fn parse(src: &str) -> Result<Program, MoleParseError> {
     let mut program = Program::new("anonymous");
-    let mut current: Option<(String, Vec<Stmt>, bool, bool)> = None; // (name, body, spawn, internal)
+    // (name, body, spawn, internal, `fn` line)
+    let mut current: Option<(String, Vec<Stmt>, bool, bool, usize)> = None;
     for (lno, raw) in src.lines().enumerate() {
         let line = raw.split('#').next().unwrap_or("").trim();
         if line.is_empty() {
@@ -69,6 +71,9 @@ pub fn parse(src: &str) -> Result<Program, MoleParseError> {
                 if current.is_some() {
                     return Err(err(lno, "nested 'fn' (missing '}')"));
                 }
+                if program.find(name).is_some() {
+                    return Err(err(lno, format!("function '{name}' defined twice")));
+                }
                 let mut spawn = false;
                 let mut internal = false;
                 for w in rest {
@@ -79,10 +84,10 @@ pub fn parse(src: &str) -> Result<Program, MoleParseError> {
                         other => return Err(err(lno, format!("unknown attribute '{other}'"))),
                     }
                 }
-                current = Some(((*name).to_owned(), Vec::new(), spawn, internal));
+                current = Some(((*name).to_owned(), Vec::new(), spawn, internal, lno));
             }
             ["}"] => {
-                let Some((name, body, spawn, internal)) = current.take() else {
+                let Some((name, body, spawn, internal, _)) = current.take() else {
                     return Err(err(lno, "'}' without 'fn'"));
                 };
                 program = program.function(&name, body);
@@ -94,7 +99,7 @@ pub fn parse(src: &str) -> Result<Program, MoleParseError> {
                 }
             }
             [op @ ("read" | "write"), var, rest @ ..] => {
-                let Some((_, body, _, _)) = current.as_mut() else {
+                let Some((_, body, ..)) = current.as_mut() else {
                     return Err(err(lno, "statement outside a function"));
                 };
                 let dep = match rest {
@@ -109,7 +114,7 @@ pub fn parse(src: &str) -> Result<Program, MoleParseError> {
                 body.push(Stmt::Access { var: (*var).to_owned(), dir, dep });
             }
             ["fence", f] => {
-                let Some((_, body, _, _)) = current.as_mut() else {
+                let Some((_, body, ..)) = current.as_mut() else {
                     return Err(err(lno, "statement outside a function"));
                 };
                 let fence = Fence::ALL
@@ -119,19 +124,19 @@ pub fn parse(src: &str) -> Result<Program, MoleParseError> {
                 body.push(Stmt::Fence(*fence));
             }
             ["call", g] => {
-                let Some((_, body, _, _)) = current.as_mut() else {
+                let Some((_, body, ..)) = current.as_mut() else {
                     return Err(err(lno, "statement outside a function"));
                 };
                 body.push(Stmt::Call((*g).to_owned()));
             }
             ["lock", l] => {
-                let Some((_, body, _, _)) = current.as_mut() else {
+                let Some((_, body, ..)) = current.as_mut() else {
                     return Err(err(lno, "statement outside a function"));
                 };
                 body.push(Stmt::Lock((*l).to_owned()));
             }
             ["unlock", l] => {
-                let Some((_, body, _, _)) = current.as_mut() else {
+                let Some((_, body, ..)) = current.as_mut() else {
                     return Err(err(lno, "statement outside a function"));
                 };
                 body.push(Stmt::Unlock((*l).to_owned()));
@@ -139,8 +144,8 @@ pub fn parse(src: &str) -> Result<Program, MoleParseError> {
             other => return Err(err(lno, format!("unrecognised statement {other:?}"))),
         }
     }
-    if current.is_some() {
-        return Err(err(src.lines().count(), "unterminated function"));
+    if let Some((.., line)) = current {
+        return Err(err(line, "unterminated function"));
     }
     Ok(program)
 }
@@ -229,5 +234,17 @@ fn reader spawn {
         assert!(parse("read x\n").is_err(), "statement outside function");
         assert!(parse("fn a {\n").is_err(), "unterminated");
         assert!(parse("fn a {\n  fence zap\n}\n").is_err(), "unknown fence");
+    }
+
+    #[test]
+    fn an_unclosed_function_is_reported_at_its_fn_line() {
+        let e = parse("program p\nfn f {\nread x\n").unwrap_err();
+        assert_eq!((e.line, e.message.as_str()), (2, "unterminated function"));
+    }
+
+    #[test]
+    fn a_function_defined_twice_is_rejected_at_its_second_definition() {
+        let e = parse("fn f {\n  read x\n}\nfn g {\n}\nfn f {\n  write x\n}\n").unwrap_err();
+        assert_eq!((e.line, e.message.as_str()), (6, "function 'f' defined twice"));
     }
 }

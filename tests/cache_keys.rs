@@ -18,8 +18,8 @@
 
 use cats::cache::Fingerprint;
 use cats::hw::{
-    hardware_log, judge_entries, judge_entry_cached, judge_log_cached, model_log, model_log_cached,
-    ArmErrata, ArmSilicon, ModelLogCache, VerdictCache,
+    hardware_log, judge_entries, judge_log_cached, model_log, model_log_cached, ArmErrata,
+    ArmSilicon, ModelLogCache, VerdictCache,
 };
 use cats::litmus::candidates::EnumOptions;
 use cats::litmus::corpus::{self, Dev};
@@ -341,8 +341,8 @@ fn a_part_named_arm_never_answers_for_the_stock_model() {
     assert_eq!(cache.stats().hits, hits, "no cross-model hit");
 
     let cache = VerdictCache::new(64);
-    assert!(judge_entry_cached(&test, &part, HAZARD, &cache).unwrap());
-    assert!(!judge_entry_cached(&test, &stock, HAZARD, &cache).unwrap());
+    assert!(judge_log_cached(&test, &part, &[HAZARD], &cache).unwrap()[0]);
+    assert!(!judge_log_cached(&test, &stock, &[HAZARD], &cache).unwrap()[0]);
     assert_eq!(cache.stats().hits, 0, "no cross-model hit");
 
     let cache = ModelLogCache::new(64);

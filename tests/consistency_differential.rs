@@ -9,7 +9,7 @@
 //!
 //! * corpus-wide, every probe — each distinct enumerated final state plus
 //!   systematically unreachable mutations — must get the same verdict
-//!   from [`decide_outcome`] as from enumerate-and-check, on models on
+//!   from a one-row [`decide_log`] as from enumerate-and-check, on models on
 //!   both sides of the tractability frontier;
 //! * on the models monotone in co (SC/TSO/PSO and C++RA under both
 //!   PROPAGATION strengths) the answer must come from the saturation
@@ -45,7 +45,7 @@ use herd_core::fixtures::{probe_value, ProgramShape, ShapeOp};
 use herd_core::model::{check, Architecture, Tractability};
 use herd_litmus::candidates::{enumerate, Candidate, EnumOptions, RegFinal};
 use herd_litmus::corpus::{self, Dev, Op, TestBuilder};
-use herd_litmus::decide::{allowed_full_outcomes, decide_outcome, Outcome, QueryStats};
+use herd_litmus::decide::{allowed_full_outcomes, decide_log, Outcome, QueryStats};
 use herd_litmus::isa::{Isa, Reg};
 use herd_litmus::program::{LitmusTest, Prop, Quantifier};
 use herd_litmus::simulate::{simulate_decided, simulate_with};
@@ -88,6 +88,13 @@ fn probes_for(cands: &[Candidate]) -> Vec<Outcome> {
     out
 }
 
+/// A one-row [`decide_log`]: the row's verdict and its query work.
+fn decide_one(test: &LitmusTest, arch: &dyn Architecture, probe: &Outcome) -> (bool, QueryStats) {
+    let rows = std::slice::from_ref(probe);
+    let d = decide_log(test, arch, &EnumOptions::default(), rows).expect("backend decides");
+    (d.verdicts[0], d.stats.query)
+}
+
 /// Runs the full differential for one (test, model) pair, accumulating
 /// backend counters into `stats`. Panics on the first disagreement.
 fn differential(test: &LitmusTest, arch: &dyn Architecture, stats: &mut QueryStats) {
@@ -96,16 +103,15 @@ fn differential(test: &LitmusTest, arch: &dyn Architecture, stats: &mut QuerySta
         cands.iter().filter(|c| check(arch, &c.exec).allowed()).collect();
     for probe in probes_for(&cands) {
         let want = reachable(&allowed, &probe);
-        let d =
-            decide_outcome(test, arch, &EnumOptions::default(), &probe).expect("backend decides");
+        let (allowed, d) = decide_one(test, arch, &probe);
         assert_eq!(
-            d.allowed,
+            allowed,
             want,
             "backend disagrees with enumeration: {} on {}, probe {probe:?}",
             test.name,
             arch.name()
         );
-        stats.absorb(&d.stats);
+        stats.absorb(&d);
     }
 }
 
@@ -168,9 +174,9 @@ fn cpp_ra_decides_po_ordered_writers_by_contradiction() {
         assert_eq!(stats.backend.fallbacks, 0, "{}", ra.name());
         for n in [7, 9, 10, 11] {
             let (test, probe) = wrc_po(n);
-            let d = decide_outcome(&test, &ra, &EnumOptions::default(), &probe).unwrap();
-            let b = d.stats.backend;
-            assert!(!d.allowed, "wrc+{n}w+po under {}", ra.name());
+            let (allowed, d) = decide_one(&test, &ra, &probe);
+            let b = d.backend;
+            assert!(!allowed, "wrc+{n}w+po under {}", ra.name());
             assert!(b.queries > 0);
             assert_eq!(b.contradictions, b.queries, "wrc+{n}w+po: decided by contradiction");
             assert_eq!((b.fallbacks, b.fallback_candidates), (0, 0), "wrc+{n}w+po: no fallback");
@@ -181,7 +187,7 @@ fn cpp_ra_decides_po_ordered_writers_by_contradiction() {
         let best = (0..3)
             .map(|_| {
                 let t0 = Instant::now();
-                decide_outcome(&test, &ra, &EnumOptions::default(), &probe).unwrap();
+                decide_one(&test, &ra, &probe);
                 t0.elapsed()
             })
             .min()
@@ -394,9 +400,9 @@ proptest! {
             probes.push(random.clone());
             for probe in probes {
                 let want = reachable(&allowed, &probe);
-                let d = decide_outcome(&test, arch, &EnumOptions::default(), &probe).unwrap();
+                let (allowed, _) = decide_one(&test, arch, &probe);
                 prop_assert_eq!(
-                    d.allowed,
+                    allowed,
                     want,
                     "{:?} on {}, probe {:?}",
                     shape,
@@ -465,11 +471,11 @@ fn scaled_family_counts_stay_exact_and_the_backend_saturates() {
     assert!(FACT_21 > u128::from(u64::MAX));
     let sk = herd_bench::wrc_scaled(20);
     assert_eq!(sk.candidate_count(), Some(2 * FACT_21));
-    assert_eq!(sk.candidate_count_saturating(), 2 * FACT_21);
+    assert_eq!(sk.candidate_count().unwrap_or(u128::MAX), 2 * FACT_21);
     // 35 writes: 35! overflows even u128 — `None`, never a silent wrap.
     let big = herd_bench::wrc_scaled(34);
     assert_eq!(big.candidate_count(), None);
-    assert_eq!(big.candidate_count_saturating(), u128::MAX);
+    assert_eq!(big.candidate_count().unwrap_or(u128::MAX), u128::MAX);
 
     // The same family at the litmus level: 2 · 21! candidates is far past
     // anything enumerable, yet single-outcome queries answer through the
@@ -493,25 +499,25 @@ fn scaled_family_counts_stay_exact_and_the_backend_saturates() {
         regs: BTreeMap::from([((1, r_z), RegFinal::Int(1))]),
         mem: BTreeMap::from([("x".to_owned(), 5)]),
     };
-    let d = decide_outcome(&test, &Sc, &EnumOptions::default(), &probe).unwrap();
-    assert!(d.allowed);
-    assert_eq!(d.stats.backend.fallbacks, 0, "stays on the saturation path");
-    assert!(d.stats.backend.witnesses >= 1);
+    let (allowed, d) = decide_one(&test, &Sc, &probe);
+    assert!(allowed);
+    assert_eq!(d.backend.fallbacks, 0, "stays on the saturation path");
+    assert!(d.backend.witnesses >= 1);
     // The register constraint collapses the rf menu before any coherence
     // work: one configuration probed out of the rf space.
-    assert_eq!(d.stats.rf_configs, 1);
+    assert_eq!(d.rf_configs, 1);
 
     // Past the frontier, the same 2 · 21! family answers through the
     // ppo lower bound: Power settles the witness definitively, without a
     // single enumeration fallback — 21! completions would never terminate.
-    let d = decide_outcome(&test, &Power::new(), &EnumOptions::default(), &probe).unwrap();
-    assert!(d.allowed, "what SC allows, Power allows");
-    assert!(d.stats.backend.conditional_definitive >= 1, "the lower bound settles the witness");
-    assert_eq!(d.stats.backend.fallbacks, 0, "no enumeration over 21! coherence orders");
+    let (allowed, d) = decide_one(&test, &Power::new(), &probe);
+    assert!(allowed, "what SC allows, Power allows");
+    assert!(d.backend.conditional_definitive >= 1, "the lower bound settles the witness");
+    assert_eq!(d.backend.fallbacks, 0, "no enumeration over 21! coherence orders");
 
     // Forbidden: the family's writes store 1..=21, never 99.
     let probe = Outcome { regs: BTreeMap::new(), mem: BTreeMap::from([("x".to_owned(), 99)]) };
-    let d = decide_outcome(&test, &Sc, &EnumOptions::default(), &probe).unwrap();
-    assert!(!d.allowed);
-    assert_eq!(d.stats.backend.fallbacks, 0);
+    let (allowed, d) = decide_one(&test, &Sc, &probe);
+    assert!(!allowed);
+    assert_eq!(d.backend.fallbacks, 0);
 }

@@ -4,7 +4,7 @@
 //!
 //! Plus the backend routing of log judging: for models monotone in co
 //! (SC, TSO, C++RA) and the conditional ones (Power, ARM),
-//! [`herd_hw::model_log`] and [`herd_hw::judge_entry`] answer through
+//! [`herd_hw::model_log`] and [`herd_hw::judge_entries`] answer through
 //! single-outcome witness queries — their verdicts must be
 //! indistinguishable from the enumerate-and-check reference, row by row.
 
@@ -196,7 +196,7 @@ fn judge_entry_reproduces_the_compare_invalid_sets() {
     for (name, entry) in &hw.entries {
         let test = tests.iter().find(|t| &t.name == name).unwrap();
         for state in entry.states.keys() {
-            let allowed = herd_hw::judge_entry(test, &Sc, state).unwrap();
+            let allowed = herd_hw::judge_entries(test, &Sc, &[state]).unwrap().0[0];
             let invalid = cmp.invalid.get(name).is_some_and(|s| s.contains(state));
             assert_eq!(!allowed, invalid, "{name}: backend and mcompare disagree on row '{state}'");
         }
@@ -207,7 +207,7 @@ fn judge_entry_reproduces_the_compare_invalid_sets() {
 fn batched_judging_matches_row_at_a_time_and_enumeration() {
     // PR 9: the batch API is the same judge, faster. For every test in a
     // seeded x86 campaign log, `judge_entries` over the whole row set
-    // must agree row for row with (a) single-row `judge_entry` calls and
+    // must agree row for row with (a) one-row `judge_entries` calls and
     // (b) the enumerate-every-candidate reference, and (c) do exactly the
     // work of its rows judged one at a time: a log's distinct rows share
     // no walk.
@@ -241,14 +241,13 @@ fn batched_judging_matches_row_at_a_time_and_enumeration() {
 
             let mut sum = [0; 5];
             for (state, &verdict) in rows.iter().zip(&batch) {
-                let (_, one) = herd_hw::judge_entries(test, model, &[state]).unwrap();
+                let (single, one) = herd_hw::judge_entries(test, model, &[state]).unwrap();
                 for (s, w) in sum.iter_mut().zip(walk_work(&one)) {
                     *s += w;
                 }
-                let single = herd_hw::judge_entry(test, model, state).unwrap();
                 assert_eq!(
                     verdict,
-                    single,
+                    single[0],
                     "{name} under {}: batch and row-at-a-time disagree on '{state}'",
                     model.name()
                 );

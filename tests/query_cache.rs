@@ -10,7 +10,7 @@
 use cats::cache::{FpHasher, ShardedLru};
 use cats::litmus::candidates::EnumOptions;
 use cats::litmus::corpus::{self, Dev};
-use cats::litmus::decide::{decide_outcome, Outcome};
+use cats::litmus::decide::{decide_log, Outcome};
 use cats::litmus::isa::Isa;
 use cats::litmus::program::LitmusTest;
 use herd_core::arch::{Sc, Tso};
@@ -40,7 +40,7 @@ fn fresh(universe: &[(LitmusTest, String)], q: usize, m: usize) -> bool {
     let (test, row) = &universe[q];
     let outcome = Outcome::from_state_row(row).unwrap();
     let arch: &dyn Architecture = if m == 0 { &Sc } else { &Tso };
-    decide_outcome(test, arch, &EnumOptions::default(), &outcome).unwrap().allowed
+    decide_log(test, arch, &EnumOptions::default(), &[outcome]).unwrap().verdicts[0]
 }
 
 /// The content key for query index `q` under model `m`.

@@ -25,7 +25,7 @@ use herd_core::arena::RelArena;
 use herd_core::enumerate::{Skeleton, SkeletonBuilder};
 use herd_core::exec::ExecFrame;
 use herd_core::model::Verdict;
-use herd_core::sched::{Budget, CancelToken, PlanOpts, StopReason, WorkPlan};
+use herd_core::sched::{Budget, CancelToken, StopReason, WorkPlan};
 use proptest::prelude::*;
 use std::time::Instant;
 
@@ -98,8 +98,9 @@ fn key(fx: &ExecFrame<'_>, a: &RelArena, v: Verdict) -> String {
 fn reference(sk: &Skeleton) -> (Vec<String>, herd_core::enumerate::CheckedStats) {
     let mut arena = RelArena::new(0);
     let mut keys = Vec::new();
+    let unlimited = Budget::unlimited();
     let stats =
-        sk.check_stream_arena(&Power::new(), &mut arena, &Budget::unlimited(), &mut |fx, a, v| {
+        sk.check_stream_arena(&Power::new(), &mut arena, .., None, &unlimited, &mut |fx, a, v| {
             keys.push(key(fx, a, v));
         });
     keys.sort();
@@ -116,12 +117,12 @@ proptest! {
     fn any_candidate_budget_cut_keeps_exact_accounting(ops in ops(), cut in 0u64..60) {
         let cut = u128::from(cut);
         let sk = build(&ops);
-        prop_assume!(sk.candidate_count_saturating() <= 5_000);
+        prop_assume!(sk.candidate_count().unwrap_or(u128::MAX) <= 5_000);
         let space = sk.candidate_count().expect("small space");
         let mut arena = RelArena::new(0);
         let budget = Budget::unlimited().with_max_candidates(cut);
         let stats =
-            sk.check_stream_arena(&Power::new(), &mut arena, &budget, &mut |_, _, _| {});
+            sk.check_stream_arena(&Power::new(), &mut arena, .., None, &budget, &mut |_, _, _| {});
         prop_assert_eq!(stats.emitted + stats.pruned + stats.remaining, space);
         prop_assert!(stats.emitted <= cut, "the bound is never exceeded");
         if stats.remaining > 0 {
@@ -137,22 +138,27 @@ proptest! {
     fn resuming_any_cut_reproduces_the_uninterrupted_run(ops in ops(), cut in 1u64..40) {
         let cut = u128::from(cut);
         let sk = build(&ops);
-        prop_assume!(sk.candidate_count_saturating() <= 5_000);
+        prop_assume!(sk.candidate_count().unwrap_or(u128::MAX) <= 5_000);
         let power = Power::new();
         let (full_keys, full) = reference(&sk);
 
         let mut arena = RelArena::new(0);
         let mut keys = Vec::new();
         let budget = Budget::unlimited().with_max_candidates(cut);
-        let head = sk.check_stream_arena(&power, &mut arena, &budget, &mut |fx, a, v| {
-            keys.push(key(fx, a, v));
-        });
+        let mut sink = |fx: &ExecFrame<'_>, a: &RelArena, v: Verdict| keys.push(key(fx, a, v));
+        let head = sk.check_stream_arena(&power, &mut arena, .., None, &budget, &mut sink);
         let (mut emitted, mut pruned, mut allowed) = (head.emitted, head.pruned, head.allowed);
-        if let Some(resume) = head.resume {
+        if let Some(r) = head.resume {
+            // Resume in two calls: the cut configuration from its
+            // coherence ordinal on, then every later configuration.
             let mut arena2 = RelArena::new(0);
-            let tail = sk.check_stream_arena_resume(&power, &mut arena2, resume, &mut |fx, a, v| {
-                keys.push(key(fx, a, v));
-            });
+            let unlimited = Budget::unlimited();
+            let (cut_at, co_tail) = (r.rf_pos..=r.rf_pos, Some((r.co_next, u128::MAX)));
+            let mut tail =
+                sk.check_stream_arena(&power, &mut arena2, cut_at, co_tail, &unlimited, &mut sink);
+            let rest = r.rf_pos + 1..;
+            let rest = sk.check_stream_arena(&power, &mut arena2, rest, None, &unlimited, &mut sink);
+            tail.absorb(&rest);
             prop_assert_eq!(tail.stopped, None, "the resumed tail runs unbudgeted");
             prop_assert_eq!(tail.remaining, 0);
             emitted += tail.emitted;
@@ -177,7 +183,8 @@ fn expired_deadline_stops_with_exact_accounting() {
         let space = sk.candidate_count().expect("small space");
         let mut arena = RelArena::new(0);
         let budget = Budget::unlimited().with_deadline(Instant::now());
-        let stats = sk.check_stream_arena(&Power::new(), &mut arena, &budget, &mut |_, _, _| {});
+        let stats =
+            sk.check_stream_arena(&Power::new(), &mut arena, .., None, &budget, &mut |_, _, _| {});
         assert_eq!(stats.emitted + stats.pruned + stats.remaining, space);
         assert_eq!(stats.stopped, Some(StopReason::Deadline));
         assert!(stats.remaining > 0, "nothing was classified before the expired deadline");
@@ -195,7 +202,7 @@ fn cancelled_sched_run_classifies_everything_as_remaining_or_pruned() {
         let token = CancelToken::new();
         token.cancel();
         let budget = Budget::unlimited().with_cancel(token);
-        let plan = WorkPlan::for_skeleton(&sk, &power, &PlanOpts::for_workers(3));
+        let plan = WorkPlan::for_skeleton(&sk, &power, 3);
         let out = sk.check_stream_sched(&power, &plan, 3, &budget, |_| |_: &_, _: &_, _| {});
         assert_eq!(out.stats.emitted, 0, "no candidate is emitted after cancellation");
         assert_eq!(out.stats.emitted + out.stats.pruned + out.stats.remaining, space);
@@ -211,7 +218,7 @@ fn sched_budget_cuts_keep_the_partition_identity() {
     let power = Power::new();
     for sk in [co_heavy(4), rf_heavy()] {
         let space = sk.candidate_count().expect("small space");
-        let plan = WorkPlan::for_skeleton(&sk, &power, &PlanOpts::for_workers(3));
+        let plan = WorkPlan::for_skeleton(&sk, &power, 3);
         for cut in [0u128, 1, 7, 50, 1_000_000] {
             let budget = Budget::unlimited().with_max_candidates(cut);
             let out = sk.check_stream_sched(&power, &plan, 3, &budget, |_| |_: &_, _: &_, _| {});
@@ -291,13 +298,16 @@ fn shipped(dir: &str, ext: &str) -> Vec<(String, Vec<u8>)> {
 }
 
 /// Mutated shipped inputs never panic: every mutant of the corpus litmus
-/// files and the stock cat models parses to `Ok` or `Err`. An accepted
-/// litmus mutant is also simulated under Power, and an accepted cat
-/// mutant compiled and checked on `mp`'s candidates, with no panic
-/// either.
+/// files, the stock cat models, the RCU mole program and a few diy cycle
+/// specs parses to `Ok` or `Err`. An accepted litmus mutant is also
+/// simulated under Power, an accepted cat mutant compiled and checked on
+/// `mp`'s candidates, an accepted mole mutant analysed and bridged to
+/// witnesses, and an accepted spec synthesised, on every ISA, with no
+/// panic either.
 #[test]
 fn mutated_shipped_inputs_never_panic() {
     use herd_litmus::candidates::{enumerate, EnumOptions};
+    use herd_litmus::isa::Isa;
     use herd_litmus::simulate::simulate_with;
     use rand::SeedableRng;
 
@@ -323,9 +333,35 @@ fn mutated_shipped_inputs_never_panic() {
         }
         Some(())
     };
+    const ISAS: [Isa; 3] = [Isa::Power, Isa::Arm, Isa::X86];
+    let mole = |text: &str| {
+        let program = herd_mole::parse(text).ok()?;
+        let analysis = herd_mole::analyze(&program, &herd_mole::MoleOptions::default());
+        for isa in ISAS {
+            herd_mole::witnesses(&analysis, isa);
+        }
+        Some(())
+    };
+    let rcu = vec![("rcu".to_owned(), herd_mole::render(&herd_mole::corpus::rcu()).into_bytes())];
+    let specs: Vec<(String, Vec<u8>)> = [
+        "LwSyncdWW Rfe DpAddrdR Fre",
+        "DmbdWW Rfe DpCtrlIsbdR Fre",
+        "MfencedWR Fre PodWR Fre",
+        "Rfe DpDatadW Rfe DpCtrlIsyncdR Fre",
+    ]
+    .iter()
+    .map(|spec| (spec.to_string(), spec.as_bytes().to_vec()))
+    .collect();
+    let diy = |text: &str| {
+        let built: Vec<bool> =
+            ISAS.iter().map(|&isa| herd_diy::synthesize_str(text, isa).is_ok()).collect();
+        built.contains(&true).then_some(())
+    };
     let mut rng = rand::rngs::StdRng::seed_from_u64(21);
     fuzz(shipped("crates/herd-litmus/corpus", "litmus"), 10, 8_000, &mut rng, &litmus);
     fuzz(shipped("models", "cat"), 7, 4_000, &mut rng, &cat);
+    fuzz(rcu, 1, 300, &mut rng, &mole);
+    fuzz(specs, 4, 3_000, &mut rng, &diy);
 }
 
 /// Runs `run` on `mutants` mutants of `inputs` (there must be `files` of
@@ -384,7 +420,7 @@ mod fault_injection {
         let power = Power::new();
         let (full_keys, _) = reference(&sk);
         let space = sk.candidate_count().expect("small space");
-        let plan = WorkPlan::for_skeleton(&sk, &power, &PlanOpts::for_workers(3));
+        let plan = WorkPlan::for_skeleton(&sk, &power, 3);
         let clean =
             sk.check_stream_sched(&power, &plan, 1, &Budget::unlimited(), |_| |_: &_, _: &_, _| {});
         for k in [0usize, plan.len() / 2, plan.len() - 1] {
@@ -434,13 +470,9 @@ mod fault_injection {
         let sk = rf_heavy();
         let power = Power::new();
         let space = sk.candidate_count().expect("small space");
-        let rf_total = WorkPlan::for_skeleton(&sk, &power, &PlanOpts::for_workers(2))
-            .units()
-            .iter()
-            .map(|u| u.rf_end)
-            .max()
-            .unwrap();
-        let plan = WorkPlan::for_skeleton(&sk, &power, &PlanOpts::for_workers(2));
+        let rf_total =
+            WorkPlan::for_skeleton(&sk, &power, 2).units().iter().map(|u| u.rf_end).max().unwrap();
+        let plan = WorkPlan::for_skeleton(&sk, &power, 2);
         let mut fired = false;
         for cfg in 0..rf_total.min(24) {
             let _guard = faultpoint::install(FaultPlan {
@@ -471,7 +503,7 @@ mod fault_injection {
         let sk = co_heavy(3);
         let power = Power::new();
         let (_, whole) = reference(&sk);
-        let plan = WorkPlan::for_skeleton(&sk, &power, &PlanOpts::for_workers(2));
+        let plan = WorkPlan::for_skeleton(&sk, &power, 2);
         let _guard = faultpoint::install(FaultPlan {
             point: FaultPoint::UnitClaim,
             key: 0,
@@ -490,7 +522,7 @@ mod fault_injection {
         let sk = rf_heavy();
         let power = Power::new();
         let space = sk.candidate_count().expect("small space");
-        let plan = WorkPlan::for_skeleton(&sk, &power, &PlanOpts::for_workers(2));
+        let plan = WorkPlan::for_skeleton(&sk, &power, 2);
         let mut fired = false;
         for cfg in 0..16u128 {
             let token = CancelToken::new();

@@ -15,11 +15,12 @@
 //!   eager judge on the whole corpus, under native and llh architectures.
 
 use herd_core::arch::Power;
-use herd_core::enumerate::{Skeleton, SkeletonBuilder};
+use herd_core::enumerate::{Prune, Skeleton, SkeletonBuilder};
 use herd_core::event::{Dir, Fence};
 use herd_core::exec::{ExecCore, Execution};
 use herd_core::model::{check, sc_per_location, Architecture};
 use herd_core::relation::Relation;
+use herd_core::sched::rf_ranges;
 use herd_litmus::candidates::{enumerate, EnumOptions};
 use herd_litmus::corpus::CorpusEntry;
 use herd_litmus::simulate::{judge, simulate_sharded, simulate_with};
@@ -110,22 +111,21 @@ proptest! {
     #[test]
     fn streaming_yields_the_eager_multiset(prog in random_program()) {
         let sk = build_skeleton(&prog);
-        prop_assume!(sk.candidate_count_saturating() <= 1500);
+        prop_assume!(sk.candidate_count().unwrap_or(u128::MAX) <= 1500);
         let eager = sorted_keys(sk.candidates_eager());
-        let lazy = sorted_keys(sk.stream());
+        let lazy = sorted_keys(sk.stream(Prune::None));
         prop_assert_eq!(eager, lazy);
-        // The back-compat entry point is the stream, collected.
-        prop_assert_eq!(sk.candidates().len() as u128, sk.candidate_count().unwrap());
+        prop_assert_eq!(sk.stream(Prune::None).count() as u128, sk.candidate_count().unwrap());
     }
 
     #[test]
     fn pruning_is_exact_and_sound(prog in random_program()) {
         let sk = build_skeleton(&prog);
-        prop_assume!(sk.candidate_count_saturating() <= 1500);
+        prop_assume!(sk.candidate_count().unwrap_or(u128::MAX) <= 1500);
         let total = sk.candidate_count().unwrap();
-        let all: Vec<Execution> = sk.stream().collect();
+        let all: Vec<Execution> = sk.stream(Prune::None).collect();
 
-        let mut it = sk.stream_pruned();
+        let mut it = sk.stream(Prune::Uniproc);
         let kept = sorted_keys(it.by_ref());
         prop_assert_eq!(it.emitted() + it.pruned(), total,
             "pruned-count + emitted must equal candidate_count()");
@@ -134,7 +134,7 @@ proptest! {
         prop_assert_eq!(kept, expected,
             "pruning keeps exactly the SC-PER-LOCATION-consistent candidates");
 
-        let mut llh_it = sk.stream_pruned_llh();
+        let mut llh_it = sk.stream(Prune::UniprocLlh);
         let llh_kept = sorted_keys(llh_it.by_ref());
         prop_assert_eq!(llh_it.emitted() + llh_it.pruned(), total);
         let llh_expected =
@@ -151,13 +151,13 @@ proptest! {
     #[test]
     fn thin_air_pruning_preserves_the_allowed_multiset(prog in random_program()) {
         let sk = build_skeleton(&prog);
-        prop_assume!(sk.candidate_count_saturating() <= 1500);
+        prop_assume!(sk.candidate_count().unwrap_or(u128::MAX) <= 1500);
         let power = Power::new();
-        let all: Vec<Execution> = sk.stream().collect();
+        let all: Vec<Execution> = sk.stream(Prune::None).collect();
         let allowed_eager =
             sorted_keys(all.iter().filter(|x| check(&power, x).allowed()).cloned());
 
-        let mut it = sk.stream_pruned_for(&power);
+        let mut it = sk.stream_arch(&power, ..);
         let kept: Vec<Execution> = it.by_ref().collect();
         prop_assert_eq!(it.emitted() + it.pruned(), sk.candidate_count().unwrap(),
             "thin-air + uniproc accounting must stay exact");
@@ -167,9 +167,9 @@ proptest! {
             "generation-time thin-air pruning must be invisible to the model");
 
         // Without the hook, the stream degrades to uniproc-only pruning.
-        let mut plain = sk.stream_pruned();
+        let mut plain = sk.stream(Prune::Uniproc);
         let uniproc_kept = sorted_keys(plain.by_ref());
-        let hookless = sorted_keys(sk.stream_pruned_for(&NoThinAirHook(power)));
+        let hookless = sorted_keys(sk.stream_arch(&NoThinAirHook(power), ..));
         prop_assert_eq!(hookless, uniproc_kept,
             "no static base means no thin-air pruning, ever");
     }
@@ -178,15 +178,15 @@ proptest! {
     #[test]
     fn sharded_enumeration_partitions_exactly(prog in random_program(), nshards in 2usize..5) {
         let sk = build_skeleton(&prog);
-        prop_assume!(sk.candidate_count_saturating() <= 1500);
+        prop_assume!(sk.candidate_count().unwrap_or(u128::MAX) <= 1500);
         let power = Power::new();
-        let mut whole: Vec<String> = sk.stream_pruned_for(&power).map(|x| key(&x)).collect();
+        let mut whole: Vec<String> = sk.stream_arch(&power, ..).map(|x| key(&x)).collect();
         whole.sort();
 
         let mut merged = Vec::new();
         let (mut emitted, mut pruned) = (0u128, 0u128);
-        for s in 0..nshards {
-            let mut it = sk.stream_pruned_for_shard(&power, s, nshards);
+        for (a, b) in rf_ranges(sk.rf_total(), nshards as u128) {
+            let mut it = sk.stream_arch(&power, a..b);
             merged.extend(it.by_ref().map(|x| key(&x)));
             emitted += it.emitted();
             pruned += it.pruned();
