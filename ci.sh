@@ -7,7 +7,8 @@
 #   0. non-test line count          — reporting only, fails nothing: the
 #                                     lines of crates/*/src/*.rs, each
 #                                     file counted up to its first
-#                                     `#[cfg(test)]` line
+#                                     `#[cfg(test)]` line; the total, then
+#                                     one line per crate by the same rule
 #   1. cargo build --release        — the whole workspace, optimised
 #   2. cargo build --examples       — every paper-reproduction example
 #   3. cargo bench --no-run         — the 9 harness=false bench targets
@@ -91,9 +92,17 @@ if [[ -z "$PR" ]]; then
     PR=$(( ${last:-0} + 1 ))
 fi
 
+# The non-test lines of the src/**/*.rs files under the given directories,
+# each file counted up to its first `#[cfg(test)]` line.
+nontest_lines() {
+    find "$@" -path '*/src/*.rs' -print0 | sort -z |
+        xargs -0 awk 'FNR == 1 {skip = 0} /^#\[cfg\(test\)\]/ {skip = 1} !skip {n++} END {print n}'
+}
 echo "==> non-test lines under crates/*/src"
-find crates -path '*/src/*.rs' -print0 | sort -z |
-    xargs -0 awk 'FNR == 1 {skip = 0} /^#\[cfg\(test\)\]/ {skip = 1} !skip {n++} END {print n}'
+nontest_lines crates
+for crate in crates/*/; do
+    echo "    $(basename "$crate") $(nontest_lines "$crate")"
+done
 run cargo build --release --workspace
 run cargo build --examples
 run cargo bench --no-run --workspace

@@ -15,8 +15,10 @@
 //! final state is slot values in reused storage, so once warm a judged
 //! candidate allocates nothing, and a whole simulation allocates fewer
 //! times than it judges candidates; the decide backend's coherence
-//! query: on a prebuilt [`CoSetup`], a warm query allocates nothing; and
-//! the compiled cat evaluator: a warm check allocates only its verdict.
+//! query: on a prebuilt [`CoSetup`], a warm query allocates nothing; the
+//! compiled cat evaluator: a warm check allocates only its verdict; and
+//! the owned unpruned stream: it walks coherence orders in place, never
+//! copying a location's `w!` orders before its first candidate.
 //!
 //! The counter is per thread, and every check below runs on the test's
 //! own thread, so other harness threads cannot disturb a count.
@@ -31,6 +33,7 @@ use herd_bench::iriw_scaled;
 use herd_core::arch::{Arm, ArmVariant, CppRa, Power, Tso};
 use herd_core::arena::RelArena;
 use herd_core::consistency::{co_exists, CoQuery, CoSetup, ConsistencyStats};
+use herd_core::enumerate::{Prune, SkeletonBuilder};
 use herd_core::event::Fence;
 use herd_core::fixtures::{self, Device};
 use herd_core::model::{Architecture, Tractability};
@@ -287,4 +290,24 @@ fn warm_cat_checks_allocate_only_the_verdict() {
             assert!(iters > 0, "{name}: the measured pass re-ran its let rec group");
         }
     }
+}
+
+/// An unpruned owned stream is lazy: each location's coherence orders are
+/// stepped in place, so the first candidate of a location 8 threads
+/// write costs a fixed set-up, far below one allocation per each of its
+/// 8! = 40,320 orders (which a walk copying every order into pooled menus
+/// would pay before yielding anything).
+#[test]
+fn unpruned_streams_reach_their_first_candidate_lazily() {
+    let mut b = SkeletonBuilder::new();
+    for t in 0..8u16 {
+        b.write(t, "x", i64::from(t) + 1);
+    }
+    let sk = b.build();
+    let before = allocation_count();
+    let mut stream = sk.stream(Prune::None);
+    let first = stream.next();
+    let allocations = allocation_count() - before;
+    assert!(first.is_some());
+    assert!(allocations < 1_000, "the first candidate cost {allocations} allocations");
 }

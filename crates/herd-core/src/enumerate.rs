@@ -36,10 +36,12 @@
 //! [`ArenaEngine`], and [`Skeleton::check_stream_sched`] runs it over a
 //! [`crate::sched::WorkPlan`].
 //!
-//! Front ends whose write values depend on read values (genuine data flow
-//! through registers) perform their own symbolic enumeration and lower to
-//! concrete [`Execution`]s directly; this module covers the common case of
-//! constant-valued writes, which includes every litmus family in the paper.
+//! Both walks take a [`Concretise`] value step, so front ends whose write
+//! values depend on read values (genuine data flow through registers) run
+//! on them too: a skeleton copies each source write's value into its read
+//! ([`CopyValues`]), a litmus control-flow combination solves its data-flow
+//! equations. The owned [`CandidateIter`] is the reference the engine is
+//! held to, for skeletons and litmus tests alike.
 
 use crate::arena::RelArena;
 use crate::event::{Dir, Event, Fence, Loc, ThreadId, Val};
@@ -94,7 +96,8 @@ impl Skeleton {
     /// (a front-end bug, not an input error).
     pub fn stream(&self, prune: Prune) -> CandidateIter {
         let (space, core) = self.space_core();
-        CandidateIter::new(space, core, prune, None, (0, u128::MAX))
+        let values = CopyValues(space.events.clone());
+        CandidateIter::new(space, core, prune, None, .., values)
     }
 
     /// Streams the candidates of the rf configurations in `rf_range`
@@ -115,7 +118,8 @@ impl Skeleton {
     ) -> CandidateIter {
         let (space, core) = self.space_core();
         let thin_air = thin_air_base(arch, &core);
-        CandidateIter::new(space, core, Prune::for_arch(arch), thin_air, bounds(rf_range))
+        let values = CopyValues(space.events.clone());
+        CandidateIter::new(space, core, Prune::for_arch(arch), thin_air, rf_range, values)
     }
 
     /// Number of rf configurations (saturating): the linear index space
@@ -522,7 +526,7 @@ pub trait Concretise {
 }
 
 /// A skeleton's value step: each read takes its source write's value.
-pub(crate) struct CopyValues(Vec<Event>);
+pub struct CopyValues(Vec<Event>);
 
 impl Concretise for CopyValues {
     fn concretise(&mut self, space: &ChoiceSpace, rf_src: &[usize]) -> usize {
@@ -602,13 +606,8 @@ impl<'m, A: Architecture + ?Sized> ArenaEngine<'m, A> {
     /// model declaring a ppo lower bound ([`thin_air_base`]), since the
     /// base is per model.
     pub fn new(space: ChoiceSpace, core: Arc<ExecCore>, models: &'m [&'m A]) -> Self {
-        let shape: Vec<EventShape> = space
-            .events
-            .iter()
-            .map(|e| EventShape { dir: e.dir, loc: e.loc, init: e.thread.is_none() })
-            .collect();
         let llh = models.iter().any(|m| m.tolerates_load_load_hazards());
-        let graphs = LocGraphs::new(&shape, core.po(), llh);
+        let graphs = loc_graphs(&space, &core, llh);
         let thin_air = match models {
             [m] => thin_air_base(*m, &core),
             _ => None,
@@ -744,8 +743,8 @@ impl<'m, A: Architecture + ?Sized> ArenaEngine<'m, A> {
                 continue; // no candidate to emit, prune or count
             }
             faultpoint::hit(FaultPoint::CoMenuBuild, faultpoint::config_key(driver.pos));
-            self.graphs.co_menus_into(&space.locs, &w.rf_src, &mut w.menus);
-            let rf_ok = self.graphs.rf_only_consistent_pooled(&space.locs, &w.rf_src, &mut w.menus);
+            w.menus.refill(&self.graphs, &space.locs, &w.rf_src);
+            let rf_ok = self.graphs.rf_only_consistent(&space.locs, &w.rf_src, &mut w.menus);
             let kept = w.menus.kept();
             if !rf_ok || kept == 0 {
                 driver.add_pruned(mult.saturating_mul(co_total));
@@ -853,9 +852,20 @@ impl<'m, A: Architecture + ?Sized> ArenaEngine<'m, A> {
     }
 }
 
+/// The uniproc graphs of `space` over `core`'s `po`, with read-read pairs
+/// dropped when `llh` tolerates load-load hazards.
+fn loc_graphs(space: &ChoiceSpace, core: &ExecCore, llh: bool) -> LocGraphs {
+    let shape: Vec<EventShape> = space
+        .events
+        .iter()
+        .map(|e| EventShape { dir: e.dir, loc: e.loc, init: e.thread.is_none() })
+        .collect();
+    LocGraphs::new(&shape, core.po(), llh)
+}
+
 /// The summed multiplicity of the rf configurations `[start, end)`: O(1)
 /// for a uniform value step, otherwise one concretisation per
-/// configuration — only ranges the engine prunes or leaves unreached are
+/// configuration — only ranges a walk prunes or leaves unreached are
 /// weighed, and each of their configurations would have been concretised
 /// anyway had it been walked.
 fn range_weight<V: Concretise>(
@@ -903,7 +913,8 @@ pub fn build_co_arena(
 
 /// Adds the (transitively closed) coherence edges of one location's order:
 /// the initial write before every ordered write, and each ordered write
-/// before all its successors. Shared by every enumeration front end.
+/// before all its successors. Shared by the owned walks and the coherence
+/// fallback.
 pub fn build_co(co: &mut Relation, init: Option<usize>, order: &[usize]) {
     if let Some(init) = init {
         for &w in order {
@@ -915,15 +926,6 @@ pub fn build_co(co: &mut Relation, init: Option<usize>, order: &[usize]) {
             co.add(order[i], order[j]);
         }
     }
-}
-
-/// Per-location coherence enumeration state of one rf configuration.
-enum CoState {
-    /// In-place Heap's-algorithm generators, one per location (no pruning).
-    Lazy(Vec<HeapPerm>),
-    /// Uniproc-valid orders per location, filtered once per rf config,
-    /// with the odometer radices precomputed.
-    Menu { menus: Vec<Vec<Vec<usize>>>, pick: Vec<usize>, radices: Vec<usize> },
 }
 
 /// The rf-odometer state machine shared by [`CandidateIter`] (the owned,
@@ -1084,64 +1086,89 @@ impl RfDriver {
     }
 }
 
-/// A lazy, pruning iterator over the candidate executions of a skeleton.
+/// A lazy, pruning iterator over candidate executions: the owned
+/// reference walk of one [`ChoiceSpace`], behind [`Skeleton::stream`] /
+/// [`Skeleton::stream_arch`] and the litmus front end's owned streams.
 ///
-/// Created by [`Skeleton::stream`] / [`Skeleton::stream_arch`]. All
-/// yielded executions share one [`ExecCore`] via `Arc`; [`pruned`] (and
-/// [`emitted`]) expose the generation-time pruning statistics, with
-/// `emitted + pruned == candidate_count()` once exhausted (summed over
-/// the ranges of a partition).
+/// All yielded executions share one [`ExecCore`] via `Arc`; [`pruned`]
+/// (and [`emitted`]) expose the generation-time pruning statistics, with
+/// `emitted + pruned` equal to the walked range's candidate count once
+/// exhausted (for a skeleton, [`Skeleton::candidate_count`] summed over
+/// the ranges of a partition). Per rf configuration the walk concretises
+/// once through its value step `V`; every concretisation is yielded with
+/// every surviving coherence choice (concretisations outer, coherence
+/// inner), and every prune is weighted by the configuration's
+/// multiplicity, exactly as [`ArenaEngine::run`] weighs it.
 ///
 /// [`pruned`]: CandidateIter::pruned
 /// [`emitted`]: CandidateIter::emitted
-pub struct CandidateIter {
+pub struct CandidateIter<V: Concretise = CopyValues> {
     core: Arc<ExecCore>,
-    parts: ChoiceSpace,
-    graphs: Option<LocGraphs>,
+    space: ChoiceSpace,
     driver: RfDriver,
     /// Coherence orders of one rf configuration (saturating).
     co_total: u128,
-
+    values: V,
+    /// The current configuration's multiplicity, and the concretisation
+    /// being walked.
+    concs: usize,
+    conc: usize,
     /// Read-from source per global event id (entries only valid for reads).
     rf_src: Vec<usize>,
     cur_rf: Relation,
-    co: CoState,
+    /// Uniproc pruning: the location graphs and the pooled menus they
+    /// filter, walked by `co_pick`. Without it every order streams lazily
+    /// through the in-place `heaps`, never copied into a pool.
+    uniproc: Option<(LocGraphs, CoMenus)>,
+    co_pick: Vec<usize>,
+    heaps: Vec<HeapPerm>,
+    /// The current rf configuration is not set up yet.
     fresh_rf: bool,
-
+    /// The walk stands on the last yielded candidate, so the next call
+    /// steps past it first.
+    yielded: bool,
     emitted: u128,
 }
 
-impl CandidateIter {
-    fn new(
-        parts: ChoiceSpace,
+impl<V: Concretise> CandidateIter<V> {
+    /// The walk of `space`, whose po/deps/fences are `core`, over the rf
+    /// configurations in `rf_range` (`..` for all of them): pruned as
+    /// `prune` says, plus NO THIN AIR pruning over `thin_air`, a static
+    /// base from [`thin_air_base`], when given; read values come from
+    /// `values`.
+    pub fn new(
+        space: ChoiceSpace,
         core: Arc<ExecCore>,
         prune: Prune,
         thin_air: Option<Relation>,
-        (start, end): (u128, u128),
+        rf_range: impl RangeBounds<u128>,
+        mut values: V,
     ) -> Self {
-        let n = parts.events.len();
-        let graphs = (prune != Prune::None).then(|| {
-            let shape: Vec<EventShape> = parts
-                .events
-                .iter()
-                .map(|e| EventShape { dir: e.dir, loc: e.loc, init: e.thread.is_none() })
-                .collect();
-            LocGraphs::new(&shape, core.po(), prune == Prune::UniprocLlh)
+        let n = space.events.len();
+        let uniproc = (prune != Prune::None).then(|| {
+            let graphs = loc_graphs(&space, &core, prune == Prune::UniprocLlh);
+            (graphs, CoMenus::new(&space.loc_writes))
         });
-        let co_total = parts.co_total();
-        let driver = RfDriver::new_range(&parts, thin_air.as_ref(), start, end, &mut |s, e| {
-            (e - s).saturating_mul(co_total)
+        let co_total = space.co_total();
+        let (start, end) = bounds(rf_range);
+        let driver = RfDriver::new_range(&space, thin_air.as_ref(), start, end, &mut |s, e| {
+            range_weight(&space, &mut values, s, e).saturating_mul(co_total)
         });
         CandidateIter {
             core,
-            parts,
-            graphs,
             driver,
             co_total,
+            values,
+            concs: 0,
+            conc: 0,
             rf_src: vec![0usize; n],
             cur_rf: Relation::empty(n),
-            co: CoState::Lazy(Vec::new()),
+            uniproc,
+            co_pick: vec![0usize; space.locs.len()],
+            heaps: space.loc_writes.iter().map(|ws| HeapPerm::new(ws.clone())).collect(),
+            space,
             fresh_rf: true,
+            yielded: false,
             emitted: 0,
         }
     }
@@ -1152,116 +1179,121 @@ impl CandidateIter {
     }
 
     /// Candidates pruned (skipped before materialisation) so far. Always 0
-    /// under [`Prune::None`].
+    /// under [`Prune::None`] without a thin-air base.
     pub fn pruned(&self) -> u128 {
         self.driver.pruned
     }
 
-    /// Prepares rf relation, sources, and the coherence state for the
-    /// current rf configuration. Returns `false` when the whole rf subtree
-    /// is pruned (some location has no uniproc-consistent order), after
-    /// accounting its `co_total` candidates as pruned.
+    /// Locations too wide for a uniproc graph
+    /// ([`LocGraphs::oversized`]): their coherence orders stream unpruned.
+    pub fn unpruned_locations(&self) -> usize {
+        self.uniproc.as_ref().map_or(0, |(graphs, _)| graphs.oversized().len())
+    }
+
+    /// The walked choice space.
+    pub fn space(&self) -> &ChoiceSpace {
+        &self.space
+    }
+
+    /// The value step, holding the last yielded candidate's configuration.
+    pub fn values(&self) -> &V {
+        &self.values
+    }
+
+    /// Where the last yielded candidate sits: its linear rf-configuration
+    /// index and its concretisation of that configuration.
+    pub fn position(&self) -> (u128, usize) {
+        (self.driver.pos, self.conc)
+    }
+
+    /// The coherence order of location `space().locs[li]` (its non-initial
+    /// writes; the initial write is co-first) in the last yielded
+    /// candidate.
+    pub fn co_order(&self, li: usize) -> &[usize] {
+        match &self.uniproc {
+            Some((_, menus)) => menus.order(li, self.co_pick[li]),
+            None => self.heaps[li].current(),
+        }
+    }
+
+    /// Fills the rf relation and sources of the current rf configuration,
+    /// concretises it, and filters its coherence menus. Returns `false`
+    /// when the configuration yields nothing, after accounting its pruned
+    /// candidates.
     fn setup_rf_config(&mut self) -> bool {
-        let n = self.parts.events.len();
-        self.cur_rf = Relation::empty(n);
-        for (k, &r) in self.parts.reads.iter().enumerate() {
-            let w = self.parts.rf_choices[k][self.driver.rf_pick[k]];
+        let space = &self.space;
+        self.cur_rf = Relation::empty(space.events.len());
+        for (k, &r) in space.reads.iter().enumerate() {
+            let w = space.rf_choices[k][self.driver.rf_pick[k]];
             self.cur_rf.add(w, r);
             self.rf_src[r] = w;
         }
-        match &self.graphs {
-            None => {
-                self.co = CoState::Lazy(
-                    self.parts.loc_writes.iter().map(|ws| HeapPerm::new(ws.clone())).collect(),
-                );
-                true
-            }
-            Some(graphs) => {
-                let menus = graphs.co_menus(&self.parts.locs, &self.parts.loc_writes, &self.rf_src);
-                let rf_ok = graphs.rf_only_consistent(&self.parts.locs, &self.rf_src);
-                let kept = menus.iter().map(|m| m.len() as u128).fold(1u128, u128::saturating_mul);
-                if !rf_ok || kept == 0 {
-                    self.driver.add_pruned(self.co_total);
-                    return false;
-                }
-                self.driver.add_pruned(self.co_total - kept);
-                let radices: Vec<usize> = menus.iter().map(Vec::len).collect();
-                self.co = CoState::Menu { pick: vec![0; menus.len()], menus, radices };
-                true
-            }
+        self.concs = self.values.concretise(space, &self.rf_src);
+        self.conc = 0;
+        if self.concs == 0 {
+            return false; // no candidate to emit, prune or count
         }
+        let Some((graphs, menus)) = &mut self.uniproc else {
+            return true;
+        };
+        menus.refill(graphs, &space.locs, &self.rf_src);
+        let kept = if graphs.rf_only_consistent(&space.locs, &self.rf_src, menus) {
+            menus.kept()
+        } else {
+            0
+        };
+        self.driver.add_pruned((self.co_total - kept).saturating_mul(self.concs as u128));
+        kept > 0
     }
 
-    /// Materialises the current candidate.
-    fn emit(&self) -> Execution {
-        let n = self.parts.events.len();
-        let mut events = self.parts.events.clone();
-        for (k, &r) in self.parts.reads.iter().enumerate() {
-            let w = self.parts.rf_choices[k][self.driver.rf_pick[k]];
-            events[r].val = events[w].val;
+    /// Steps to the next coherence choice, then to the next
+    /// concretisation; `false` past the configuration's last candidate.
+    /// Either odometer wraps back to its first choice.
+    fn advance(&mut self) -> bool {
+        let more = match &self.uniproc {
+            Some((_, menus)) => menus.bump(&mut self.co_pick),
+            None => self.heaps.iter_mut().any(HeapPerm::advance),
+        };
+        if more {
+            return true;
         }
-        let mut co = Relation::empty(n);
-        match &self.co {
-            CoState::Lazy(heaps) => {
-                for (li, &init) in self.parts.loc_init.iter().enumerate() {
-                    build_co(&mut co, init, heaps[li].current());
-                }
-            }
-            CoState::Menu { menus, pick, .. } => {
-                for (li, &init) in self.parts.loc_init.iter().enumerate() {
-                    build_co(&mut co, init, &menus[li][pick[li]]);
-                }
-            }
-        }
-        Execution::with_core(events, Arc::clone(&self.core), self.cur_rf.clone(), co)
-            .expect("enumerated candidates are well-formed by construction")
-    }
-
-    /// Advances the coherence odometer; `false` on wrap-around.
-    fn advance_co(&mut self) -> bool {
-        match &mut self.co {
-            CoState::Lazy(heaps) => {
-                for h in heaps.iter_mut() {
-                    if h.advance() {
-                        return true;
-                    }
-                }
-                false
-            }
-            CoState::Menu { pick, radices, .. } => bump(pick, radices),
-        }
+        self.conc += 1;
+        self.conc < self.concs
     }
 }
 
-impl Iterator for CandidateIter {
+impl<V: Concretise> Iterator for CandidateIter<V> {
     type Item = Execution;
 
     fn next(&mut self) -> Option<Execution> {
-        loop {
-            if self.driver.done {
+        if std::mem::take(&mut self.yielded) && !self.advance() {
+            self.driver.advance_one();
+            self.fresh_rf = true;
+        }
+        while self.fresh_rf {
+            let (space, values, co_total) = (&self.space, &mut self.values, self.co_total);
+            if self.driver.done
+                || !self.driver.sync_thinair(space, &mut |s, e| {
+                    range_weight(space, values, s, e).saturating_mul(co_total)
+                })
+            {
                 return None;
             }
+            self.fresh_rf = !self.setup_rf_config();
             if self.fresh_rf {
-                self.fresh_rf = false;
-                let co_total = self.co_total;
-                let weigh = &mut |s: u128, e: u128| (e - s).saturating_mul(co_total);
-                if !self.driver.sync_thinair(&self.parts, weigh) {
-                    continue; // shard exhausted (done set)
-                }
-                if !self.setup_rf_config() {
-                    self.driver.advance_one();
-                    self.fresh_rf = true;
-                    continue;
-                }
-            }
-            let x = self.emit();
-            self.emitted += 1;
-            if !self.advance_co() {
                 self.driver.advance_one();
-                self.fresh_rf = true;
             }
-            return Some(x);
         }
+        let mut co = Relation::empty(self.space.events.len());
+        for (li, &init) in self.space.loc_init.iter().enumerate() {
+            build_co(&mut co, init, self.co_order(li));
+        }
+        let events = self.values.events(self.conc).to_vec();
+        let x = Execution::with_core(events, Arc::clone(&self.core), self.cur_rf.clone(), co)
+            .expect("enumerated candidates are well-formed by construction");
+        self.emitted += 1;
+        self.yielded = true;
+        Some(x)
     }
 }
 

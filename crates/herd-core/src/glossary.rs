@@ -62,9 +62,11 @@
 //! `rfe` prefix is the pushed edge, the suffix is already closed. Entry
 //! points: the one arena engine ([`crate::enumerate::ArenaEngine`],
 //! behind every checked skeleton stream and the litmus driver's
-//! `stream_verdicts`/`simulate_with`/`simulate_sharded`), plus the owned
-//! reference streams [`crate::enumerate::Skeleton::stream_arch`] and the
-//! litmus `stream_arch`.
+//! `stream_verdicts`/`simulate_with`/`simulate_sharded`), plus the one
+//! owned reference walk ([`crate::enumerate::CandidateIter`], behind
+//! [`crate::enumerate::Skeleton::stream_arch`] and the litmus
+//! `stream_arch`). Both weigh a doomed rf subtree by the value
+//! concretisations of its configurations.
 //!
 //! # Arena scopes — incremental candidates without allocation (Sec 8.3)
 //!

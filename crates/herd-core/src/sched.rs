@@ -200,6 +200,13 @@ pub struct WorkUnit {
 /// stays negligible.
 pub const UNITS_PER_WORKER: usize = 4;
 
+/// The unit count every planner aims at for `workers` workers: `workers ×`
+/// [`UNITS_PER_WORKER`], counting at least one worker, in `u128` and
+/// saturating, so no worker count can overflow it.
+pub fn unit_target(workers: usize) -> u128 {
+    (workers.max(1) as u128).saturating_mul(UNITS_PER_WORKER as u128)
+}
+
 /// The decomposition of one skeleton's enumeration space into
 /// [`WorkUnit`]s, held in steal order (largest first) for the stealing
 /// executor.
@@ -228,7 +235,7 @@ impl WorkPlan {
         let models = [arch];
         let engine = sk.engine(&models);
         let rf_total = engine.rf_total();
-        let target = (workers.max(1) as u128).saturating_mul(UNITS_PER_WORKER as u128);
+        let target = unit_target(workers);
         if rf_total == 0 {
             return WorkPlan { units: Vec::new() };
         }

@@ -177,24 +177,6 @@ impl ThinAirTracker {
         }
         true
     }
-
-    /// One-shot check of a complete rf choice: `true` iff `base ∪ edges`
-    /// is acyclic. Resets the checkpoint stack; `edges` are the external
-    /// read-from edges of the configuration.
-    pub fn check_rf(&mut self, edges: impl IntoIterator<Item = (usize, usize)>) -> bool {
-        if self.base_cyclic {
-            return false;
-        }
-        self.depth = 0;
-        for (w, r) in edges {
-            if !self.try_push(0, Some((w, r))) {
-                self.depth = 0;
-                return false;
-            }
-        }
-        self.depth = 0;
-        true
-    }
 }
 
 #[cfg(test)]
@@ -232,16 +214,7 @@ mod tests {
         let mut t = ThinAirTracker::new(&base);
         assert!(t.is_base_cyclic());
         assert!(!t.try_push(0, None));
-        assert!(!t.check_rf([]));
-    }
-
-    #[test]
-    fn check_rf_is_a_oneshot_reset() {
-        let base = Relation::from_pairs(4, [(0, 1), (2, 3)]);
-        let mut t = ThinAirTracker::new(&base);
-        assert!(t.check_rf([(1, 2)]), "0->1->2->3 is a chain");
-        assert!(!t.check_rf([(1, 2), (3, 0)]), "closing the chain is a cycle");
-        assert!(t.check_rf([(3, 0)]), "the stack was reset in between");
+        assert!(!t.try_push(0, Some((0, 1))), "no edge is pushed over a cyclic base");
         assert_eq!(t.depth(), 0);
     }
 
@@ -266,9 +239,9 @@ mod tests {
         let chain = Relation::from_pairs(100, pairs.clone());
         let mut t = ThinAirTracker::new(&chain);
         assert!(!t.is_base_cyclic());
-        assert!(t.check_rf([(99, 99)].into_iter().filter(|_| false)), "empty rf is fine");
-        assert!(!t.check_rf([(99, 0)]), "closing the 100-node chain is a cycle");
-        assert!(t.check_rf([(0, 99)]), "a parallel forward edge is not");
+        assert!(t.try_push(0, None), "an internal pick is fine");
+        assert!(!t.try_push(0, Some((99, 0))), "closing the 100-node chain is a cycle");
+        assert!(t.try_push(0, Some((0, 99))), "a parallel forward edge is not");
         pairs.push((99, 0));
         let cyclic = Relation::from_pairs(100, pairs);
         assert!(ThinAirTracker::new(&cyclic).is_base_cyclic());

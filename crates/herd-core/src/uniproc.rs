@@ -19,6 +19,11 @@
 //! multi-word rows through a pooled [`LocScratch`]. The only remaining cap
 //! is [`MAX_LOC_MEMBERS`] (local indices are `u16`), and locations past it
 //! are still *counted* in [`LocGraphs::oversized`], never dropped silently.
+//!
+//! [`CoMenus`] holds, per rf configuration, every location's uniproc-valid
+//! coherence orders in pooled storage: the menus both candidate walks
+//! (the owned [`crate::enumerate::CandidateIter`] and the
+//! [`crate::enumerate::ArenaEngine`]) step through.
 
 use crate::enumerate::HeapPerm;
 use crate::event::{Dir, Loc};
@@ -166,56 +171,12 @@ impl LocGraphs {
         self.graphs.iter().find(|g| g.loc == loc)
     }
 
-    /// Filters every location's coherence permutations down to the
-    /// uniproc-valid ones under the current rf sources — the per-rf-config
-    /// step shared by both enumeration front ends. `locs[i]` names the
-    /// location whose non-initial writes are `writes[i]`; an empty menu
-    /// means the whole rf subtree is doomed.
-    pub fn co_menus(
-        &self,
-        locs: &[Loc],
-        writes: &[Vec<usize>],
-        rf_src: &[usize],
-    ) -> Vec<Vec<Vec<usize>>> {
-        let mut scratch = LocScratch::new();
-        locs.iter()
-            .zip(writes)
-            .map(|(l, ws)| {
-                let graph = self.graph_for(*l);
-                let mut valid = Vec::new();
-                let mut heap = HeapPerm::new(ws.clone());
-                loop {
-                    if graph.is_none_or(|g| g.is_uniproc_in(heap.current(), rf_src, &mut scratch)) {
-                        valid.push(heap.current().to_vec());
-                    }
-                    if !heap.advance() {
-                        break;
-                    }
-                }
-                valid
-            })
-            .collect()
-    }
-
-    /// Refills a reusable [`CoMenus`] with the uniproc-valid coherence
-    /// permutations under the current rf sources — the allocation-free
-    /// twin of [`LocGraphs::co_menus`] used by the arena-backed engine.
-    pub fn co_menus_into(&self, locs: &[Loc], rf_src: &[usize], menus: &mut CoMenus) {
-        menus.refill(Some(self), locs, rf_src);
-    }
-
     /// Checks the locations carrying no coherence digit (only reads beyond
     /// the initial write, so excluded from `co_locs`): their `rf`/`po-loc`
     /// edges are fixed by the rf choice alone and need checking once per
-    /// rf configuration.
-    pub fn rf_only_consistent(&self, co_locs: &[Loc], rf_src: &[usize]) -> bool {
-        self.graphs.iter().filter(|g| !co_locs.contains(&g.loc)).all(|g| g.is_uniproc(&[], rf_src))
-    }
-
-    /// [`LocGraphs::rf_only_consistent`] through a [`CoMenus`]' pooled
-    /// scratch — the hot-loop variant the arena engine calls once per rf
-    /// configuration, so wide locations stay allocation-free there too.
-    pub fn rf_only_consistent_pooled(
+    /// rf configuration. Wide locations check through `menus`' pooled
+    /// scratch, so the steady state allocates nothing.
+    pub fn rf_only_consistent(
         &self,
         co_locs: &[Loc],
         rf_src: &[usize],
@@ -225,7 +186,7 @@ impl LocGraphs {
         self.graphs
             .iter()
             .filter(|g| !co_locs.contains(&g.loc))
-            .all(|g| g.is_uniproc_in(&[], rf_src, scratch))
+            .all(|g| g.is_uniproc(&[], rf_src, scratch))
     }
 }
 
@@ -233,12 +194,10 @@ impl LocGraphs {
 /// orders of every location, stored in buffers that survive from one rf
 /// configuration to the next.
 ///
-/// [`LocGraphs::co_menus`] allocates a fresh nested vector per rf
-/// configuration; at arena-engine scale that is the last allocation left
-/// in the rf scope. `CoMenus` keeps one [`HeapPerm`] generator and one
-/// order pool per location (plus one [`LocScratch`] for wide locations),
-/// so after the first few configurations have warmed the pools a
-/// [`CoMenus::refill`] allocates nothing.
+/// `CoMenus` keeps one [`HeapPerm`] generator and one order pool per
+/// location (plus one [`LocScratch`] for wide locations), so after the
+/// first few configurations have warmed the pools a [`CoMenus::refill`]
+/// allocates nothing.
 pub struct CoMenus {
     per_loc: Vec<MenuLoc>,
     /// Pooled row scratch for locations wider than 64 members.
@@ -266,16 +225,18 @@ impl CoMenus {
         }
     }
 
-    /// Refills every location's menu for the current rf sources;
-    /// `graphs = None` keeps every permutation (no pruning).
-    pub fn refill(&mut self, graphs: Option<&LocGraphs>, locs: &[Loc], rf_src: &[usize]) {
+    /// Refills every location's menu with its uniproc-valid coherence
+    /// orders under the current rf sources; `locs[i]` names the location
+    /// whose writes the `i`-th menu orders. An empty menu means the whole
+    /// rf configuration is doomed.
+    pub fn refill(&mut self, graphs: &LocGraphs, locs: &[Loc], rf_src: &[usize]) {
         assert_eq!(locs.len(), self.per_loc.len(), "location count mismatch");
         let scratch = &mut self.scratch;
         for (ml, l) in self.per_loc.iter_mut().zip(locs) {
-            let graph = graphs.and_then(|g| g.graph_for(*l));
+            let graph = graphs.graph_for(*l);
             ml.len = 0;
             loop {
-                if graph.is_none_or(|g| g.is_uniproc_in(ml.heap.current(), rf_src, scratch)) {
+                if graph.is_none_or(|g| g.is_uniproc(ml.heap.current(), rf_src, scratch)) {
                     if ml.len < ml.orders.len() {
                         ml.orders[ml.len].clear();
                         ml.orders[ml.len].extend_from_slice(ml.heap.current());
@@ -323,7 +284,7 @@ impl CoMenus {
 
 /// Pooled scratch rows for checking locations wider than 64 members:
 /// the adjacency, "co-strictly-after" and ordered-write rows of
-/// [`LocGraph::is_uniproc_in`], plus a [`KahnScratch`] for the final
+/// [`LocGraph::is_uniproc`], plus a [`KahnScratch`] for the final
 /// elimination. Grows to the widest location ever checked, allocates
 /// nothing afterwards. Locations of ≤ 64 members never touch it.
 #[derive(Debug, Default)]
@@ -366,21 +327,10 @@ impl LocGraph {
     ///   only this location's read entries are consulted.
     ///
     /// Returns `true` when `po-loc ∪ rf ∪ co ∪ fr` restricted to this
-    /// location is acyclic. Locations of ≤ 64 members run on the stack;
-    /// wider ones allocate a temporary [`LocScratch`] — hot paths hold a
-    /// pooled one and call [`LocGraph::is_uniproc_in`] instead.
-    pub fn is_uniproc(&self, co_order: &[usize], rf_src: &[usize]) -> bool {
-        if self.members.len() <= 64 {
-            self.is_uniproc_narrow(co_order, rf_src)
-        } else {
-            self.is_uniproc_wide(co_order, rf_src, &mut LocScratch::new())
-        }
-    }
-
-    /// [`LocGraph::is_uniproc`] with caller-pooled scratch: ≤64-member
-    /// locations ignore it (stack masks), wider ones reuse its rows so
-    /// the steady state allocates nothing at any width.
-    pub fn is_uniproc_in(
+    /// location is acyclic. Locations of ≤ 64 members run on the stack and
+    /// ignore `scratch`; wider ones reuse its rows, so the steady state
+    /// allocates nothing at any width.
+    pub fn is_uniproc(
         &self,
         co_order: &[usize],
         rf_src: &[usize],
@@ -511,8 +461,9 @@ mod tests {
         let graphs = LocGraphs::new(&shape, &po, false);
         let g = graphs.graph_for(Loc(0)).unwrap();
         let rf: Vec<usize> = vec![0; 3];
-        assert!(g.is_uniproc(&[1, 2], &rf), "co follows po");
-        assert!(!g.is_uniproc(&[2, 1], &rf), "co against po: uniproc violation");
+        let s = &mut LocScratch::new();
+        assert!(g.is_uniproc(&[1, 2], &rf, s), "co follows po");
+        assert!(!g.is_uniproc(&[2, 1], &rf, s), "co against po: uniproc violation");
     }
 
     /// coRR: T1 reads x twice; reading new-then-old is a violation unless
@@ -534,13 +485,17 @@ mod tests {
         let (shape, po) = corr_shape();
         // Hazard: first read sees the new write, second the initial state.
         let rf = vec![0, 0, 1, 0];
+        let s = &mut LocScratch::new();
         let strict = LocGraphs::new(&shape, &po, false);
-        assert!(!strict.graph_for(Loc(0)).unwrap().is_uniproc(&[1], &rf));
+        assert!(!strict.graph_for(Loc(0)).unwrap().is_uniproc(&[1], &rf, s));
         let llh = LocGraphs::new(&shape, &po, true);
-        assert!(llh.graph_for(Loc(0)).unwrap().is_uniproc(&[1], &rf), "llh tolerates the hazard");
+        assert!(
+            llh.graph_for(Loc(0)).unwrap().is_uniproc(&[1], &rf, s),
+            "llh tolerates the hazard"
+        );
         // Reading in coherence order is fine either way.
         let ok_rf = vec![0, 0, 0, 1];
-        assert!(strict.graph_for(Loc(0)).unwrap().is_uniproc(&[1], &ok_rf));
+        assert!(strict.graph_for(Loc(0)).unwrap().is_uniproc(&[1], &ok_rf, s));
     }
 
     #[test]
@@ -574,10 +529,11 @@ mod tests {
         let g = graphs.graph_for(Loc(0)).expect("wide location has a graph");
         let rf: Vec<usize> = vec![0; shape.len()];
         let in_po: Vec<usize> = (0..65).collect();
-        assert!(g.is_uniproc(&in_po, &rf), "co along po is uniproc");
+        let s = &mut LocScratch::new();
+        assert!(g.is_uniproc(&in_po, &rf, s), "co along po is uniproc");
         let mut against: Vec<usize> = in_po.clone();
         against.swap(0, 64); // puts the po-last write co-first
-        assert!(!g.is_uniproc(&against, &rf), "co against po still caught past 64 members");
+        assert!(!g.is_uniproc(&against, &rf, s), "co against po still caught past 64 members");
     }
 
     #[test]
@@ -595,7 +551,7 @@ mod tests {
             }
             let co = Relation::from_pairs(130, order.windows(2).map(|w| (w[0], w[1])));
             let owned_ok = po.union(&co.tclosure()).is_acyclic();
-            assert_eq!(g.is_uniproc(&order, &rf), owned_ok, "({a},{b})");
+            assert_eq!(g.is_uniproc(&order, &rf, &mut LocScratch::new()), owned_ok, "({a},{b})");
             assert_eq!(owned_ok, want);
         }
     }
@@ -607,7 +563,7 @@ mod tests {
         let (shape, po) = write_chain_shape(5);
         let graphs = LocGraphs::with_member_cap(&shape, &po, false, 4);
         assert!(graphs.graph_for(Loc(0)).is_none(), "capped location streams unpruned");
-        assert!(graphs.rf_only_consistent(&[], &vec![0; shape.len()]));
+        assert!(graphs.rf_only_consistent(&[], &vec![0; shape.len()], &mut CoMenus::new(&[])));
         assert_eq!(graphs.oversized(), &[Loc(0)], "the degradation is surfaced, not silent");
         // At the real cap the same shape gets its graph.
         let full = LocGraphs::new(&shape, &po, false);
@@ -627,10 +583,10 @@ mod tests {
         against.swap(10, 69);
         // Alternate outcomes through one scratch: no stale state.
         for _ in 0..3 {
-            assert!(g.is_uniproc_in(&in_po, &rf, &mut scratch));
-            assert!(!g.is_uniproc_in(&against, &rf, &mut scratch));
+            assert!(g.is_uniproc(&in_po, &rf, &mut scratch));
+            assert!(!g.is_uniproc(&against, &rf, &mut scratch));
         }
-        assert!(g.is_uniproc(&in_po, &rf));
-        assert!(!g.is_uniproc(&against, &rf));
+        assert!(g.is_uniproc(&in_po, &rf, &mut LocScratch::new()));
+        assert!(!g.is_uniproc(&against, &rf, &mut LocScratch::new()));
     }
 }

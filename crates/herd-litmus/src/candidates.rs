@@ -9,18 +9,18 @@
 //! symbols are enumerated over the test's value domain) and each consistent
 //! assignment concretises into one [`herd_core::Execution`].
 //!
-//! Judging runs on herd-core's one arena engine
-//! ([`herd_core::enumerate::ArenaEngine`]): [`stream_verdicts`] hands it
-//! each control-flow combination's choice space, shared core and value
-//! step (the equation solve, whose solution count is the configuration's
-//! multiplicity), and the engine prunes, walks and judges — no owned
-//! `Execution` is ever built. [`stream`], [`stream_arch`] and
-//! [`enumerate`] keep the owned path: candidates are materialised one at a
-//! time (every candidate of one combination shares a single `Arc`'d
-//! [`ExecCore`]), and with [`Prune::Uniproc`] whole rf×co subtrees are
-//! skipped whenever a location's communication graph is already cyclic —
-//! herd's generate-and-prune strategy (paper, Sec 8.3). The owned path is
-//! the reference the differential suites hold the engine to.
+//! Both of herd-core's walks take each control-flow combination's choice
+//! space, shared core and value step (the equation solve, whose solution
+//! count is the configuration's multiplicity). Judging runs on the arena
+//! engine ([`ArenaEngine`]): [`stream_verdicts`] lets it prune, walk and
+//! judge with no owned `Execution` ever built. [`stream`], [`stream_arch`]
+//! and [`enumerate`] run the owned walk
+//! ([`herd_core::enumerate::CandidateIter`]): candidates are materialised
+//! one at a time (every candidate of one combination shares a single
+//! `Arc`'d [`ExecCore`]), and with [`Prune::Uniproc`] whole rf×co subtrees
+//! are skipped whenever a location's communication graph is already
+//! cyclic — herd's generate-and-prune strategy (paper, Sec 8.3). The owned
+//! walk is the reference the differential suites hold the engine to.
 
 use crate::expr::{self, Assignment, Equation, RVal, SymExpr, SymId};
 use crate::isa::Reg;
@@ -30,15 +30,13 @@ use crate::state::{Slot, StateLayout};
 use herd_core::arena::RelArena;
 pub use herd_core::enumerate::Prune;
 use herd_core::enumerate::{
-    bounds, build_co, bump, ArenaEngine, CheckedStats, ChoiceSpace, Concretise, HeapPerm,
+    bounds, bump, ArenaEngine, CandidateIter, CheckedStats, ChoiceSpace, Concretise,
 };
 use herd_core::event::{Dir, Event, Fence, Loc, ThreadId, Val};
 use herd_core::exec::{Deps, ExecCore, Execution};
 use herd_core::model::{self, Architecture, Verdict};
 use herd_core::relation::Relation;
 use herd_core::sched::Budget;
-use herd_core::thinair::ThinAirTracker;
-use herd_core::uniproc::{EventShape, LocGraphs};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::{ControlFlow, RangeBounds};
@@ -397,7 +395,7 @@ impl<'t> TestSpace<'t> {
             let engine = ArenaEngine::new(space, core, models);
             let n = engine.rf_total();
             let local = (start.saturating_sub(off).min(n), end.saturating_sub(off).min(n));
-            let values = ComboValues::new(&self.domain, &engine.space().events, &flow, &regs);
+            let values = ComboValues::new(&self.domain, engine.space(), &flow, &regs);
             let mut w = engine.worker(arena, values);
             // The bound spans the whole range: a combination reached after
             // it tripped classifies its share without emitting anything.
@@ -457,7 +455,7 @@ pub fn count_candidates(test: &LitmusTest, opts: &EnumOptions) -> Result<u128, C
     for_each_combo(&ts.paths, |combo| {
         let parts = combo_parts(test, &ts.layout, combo);
         let space = &parts.space;
-        let mut values = ComboValues::new(&ts.domain, &space.events, &parts.flow, &parts.regs);
+        let mut values = ComboValues::new(&ts.domain, space, &parts.flow, &parts.regs);
         let mut rf_src = vec![0usize; space.events.len()];
         let radices: Vec<usize> = space.rf_choices.iter().map(Vec::len).collect();
         let mut pick = vec![0usize; radices.len()];
@@ -485,12 +483,52 @@ fn stream_impl(
 ) -> Result<EnumStats, CandidateError> {
     let ts = TestSpace::new(test, opts)?;
     let mut stats = EnumStats::default();
-    let loc_names: Arc<[String]> = ts.layout.locs().into();
+    let locs = ts.layout.locs();
+    let loc_names: Arc<[String]> = locs.into();
     let failed = for_each_combo(&ts.paths, |combo| {
-        match assemble(&ts, &loc_names, combo, opts, prune, thin_air, &mut stats, sink) {
-            Ok(()) => ControlFlow::Continue(()),
-            Err(e) => ControlFlow::Break(e),
+        let ComboParts { space, core, flow, regs } = combo_parts(test, &ts.layout, combo);
+        let values = ComboValues::new(&ts.domain, &space, &flow, &regs);
+        let base = thin_air.and_then(|hook| hook(&core));
+        let mut it = CandidateIter::new(space, core, prune, base, .., values);
+        stats.unpruned_locations = stats.unpruned_locations.max(it.unpruned_locations());
+        // One register file per concretisation, shared by its coherence
+        // choices; per location its co-last write, the final memory
+        // (location `l`'s initial write is event `l`).
+        let (mut regs_at, mut final_regs) = (None, Arc::default());
+        let mut co_last: Vec<usize> = (0..locs.len()).collect();
+        while let Some(exec) = it.next() {
+            let at = it.position();
+            if regs_at != Some(at) {
+                regs_at = Some(at);
+                final_regs = Arc::new(reg_map(&ts.layout, it.values().regs(at.1)));
+            }
+            for (li, l) in it.space().locs.iter().enumerate() {
+                if let Some(&w) = it.co_order(li).last() {
+                    co_last[l.0 as usize] = w;
+                }
+            }
+            let final_mem = locs
+                .iter()
+                .zip(&co_last)
+                .map(|(n, &w)| (n.clone(), exec.events()[w].val.0))
+                .collect();
+            sink(Candidate {
+                exec,
+                final_regs: Arc::clone(&final_regs),
+                final_mem,
+                loc_names: Arc::clone(&loc_names),
+            });
+            stats.emitted += 1;
+            if stats.emitted > opts.max_candidates {
+                return ControlFlow::Break(CandidateError::TooManyCandidates {
+                    bound: opts.max_candidates,
+                    emitted: stats.emitted as u128,
+                    pruned: stats.pruned.saturating_add(it.pruned()),
+                });
+            }
         }
+        stats.pruned = stats.pruned.saturating_add(it.pruned());
+        ControlFlow::Continue(())
     });
     match failed {
         Some(e) => Err(e),
@@ -539,8 +577,8 @@ pub(crate) fn value_domain(test: &LitmusTest) -> Vec<i64> {
 
 /// The skeleton-invariant parts of one control-flow combination: its
 /// choice space, shared core, data flow and final register file. Shared
-/// by the verdict stream, the owned reference odometer ([`assemble`]) and
-/// the single-outcome decision backend ([`crate::decide`]).
+/// by the verdict stream, the owned streams and the single-outcome
+/// decision backend ([`crate::decide`]).
 pub(crate) struct ComboParts {
     /// Events (init writes first: the init write of `loc` has id
     /// `loc.0`), reads with their rf menus, and coherence locations.
@@ -789,12 +827,11 @@ pub(crate) fn combo_parts(
 /// The value step of one control-flow combination: per rf configuration,
 /// solve the read equations over the test's value domain and keep every
 /// assignment under which each thread event's value resolves, with its
-/// final register slots. The arena engine, the owned reference
-/// ([`assemble`]), [`count_candidates`] and both decide walks
-/// ([`crate::decide`]) concretise through it.
+/// final register slots. Both of herd-core's walks (the arena engine and
+/// the owned [`CandidateIter`]), [`count_candidates`] and both decide
+/// walks ([`crate::decide`]) concretise through it.
 pub(crate) struct ComboValues<'a> {
     domain: &'a [i64],
-    events: &'a [Event],
     flow: &'a DataFlow,
     regs: &'a FinalRegs,
     symbols: Vec<SymId>,
@@ -805,22 +842,15 @@ pub(crate) struct ComboValues<'a> {
 }
 
 impl<'a> ComboValues<'a> {
+    /// The value step of the combination whose choice space is `space`.
     pub(crate) fn new(
         domain: &'a [i64],
-        events: &'a [Event],
+        space: &ChoiceSpace,
         flow: &'a DataFlow,
         regs: &'a FinalRegs,
     ) -> Self {
-        let symbols = events.iter().filter(|e| e.dir == Dir::R).map(|e| SymId(e.id)).collect();
-        ComboValues {
-            domain,
-            events,
-            flow,
-            regs,
-            symbols,
-            concs: Vec::new(),
-            reg_slots: Vec::new(),
-        }
+        let symbols = space.reads.iter().map(|&r| SymId(r)).collect();
+        ComboValues { domain, flow, regs, symbols, concs: Vec::new(), reg_slots: Vec::new() }
     }
 
     /// The register slots of concretisation `k`.
@@ -835,7 +865,7 @@ impl Concretise for ComboValues<'_> {
         self.concs.clear();
         self.reg_slots.clear();
         for asg in expr::solve(&self.symbols, &equations, self.domain) {
-            if let Some(evs) = self.flow.concretise(self.events, &asg) {
+            if let Some(evs) = self.flow.concretise(&space.events, &asg) {
                 self.concs.push(evs);
                 let at = self.reg_slots.len();
                 self.reg_slots.resize(at + self.regs.width, Slot::Absent);
@@ -848,168 +878,6 @@ impl Concretise for ComboValues<'_> {
     fn events(&self, k: usize) -> &[Event] {
         &self.concs[k]
     }
-}
-
-/// The owned reference odometer: assembles all candidates of one
-/// combination of thread paths, pushing them into the sink as the
-/// data-flow odometer advances.
-#[allow(clippy::too_many_arguments)] // private odometer of stream_impl
-fn assemble(
-    ts: &TestSpace<'_>,
-    loc_names: &Arc<[String]>,
-    combo: &[&ThreadPath],
-    opts: &EnumOptions,
-    prune: Prune,
-    thin_air: Option<ThinAirHook<'_>>,
-    stats: &mut EnumStats,
-    sink: &mut dyn FnMut(Candidate),
-) -> Result<(), CandidateError> {
-    let ComboParts { space, core, flow, regs } = combo_parts(ts.test, &ts.layout, combo);
-    let n = space.events.len();
-    let co_total = space.co_total();
-
-    let graphs = match prune {
-        Prune::None => None,
-        Prune::Uniproc | Prune::UniprocLlh => {
-            let shape: Vec<EventShape> = space
-                .events
-                .iter()
-                .map(|e| EventShape { dir: e.dir, loc: e.loc, init: e.thread.is_none() })
-                .collect();
-            let g = LocGraphs::new(&shape, core.po(), prune == Prune::UniprocLlh);
-            // Oversized locations (past the u16 local-index cap) stream
-            // unpruned; record the degradation so drivers can tell the user.
-            stats.unpruned_locations = stats.unpruned_locations.max(g.oversized().len());
-            Some(g)
-        }
-    };
-    // NO THIN AIR pruning: the architecture's static `ppo ∪ fences` base
-    // for this combination's core (width-generic: any universe size).
-    let mut thinair: Option<ThinAirTracker> =
-        thin_air.and_then(|hook| hook(&core)).map(|base| ThinAirTracker::new(&base));
-    let mut values = ComboValues::new(&ts.domain, &space.events, &flow, &regs);
-
-    let mut rf_src = vec![0usize; n];
-    let mut rf_pick = vec![0usize; space.reads.len()];
-    let rf_radices: Vec<usize> = space.rf_choices.iter().map(Vec::len).collect();
-    // Per location, its co-maximal write: the final memory.
-    let mut co_max: Vec<usize> = (0..ts.layout.locs().len()).collect();
-    loop {
-        let mut rf = Relation::empty(n);
-        for (k, &r) in space.reads.iter().enumerate() {
-            let w = space.rf_choices[k][rf_pick[k]];
-            rf.add(w, r);
-            rf_src[r] = w;
-        }
-        'config: {
-            let concs = values.concretise(&space, &rf_src) as u128;
-            if concs == 0 {
-                break 'config;
-            }
-            // NO THIN AIR: if the static base plus this configuration's
-            // external rf edges is already cyclic, every candidate of the
-            // configuration is forbidden by the axiom whatever its
-            // coherence orders — count them pruned and skip all co work
-            // (Sec 8.3).
-            let thin_air_doomed = thinair.as_mut().is_some_and(|t| {
-                !t.check_rf(space.reads.iter().map(|&r| (rf_src[r], r)).filter(|&(w, r)| {
-                    match (space.events[w].thread, space.events[r].thread) {
-                        (Some(a), Some(b)) => a != b,
-                        _ => true,
-                    }
-                }))
-            });
-            if thin_air_doomed {
-                stats.pruned += concs.saturating_mul(co_total);
-                break 'config;
-            }
-            // With pruning: filter each location's coherence orders once
-            // per rf configuration and check the locations without a co
-            // digit — an empty menu or a failed rf-only location kills the
-            // whole rf subtree before any execution is built (shared
-            // helpers in herd_core::uniproc, same logic as
-            // Skeleton::stream).
-            let menus: Option<Vec<Vec<Vec<usize>>>> =
-                graphs.as_ref().map(|g| g.co_menus(&space.locs, &space.loc_writes, &rf_src));
-            let rf_only_ok =
-                graphs.as_ref().is_none_or(|g| g.rf_only_consistent(&space.locs, &rf_src));
-            let co_valid: u128 = match &menus {
-                Some(menus) if rf_only_ok => {
-                    menus.iter().map(|m| m.len() as u128).fold(1u128, u128::saturating_mul)
-                }
-                Some(_) => 0,
-                None => co_total,
-            };
-            stats.pruned += concs.saturating_mul(co_total.saturating_sub(co_valid));
-            if co_valid == 0 {
-                break 'config;
-            }
-
-            let menu_radices: Vec<usize> =
-                menus.as_ref().map(|m| m.iter().map(Vec::len).collect()).unwrap_or_default();
-            for (k, evs) in values.concs.iter().enumerate() {
-                // The owned candidates' register file: one map per
-                // concretisation, shared by its coherence choices.
-                let final_regs = Arc::new(reg_map(&ts.layout, values.regs(k)));
-                // Coherence odometer: in-place Heap's generators without
-                // pruning, the filtered menus with it.
-                let mut heaps: Vec<HeapPerm> = match &menus {
-                    None => space.loc_writes.iter().map(|ws| HeapPerm::new(ws.clone())).collect(),
-                    Some(_) => Vec::new(),
-                };
-                let mut menu_pick = vec![0usize; space.locs.len()];
-                loop {
-                    let mut co = Relation::empty(n);
-                    for (li, &init) in space.loc_init.iter().enumerate() {
-                        let order: &[usize] = match &menus {
-                            None => heaps[li].current(),
-                            Some(menus) => &menus[li][menu_pick[li]],
-                        };
-                        build_co(&mut co, init, order);
-                        // Location `l`'s initial write is event `l`; a
-                        // written location ends with its co-last write.
-                        if let Some(&last) = order.last() {
-                            co_max[space.locs[li].0 as usize] = last;
-                        }
-                    }
-                    let final_mem = ts
-                        .layout
-                        .locs()
-                        .iter()
-                        .zip(&co_max)
-                        .map(|(name, &w)| (name.clone(), evs[w].val.0))
-                        .collect();
-                    let exec = Execution::with_core(evs.clone(), Arc::clone(&core), rf.clone(), co)
-                        .expect("assembled candidates are well-formed");
-                    sink(Candidate {
-                        exec,
-                        final_regs: Arc::clone(&final_regs),
-                        final_mem,
-                        loc_names: Arc::clone(loc_names),
-                    });
-                    stats.emitted += 1;
-                    if stats.emitted > opts.max_candidates {
-                        return Err(CandidateError::TooManyCandidates {
-                            bound: opts.max_candidates,
-                            emitted: stats.emitted as u128,
-                            pruned: stats.pruned,
-                        });
-                    }
-                    let more = match &menus {
-                        None => heaps.iter_mut().any(|h| h.advance()),
-                        Some(_) => bump(&mut menu_pick, &menu_radices),
-                    };
-                    if !more {
-                        break;
-                    }
-                }
-            }
-        }
-        if !bump(&mut rf_pick, &rf_radices) {
-            break;
-        }
-    }
-    Ok(())
 }
 
 /// The register file of register slots `regs`, as an owned candidate

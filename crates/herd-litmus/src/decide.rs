@@ -383,12 +383,11 @@ struct ComboWalk<'p, A: ?Sized> {
 
 impl<'p, A: Architecture + ?Sized> ComboWalk<'p, A> {
     fn new(arch: &'p A, parts: &'p ComboParts, domain: &'p [i64]) -> Self {
-        let events = &parts.space.events;
         ComboWalk {
             arch,
             parts,
-            setup: CoSetup::new(arch, &parts.core, events),
-            values: ComboValues::new(domain, events, &parts.flow, &parts.regs),
+            setup: CoSetup::new(arch, &parts.core, &parts.space.events),
+            values: ComboValues::new(domain, &parts.space, &parts.flow, &parts.regs),
         }
     }
 

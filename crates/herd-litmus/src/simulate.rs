@@ -249,7 +249,7 @@ pub fn simulate_sharded<A: Architecture + Sync + ?Sized>(
     if workers <= 1 {
         return Ok(simulate_inline(&space, arch, opts));
     }
-    let units = sched::rf_ranges(space.rf_total(), (workers * sched::UNITS_PER_WORKER) as u128);
+    let units = sched::rf_ranges(space.rf_total(), sched::unit_target(workers));
     if units.len() <= 1 {
         return Ok(simulate_inline(&space, arch, opts));
     }
@@ -770,6 +770,19 @@ mod tests {
                 assert_eq!(sharded.validated, seq.validated, "{}", test.name);
             }
         }
+    }
+
+    /// A worker count past any real machine plans no more units than the
+    /// test has rf configurations (mp has 4, so at most 4 threads start)
+    /// and cannot overflow the unit target.
+    #[test]
+    fn sharding_over_usize_max_workers_matches_sequential() {
+        let test = corpus::mp(Isa::Power, Dev::Po, Dev::Po);
+        let opts = EnumOptions::default();
+        assert_eq!(crate::candidates::count_rf_configs(&test, &opts).unwrap(), 4);
+        let seq = simulate_with(&test, &Power::new(), &opts).unwrap();
+        let sharded = simulate_sharded(&test, &Power::new(), &opts, usize::MAX).unwrap();
+        assert_eq!(format!("{sharded:?}"), format!("{seq:?}"));
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! * sharded enumeration partitions the stream exactly, with merged
 //!   `emitted + pruned` counters equal to `candidate_count()`;
 //! * the streamed, pruned litmus driver reaches identical verdicts to the
-//!   eager judge on the whole corpus, under native and llh architectures.
+//!   eager judge on the whole corpus, under native and llh architectures;
+//! * the owned litmus walk prunes exactly the statically doomed candidates
+//!   where rf configurations have no concretisation or several.
 
 use herd_core::arch::Power;
 use herd_core::enumerate::{Prune, Skeleton, SkeletonBuilder};
@@ -298,6 +300,94 @@ fn arena_verdict_stream_matches_owned_candidate_stream_corpus_wide() {
                 "{}: emitted/pruned accounting differs",
                 entry.test.name
             );
+        }
+    }
+}
+
+/// The owned litmus walk against unpruned enumeration on tests whose rf
+/// configurations do not all have one concretisation: `lb+datas-true`
+/// (its thin-air-doomed configuration has two, a self-justifying value
+/// cycle), `mp+dmb+ctrl-branch` (configurations contradicting the branch
+/// taken have none), coRR, and 60 seeded diy tests per ISA, each under
+/// Power, ARM with load-load hazards and TSO. [`stream_arch`] must emit
+/// exactly the subsequence of [`enumerate`] that SC PER LOCATION (over the
+/// model's `sc_po_loc`) and the static thin-air check (`thin_air_base ∪
+/// rfe` acyclic) keep, and count the weighted space: `emitted + pruned ==
+/// count_candidates`.
+///
+/// [`stream_arch`]: herd_litmus::candidates::stream_arch
+#[test]
+fn owned_litmus_pruning_keeps_exactly_the_statically_consistent_subsequence() {
+    use herd_core::arch::{Arm, ArmVariant, Tso};
+    use herd_core::model::{sc_po_loc, thin_air_base};
+    use herd_diy::{arm_pool, enumerate_cycles, power_pool, synthesize, x86_pool};
+    use herd_litmus::candidates::{count_candidates, stream_arch, Candidate};
+    use herd_litmus::{corpus, isa::Isa, parse::parse, LitmusTest};
+    use rand::{Rng, SeedableRng};
+
+    let lb_datas_true = "PPC lb+datas-true
+{
+0:r2=x; 0:r4=y;
+1:r2=y; 1:r4=x;
+}
+ P0           | P1           ;
+ lwz r1,0(r2) | lwz r1,0(r2) ;
+ stw r1,0(r4) | stw r1,0(r4) ;
+exists (0:r1=1 /\\ 1:r1=1)";
+    let mp_dmb_ctrl_branch = "ARM mp+dmb+ctrl-branch
+{
+0:r2=x; 0:r4=y;
+1:r2=y; 1:r4=x;
+}
+ P0           | P1           ;
+ mov r1,#1    | ldr r1,[r2]  ;
+ str r1,[r2]  | cmp r1,#1    ;
+ dmb          | bne L0       ;
+ str r1,[r4]  | ldr r5,[r4]  ;
+              | L0:          ;
+exists (1:r1=1 /\\ 1:r5=0)";
+    let mut tests: Vec<LitmusTest> = vec![
+        parse(lb_datas_true).expect("lb+datas-true parses"),
+        parse(mp_dmb_ctrl_branch).expect("mp+dmb+ctrl-branch parses"),
+        corpus::co_rr(Isa::Power),
+        corpus::co_rr(Isa::Arm),
+    ];
+    let mut rng = rand::rngs::StdRng::seed_from_u64(24);
+    for (pool, isa) in [(power_pool(), Isa::Power), (arm_pool(), Isa::Arm), (x86_pool(), Isa::X86)]
+    {
+        let cycles = enumerate_cycles(&pool, 6);
+        let start = tests.len();
+        while tests.len() < start + 60 {
+            if let Ok(test) = synthesize(&cycles[rng.gen_range(0..cycles.len())], isa) {
+                tests.push(test);
+            }
+        }
+    }
+
+    let key = |c: &Candidate| format!("{}|{:?}|{:?}", key(&c.exec), c.final_regs, c.final_mem);
+    let opts = EnumOptions::default();
+    let models: [&dyn Architecture; 3] = [&Power::new(), &Arm::new(ArmVariant::ProposedLlh), &Tso];
+    for test in &tests {
+        let all = enumerate(test, &opts).expect("the test enumerates");
+        let space = count_candidates(test, &opts).expect("the test counts");
+        assert_eq!(all.len() as u128, space, "{}: enumerate covers the space", test.name);
+        for arch in models {
+            let kept: Vec<String> = all
+                .iter()
+                .filter(|c| {
+                    let x = &c.exec;
+                    sc_po_loc(arch, x.core()).union(x.com()).is_acyclic()
+                        && thin_air_base(arch, x.core())
+                            .is_none_or(|base| base.union(x.rfe()).is_acyclic())
+                })
+                .map(key)
+                .collect();
+            let mut streamed = Vec::new();
+            let stats = stream_arch(test, &opts, arch, &mut |c| streamed.push(key(&c)))
+                .expect("the test streams");
+            let at = format!("{} under {}", test.name, arch.name());
+            assert_eq!(streamed, kept, "{at}: the emitted subsequence differs");
+            assert_eq!(stats.total(), space, "{at}: emitted + pruned is the space");
         }
     }
 }
