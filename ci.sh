@@ -2,7 +2,10 @@
 # CI for the cats workspace. Run from the repository root.
 #
 # Mirrors the tier-1 verify command (ROADMAP.md) and adds the
-# documentation and hygiene gates:
+# documentation and hygiene gates. Steps run in the order listed and the
+# first failure stops the run, so the exact checks (7b and 8-10: answers,
+# work counters, rustdoc, fmt, clippy) run before the wall-clock gates
+# (6 and 7), which can fail on timing noise alone:
 #
 #   0. non-test line count          — reporting only, fails nothing: the
 #                                     lines of crates/*/src/*.rs, each
@@ -38,18 +41,6 @@
 #                                     candidate or a warm coherence query
 #                                     (TSO, C++RA, Power, ARM), and one
 #                                     (the verdict) per warm cat check
-#   6. perf_pipeline --quick --gate — the tracked perf bench, one timed
-#                                     section per layer; writes
-#                                     BENCH_pr<N>.json so every PR leaves
-#                                     its own perf-trajectory data point
-#                                     (prior PRs' files are kept), and
-#                                     FAILS on any threshold of
-#                                     herd_bench::report::gate_violations
-#   7. perf_pipeline --compare      — reads every BENCH_pr*.json, prints
-#                                     the per-family speedup trajectory
-#                                     table, and FAILS if the new PR's
-#                                     effective pruned row regresses past
-#                                     tolerance vs the previous PR's file
 #   7b. e2e-bench answers + counters— each benchmark workload (herd-sim,
 #                                     scaled-sim, log-judge) for one second
 #                                     at seed 1; fails unless the last line
@@ -73,6 +64,18 @@
 #  10. cargo clippy -D warnings     — lints over every workspace target
 #                                     (libraries, tests, benches,
 #                                     examples), warnings denied
+#   6. perf_pipeline --quick --gate — the tracked perf bench, one timed
+#                                     section per layer; writes
+#                                     BENCH_pr<N>.json so every PR leaves
+#                                     its own perf-trajectory data point
+#                                     (prior PRs' files are kept), and
+#                                     FAILS on any threshold of
+#                                     herd_bench::report::gate_violations
+#   7. perf_pipeline --compare      — reads every BENCH_pr*.json, prints
+#                                     the per-family speedup trajectory
+#                                     table, and FAILS if the new PR's
+#                                     effective pruned row regresses past
+#                                     tolerance vs the previous PR's file
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -110,9 +113,6 @@ run cargo test -q --workspace
 run cargo test -q --test consistency_differential
 run cargo test -q --test robustness --features fault-injection -- --test-threads=1
 run cargo test -p herd-bench --release --features alloc-count --test alloc_smoke
-run cargo bench -p herd-bench --bench perf_pipeline -- \
-    --quick --gate --pr "$PR" --json "$PWD/BENCH_pr${PR}.json"
-run cargo bench -p herd-bench --bench perf_pipeline -- --compare --gate
 counters=""
 for workload in herd-sim scaled-sim log-judge; do
     echo "==> e2e-bench --workload $workload --seed 1 --seconds 1"
@@ -135,5 +135,8 @@ fi
 run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 run cargo fmt --check
 run cargo clippy --workspace --all-targets -- -D warnings
+run cargo bench -p herd-bench --bench perf_pipeline -- \
+    --quick --gate --pr "$PR" --json "$PWD/BENCH_pr${PR}.json"
+run cargo bench -p herd-bench --bench perf_pipeline -- --compare --gate
 
 echo "CI OK"

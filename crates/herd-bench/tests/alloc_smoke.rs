@@ -123,7 +123,7 @@ fn log_rows_are_keyed_without_allocating() {
         (corpus::x86_corpus(), &Tso),
     ] {
         let tests: Vec<LitmusTest> = tests.into_iter().map(|e| e.test).collect();
-        for entry in herd_hw::model_log(&tests, model).entries.into_values() {
+        for entry in herd_hw::model_log(&tests, model).unwrap().entries.into_values() {
             rows.extend(entry.states.into_keys());
         }
     }

@@ -33,11 +33,11 @@
 //!   number rather than a hope.
 //!
 //! The store is deliberately generic in its value type: the workspace
-//! instantiates it as verdict caches (`ShardedLru<bool>`), model-log
-//! caches (`ShardedLru<BTreeMap<String, u64>>`) and compiled-`.cat`
-//! caches (`ShardedLru<Arc<CompiledModel>>`) without this crate knowing
-//! any of those types — which also keeps the dependency graph a DAG
-//! (`herd-cache` depends only on `herd-core`).
+//! instantiates it twice, as the per-row verdict cache
+//! (`herd_hw::VerdictCache`, a `ShardedLru<bool>`) and the compiled-`.cat`
+//! cache (`herd_cat::ModelCache`, a `ShardedLru<Arc<CompiledModel>>`),
+//! without this crate knowing either type — which also keeps the
+//! dependency graph a DAG (`herd-cache` depends only on `herd-core`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

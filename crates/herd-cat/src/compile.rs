@@ -58,9 +58,10 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A builtin relation of the candidate execution, resolved from its cat
-/// name at compile time (mirrors [`Execution::builtin`] without the string
-/// dispatch).
+/// A builtin relation of the candidate execution: the one table of cat's
+/// builtin names. The compiler resolves each name here once, at compile
+/// time; the tree walker ([`crate::eval::eval_tree`]) resolves through it
+/// too, so the two evaluators cannot disagree on what a name means.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BuiltinRel {
     /// `po`.
@@ -153,9 +154,8 @@ impl BuiltinRel {
     /// variant, including `id` and absent fence flavours, resolves to a
     /// relation the execution (or its shared core) already holds. This is
     /// what lets compiled evaluation keep builtins by reference in its
-    /// slots; the old `fetch` that `clone()`d each builtin per evaluation
-    /// is gone, and [`EvalStats::builtin_copies`] pins the invariant.
-    fn fetch_ref(self, x: &Execution) -> &Relation {
+    /// slots; [`EvalStats::builtin_copies`] pins the invariant.
+    pub(crate) fn fetch_ref(self, x: &Execution) -> &Relation {
         use BuiltinRel::*;
         match self {
             Po => x.po(),
@@ -182,6 +182,37 @@ impl BuiltinRel {
             Id => x.core().id_rel(),
             Fence(f) => x.core().fence_ref(f),
         }
+    }
+}
+
+/// The direction filter `name` names (`RW` keeps read-to-write pairs;
+/// `M` matches either direction): its source and target directions, or
+/// `None` when `name` is not one of the nine filters.
+pub(crate) fn dir_filter(name: &str) -> Option<(Option<Dir>, Option<Dir>)> {
+    let part = |c: u8| match c {
+        b'R' => Some(Some(Dir::R)),
+        b'W' => Some(Some(Dir::W)),
+        b'M' => Some(None),
+        _ => None,
+    };
+    match name.as_bytes() {
+        &[a, b] => Some((part(a)?, part(b)?)),
+        _ => None,
+    }
+}
+
+/// The direction the bracketed set `[name]` keeps: `W` and `R` theirs,
+/// `M` and `_` every event (`None`).
+///
+/// # Errors
+///
+/// An unknown set name, reported as `[name]`.
+pub(crate) fn id_set(name: &str) -> Result<Option<Dir>, EvalError> {
+    match name {
+        "W" => Ok(Some(Dir::W)),
+        "R" => Ok(Some(Dir::R)),
+        "M" | "_" => Ok(None),
+        other => Err(EvalError::UnknownName(format!("[{other}]"))),
     }
 }
 
@@ -815,18 +846,10 @@ impl Compiler {
                 let a = self.lower(a)?;
                 self.emit(Op::DirRestrict(a, src, dst))
             }
-            Expr::IdSet(s) => {
-                let dir = match s.as_str() {
-                    "W" => Some(Dir::W),
-                    "R" => Some(Dir::R),
-                    "M" | "_" => None,
-                    other => return Err(EvalError::UnknownName(format!("[{other}]"))),
-                };
-                match dir {
-                    None => self.emit(Op::Builtin(BuiltinRel::Id)),
-                    d => self.emit(Op::DirId(d)),
-                }
-            }
+            Expr::IdSet(s) => match id_set(s)? {
+                None => self.emit(Op::Builtin(BuiltinRel::Id)),
+                d => self.emit(Op::DirId(d)),
+            },
         })
     }
 
@@ -872,20 +895,6 @@ impl Compiler {
         self.prog.push(Step::Fixpoint { rec, results, body, inputs });
         Ok(())
     }
-}
-
-fn dir_filter(name: &str) -> Option<(Option<Dir>, Option<Dir>)> {
-    let part = |c: u8| match c {
-        b'R' => Some(Some(Dir::R)),
-        b'W' => Some(Some(Dir::W)),
-        b'M' => Some(None),
-        _ => None,
-    };
-    let b = name.as_bytes();
-    if b.len() != 2 {
-        return None;
-    }
-    Some((part(b[0])?, part(b[1])?))
 }
 
 #[cfg(test)]
@@ -1108,6 +1117,67 @@ mod tests {
         // The loop body recomputes only ii;ii and the outer union —
         // `addr | data` runs once, outside.
         assert_eq!(body.len(), 2, "invariant union hoisted out of the loop");
+    }
+
+    /// Cat's vocabulary is one table: every builtin name and alias, every
+    /// direction filter and every bracketed set means the same relation
+    /// to the tree walker and to the compiled evaluator, and a name or
+    /// filter outside it is an error to both.
+    #[test]
+    fn both_evaluators_share_one_vocabulary() {
+        use herd_core::event::Fence;
+        let mut execs = detour_stream();
+        for f in Fence::ALL {
+            execs.push(fixtures::mp(Device::Fence(f), Device::CtrlCfence));
+        }
+        execs.push(fixtures::lb(Device::Data, Device::Ctrl));
+        execs.push(fixtures::iriw(Device::Addr, Device::Data));
+        execs.push(fixtures::co_rr());
+        let names = "po po-loc rf rfe rfi co ws coe wse coi wsi fr fre fri com addr data ctrl \
+                     ctrl+cfence ctrl+isync ctrl+isb rdw detour loc int ext id";
+        let mut exprs: Vec<String> = names.split_whitespace().map(str::to_owned).collect();
+        exprs.extend(Fence::ALL.iter().map(|f| f.mnemonic().to_owned()));
+        for a in ["R", "W", "M"] {
+            for b in ["R", "W", "M"] {
+                assert!(crate::parse::is_dir_filter(&format!("{a}{b}")));
+                exprs.push(format!("{a}{b}(po | com | id)"));
+            }
+        }
+        exprs.extend(["W", "R", "M", "_"].map(|set| format!("[{set}]")));
+        for e in &exprs {
+            // Probes that together pin the relation down on small
+            // executions: its emptiness, diagonal, cycles, and which of
+            // its pairs lie in po, on one location or across threads.
+            let src = format!(
+                "let r = {e}\nempty r as none\nirreflexive r as irr\nacyclic r as acyc\n\
+                 empty r \\ po as in-po\nempty r \\ loc as in-loc\nempty r & ext as int\n\
+                 empty r & po^-1 as back\nempty r;r as chain\n"
+            );
+            let model = parse(&src).unwrap();
+            let compiled = compile(&model).unwrap_or_else(|err| panic!("{e}: {err}"));
+            for x in &execs {
+                assert_eq!(compiled.check(x), eval_tree(&model, x).unwrap(), "{e}");
+            }
+        }
+        // Outside the vocabulary: an unknown builtin, set or filter. The
+        // parser reads only the nine filters as applications, so the
+        // unknown filter is built directly.
+        let x = fixtures::mp(Device::None, Device::None);
+        let unknown = |name: &str, expr: Expr, err: EvalError| {
+            let model = Model {
+                name: None,
+                stmts: vec![Stmt::Check { kind: CheckKind::Acyclic, expr, name: None }],
+            };
+            assert_eq!(compile(&model).unwrap_err(), err, "{name}");
+            assert_eq!(eval_tree(&model, &x).unwrap_err(), err, "{name}");
+        };
+        let name = |n: &str| Expr::Name(n.to_owned());
+        unknown("haz", name("haz"), EvalError::UnknownName("haz".into()));
+        unknown("0", name("0"), EvalError::UnknownName("0".into()));
+        unknown("[X]", Expr::IdSet("X".into()), EvalError::UnknownName("[X]".into()));
+        let app = Expr::App("WX".into(), Box::new(name("po")));
+        unknown("WX", app, EvalError::UnknownFunction("WX".into()));
+        assert!(!crate::parse::is_dir_filter("WX"));
     }
 
     #[test]

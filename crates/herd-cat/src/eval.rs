@@ -1,7 +1,8 @@
 //! Evaluation of cat models over candidate executions.
 //!
 //! Names resolve first in the `let` environment, then among the builtin
-//! relations of the execution ([`herd_core::exec::Execution::builtin`]).
+//! relations of the execution ([`BuiltinRel`], the one table of cat's
+//! builtin names, which the compiler resolves through too).
 //! `let rec` groups are evaluated as least fixpoints, mirroring the
 //! `ii/ic/ci/cc` equations of Fig 25. Each constraint statement yields one
 //! named check; a candidate is allowed when all checks pass.
@@ -11,7 +12,7 @@
 //! direct tree-walking reference the compiler is tested against.
 
 use crate::ast::{CheckKind, Expr, Model, Stmt};
-use herd_core::event::Dir;
+use crate::compile::{dir_filter, id_set, BuiltinRel};
 use herd_core::exec::Execution;
 use herd_core::relation::Relation;
 use std::collections::BTreeMap;
@@ -192,7 +193,10 @@ fn eval_expr(
         Expr::Empty => Relation::empty(exec.len()),
         Expr::Name(n) => match env.get(n) {
             Some(r) => r.clone(),
-            None => exec.builtin(n).ok_or_else(|| EvalError::UnknownName(n.clone()))?,
+            None => BuiltinRel::resolve(n)
+                .ok_or_else(|| EvalError::UnknownName(n.clone()))?
+                .fetch_ref(exec)
+                .clone(),
         },
         Expr::Union(a, b) => eval_expr(a, env, exec)?.union(&eval_expr(b, env, exec)?),
         Expr::Inter(a, b) => eval_expr(a, env, exec)?.intersect(&eval_expr(b, env, exec)?),
@@ -208,30 +212,10 @@ fn eval_expr(
             exec.dir_restrict(&r, src, dst)
         }
         Expr::IdSet(s) => {
-            let id = Relation::id(exec.len());
-            let dir = match s.as_str() {
-                "W" => Some(Dir::W),
-                "R" => Some(Dir::R),
-                "M" | "_" => None,
-                other => return Err(EvalError::UnknownName(format!("[{other}]"))),
-            };
-            exec.dir_restrict(&id, dir, dir)
+            let dir = id_set(s)?;
+            exec.dir_restrict(&Relation::id(exec.len()), dir, dir)
         }
     })
-}
-
-fn dir_filter(name: &str) -> Option<(Option<Dir>, Option<Dir>)> {
-    let part = |c: u8| match c {
-        b'R' => Some(Some(Dir::R)),
-        b'W' => Some(Some(Dir::W)),
-        b'M' => Some(None),
-        _ => None,
-    };
-    let b = name.as_bytes();
-    if b.len() != 2 {
-        return None;
-    }
-    Some((part(b[0])?, part(b[1])?))
 }
 
 #[cfg(test)]

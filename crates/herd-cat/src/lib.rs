@@ -133,8 +133,8 @@ pub fn model_fingerprint(src: &str) -> herd_cache::Fingerprint {
 /// same source text never lexes, parses, resolves or folds twice. The
 /// returned [`CompiledModel`] is shared behind an [`std::sync::Arc`], so
 /// warm calls are one fingerprint plus one shard probe — the compiled
-/// half of the memoised query layer (the verdict half lives in
-/// `herd-hw`/`herd-machine`).
+/// half of the memoised query layer (the verdict half is `herd-hw`'s
+/// `judge_log_cached`).
 ///
 /// # Errors
 ///

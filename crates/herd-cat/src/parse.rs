@@ -379,9 +379,10 @@ impl Parser {
     }
 }
 
-/// Is `name` one of the nine direction-filter combinators?
+/// Is `name` one of the nine direction-filter combinators (`RR` through
+/// `MM`)?
 pub fn is_dir_filter(name: &str) -> bool {
-    matches!(name, "RR" | "RW" | "RM" | "WR" | "WW" | "WM" | "MR" | "MW" | "MM")
+    crate::compile::dir_filter(name).is_some()
 }
 
 /// Parses a cat model. The first line may be a bare model name (as in

@@ -571,43 +571,6 @@ impl Execution {
         }
         out
     }
-
-    /// Looks up a relation by its cat-language name
-    /// (`po`, `po-loc`, `rf`, `fr`, `co`, `addr`, `data`, `ctrl`,
-    /// `ctrl+cfence`/`ctrl+isync`/`ctrl+isb`, `rdw`, `detour`, the `e`/`i`
-    /// variants, `com`, `loc`, `int`, `ext`, `id`, and the fence names).
-    pub fn builtin(&self, name: &str) -> Option<Relation> {
-        let r = match name {
-            "po" => self.po(),
-            "po-loc" => self.po_loc(),
-            "rf" => &self.rf,
-            "rfe" => &self.rfe,
-            "rfi" => &self.rfi,
-            "co" | "ws" => &self.co,
-            "coe" | "wse" => &self.coe,
-            "coi" | "wsi" => &self.coi,
-            "fr" => &self.fr,
-            "fre" => &self.fre,
-            "fri" => &self.fri,
-            "com" => &self.com,
-            "addr" => &self.deps().addr,
-            "data" => &self.deps().data,
-            "ctrl" => &self.deps().ctrl,
-            "ctrl+cfence" | "ctrl+isync" | "ctrl+isb" => &self.deps().ctrl_cfence,
-            "rdw" => &self.rdw,
-            "detour" => &self.detour,
-            "loc" => self.same_loc(),
-            "int" => self.internal(),
-            "ext" => self.external(),
-            "id" => return Some(Relation::id(self.len())),
-            "0" => return Some(Relation::empty(self.len())),
-            other => {
-                let f = Fence::ALL.iter().find(|f| f.mnemonic() == other)?;
-                return Some(self.fence(*f));
-            }
-        };
-        Some(r.clone())
-    }
 }
 
 /// The per-candidate relations of one arena-backed candidate: the witness
@@ -911,16 +874,6 @@ mod tests {
         let fin = x.final_memory();
         assert_eq!(fin[&Loc(0)], Val(1));
         assert_eq!(fin[&Loc(1)], Val(1));
-    }
-
-    #[test]
-    fn builtin_lookup() {
-        let x = mp_fig4();
-        assert_eq!(x.builtin("fr").unwrap(), *x.fr());
-        assert_eq!(x.builtin("ctrl+isync").unwrap(), x.deps().ctrl_cfence);
-        assert!(x.builtin("sync").unwrap().is_empty());
-        assert!(x.builtin("no-such").is_none());
-        assert_eq!(x.builtin("id").unwrap(), Relation::id(6));
     }
 
     #[test]

@@ -176,8 +176,8 @@
 //!
 //! The litmus layer (`herd_litmus::decide`) adds register screening (a
 //! queried read value filters that read's rf menu before any coherence
-//! work) and routes `simulate_decided`, `herd-machine` reachability and
-//! `herd-hw` log judging through the backend; the whole stack is
+//! work) and routes `simulate_decided` and `herd-hw` log judging
+//! through the backend; the whole stack is
 //! differentially pinned against the enumeration engine by
 //! `tests/consistency_differential.rs`.
 //!
@@ -220,7 +220,7 @@
 //! | term | meaning | where |
 //! |---|---|---|
 //! | fingerprint | a deterministic 128-bit FNV-1a structural hash over a byte-tagged encoding; equal inputs hash equal across runs and platforms, so a fingerprint is a stable *content address* for a question | [`crate::fingerprint::Fingerprint`], [`crate::fingerprint::FpHasher`] |
-//! | query fingerprint | the address of a question's invariant part — the test's structure (ISA, name, code, initial state, condition, hashed in place without printing the test), the model, enumeration options — hashed once per log, not once per row. Every cached path keys the model by its identity: its name plus whatever configuration the name does not fix | `herd_litmus::decide::query_fingerprint`, [`crate::model::Architecture::identity`] |
+//! | query fingerprint | the address of a question's invariant part — the test's structure (ISA, name, code, initial state, condition, hashed in place without printing the test), the model, enumeration options — hashed once per log, not once per row. The verdict key names the model by its identity: its name plus whatever configuration the name does not fix | `herd_litmus::decide::query_fingerprint`, [`crate::model::Architecture::identity`] |
 //! | state layout | the slots of one test's final states: one per register the test writes, initialises or names in its condition, in `(thread, register)` order, then one per location, in name order — the order canonical rows print in | `herd_litmus::state::StateLayout` |
 //! | slot | one value of a final state over its layout: an integer, a location's address, `Absent` (a register the path leaves unset) or, in a query row, `Free` (the row does not mention it). Judged candidates, decided outcomes and parsed log rows are all slot vectors; a row is parsed once, straight into one, and rendered only for output | `herd_litmus::state::Slot`, `herd_litmus::decide::QueryRows` |
 //! | condition projection | a test's final proposition compiled against its layout: slot predicates plus the slots its atoms mention, in first-mention order. Simulation keeps each distinct projection once, as slot values, and renders it once (`1:r1=1; x=2;`) into `SimOutcome::states` | `herd_litmus::state::CondSlots` |
@@ -229,13 +229,10 @@
 //! | batch stats | the accounting of a batch: rows in, per-combination row walks (`classes`), co queries launched (`saturations`), literal repeats answered by an earlier row's verdict (`reused`) | `herd_litmus::decide::BatchStats` |
 //! | verdict cache | a sharded, bounded LRU keyed by outcome fingerprint; a warm `mcompare` pass over an unchanged log is pure lookups | the `herd-cache` crate, `herd_hw::judge_log_cached` |
 //!
-//! The same content-addressed store fronts the other expensive
-//! recomputations of the workflow: model-log construction
-//! (`herd_hw::model_log_cached`), reachability verification
-//! (`herd_machine::verify_reachable_cached`), corpus simulation
-//! (`herd_litmus::simulate_corpus_cached`), and cat-model compilation
-//! (`herd_cat::compile_cached`). Every cached path is differentially
-//! pinned against its fresh twin, and the `perf_pipeline` bench gates
+//! Per-row verdicts are the one question the workflow caches; the same
+//! store type also holds compiled cat models, keyed by their source text
+//! (`herd_cat::compile_cached`). Cached verdicts are differentially
+//! pinned against fresh decisions, and the `perf_pipeline` bench gates
 //! the batch (≥10x over row-at-a-time) and warm-cache (≥100x over a
 //! cold decide) speedups per PR.
 //!

@@ -95,10 +95,9 @@ pub trait Architecture {
     fn name(&self) -> &str;
 
     /// Feeds what this model *is* to a cache key: everything that can
-    /// change a verdict. Memoised answers (`herd-hw`'s verdict and
-    /// model-log caches, `herd-litmus`'s corpus cache, `herd-machine`'s
-    /// reachability cache) are keyed by it, so two models may share a
-    /// cached verdict only when their identities hash equal.
+    /// change a verdict. `herd-hw`'s per-row verdict cache keys every
+    /// verdict by it, so two models may share a cached verdict only when
+    /// their identities hash equal.
     ///
     /// The default hashes [`Architecture::name`], which is right when
     /// the name fixes the configuration. A model whose configuration

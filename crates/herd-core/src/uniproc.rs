@@ -151,11 +151,6 @@ impl LocGraphs {
         LocGraphs { graphs, oversized }
     }
 
-    /// The non-trivial location graphs (locations with ≥ 2 events).
-    pub fn graphs(&self) -> &[LocGraph] {
-        &self.graphs
-    }
-
     /// Locations whose event count exceeds [`MAX_LOC_MEMBERS`]: these
     /// stream *unpruned* (every coherence permutation survives the menu
     /// filter), which is sound but can make a huge test look mysteriously
@@ -314,11 +309,6 @@ impl LocScratch {
 }
 
 impl LocGraph {
-    /// The location this graph covers.
-    pub fn loc(&self) -> Loc {
-        self.loc
-    }
-
     /// Checks SC PER LOCATION for this location under one data-flow choice.
     ///
     /// * `co_order` — the location's non-initial writes as global event

@@ -19,6 +19,7 @@
 //! diffs them. Row by row, [`judge_entries`] decides a batch of states
 //! and [`judge_log_cached`] memoises it; one row is a one-row batch.
 
+use herd_litmus::candidates::CandidateError;
 use herd_litmus::decide::canonical_row;
 use herd_litmus::state::Slot;
 use std::borrow::Cow;
@@ -187,15 +188,21 @@ pub fn compare(model: &Log, hardware: &Log) -> Comparison {
 /// candidate through the arena verdict engine. All produce the same
 /// states.
 ///
+/// # Errors
+///
+/// Returns the enumeration error of the first test that thread
+/// semantics rejects (a runaway loop exhausting its fuel, say).
+///
 /// [`Tractability::Monotone`]: herd_core::model::Tractability::Monotone
 /// [`Tractability::Conditional`]: herd_core::model::Tractability::Conditional
 /// [`Tractability::Frontier`]: herd_core::model::Tractability::Frontier
 pub fn model_log(
     tests: &[herd_litmus::program::LitmusTest],
     model: &dyn herd_core::model::Architecture,
-) -> Log {
+) -> Result<Log, CandidateError> {
     use herd_core::model::Tractability;
     use herd_litmus::candidates::{stream_verdicts, EnumOptions};
+    use herd_litmus::decide::{allowed_full_outcomes, QueryStats};
     use herd_litmus::state::StateLayout;
     let opts = EnumOptions::default();
     let mut log = Log::default();
@@ -208,60 +215,19 @@ pub fn model_log(
             }
         };
         if model.tractability() != Tractability::Frontier {
-            let mut stats = herd_litmus::decide::QueryStats::default();
-            herd_litmus::decide::allowed_full_outcomes(t, model, &opts, &mut stats, &mut |_, s| {
-                keep(s);
-            })
-            .expect("corpus tests enumerate");
+            let mut stats = QueryStats::default();
+            allowed_full_outcomes(t, model, &opts, &mut stats, &mut |_, s| keep(s))?;
         } else {
             stream_verdicts(t, &opts, &[model], .., &mut |mc| {
                 if mc.verdicts[0].allowed() {
                     keep(mc.state);
                 }
-            })
-            .expect("corpus tests enumerate");
+            })?;
         }
         let layout = StateLayout::for_test(t);
         log.insert(&t.name, allowed.iter().map(|s| (layout.row(s), 0)).collect());
     }
-    log
-}
-
-/// The memoised variant of [`model_log`]: each `(test, model)` pair's
-/// allowed-state set is looked up in (and on a miss, computed into) the
-/// content-addressed `cache`, so re-judging a corpus a second time — the
-/// normal shape of the Sec 11 data-mining loop — is one fingerprint and
-/// one shard probe per test. The key holds the test's structure and the
-/// model's [`identity`](herd_core::model::Architecture::identity).
-pub fn model_log_cached(
-    tests: &[herd_litmus::program::LitmusTest],
-    model: &dyn herd_core::model::Architecture,
-    cache: &ModelLogCache,
-) -> Log {
-    let mut log = Log::default();
-    for t in tests {
-        let key = query_key(t, model);
-        let states = cache.get_or_insert_with(key, || {
-            let one = model_log(std::slice::from_ref(t), model);
-            one.entries.get(&t.name).map(|e| e.states.clone()).unwrap_or_default()
-        });
-        log.insert(&t.name, states);
-    }
-    log
-}
-
-/// A content-addressed store of model-log state sets, keyed by
-/// `(test, model, opts)` fingerprints — see [`model_log_cached`].
-pub type ModelLogCache = herd_cache::ShardedLru<BTreeMap<String, u64>>;
-
-/// The `(test, model identity, default opts)` key every cache here
-/// starts from.
-fn query_key(
-    test: &herd_litmus::program::LitmusTest,
-    model: &dyn herd_core::model::Architecture,
-) -> herd_core::fingerprint::Fingerprint {
-    let opts = herd_litmus::candidates::EnumOptions::default();
-    herd_litmus::decide::query_hasher(test, model, &opts).finish()
+    Ok(log)
 }
 
 /// A content-addressed store of per-row verdicts, keyed by
@@ -301,14 +267,15 @@ pub fn judge_entries<S: AsRef<str>>(
 
 /// The memoised form of [`judge_entries`] — the Sec 11 `mcompare` inner
 /// loop at full speed. The query key (test structure plus model
-/// identity) is computed once per call, not once per row; every row is
-/// probed in the content-addressed `cache`, and the misses are parsed
-/// straight into the test's state layout and decided *together* through
-/// [`herd_litmus::decide::decide_rows`] before being cached — a cold row
-/// is parsed once and never rendered. A warm re-query of a canonical row
-/// is one byte scan, one hash and one shard probe
-/// ([`herd_litmus::decide::row_fingerprint`]); a cold million-row log
-/// costs one rf walk per distinct row, which stops at its first witness.
+/// identity, [`herd_litmus::decide::query_hasher`]) is computed once per
+/// call, not once per row; every row is probed in the content-addressed
+/// `cache`, and the misses are decided *together* by one
+/// [`judge_entries`] batch before being cached — a cold row is parsed
+/// once, straight into the test's state layout, and never rendered. A
+/// warm re-query of a canonical row is one byte scan, one hash and one
+/// shard probe ([`herd_litmus::decide::row_fingerprint`]); a cold
+/// million-row log costs one rf walk per distinct row, which stops at
+/// its first witness.
 ///
 /// # Errors
 ///
@@ -321,8 +288,8 @@ pub fn judge_log_cached<S: AsRef<str>>(
     cache: &VerdictCache,
 ) -> Result<Vec<bool>, String> {
     use herd_litmus::candidates::EnumOptions;
-    use herd_litmus::decide::{decide_rows, row_fingerprint, QueryRows};
-    let base = query_key(test, model);
+    use herd_litmus::decide::{query_hasher, row_fingerprint};
+    let base = query_hasher(test, model, &EnumOptions::default()).finish();
     let mut verdicts = Vec::with_capacity(states.len());
     // Rows the cache lacks: their index and key.
     let mut missing = Vec::new();
@@ -334,13 +301,9 @@ pub fn judge_log_cached<S: AsRef<str>>(
         }));
     }
     if !missing.is_empty() {
-        let mut rows = QueryRows::new(test);
-        for &(i, _) in &missing {
-            rows.push_row(states[i].as_ref())?;
-        }
-        let batch =
-            decide_rows(test, model, &EnumOptions::default(), &rows).map_err(|e| e.to_string())?;
-        for (&(i, key), &v) in missing.iter().zip(&batch.verdicts) {
+        let cold: Vec<&str> = missing.iter().map(|&(i, _)| states[i].as_ref()).collect();
+        let (fresh, _) = judge_entries(test, model, &cold)?;
+        for (&(i, key), v) in missing.iter().zip(fresh) {
             cache.insert(key, v);
             verdicts[i] = v;
         }
@@ -372,6 +335,10 @@ mod tests {
     use crate::silicon::arm_machines;
     use herd_core::arch::{Arm, ArmVariant};
     use herd_litmus::corpus;
+
+    /// A Power thread that branches back to itself forever: thread
+    /// semantics runs out of fuel on it.
+    const SPIN: &str = "PPC spin\n{ x=0; }\n P0 ;\n L0: ;\n b L0 ;\nexists (x=0)\n";
 
     #[test]
     fn render_parse_roundtrip() {
@@ -454,23 +421,55 @@ mod tests {
         assert!(judge_log_cached(&test, &Tso, &["bogus"], &log_cache).is_err());
     }
 
+    /// A cold batch whose last row is malformed fails before deciding
+    /// anything, so the rows before it are not cached either; nor are
+    /// well-formed rows whose decision fails.
     #[test]
-    fn cached_model_log_matches_and_hits_when_warm() {
+    fn a_cold_batch_with_a_malformed_row_caches_nothing() {
         use herd_core::arch::Tso;
-        let tests: Vec<_> = corpus::x86_corpus().into_iter().map(|e| e.test).take(4).collect();
-        let plain = model_log(&tests, &Tso);
-        let cache = ModelLogCache::new(256);
-        let cold = model_log_cached(&tests, &Tso, &cache);
-        assert_eq!(cold, plain);
-        let warm = model_log_cached(&tests, &Tso, &cache);
-        assert_eq!(warm, plain);
+        use herd_litmus::corpus::Dev;
+        use herd_litmus::isa::Isa;
+        let test = corpus::sb(Isa::X86, Dev::Po, Dev::Po);
+        let cache = VerdictCache::new(64);
+        let rows = ["0:r1=0; 1:r1=0", "0:r1=1; 1:r1=1", "bogus"];
+        assert!(judge_log_cached(&test, &Tso, &rows, &cache).is_err());
+        let spin = herd_litmus::parse::parse(SPIN).unwrap();
+        assert!(judge_log_cached(&spin, &Tso, &["x=0", "x=1"], &cache).is_err());
         let s = cache.stats();
-        assert_eq!(s.misses, tests.len() as u64, "cold pass misses once per test");
-        assert_eq!(s.hits, tests.len() as u64, "warm pass is all hits");
+        assert_eq!(s.insertions, 0, "{s:?}");
+        assert_eq!(s.len, 0, "{s:?}");
     }
 
-    /// The shared key constructor keys every cached question exactly as
-    /// the inline fold each cached path used to write out.
+    /// A thread that never terminates is an error on every route
+    /// `model_log` takes, not a panic: the backend walk of a monotone
+    /// (TSO) and a conditional (Power) model, and the arena stream of a
+    /// frontier one (a silicon part).
+    #[test]
+    fn model_log_reports_a_runaway_loop() {
+        use crate::silicon::ArmSilicon;
+        use herd_core::arch::{Power, Tso};
+        use herd_core::model::Architecture;
+        use herd_core::model::Tractability::{Conditional, Frontier, Monotone};
+        use herd_litmus::candidates::CandidateError;
+        use herd_litmus::sem::SemError;
+        let test = herd_litmus::parse::parse(SPIN).unwrap();
+        let part = ArmSilicon::new("ARM", Default::default());
+        let routes = [&Tso as &dyn Architecture, &Power::new(), &part];
+        let routes = routes.into_iter().zip([Monotone, Conditional, Frontier]);
+        for (model, route) in routes {
+            assert_eq!(model.tractability(), route, "{}", model.name());
+            let err = model_log(std::slice::from_ref(&test), model).unwrap_err();
+            assert_eq!(
+                err,
+                CandidateError::Sem(SemError::FuelExhausted { tid: 0 }),
+                "{}",
+                model.name()
+            );
+        }
+    }
+
+    /// The shared key constructor keys the cached question exactly as the
+    /// inline fold the cached path used to write out.
     #[test]
     fn query_keys_match_the_inline_fold() {
         use crate::silicon::{ArmErrata, ArmSilicon};
@@ -486,17 +485,11 @@ mod tests {
         let tests = corpus::arm_corpus().into_iter().chain(corpus::x86_corpus()).map(|e| e.test);
         for t in tests {
             for m in &models {
-                for tag in [None, Some("simulate"), Some("reachable")] {
-                    let mut inline = FpHasher::from(query_fingerprint(&t, m.name(), &opts));
-                    inline.tag("identity");
-                    m.identity(&mut inline);
-                    let mut shared = query_hasher(&t, m.as_ref(), &opts);
-                    if let Some(tag) = tag {
-                        inline.tag(tag);
-                        shared.tag(tag);
-                    }
-                    assert_eq!(shared.finish(), inline.finish(), "{} on {}", t.name, m.name());
-                }
+                let mut inline = FpHasher::from(query_fingerprint(&t, m.name(), &opts));
+                inline.tag("identity");
+                m.identity(&mut inline);
+                let shared = query_hasher(&t, m.as_ref(), &opts);
+                assert_eq!(shared.finish(), inline.finish(), "{} on {}", t.name, m.name());
             }
         }
     }
@@ -523,7 +516,7 @@ mod tests {
         use herd_litmus::corpus::Dev;
         use herd_litmus::isa::Isa;
         let mp = corpus::mp(Isa::Power, Dev::Po, Dev::Po);
-        let model = model_log(std::slice::from_ref(&mp), &Power::new());
+        let model = model_log(std::slice::from_ref(&mp), &Power::new()).unwrap();
         let rows: Vec<String> =
             model.entries["mp"].states.keys().map(|s| format!("{s};")).collect();
         assert!(rows.len() > 1, "{rows:?}");
@@ -553,7 +546,7 @@ mod tests {
         let machines = arm_machines();
         let tegra3 = machines.iter().find(|m| m.name == "Tegra3").unwrap();
         let hw = hardware_log(&tests, tegra3, 10_000_000_000, 7);
-        let model = model_log(&tests, &Arm::new(ArmVariant::PowerArm));
+        let model = model_log(&tests, &Arm::new(ArmVariant::PowerArm)).unwrap();
         let cmp = compare(&model, &hw);
         let (invalid, unseen) = cmp.summary();
         assert!(invalid > 0, "Tegra3 invalidates Power-ARM");

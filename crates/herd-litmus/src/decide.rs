@@ -461,10 +461,10 @@ impl<'p, A: Architecture + ?Sized> ComboWalk<'p, A> {
 }
 
 /// Stable content key of one `(test, model, opts)` query context — the
-/// base the per-row verdict keys of [`outcome_fingerprint`] extend, and
-/// the key `herd-cache` stores model logs and reachability verdicts
-/// under. The test enters by structure (ISA, name, code, initial state,
-/// condition), hashed in place without rendering it.
+/// base the per-row verdict keys of [`outcome_fingerprint`] and
+/// [`row_fingerprint`] extend. The test enters by structure (ISA, name,
+/// code, initial state, condition), hashed in place without rendering
+/// it.
 pub fn query_fingerprint(test: &LitmusTest, model_name: &str, opts: &EnumOptions) -> Fingerprint {
     let mut h = FpHasher::new("query/v2");
     h.tag("test");
@@ -477,10 +477,11 @@ pub fn query_fingerprint(test: &LitmusTest, model_name: &str, opts: &EnumOptions
     h.finish()
 }
 
-/// The key every cached model query starts from: [`query_fingerprint`]
-/// extended with the model's [`identity`](Architecture::identity), so a
-/// model is keyed by what it is, not by what it is called. A caller
-/// appends its question's tag, if it has one, and finishes the hasher.
+/// The base of every cached verdict key: [`query_fingerprint`] extended
+/// with the model's [`identity`](Architecture::identity), so a model is
+/// keyed by what it is, not by what it is called. `herd-hw`'s cached log
+/// judging finishes it once per call and extends it per row with
+/// [`row_fingerprint`].
 pub fn query_hasher<A: Architecture + ?Sized>(
     test: &LitmusTest,
     model: &A,

@@ -551,64 +551,6 @@ pub fn simulate_corpus<A: Architecture + Sync + ?Sized>(
     Ok(CorpusOutcome { outcomes, poisoned })
 }
 
-/// A content-addressed store of completed simulation outcomes, keyed by
-/// `(test, model, opts)` fingerprints — see [`simulate_corpus_cached`].
-pub type SimCache = herd_cache::ShardedLru<SimOutcome>;
-
-/// The memoised variant of [`simulate_corpus`]: each test's outcome is
-/// looked up in the content-addressed `cache` first, and only the misses
-/// are simulated (in one parallel sub-corpus). Repeated `(test, model)`
-/// pairs — the Sec 11 data-mining loop re-sweeping a corpus per model —
-/// become O(1) lookups. Only *complete* outcomes are stored: partial or
-/// poisoned runs are returned but never cached, so a degraded first
-/// sweep cannot pin degraded answers.
-///
-/// # Errors
-///
-/// As [`simulate_corpus`] (errors are not cached).
-pub fn simulate_corpus_cached<A: Architecture + Sync + ?Sized>(
-    tests: &[LitmusTest],
-    arch: &A,
-    opts: &EnumOptions,
-    cache: &SimCache,
-) -> Result<CorpusOutcome, CandidateError> {
-    let keys: Vec<_> = tests
-        .iter()
-        .map(|t| {
-            let mut h = crate::decide::query_hasher(t, arch, opts);
-            h.tag("simulate");
-            h.finish()
-        })
-        .collect();
-    let mut slots: Vec<Option<SimOutcome>> = keys.iter().map(|&k| cache.get(k)).collect();
-    let missing: Vec<usize> = (0..tests.len()).filter(|&i| slots[i].is_none()).collect();
-    let mut poisoned: Vec<PoisonedUnit> = Vec::new();
-    if !missing.is_empty() {
-        let subset: Vec<LitmusTest> = missing.iter().map(|&i| tests[i].clone()).collect();
-        let fresh = simulate_corpus(&subset, arch, opts)?;
-        // Poisoned units index the subset; map them back to the input.
-        poisoned = fresh
-            .poisoned
-            .into_iter()
-            .map(|l| PoisonedUnit { unit: missing[l.unit], payload: l.payload })
-            .collect();
-        let lost: BTreeSet<usize> = poisoned.iter().map(|l| l.unit).collect();
-        let mut fresh_outcomes = fresh.outcomes.into_iter();
-        for &i in &missing {
-            if lost.contains(&i) {
-                continue;
-            }
-            let out = fresh_outcomes.next().expect("one outcome per surviving test");
-            if out.is_complete() {
-                cache.insert(keys[i], out.clone());
-            }
-            slots[i] = Some(out);
-        }
-        poisoned.sort_by_key(|l| l.unit);
-    }
-    Ok(CorpusOutcome { outcomes: slots.into_iter().flatten().collect(), poisoned })
-}
-
 /// Evaluates a proposition against one candidate's final state.
 pub fn eval_prop(p: &Prop, c: &Candidate) -> bool {
     eval_prop_parts(p, &c.final_regs, &c.final_mem)
@@ -714,39 +656,6 @@ mod tests {
             assert_eq!(out.allowed, seq.allowed, "{}", test.name);
             assert_eq!(out.states, seq.states, "{}", test.name);
         }
-    }
-
-    #[test]
-    fn cached_corpus_simulation_matches_and_hits_when_warm() {
-        let tests: Vec<_> = corpus::power_corpus().into_iter().map(|e| e.test).take(6).collect();
-        let power = Power::new();
-        let opts = crate::candidates::EnumOptions::default();
-        let plain = simulate_corpus(&tests, &power, &opts).unwrap();
-        let cache = SimCache::new(256);
-        for pass in ["cold", "warm"] {
-            let cached = simulate_corpus_cached(&tests, &power, &opts, &cache).unwrap();
-            assert!(cached.poisoned.is_empty());
-            assert_eq!(cached.outcomes.len(), plain.outcomes.len());
-            for (c, p) in cached.outcomes.iter().zip(&plain.outcomes) {
-                assert_eq!(c.test, p.test, "{pass}");
-                assert_eq!(c.candidates, p.candidates, "{} {pass}", c.test);
-                assert_eq!(c.allowed, p.allowed, "{} {pass}", c.test);
-                assert_eq!(c.positive, p.positive, "{} {pass}", c.test);
-                assert_eq!(c.negative, p.negative, "{} {pass}", c.test);
-                assert_eq!(c.states, p.states, "{} {pass}", c.test);
-                assert_eq!(c.validated, p.validated, "{} {pass}", c.test);
-            }
-        }
-        let s = cache.stats();
-        assert_eq!(s.misses, tests.len() as u64, "cold pass misses once per test");
-        assert_eq!(s.hits, tests.len() as u64, "warm pass is all hits");
-        // A mixed corpus: one warm test plus one cold one — only the
-        // cold test is simulated.
-        let mixed = vec![tests[0].clone(), corpus::sb(Isa::X86, Dev::Po, Dev::Po)];
-        let out = simulate_corpus_cached(&mixed, &power, &opts, &cache).unwrap();
-        assert_eq!(out.outcomes.len(), 2);
-        assert_eq!(out.outcomes[0].test, mixed[0].name);
-        assert_eq!(out.outcomes[1].test, mixed[1].name);
     }
 
     #[test]

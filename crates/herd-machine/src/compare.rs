@@ -325,7 +325,7 @@ mod tests {
         assert!(!cmp.agrees(), "the detour test must diverge");
         assert!(!cmp.only_a.is_empty(), "our model allows states the PLDI surrogate forbids");
         assert!(cmp.only_b.is_empty(), "the flaw is one-sided: PLDI is too strong");
-        let log = herd_hw::model_log(std::slice::from_ref(&test), &Power::new());
+        let log = herd_hw::model_log(std::slice::from_ref(&test), &Power::new()).unwrap();
         let rows = &log.entries[&test.name].states;
         for state in &cmp.only_a {
             assert!(rows.contains_key(state), "{state:?} is not a row of {:?}", rows.keys());

@@ -61,64 +61,6 @@ pub fn verify_axiomatic(
     Ok(VerifyOutcome { reachable, allowed, candidates: stats.total() })
 }
 
-/// The bare reachability question, answered through the saturation
-/// consistency backend instead of candidate enumeration: the distinct
-/// final states are decided one witness query at a time
-/// ([`herd_litmus::simulate::simulate_decided`]), so for models monotone
-/// in co (SC/TSO/PSO/RMO and C++RA,
-/// [`herd_core::model::Tractability::Monotone`]) the per-outcome cost
-/// drops from `Π |writes(l)|!` coherence checks to a saturation pass,
-/// Power/ARM-class models
-/// ([`herd_core::model::Tractability::Conditional`]) saturate with ppo
-/// frozen to its static lower bound, and any residue takes the backend's
-/// counted fallback, which keeps the answer exact.
-///
-/// Returns the same `reachable` bit as [`verify_axiomatic`] (whose
-/// candidate accounting it deliberately does not reproduce — outcomes,
-/// not candidates, are what get decided).
-///
-/// # Errors
-///
-/// Propagates enumeration failures.
-pub fn verify_reachable(
-    test: &LitmusTest,
-    arch: &dyn Architecture,
-) -> Result<bool, CandidateError> {
-    let mut stats = herd_litmus::decide::QueryStats::default();
-    let out =
-        herd_litmus::simulate::simulate_decided(test, arch, &EnumOptions::default(), &mut stats)?;
-    Ok(out.positive > 0)
-}
-
-/// A content-addressed store of reachability verdicts, keyed by
-/// `(test, model, opts)` fingerprints — see [`verify_reachable_cached`].
-pub type ReachabilityCache = herd_cache::ShardedLru<bool>;
-
-/// The memoised variant of [`verify_reachable`]: the bit is stored in
-/// the content-addressed `cache` under the `(test, model, opts)`
-/// fingerprint, so repeated verification sweeps over the same corpus —
-/// model-comparison loops, CI reruns — answer warm queries with one
-/// hash lookup instead of a decision walk.
-///
-/// # Errors
-///
-/// Propagates enumeration failures (errors are not cached).
-pub fn verify_reachable_cached(
-    test: &LitmusTest,
-    arch: &dyn Architecture,
-    cache: &ReachabilityCache,
-) -> Result<bool, CandidateError> {
-    let mut h = herd_litmus::decide::query_hasher(test, arch, &EnumOptions::default());
-    h.tag("reachable");
-    let key = h.finish();
-    if let Some(v) = cache.get(key) {
-        return Ok(v);
-    }
-    let v = verify_reachable(test, arch)?;
-    cache.insert(key, v);
-    Ok(v)
-}
-
 /// Operational bounded verification: like [`verify_axiomatic`] but each
 /// candidate is validated by exhaustively exploring the intermediate
 /// machine instead of evaluating the axioms.
@@ -163,31 +105,5 @@ mod tests {
             let op = verify_operational(&test, &power).unwrap();
             assert_eq!(ax, op, "{}", test.name);
         }
-    }
-
-    #[test]
-    fn decided_reachability_agrees_with_both_encodings() {
-        use herd_core::arch::{Sc, Tso};
-        let cache = ReachabilityCache::new(64);
-        for test in [
-            corpus::mp(Isa::X86, Dev::Po, Dev::Po),
-            corpus::sb(Isa::X86, Dev::Po, Dev::Po),
-            corpus::sb(Isa::X86, Dev::F(Fence::Mfence), Dev::F(Fence::Mfence)),
-            corpus::iriw(Isa::X86, Dev::Po, Dev::Po),
-        ] {
-            for arch in [&Sc as &dyn Architecture, &Tso] {
-                let ax = verify_axiomatic(&test, arch).unwrap();
-                let decided = verify_reachable(&test, arch).unwrap();
-                assert_eq!(decided, ax.reachable, "{} on {}", test.name, arch.name());
-                // The memoised path returns the same bit cold and warm.
-                for _ in 0..2 {
-                    let c = verify_reachable_cached(&test, arch, &cache).unwrap();
-                    assert_eq!(c, decided, "{} on {} (cached)", test.name, arch.name());
-                }
-            }
-        }
-        let s = cache.stats();
-        assert_eq!(s.misses, 8, "one cold miss per (test, model) pair");
-        assert_eq!(s.hits, 8, "every warm repeat is a hit");
     }
 }

@@ -144,7 +144,7 @@ fn backend_model_log_matches_the_enumeration_reference() {
         // These models are monotone in co: `model_log` routes them
         // through the consistency backend.
         assert_eq!(model.tractability(), Tractability::Monotone, "{}", model.name());
-        let backend = herd_hw::model_log(&tests, model);
+        let backend = herd_hw::model_log(&tests, model).unwrap();
         assert_eq!(
             backend,
             enumerated_log(&tests, model),
@@ -161,7 +161,7 @@ fn backend_model_log_matches_the_enumeration_reference() {
         (arm_tests(), &Arm::new(ArmVariant::Proposed)),
     ] {
         assert_eq!(model.tractability(), Tractability::Conditional);
-        let backend = herd_hw::model_log(&tests, model);
+        let backend = herd_hw::model_log(&tests, model).unwrap();
         assert_eq!(
             backend,
             enumerated_log(&tests, model),
@@ -174,7 +174,7 @@ fn backend_model_log_matches_the_enumeration_reference() {
     // every candidate through the arena verdict engine instead.
     let unvouched = Unvouched(&strong);
     assert_eq!(unvouched.tractability(), Tractability::Frontier);
-    let streamed = herd_hw::model_log(&tests, &unvouched);
+    let streamed = herd_hw::model_log(&tests, &unvouched).unwrap();
     assert_eq!(streamed, enumerated_log(&tests, &strong), "streamed log differs under C++RA");
 }
 
@@ -187,7 +187,7 @@ fn judge_entry_reproduces_the_compare_invalid_sets() {
     let hw = herd_hw::hardware_log(&tests, machine, RUNS, 7);
     // Judge TSO silicon against SC: the write-read reorderings (sb, r,
     // rwc) must show up invalid, so the equivalence below has teeth.
-    let model = herd_hw::model_log(&tests, &Sc);
+    let model = herd_hw::model_log(&tests, &Sc).unwrap();
     let cmp = herd_hw::compare(&model, &hw);
     assert!(
         cmp.invalid.values().map(|s| s.len()).sum::<usize>() > 0,
